@@ -64,6 +64,7 @@ from .sphere import (
     laplace_beltrami,
     tangential_gradient,
     tangential_hessian_form,
+    zonal_quadrature,
 )
 from .weights import (
     RadialMoments,

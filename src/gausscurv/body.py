@@ -79,11 +79,19 @@ class RadialGraph:
 
     @classmethod
     def from_function(cls, n, fn, degree=16, quad=None):
-        """Fit ``h`` from a callable on unit vectors and split off the mean radius."""
+        """Fit ``h`` from a callable on unit vectors and split off the mean radius.
+
+        Without ``quad`` the fit runs on the product rule, so for n >= 4 a
+        callable that is not zonal is replaced by its L2 projection onto the
+        zonal fields (its average over each subsphere ``x_1 = t``); the body
+        is then built on the default rule.
+        """
+        fit_quad = quad
         if quad is None:
             quad = sphere.default_quadrature(n, max(degree, 4))
-        vals = np.asarray(fn(quad.nodes), dtype=float)
-        h_field = sphere.analyze(vals, n, degree, quad)
+            fit_quad = sphere.build_quadrature(n, quad.degree)
+        vals = np.asarray(fn(fit_quad.nodes), dtype=float)
+        h_field = sphere.analyze(vals, n, degree, fit_quad)
         radius = h_field.mean()
         coeffs = h_field.coeffs / radius
         coeffs = coeffs.copy()

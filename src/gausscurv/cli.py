@@ -666,6 +666,10 @@ def main(argv=None) -> int:
     except GausscurvError as exc:
         print(f"gausscurv: numerical failure: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:
+        # The only files a run opens are its reports, named by --output.
+        print(f"gausscurv: configuration error: cannot write report: {exc}", file=sys.stderr)
+        return 3
     summary = report.summary
     print(
         f"{config.command}: {summary['passed']}/{summary['total']} passed "

@@ -44,6 +44,7 @@ __all__ = [
 
 EPSILON_FLOOR = 1e-4
 EPSILON_CAP = 1e-2
+SCAN_VOLUME_FLOOR = 1e-5
 
 
 @dataclass(frozen=True)
@@ -194,8 +195,7 @@ def _mode_field(n: int, k: int, amplitude: float) -> sphere.HarmonicField:
 
 
 def _experiment_quadrature(n: int, k: int):
-    L = max(k, 8)
-    return sphere.build_quadrature(n, min(max(4 * L, 16), sphere.MAX_DEGREE))
+    return sphere.default_quadrature(n, max(k, 8))
 
 
 def _matched_gap(n: int, r: float, k: int, eps: float, quad) -> float:
@@ -271,7 +271,12 @@ def threshold_scan(n: int, k: int, epsilon: float = 3e-3, tol: float = 1e-4) -> 
     def coeff(r_sq: float) -> float:
         return measure_second_variation(n, math.sqrt(r_sq), k, epsilon).measured_coefficient
 
-    lo, hi = 0.02, float(n - 2) - 1e-9
+    # Volume matching holds the Gaussian volume to 1e-13 absolutely, so the
+    # measured gap is noise once the ball's volume nears that scale; in high
+    # dimensions it does so at larger radii.  The bracket starts where the
+    # ball's volume is SCAN_VOLUME_FLOOR.
+    lo = bd.ball_match_radius(n, SCAN_VOLUME_FLOOR) ** 2
+    hi = float(n - 2) - 1e-9
     c_lo, c_hi = coeff(lo), coeff(hi)
     if c_lo <= 0.0 or c_hi >= 0.0:
         raise QuadratureError("threshold bisection bracket does not change sign")

@@ -1,9 +1,14 @@
 """Quadrature and spherical harmonic calculus on the unit sphere.
 
-Quadratures are product rules: uniform angles on the circle, Gauss-Legendre
-in the polar cosine times uniform azimuth on S^2, and a recursive chain of
-Gauss-Jacobi rules with weight (1-t^2)^((n-3)/2) for n >= 4.  A rule built
-for ``degree`` integrates every polynomial of that total degree exactly.
+The general rules are product rules: uniform angles on the circle,
+Gauss-Legendre in the polar cosine times uniform azimuth on S^2, and a
+recursive chain of Gauss-Jacobi rules with weight (1-t^2)^((n-3)/2) for
+n >= 4.  A product rule built for ``degree`` integrates every polynomial of
+that total degree exactly.  For n >= 4 every field is zonal, so the default
+rule is the meridian rule: the outer Gauss-Jacobi factor alone, with its
+nodes on the meridian ``(t, sqrt(1-t^2), 0, ...)`` and its weights times
+``|S^(n-2)|``.  It integrates every zonal polynomial of ``degree`` exactly
+with ``degree // 2 + 1`` nodes, in every dimension up to 8.
 
 Scalar fields are stored spectrally.  For n = 3 the basis is the full set of
 real L2-normalised spherical harmonics up to a degree cap; for other
@@ -29,6 +34,7 @@ __all__ = [
     "HarmonicField",
     "sphere_area",
     "build_quadrature",
+    "zonal_quadrature",
     "default_quadrature",
     "basis_size",
     "eigenvalue",
@@ -54,12 +60,17 @@ def sphere_area(n: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SphereQuadrature:
-    """Positive-weight nodes on S^(n-1), exact to the stated polynomial degree."""
+    """Positive-weight nodes on S^(n-1), exact to the stated polynomial degree.
+
+    Basis tables built on the nodes are cached on the rule itself, keyed by
+    the basis degree, so they live exactly as long as the rule.
+    """
 
     n: int
     degree: int
     nodes: np.ndarray
     weights: np.ndarray
+    _bases: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -122,6 +133,10 @@ def build_quadrature(n: int, degree: int) -> SphereQuadrature:
         wts = np.repeat(wt, mphi) * (2.0 * np.pi / mphi)
     else:
         nodes, wts = _chain_rule(n, degree)
+    return _frozen_rule(n, degree, nodes, wts)
+
+
+def _frozen_rule(n: int, degree: int, nodes, wts) -> SphereQuadrature:
     nodes = np.ascontiguousarray(nodes)
     nodes /= np.linalg.norm(nodes, axis=1)[:, None]
     nodes.setflags(write=False)
@@ -129,9 +144,42 @@ def build_quadrature(n: int, degree: int) -> SphereQuadrature:
     return SphereQuadrature(n=n, degree=degree, nodes=nodes, weights=wts)
 
 
+@lru_cache(maxsize=None)
+def zonal_quadrature(n: int, degree: int) -> SphereQuadrature:
+    """Meridian rule on S^(n-1), n >= 4, exact for zonal polynomials of ``degree``.
+
+    Integrals of functions of ``t = x_1`` alone reduce to
+    ``|S^(n-2)| int f(t) (1-t^2)^((n-3)/2) dt``; the rule is that integral's
+    Gauss-Jacobi rule with its nodes placed on the meridian.  It integrates
+    nothing else correctly, so only zonal fields may be evaluated on it.
+
+    Raises
+    ------
+    ValueError
+        For dimensions outside {4..8} or degrees above 64.
+    """
+    if not 4 <= n <= MAX_DIMENSION:
+        raise ValueError(f"zonal rules need dimension in 4..{MAX_DIMENSION}, got {n}")
+    if not 0 <= degree <= MAX_DEGREE:
+        raise ValueError(f"degree must be in 0..{MAX_DEGREE}, got {degree}")
+    alpha = (n - 3) / 2.0
+    t, wt = roots_jacobi(degree // 2 + 1, alpha, alpha)
+    nodes = np.zeros((t.size, n))
+    nodes[:, 0] = t
+    nodes[:, 1] = np.sqrt(1.0 - t**2)
+    return _frozen_rule(n, degree, nodes, wt * sphere_area(n - 1))
+
+
 def default_quadrature(n: int, degree: int) -> SphereQuadrature:
-    """Quadrature sized for nonlinear products of fields up to ``degree``."""
-    return build_quadrature(n, min(max(4 * degree, 16), MAX_DEGREE))
+    """Quadrature sized for nonlinear products of fields up to ``degree``.
+
+    The meridian rule for n >= 4, where every field is zonal; the product
+    rule otherwise.
+    """
+    qdegree = min(max(4 * degree, 16), MAX_DEGREE)
+    if n >= 4:
+        return zonal_quadrature(n, qdegree)
+    return build_quadrature(n, qdegree)
 
 
 def basis_size(n: int, degree: int) -> int:
@@ -399,17 +447,20 @@ class _ZonalBasis:
         return self.V @ (self.quad.weights * values)
 
 
-@lru_cache(maxsize=None)
-def _basis(n: int, L: int, qdegree: int):
-    quad = build_quadrature(n, qdegree)
-    if n == 3:
-        return _FullBasis3D(L, quad)
-    return _ZonalBasis(n, L, quad)
+def _basis(n: int, L: int, quad: SphereQuadrature):
+    """Degree-``L`` basis tables on the nodes of ``quad``, built once per rule."""
+    if quad.n != n:
+        raise ValueError(f"quadrature on S^{quad.n - 1} used for a field on S^{n - 1}")
+    basis = quad._bases.get(L)
+    if basis is None:
+        built = _FullBasis3D(L, quad) if n == 3 else _ZonalBasis(n, L, quad)
+        basis = quad._bases.setdefault(L, built)
+    return basis
 
 
 def _basis_for(field: HarmonicField, quad: SphereQuadrature | None):
     q = quad if quad is not None else default_quadrature(field.n, field.degree)
-    return _basis(field.n, field.degree, q.degree)
+    return _basis(field.n, field.degree, q)
 
 
 def synthesize(field: HarmonicField, quad: SphereQuadrature | None = None, points=None) -> np.ndarray:
@@ -420,7 +471,7 @@ def synthesize(field: HarmonicField, quad: SphereQuadrature | None = None, point
 
 def analyze(values, n: int, degree: int, quad: SphereQuadrature) -> HarmonicField:
     """Project node values onto the basis up to ``degree`` by quadrature."""
-    b = _basis(n, degree, quad.degree)
+    b = _basis(n, degree, quad)
     return HarmonicField(n=n, degree=degree, coeffs=b.analyze(np.asarray(values, dtype=float)))
 
 
@@ -452,7 +503,7 @@ def _squared_gradient_field(field: HarmonicField, quad: SphereQuadrature):
     """Project |grad u|^2 onto the basis with doubled degree headroom."""
     L2 = min(2 * field.degree, MAX_DEGREE)
     lifted = field.lifted(L2)
-    b2 = _basis(field.n, L2, quad.degree)
+    b2 = _basis(field.n, L2, quad)
     g = b2.field_grad_nodes(lifted.coeffs)
     sq = np.einsum("mi,mi->m", g, g)
     c_sq = b2.analyze(sq)
@@ -477,5 +528,5 @@ def tangential_hessian_form(field: HarmonicField, x, quad: SphereQuadrature | No
     q = quad if quad is not None else default_quadrature(field.n, field.degree)
     sq_field, _, b2 = _squared_gradient_field(field, q)
     gs = b2.field_grad_at(sq_field.coeffs, x)
-    gu = _basis(field.n, field.degree, q.degree).field_grad_at(field.coeffs, x)
+    gu = _basis(field.n, field.degree, q).field_grad_at(field.coeffs, x)
     return 0.5 * float(np.dot(gs, gu))

@@ -65,6 +65,43 @@ def test_ellipsoid_curvature_pole_and_equator():
     assert h_eq == pytest.approx(1.0 + 1.0 / (c * c), abs=1e-6)
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_meridian_rule_matches_product_rule(n):
+    # Every field is zonal for n >= 4, so the meridian rule must give the
+    # product rule's surface and volume integrals.
+    meridian = cli.random_even_body(17, n, n, 1.3, 5e-2)
+    assert meridian.quad is sphere.zonal_quadrature(n, meridian.quad.degree)
+    product = RadialGraph(
+        n,
+        meridian.radius,
+        meridian.perturbation,
+        quad=sphere.build_quadrature(n, meridian.quad.degree),
+    )
+    for integral in (bd.gaussian_volume, bd.curvature_energy_nd, bd.flux_energy):
+        assert integral(meridian) == pytest.approx(integral(product), rel=1e-10), integral
+
+
+def test_from_function_projects_non_zonal_callable():
+    # The L2 projection onto zonal fields averages over each subsphere
+    # x_1 = t, where the mean of x_2^2 is (1 - t^2) / (n - 1).
+    n, degree = 4, 4
+
+    def radius(dirs):
+        return 1.0 + 0.1 * dirs[:, 0] ** 2 + 0.05 * dirs[:, 1] ** 2
+
+    graph = RadialGraph.from_function(n, radius, degree=degree)
+    assert graph.quad is sphere.default_quadrature(n, degree)
+    t = graph.quad.nodes[:, 0]
+    projected = 1.0 + 0.1 * t**2 + 0.05 * (1.0 - t**2) / (n - 1)
+    np.testing.assert_allclose(graph.h_nodes, projected, atol=1e-13)
+    # Same coefficients as a fit on the product rule the body used to carry.
+    old = RadialGraph.from_function(
+        n, radius, degree=degree, quad=sphere.build_quadrature(n, graph.quad.degree)
+    )
+    assert graph.radius == pytest.approx(old.radius, rel=1e-14)
+    np.testing.assert_allclose(graph.perturbation.coeffs, old.perturbation.coeffs, atol=1e-14)
+
+
 def test_mesh_curvature_oracle_converges():
     u = zonal_mode(3, 2, 0.05)
     graph = RadialGraph(3, 1.0, u)

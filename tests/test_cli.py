@@ -220,6 +220,19 @@ def test_second_variation_command(tmp_path):
     assert report.entries[0]["relative_error"] < 0.05
 
 
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_second_variation_command_high_dimensions(tmp_path, n):
+    assert cli.main(["second-variation", "--n", str(n), "--output", str(tmp_path / "sv")]) == 0
+
+
+def test_unwritable_output_is_configuration_error(tmp_path, capsys):
+    rc = cli.main(["moments", "--output", str(tmp_path / "missing" / "x")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_weight_presets_admissible():
     for name in cli.WEIGHT_PRESETS:
         wp = cli.weight_preset(name)

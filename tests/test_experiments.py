@@ -168,9 +168,26 @@ def test_second_variation_epsilon_range():
         ex.measure_second_variation(3, 1.0, 2, 0.5)
 
 
-def test_threshold_scan_n3_and_n4():
-    assert ex.threshold_scan(3, 2) == pytest.approx(2.0 / 3.0, abs=1e-3)
-    assert ex.threshold_scan(4, 2) == pytest.approx(5.0 / 4.0, abs=1e-3)
+@pytest.mark.parametrize("n", range(3, 9))
+def test_threshold_scan_matches_algebraic_root(n):
+    assert ex.threshold_scan(n, 2) == pytest.approx((n - 2) * (n + 1) / (2.0 * n), abs=1e-3)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_second_variation_meridian_rule_matches_product_rule(n, monkeypatch):
+    # The coefficient divides energy differences by eps^2 / 16, so rounding in
+    # the product rule's 10^4..10^5-term sums leaves it ~1e-6 off; the
+    # 17-node meridian rule stays two orders closer to the closed form.
+    exact = ex.quadratic_coefficient(n, 1.0, 2)
+    meridian = ex.measure_second_variation(n, 1.0, 2, 1e-3).measured_coefficient
+    monkeypatch.setattr(
+        ex,
+        "_experiment_quadrature",
+        lambda n_, k: sphere.build_quadrature(n_, sphere.default_quadrature(n_, max(k, 8)).degree),
+    )
+    product = ex.measure_second_variation(n, 1.0, 2, 1e-3).measured_coefficient
+    assert meridian == pytest.approx(product, rel=1e-5)
+    assert meridian == pytest.approx(exact, rel=2e-7)
 
 
 def test_threshold_scan_high_mode_approaches_limit():

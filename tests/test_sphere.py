@@ -54,6 +54,23 @@ def test_monomial_moments_closed_form(n, exponents):
     assert q.weights @ vals == pytest.approx(helpers.monomial_sphere_moment(n, exponents), abs=1e-10)
 
 
+@pytest.mark.parametrize("n", range(4, 9))
+def test_zonal_quadrature_integrates_x1_powers_exactly(n):
+    degree = 16
+    q = sphere.zonal_quadrature(n, degree)
+    assert q.size == degree // 2 + 1
+    np.testing.assert_allclose(np.linalg.norm(q.nodes, axis=1), 1.0, atol=1e-14)
+    for j in range(degree + 1):
+        exact = helpers.monomial_sphere_moment(n, (j,) + (0,) * (n - 1))
+        assert q.weights @ q.nodes[:, 0] ** j == pytest.approx(exact, rel=1e-13, abs=1e-14), j
+
+
+def test_default_quadrature_is_meridian_rule_from_n4():
+    assert sphere.default_quadrature(3, 8) is build_quadrature(3, 32)
+    for n in range(4, 9):
+        assert sphere.default_quadrature(n, 8) is sphere.zonal_quadrature(n, 32)
+
+
 def test_quadrature_rejects_unsupported():
     with pytest.raises(ValueError):
         build_quadrature(9, 8)
@@ -61,6 +78,10 @@ def test_quadrature_rejects_unsupported():
         build_quadrature(3, 80)
     with pytest.raises(ValueError):
         build_quadrature(8, 64)
+    with pytest.raises(ValueError):
+        sphere.zonal_quadrature(3, 8)
+    with pytest.raises(ValueError):
+        sphere.zonal_quadrature(9, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +113,26 @@ def test_analysis_synthesis_round_trip(n):
     vals = sphere.synthesize(u, q)
     back = sphere.analyze(vals, n, 10, q)
     np.testing.assert_allclose(back.coeffs, u.coeffs, atol=1e-12)
+
+
+def test_basis_tables_are_built_on_the_given_rule():
+    # A rotated copy of a cached rule shares its degree but not its nodes.
+    base = build_quadrature(3, 16)
+    rot, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(3, 3)))
+    rotated = sphere.SphereQuadrature(
+        n=3, degree=16, nodes=base.nodes @ rot.T, weights=base.weights
+    )
+    u = random_field(3, 4, seed=8)
+    np.testing.assert_allclose(
+        sphere.synthesize(u, rotated), sphere.synthesize(u, points=rotated.nodes), atol=1e-12
+    )
+    back = sphere.analyze(sphere.synthesize(u, rotated), 3, 4, rotated)
+    np.testing.assert_allclose(back.coeffs, u.coeffs, atol=1e-12)
+
+
+def test_basis_rejects_rule_of_other_dimension():
+    with pytest.raises(ValueError):
+        sphere.synthesize(random_field(4, 4, seed=1), build_quadrature(3, 16))
 
 
 def test_parity_detection():
