@@ -232,7 +232,8 @@ def volume_match(body: RadialGraph, target: float) -> RadialGraph:
 
     Dilation preserves the shape class and convexity; a safeguarded Newton
     iteration (the volume derivative in the scale is available in closed
-    form) is polished to 1e-13 in the volume.
+    form) is polished to a relative 1e-13 in the volume, so small targets in
+    high dimension are matched as tightly as large ones.
     """
     if not 0.0 < target < 1.0:
         raise ValueError("target Gaussian volume must lie in (0, 1)")
@@ -251,7 +252,7 @@ def volume_match(body: RadialGraph, target: float) -> RadialGraph:
     s = ball_match_radius(n, target) / float(np.dot(w, h) / np.sum(w))
     for _ in range(60):
         g = vol(s) - target
-        if abs(g) <= 1e-13:
+        if abs(g) <= 1e-13 * target:
             return body.dilated(s)
         d = dvol(s)
         if d <= 0.0:

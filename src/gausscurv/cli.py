@@ -302,10 +302,11 @@ def _run_bounds2d(config: RunConfig):
     return entries, summary, None
 
 
-def _stability_families(h_values):
-    ellipses = [plane.PolarCurve.ellipse(1.0 + 1.0 / h, 1.0) for h in h_values]
+def _stability_families(h_values, r: float):
+    """Ellipse and Fourier-bump families shrinking onto the disk of radius ``r``."""
+    ellipses = [plane.PolarCurve.ellipse(1.0 + 1.0 / h, 1.0).scaled(r) for h in h_values]
     bumps = [
-        plane.PolarCurve(np.array([1.0, 0.0, 1.0 / h]), np.zeros(2)) for h in h_values
+        plane.PolarCurve(np.array([1.0, 0.0, 1.0 / h]), np.zeros(2)).scaled(r) for h in h_values
     ]
     return {"ellipse": ellipses, "fourier-bump": bumps}
 
@@ -318,9 +319,11 @@ def _run_stability2d(config: RunConfig):
     rows = []
     passed = 0
     total = 0
-    for name, family in _stability_families(h_values).items():
+    for name, family in _stability_families(h_values, r).items():
         ratios = plane.stability_ratio(family, wp, r)
         tail = ratios[len(ratios) // 2 :]
+        if min(tail) <= 0.0:
+            raise GausscurvError(f"{name} energy gaps vanish at r = {r:g}: the weight underflows")
         bounded = max(tail) <= 10.0 * min(tail) and all(math.isfinite(x) for x in ratios)
         entries.append(
             {

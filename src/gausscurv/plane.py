@@ -1,10 +1,18 @@
 """Planar star-shaped bodies in polar form and their weighted functionals.
 
 A boundary is a positive 2pi-periodic radius ``rho(theta)`` stored as a
-trigonometric polynomial, so derivatives are spectral and exact for the
-stored coefficients.  All integrals in the angle use the uniform rule on the
-cached grid, which is spectrally accurate for smooth periodic integrands;
-radial integrals are delegated to the adaptive batch integrator.
+trigonometric polynomial, held as one complex spectrum ``c_0 = a_0``,
+``c_k = (a_k - i b_k) / 2`` so that ``rho = Re(2 sum_k c_k e^{ik theta}) - c_0``.
+Derivatives multiply the spectrum by ``(ik)^j`` and are exact for the stored
+coefficients.  On a uniform grid, values and derivatives come from one
+zero-padded inverse real FFT; at arbitrary angles, from one Horner recurrence
+in ``z = e^{i theta}``.
+
+All integrals in the angle use the uniform rule on the cached grid, which is
+spectrally accurate for smooth periodic integrands.  The centred weighted
+area needs no radial quadrature: ``w = -f'/r`` gives
+``int_0^rho t w(t) dt = f(0) - f(rho)`` exactly.  Only the area of a
+translated body goes through the adaptive batch integrator.
 
 The inequality machinery compares a convex or star-shaped body against the
 centred disk with the same weighted area: the curvature energy of the disk
@@ -79,8 +87,9 @@ class TwoSided(NamedTuple):
 class PolarCurve:
     """A star-shaped planar boundary ``rho(theta)`` as a trigonometric polynomial.
 
-    Immutable after construction; the uniform grid caches ``rho`` and its
-    first two spectral derivatives.
+    Immutable after construction.  The coefficients are also held as one
+    complex ``spectrum``; the uniform grid caches ``rho`` and its first two
+    spectral derivatives.
     """
 
     def __init__(self, cos_coeffs, sin_coeffs=None, grid_size: int = DEFAULT_GRID):
@@ -97,13 +106,12 @@ class PolarCurve:
         self.grid_size = int(grid_size)
         if self.grid_size < 4 * max(self.degree, 1):
             raise ValueError("grid too coarse for the stored degree")
+        self.spectrum = np.concatenate([cos_c[:1], 0.5 * (cos_c[1:] - 1j * sin_c)])
         self.theta = 2.0 * np.pi * np.arange(self.grid_size) / self.grid_size
-        self.rho = self.rho_at(self.theta)
-        self.drho = self.drho_at(self.theta)
-        self.ddrho = self.ddrho_at(self.theta)
+        self.rho, self.drho, self.ddrho = self._on_grid(self.grid_size, orders=3)
         if np.min(self.rho) <= 0.0:
             raise ValueError("radius must be positive: curve is not star-shaped about 0")
-        for arr in (self.cos_coeffs, self.sin_coeffs, self.theta, self.rho, self.drho, self.ddrho):
+        for arr in (self.cos_coeffs, self.sin_coeffs, self.spectrum, self.theta, self.rho, self.drho, self.ddrho):
             arr.setflags(write=False)
 
     @classmethod
@@ -133,27 +141,46 @@ class PolarCurve:
 
         return cls.from_function(fn, degree=degree, grid_size=grid_size)
 
-    def rho_at(self, theta):
+    def _derivative_spectra(self, orders: int) -> np.ndarray:
+        """Spectra of ``rho, rho', ...`` (``orders`` of them), one row each."""
+        ik = 1j * np.arange(self.degree + 1)
+        rows = [self.spectrum]
+        for _ in range(1, orders):
+            rows.append(rows[-1] * ik)
+        return np.array(rows)
+
+    def _on_grid(self, size: int, orders: int = 1) -> np.ndarray:
+        """``rho`` and its first ``orders - 1`` derivatives on ``size`` uniform angles.
+
+        One zero-padded inverse real FFT; the result has shape (orders, size).
+
+        Raises
+        ------
+        ValueError
+            If ``size <= 2 * degree``: the grid would alias the stored modes.
+        """
+        if size <= 2 * self.degree:
+            raise ValueError(f"{size} samples alias a degree-{self.degree} curve")
+        return size * np.fft.irfft(self._derivative_spectra(orders), n=size)
+
+    def _at(self, theta, order: int):
+        """Derivative ``order`` of ``rho`` at arbitrary angles by Horner in ``e^{i theta}``."""
         theta = np.asarray(theta, dtype=float)
-        k = np.arange(self.degree + 1)
-        kt = np.multiply.outer(theta, k)
-        return np.cos(kt) @ self.cos_coeffs + np.sin(kt)[..., 1:] @ self.sin_coeffs
+        coeffs = self._derivative_spectra(order + 1)[order]
+        z = np.exp(1j * theta)
+        acc = np.full(theta.shape, coeffs[-1])
+        for c in coeffs[-2::-1]:
+            acc = acc * z + c
+        return 2.0 * acc.real - coeffs[0].real
+
+    def rho_at(self, theta):
+        return self._at(theta, 0)
 
     def drho_at(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        k = np.arange(self.degree + 1)
-        kt = np.multiply.outer(theta, k)
-        return -np.sin(kt) @ (k * self.cos_coeffs) + np.cos(kt)[..., 1:] @ (
-            k[1:] * self.sin_coeffs
-        )
+        return self._at(theta, 1)
 
     def ddrho_at(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        k = np.arange(self.degree + 1)
-        kt = np.multiply.outer(theta, k)
-        return -np.cos(kt) @ (k * k * self.cos_coeffs) - np.sin(kt)[..., 1:] @ (
-            k[1:] * k[1:] * self.sin_coeffs
-        )
+        return self._at(theta, 2)
 
     def points(self, theta=None):
         if theta is None:
@@ -223,6 +250,11 @@ class PolarCurve:
             return cls.from_text(fh.read())
 
 
+def _f_at(wp: WeightPair, r: float) -> float:
+    """The boundary weight at one radius (evaluators take arrays)."""
+    return float(wp.f(np.array([r]))[0])
+
+
 def _spectral_integral(values: np.ndarray):
     """Uniform-rule integral over the period with a tail-based error estimate."""
     total = 2.0 * np.pi * float(np.mean(values))
@@ -249,17 +281,16 @@ def _radii_about(curve: PolarCurve, center):
 
 def _weighted_area(curve: PolarCurve, wp: WeightPair, center=None):
     if center is None:
-        def integrand(t):
-            return t * wp.w(t)
-    else:
-        cx, cy = center
-        cos_t, sin_t = np.cos(curve.theta), np.sin(curve.theta)
+        f0 = _f_at(wp, 0.0)
+        total, err = _spectral_integral(f0 - wp.f(curve.rho))
+        # Rounding of the difference, which matters where f(0) dwarfs it.
+        return total, err + 8.0 * np.pi * np.finfo(float).eps * abs(f0)
+    cx, cy = center
+    cos_t, sin_t = np.cos(curve.theta), np.sin(curve.theta)
 
-        def integrand(t):
-            dist = np.sqrt(
-                (t * cos_t[:, None] + cx) ** 2 + (t * sin_t[:, None] + cy) ** 2
-            )
-            return t * wp.w(dist)
+    def integrand(t):
+        dist = np.sqrt((t * cos_t[:, None] + cx) ** 2 + (t * sin_t[:, None] + cy) ** 2)
+        return t * wp.w(dist)
 
     inner, inner_err = integrate_radial(integrand, curve.rho)
     total, ang_err = _spectral_integral(inner)
@@ -267,20 +298,24 @@ def _weighted_area(curve: PolarCurve, wp: WeightPair, center=None):
 
 
 def weighted_area(curve: PolarCurve, wp: WeightPair, center=None) -> float:
-    """Weighted area of the region, optionally translated by ``center``."""
+    """Weighted area of the region, optionally translated by ``center``.
+
+    The centred area is the closed form ``int (f(0) - f(rho)) dtheta``; a
+    ``center``, even ``(0, 0)``, integrates ``t w(t)`` along each ray instead.
+    """
     return _weighted_area(curve, wp, center)[0]
 
 
 def weighted_disk_area(wp: WeightPair, r: float) -> float:
     """Weighted area of the centred disk of radius ``r``: 2 pi (f(0) - f(r))."""
-    return 2.0 * np.pi * float(wp.f(np.array([0.0]))[0] - wp.f(np.array([r]))[0])
+    return 2.0 * np.pi * (_f_at(wp, 0.0) - _f_at(wp, r))
 
 
 def matched_radius(area: float, wp: WeightPair) -> float:
     """Radius of the centred disk with the given weighted area.
 
-    The Gaussian pair inverts in closed form; otherwise the monotone map
-    ``r -> 2 pi (f(0) - f(r))`` is solved by bracketed root finding.
+    The Gaussian pair inverts in closed form; otherwise the monotone
+    ``f(r) = f(0) - area / (2 pi)`` is solved by bracketed root finding.
     """
     if area <= 0.0:
         raise ValueError(f"weighted area must be positive, got {area}")
@@ -290,10 +325,11 @@ def matched_radius(area: float, wp: WeightPair) -> float:
             raise ValueError("weighted area exceeds the total Gaussian mass")
         return math.sqrt(-2.0 * math.log(arg))
     r_max = 1e3
-    if area >= weighted_disk_area(wp, r_max):
+    level = _f_at(wp, 0.0) - area / (2.0 * np.pi)
+    if _f_at(wp, r_max) >= level:
         raise ValueError("weighted area is out of the attainable range")
     return brentq(
-        lambda r: weighted_disk_area(wp, r) - area, 0.0, r_max, xtol=1e-14, rtol=8.9e-16
+        lambda r: _f_at(wp, r) - level, 0.0, r_max, xtol=1e-14, rtol=8.9e-16
     )
 
 
@@ -314,7 +350,7 @@ def curvature_energy(curve: PolarCurve, wp: WeightPair, center=None) -> float:
 
 def disk_energy(wp: WeightPair, r: float) -> float:
     """Curvature energy of the centred disk of radius ``r``: 2 pi f(r)."""
-    return 2.0 * np.pi * float(wp.f(np.array([r]))[0])
+    return 2.0 * np.pi * _f_at(wp, r)
 
 
 def normal_deficiency(curve: PolarCurve, theta):
@@ -381,7 +417,7 @@ def boundary_inverse_weight(curve: PolarCurve, wp: WeightPair) -> InequalityRepo
         raise ValueError("origin lies on the boundary within tolerance")
     area, area_err = _weighted_area(curve, wp)
     r = matched_radius(area, wp)
-    lhs = 2.0 * np.pi * float(wp.f(np.array([r]))[0])
+    lhs = disk_energy(wp, r)
     slant = np.sqrt(curve.rho**2 + curve.drho**2)
     rhs, rhs_err = _spectral_integral(wp.f(curve.rho) / curve.rho * slant)
     return _report(lhs, rhs, rhs_err + area_err)
@@ -401,14 +437,19 @@ def _segment_distances(points: np.ndarray, verts: np.ndarray, cand: np.ndarray) 
     return d.min(axis=1)
 
 
+def _boundary_samples(curve: PolarCurve, theta: np.ndarray) -> np.ndarray:
+    rho = curve._on_grid(theta.size)[0]
+    return np.column_stack([rho * np.cos(theta), rho * np.sin(theta)])
+
+
 def _directed_hausdorff(source: PolarCurve, target: PolarCurve, samples: int) -> float:
     theta = 2.0 * np.pi * np.arange(samples) / samples
-    pts = source.points(theta)
+    pts = _boundary_samples(source, theta)
     inside = np.hypot(pts[:, 0], pts[:, 1]) <= target.rho_at(np.arctan2(pts[:, 1], pts[:, 0]))
     if np.all(inside):
         return 0.0
     pts = pts[~inside]
-    verts = target.points(theta)
+    verts = _boundary_samples(target, theta)
     tree = cKDTree(verts)
     _, idx = tree.query(pts, k=4)
     # Segments on either side of each nearest vertex; duplicates are harmless.
@@ -422,6 +463,11 @@ def hausdorff_distance(c1: PolarCurve, c2: PolarCurve, samples: int = 4096) -> f
     The farthest point of one region from the other lies on its boundary
     (distance to a star-shaped set is non-decreasing along rays), so dense
     boundary sampling with exact point-to-segment distances is enough.
+
+    Raises
+    ------
+    ValueError
+        If ``samples <= 2 * degree`` for either curve, which would alias it.
     """
     return max(
         _directed_hausdorff(c1, c2, samples), _directed_hausdorff(c2, c1, samples)

@@ -51,6 +51,8 @@ MAX_DIMENSION = 8
 MAX_DEGREE = 64
 _MAX_NODES = 3_000_000
 _HESSIAN_RESIDUAL_TOL = 1e-6
+# Below this 1 - x_3^2, S^2 gradients take the pole-safe path.
+_POLAR_GAP = 1e-10
 
 
 def sphere_area(n: int) -> float:
@@ -296,7 +298,7 @@ class _FullBasis3D:
         self.kind = np.array([r[2] for r in rows])
         self.k_of = self.ell
         self.V = self.values_at(quad.nodes)
-        self.Gn = self._gradients_interior(quad.nodes)
+        self._Gn = None
         self._D = None
 
     def _norms(self, l, m):
@@ -349,14 +351,41 @@ class _FullBasis3D:
                 G[j] += (amp * m * P / s * np.cos(m * phi))[:, None] * e_phi
         return G
 
+    @staticmethod
+    def _polar(X: np.ndarray) -> np.ndarray:
+        """Points too close to the poles for the direct gradient formula."""
+        return 1.0 - X[:, 2] ** 2 < _POLAR_GAP
+
+    @property
+    def Gn(self) -> np.ndarray:
+        """Gradients of every basis function at the nodes, built on first use."""
+        if self._Gn is None:
+            X = self.quad.nodes
+            polar = self._polar(X)
+            if not np.any(polar):
+                self._Gn = self._gradients_interior(X)
+                return self._Gn
+            G = np.empty((self.ell.size, X.shape[0], 3))
+            G[:, ~polar] = self._gradients_interior(X[~polar])
+            vx = self.V[:, polar]
+            grad_p = np.einsum("ibc,cp->bpi", self._solid_gradient_matrices(), vx)
+            G[:, polar] = grad_p - self.k_of[:, None, None] * vx[:, :, None] * X[polar]
+            self._Gn = G
+        return self._Gn
+
     def _solid_gradient_matrices(self):
         # Components of the solid-harmonic gradients are harmonics one degree
         # lower; their expansion coefficients are read off once by quadrature
-        # and reused for pole-safe point evaluation.
+        # and reused for pole-safe point evaluation.  A rule with polar nodes
+        # borrows them from the pole-free product rule of its degree.
         if self._D is None:
-            X, w = self.quad.nodes, self.quad.weights
-            Pg = self.Gn + self.k_of[:, None, None] * self.V[:, :, None] * X[None, :, :]
-            self._D = np.einsum("bmi,m,cm->ibc", Pg, w, self.V, optimize=True)
+            if np.any(self._polar(self.quad.nodes)):
+                product = build_quadrature(3, min(self.quad.degree, MAX_DEGREE))
+                self._D = _basis(3, self.L, product)._solid_gradient_matrices()
+            else:
+                X, w = self.quad.nodes, self.quad.weights
+                Pg = self.Gn + self.k_of[:, None, None] * self.V[:, :, None] * X[None, :, :]
+                self._D = np.einsum("bmi,m,cm->ibc", Pg, w, self.V, optimize=True)
         return self._D
 
     def field_values(self, coeffs, X=None):
@@ -369,7 +398,7 @@ class _FullBasis3D:
 
     def field_grad_at(self, coeffs, x):
         x = np.asarray(x, dtype=float)
-        if 1.0 - x[2] ** 2 >= 1e-10:
+        if 1.0 - x[2] ** 2 >= _POLAR_GAP:
             return np.einsum("b,bmi->mi", coeffs, self._gradients_interior(x[None]))[0]
         D = self._solid_gradient_matrices()
         vx = self.values_at(x[None])[:, 0]

@@ -1,7 +1,8 @@
 """Independent oracles used across the test modules.
 
 Everything here deliberately avoids the spectral code paths under test:
-curve geometry is differentiated by finite differences of the Cartesian
+polar radii are summed mode by mode with dense cos/sin matrices, curve
+geometry is differentiated by finite differences of the Cartesian
 parametrisation, sphere operators act on the homogeneous extension through
 finite-difference stencils, and areas come from Monte Carlo sampling.
 """
@@ -13,6 +14,19 @@ TWO_PI = 2.0 * np.pi
 
 # ---------------------------------------------------------------------------
 # planar curve oracles
+
+
+def dense_polar(curve, theta, order=0):
+    """Derivative ``order`` (0..2) of rho summed mode by mode with cos/sin matrices."""
+    theta = np.asarray(theta, dtype=float)
+    k = np.arange(curve.degree + 1)
+    kt = np.multiply.outer(theta, k)
+    a, b = curve.cos_coeffs, curve.sin_coeffs
+    if order == 0:
+        return np.cos(kt) @ a + np.sin(kt)[..., 1:] @ b
+    if order == 1:
+        return -np.sin(kt) @ (k * a) + np.cos(kt)[..., 1:] @ (k[1:] * b)
+    return -np.cos(kt) @ (k * k * a) - np.sin(kt)[..., 1:] @ (k[1:] ** 2 * b)
 
 
 def fd_curvature(curve, samples=8192):

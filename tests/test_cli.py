@@ -211,6 +211,23 @@ def test_stability_command(tmp_path):
     assert (tmp_path / "st.csv").exists()
 
 
+def test_stability_command_honours_radius(tmp_path):
+    families = cli._stability_families(list(range(4, 65)), 2.0)
+    for family in families.values():
+        assert family[-1].max_radius == pytest.approx(2.0, abs=0.05)
+    cfg = cli.parse_config(["stability2d", "--r", "2", "--output", str(tmp_path / "st")])
+    report = cli.run(cfg)
+    for entry in report.entries:
+        tail = entry["ratios"][len(entry["ratios"]) // 2 :]
+        assert min(tail) > 0.0 and max(tail) <= 10.0 * min(tail)
+    assert report.all_passed
+
+
+def test_stability_underflowing_weight_is_numerical_failure(tmp_path, capsys):
+    assert cli.main(["stability2d", "--r", "50", "--output", str(tmp_path / "st")]) == 4
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_second_variation_command(tmp_path):
     cfg = cli.parse_config(
         ["second-variation", "--n", "3", "--r", "1", "--k", "2", "--output", str(tmp_path / "sv")]

@@ -143,6 +143,15 @@ def test_measured_gap_sign_local_min_regime():
     assert rep.measured_gap > 0.0
 
 
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_second_variation_small_ball_high_dimension(n):
+    # The ball's Gaussian volume is ~2e-7 (n=6) to ~4e-10 (n=8) here, so the
+    # volume match must hold a relative, not an absolute, tolerance.
+    r = math.sqrt(0.02)
+    rep = ex.measure_second_variation(n, r, 2, 3e-3)
+    assert rep.measured_coefficient == pytest.approx(ex.quadratic_coefficient(n, r, 2), rel=1e-5)
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_symmetric_local_min_regime_sweep(n):
     # Below the lowest sign-change radius every even mode raises the energy.

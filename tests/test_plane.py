@@ -17,6 +17,33 @@ def inverse_quadratic():
 
 
 # ---------------------------------------------------------------------------
+# spectral evaluation against dense cos/sin sums
+
+
+def random_polar_curve(degree, grid_size, seed=0):
+    rng = np.random.default_rng(seed)
+    scale = 0.3 / np.arange(1, degree + 1) ** 2
+    cos_c = np.concatenate([[1.0], rng.uniform(-1.0, 1.0, degree) * scale])
+    return PolarCurve(cos_c, rng.uniform(-1.0, 1.0, degree) * scale, grid_size=grid_size)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 12, 64])
+@pytest.mark.parametrize("grid_size", [1024, 4096])
+def test_spectral_evaluation_matches_dense_sums(degree, grid_size):
+    curve = random_polar_curve(degree, grid_size, seed=degree)
+    off_grid = np.random.default_rng(1).uniform(-20.0, 20.0, 997)
+    on_grid = (curve.rho, curve.drho, curve.ddrho)
+    at = (curve.rho_at, curve.drho_at, curve.ddrho_at)
+    for order in range(3):
+        dense = helpers.dense_polar(curve, curve.theta, order)
+        tol = 1e-13 * max(1.0, float(np.max(np.abs(dense))))
+        np.testing.assert_allclose(on_grid[order], dense, rtol=0, atol=tol)
+        np.testing.assert_allclose(
+            at[order](off_grid), helpers.dense_polar(curve, off_grid, order), rtol=0, atol=tol
+        )
+
+
+# ---------------------------------------------------------------------------
 # curvature
 
 
@@ -73,6 +100,21 @@ def test_weighted_area_monte_carlo_oracle():
     oracle, std_err = helpers.montecarlo_weighted_area(e, GAUSSIAN, rng)
     value = plane.weighted_area(e, GAUSSIAN)
     assert abs(value - oracle) < 3 * std_err
+
+
+@pytest.mark.parametrize("name", cli.WEIGHT_PRESETS)
+def test_centred_area_closed_form_matches_radial_quadrature(name):
+    # center=(0, 0) still integrates t w(t) along each ray: the oracle.
+    wp = cli.weight_preset(name)
+    curves = [
+        PolarCurve.ellipse(1.3, 0.7),
+        PolarCurve.circle(2.5),
+        cli.generate_star_polar(3, 0.3, 5),
+        cli.generate_convex_polar(1, 0.1, 2).scaled(0.05),
+    ]
+    for c in curves:
+        oracle = plane.weighted_area(c, wp, center=(0.0, 0.0))
+        assert plane.weighted_area(c, wp) == pytest.approx(oracle, rel=1e-13, abs=0.0)
 
 
 def test_matched_radius_gaussian_closed_form():
@@ -281,6 +323,16 @@ def test_hausdorff_identical_curves():
 def test_hausdorff_concentric_circles():
     d = plane.hausdorff_distance(PolarCurve.circle(1.0), PolarCurve.circle(1.2))
     assert d == pytest.approx(0.2, abs=1e-10)
+
+
+def test_hausdorff_rejects_aliasing_sample_count():
+    e = PolarCurve.ellipse(1.1, 1.0)
+    with pytest.raises(ValueError):
+        plane.hausdorff_distance(e, PolarCurve.circle(1.0), samples=2 * e.degree)
+    with pytest.raises(ValueError):
+        plane.hausdorff_distance(PolarCurve.circle(1.0), e, samples=2 * e.degree)
+    d = plane.hausdorff_distance(e, PolarCurve.circle(1.0), samples=2 * e.degree + 1)
+    assert d == pytest.approx(0.1, abs=1e-3)
 
 
 def test_hausdorff_support_function_oracle():

@@ -130,6 +130,23 @@ def test_basis_tables_are_built_on_the_given_rule():
     np.testing.assert_allclose(back.coeffs, u.coeffs, atol=1e-12)
 
 
+def test_rule_with_polar_nodes():
+    # Node gradients at the poles come from the pole-safe path, and only when asked for.
+    base = build_quadrature(3, 16)
+    poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    rule = sphere.SphereQuadrature(
+        n=3, degree=16, nodes=np.vstack([base.nodes, poles]), weights=np.append(base.weights, [0.0, 0.0])
+    )
+    u = random_field(3, 4, seed=8)
+    np.testing.assert_allclose(
+        sphere.synthesize(u, rule), sphere.synthesize(u, points=rule.nodes), atol=1e-12
+    )
+    g = sphere.field_gradient(u, rule)
+    np.testing.assert_allclose(g[:-2], sphere.field_gradient(u, base), atol=1e-12)
+    for node, grad in zip(poles, g[-2:]):
+        np.testing.assert_allclose(grad, sphere.tangential_gradient(u, node, base), atol=1e-12)
+
+
 def test_basis_rejects_rule_of_other_dimension():
     with pytest.raises(ValueError):
         sphere.synthesize(random_field(4, 4, seed=1), build_quadrature(3, 16))
