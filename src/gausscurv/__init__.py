@@ -61,9 +61,9 @@ from .sphere import (
     HarmonicField,
     SphereQuadrature,
     build_quadrature,
+    field_gradient,
+    hessian_form,
     laplace_beltrami,
-    tangential_gradient,
-    tangential_hessian_form,
     zonal_quadrature,
 )
 from .weights import (

@@ -50,7 +50,7 @@ COMMANDS = (
     "moments",
 )
 
-SCAN_COMMANDS = {"counterexample", "threshold-scan", "stability2d", "second-variation"}
+SCAN_COMMANDS = {"counterexample", "threshold-scan", "second-variation"}
 
 
 def weight_preset(name: str):
@@ -316,7 +316,6 @@ def _run_stability2d(config: RunConfig):
     r = config.r if config.r is not None else 1.0
     h_values = list(range(config.h_min, config.h_max + 1))
     entries = []
-    rows = []
     passed = 0
     total = 0
     for name, family in _stability_families(h_values, r).items():
@@ -334,10 +333,6 @@ def _run_stability2d(config: RunConfig):
                 "passed": bounded,
             }
         )
-        rows.extend(
-            {"r": float(h), "predicted": ratios[-1], "measured": ratio, "relative_error": abs(ratio - ratios[-1]) / max(abs(ratios[-1]), 1e-300)}
-            for h, ratio in zip(h_values, ratios)
-        )
         passed += bounded
         total += 1
     summary = {
@@ -346,7 +341,7 @@ def _run_stability2d(config: RunConfig):
         "worst_margin": None,
         "max_relative_error": max(e["tail_spread"] for e in entries),
     }
-    return entries, summary, rows
+    return entries, summary, None
 
 
 def _run_counterexample(config: RunConfig):
@@ -484,7 +479,7 @@ def _run_calibration(config: RunConfig):
 
     def one(trial: int) -> dict:
         graph = random_even_body(config.seed, trial, config.n, r, amp)
-        M = float(np.max(bd.mean_curvature_at_nodes(graph)))
+        M = float(np.max(bd.mean_curvature(graph)))
         res = ex.calibration_check(graph, M)
         ok = (
             res.hypothesis_ok

@@ -183,3 +183,89 @@ def monomial_sphere_moment(n, exponents):
     for ai in a:
         num *= gamma(ai + 0.5)
     return num / gamma(sum(a) + n / 2.0)
+
+
+# ---------------------------------------------------------------------------
+# real spherical harmonics on S^2, one lpmv call per (l, m)
+
+
+def lpmv_harmonic_tables(L, X):
+    """Values (B, m) and gradients (B, m, 3) of the real harmonics up to degree ``L``.
+
+    Rows follow the library's order (m = 0, then cos/sin pairs for m = 1..l in
+    each degree block).  The gradient formula divides by sin(theta), so the
+    points must stay away from the poles.
+    """
+    from scipy.special import gammaln, lpmv
+
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    t = np.clip(X[:, 2], -1.0, 1.0)
+    phi = np.arctan2(X[:, 1], X[:, 0])
+    s = np.sqrt(1.0 - t**2)
+    if np.any(s < 1e-8):
+        raise ValueError("the lpmv gradient formula is singular near the poles")
+    e_theta = np.column_stack([t * np.cos(phi), t * np.sin(phi), -s])
+    e_phi = np.column_stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)])
+    V = np.empty(((L + 1) ** 2, X.shape[0]))
+    G = np.empty(((L + 1) ** 2, X.shape[0], 3))
+    for l in range(L + 1):
+        for m in range(l + 1):
+            c = np.sqrt((2 * l + 1) / (4.0 * np.pi) * np.exp(gammaln(l - m + 1) - gammaln(l + m + 1)))
+            P = lpmv(m, l, t)
+            Pm1 = lpmv(m, l - 1, t) if l - 1 >= m else np.zeros_like(t)
+            dtheta = -s * ((l + m) * Pm1 - l * t * P) / (1.0 - t**2)
+            if m == 0:
+                V[l * l] = c * P
+                G[l * l] = (c * dtheta)[:, None] * e_theta
+                continue
+            amp = np.sqrt(2.0) * c
+            for row, trig, dtrig in (
+                (l * l + 2 * m - 1, np.cos(m * phi), -m * np.sin(m * phi)),
+                (l * l + 2 * m, np.sin(m * phi), m * np.cos(m * phi)),
+            ):
+                V[row] = amp * P * trig
+                G[row] = (amp * dtheta * trig)[:, None] * e_theta
+                G[row] += (amp * P / s * dtrig)[:, None] * e_phi
+    return V, G
+
+
+# ---------------------------------------------------------------------------
+# body oracles: adaptive radial quadrature and per-node frames
+
+
+def radial_gaussian_volume(body):
+    """Gaussian volume with ``int_0^h t^(n-1) exp(-t^2/2) dt`` by adaptive quadrature."""
+    from gausscurv.weights import integrate_radial
+
+    n = body.n
+    vals, _ = integrate_radial(lambda t: t ** (n - 1) * np.exp(-0.5 * t * t), body.h_nodes)
+    return float(np.dot(body.quad.weights, vals)) / (2.0 * np.pi) ** (n / 2.0)
+
+
+def radial_inverse_square_flux_bulk(body):
+    """Divergence-theorem side of the inverse-square flux by adaptive radial quadrature."""
+    from gausscurv.weights import integrate_radial
+
+    n = body.n
+    vals, _ = integrate_radial(lambda t: t ** (n - 3) * np.exp(-0.5 * t * t), body.h_nodes)
+    bulk = (n - 2) * float(np.dot(body.quad.weights, vals))
+    return bulk - (2.0 * np.pi) ** (n / 2.0) * radial_gaussian_volume(body)
+
+
+def loop_tangent_frames(nodes):
+    """Tangent frames node by node: drop the most aligned axis, Gram-Schmidt the rest."""
+    m, n = nodes.shape
+    frames = np.empty((m, n - 1, n))
+    for idx in range(m):
+        x = nodes[idx]
+        drop = int(np.argmax(np.abs(x)))
+        out = []
+        for j in range(n):
+            if j == drop:
+                continue
+            v = np.eye(n)[j] - x[j] * x
+            for u in out:
+                v = v - np.dot(v, u) * u
+            out.append(v / np.linalg.norm(v))
+        frames[idx] = np.array(out)
+    return frames

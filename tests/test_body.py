@@ -1,11 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning, quad
 
+import helpers
 import mesh_oracle
 from gausscurv import body as bd
-from gausscurv import cli, sphere
+from gausscurv import cli, experiments, sphere
 from gausscurv.body import RadialGraph
 from gausscurv.sphere import HarmonicField
 
@@ -36,7 +39,8 @@ def body_radius_fn(graph):
 def test_ball_curvature():
     for n, r in ((3, 0.5), (4, 2.0)):
         ball = RadialGraph(n, r)
-        np.testing.assert_allclose(bd.mean_curvature_at_nodes(ball), (n - 1) / r, rtol=1e-13)
+        np.testing.assert_allclose(bd.mean_curvature(ball), (n - 1) / r, rtol=1e-13)
+        np.testing.assert_allclose(bd.mean_curvature(ball, ball.quad.nodes[:3]), (n - 1) / r, rtol=1e-13)
 
 
 def test_first_variation_of_curvature():
@@ -47,7 +51,7 @@ def test_first_variation_of_curvature():
     pure = sphere.synthesize(zonal_mode(3, 2, 1.0), graph.quad)
     # At first order the curvature moves by -(lap y + (n-1) y) / r per unit amplitude.
     predicted = 2.0 / r - eps * (-6.0 * pure + 2.0 * pure) / r
-    np.testing.assert_allclose(bd.mean_curvature_at_nodes(graph), predicted, atol=1e-9)
+    np.testing.assert_allclose(bd.mean_curvature(graph), predicted, atol=1e-9)
 
 
 def test_ellipsoid_curvature_pole_and_equator():
@@ -109,12 +113,7 @@ def test_mesh_curvature_oracle_converges():
     errors = []
     for level in (5, 6):
         dirs, _, H_mesh, _ = mesh_oracle.mesh_mean_curvature(fn, level)
-        u_vals = sphere.synthesize(graph.perturbation, graph.quad, points=dirs)
-        h = graph.radius * (1.0 + u_vals)
-        grad = graph.radius * np.array(
-            [sphere.tangential_gradient(graph.perturbation, d, graph.quad) for d in dirs[::37]]
-        )
-        H_exact = np.array([bd.mean_curvature(graph, d) for d in dirs[::37]])
+        H_exact = bd.mean_curvature(graph, dirs[::37])
         rms = math.sqrt(np.mean((H_mesh[::37] - H_exact) ** 2)) / math.sqrt(np.mean(H_exact**2))
         errors.append(rms)
     assert errors[0] < 1e-3
@@ -139,6 +138,33 @@ def test_gaussian_volume_ball_closed_form():
 def test_gaussian_volume_small_ball_frozen_value():
     assert bd.ball_gaussian_volume(3, 0.1) == pytest.approx(GAMMA3_BALL_01, abs=1e-15)
     assert bd.gaussian_volume(RadialGraph(3, 0.1)) == pytest.approx(GAMMA3_BALL_01, abs=1e-13)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_gaussian_radial_integral_matches_quad(n):
+    # The incomplete-gamma form keeps full relative accuracy down to small radii.
+    for h in np.geomspace(1e-3, 12.0, 25):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            ref, _ = quad(lambda t: t ** (n - 1) * math.exp(-0.5 * t * t), 0.0, h, epsabs=0.0, epsrel=1.2e-14, limit=200)
+        assert bd.gaussian_radial_integral(n, h) == pytest.approx(ref, rel=1e-14, abs=0.0), h
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_closed_form_volumes_match_radial_quadrature(n):
+    # Down to the smallest volume the threshold scan brackets, in every dimension.
+    r_floor = bd.ball_match_radius(n, experiments.SCAN_VOLUME_FLOOR)
+    for r in (r_floor, 1.0, 2.5):
+        for graph in (RadialGraph(n, r), cli.random_even_body(3, n, n, r, 3e-2)):
+            assert bd.gaussian_volume(graph) == pytest.approx(
+                helpers.radial_gaussian_volume(graph), rel=1e-13, abs=0.0
+            )
+            assert bd.inverse_square_flux_bulk(graph) == pytest.approx(
+                helpers.radial_inverse_square_flux_bulk(graph), rel=1e-13, abs=0.0
+            )
+    target = experiments.SCAN_VOLUME_FLOOR
+    matched = bd.volume_match(cli.random_even_body(4, n, n, 1.0, 3e-2), target)
+    assert helpers.radial_gaussian_volume(matched) == pytest.approx(target, rel=1e-13, abs=0.0)
 
 
 def test_volume_first_variation():
@@ -207,9 +233,7 @@ def test_flux_energy_mesh_oracle():
     dirs, _, H_mesh, areas = mesh_oracle.mesh_mean_curvature(body_radius_fn(graph), 6)
     vals = sphere.synthesize(u, graph.quad, points=dirs)
     h = graph.radius * (1.0 + vals)
-    grads = np.array(
-        [graph.radius * sphere.tangential_gradient(u, d, graph.quad) for d in dirs]
-    )
+    grads = graph.radius * sphere.field_gradient(u, graph.quad, points=dirs)
     W = np.sqrt(h**2 + np.einsum("vi,vi->v", grads, grads))
     oracle = float(np.sum(H_mesh * (h / W) * weight(h) * areas))
     assert bd.flux_energy(graph) == pytest.approx(oracle, rel=1e-3)
@@ -292,6 +316,14 @@ def test_convexity_certificate_ball_and_perturbations():
     assert bd.is_convex(gentle)
     rough = RadialGraph(3, 1.0, zonal_mode(3, 4, 0.5))
     assert not bd.is_convex(rough)
+
+
+def test_tangent_frames_match_node_loop():
+    for n in (3, 4):
+        nodes = sphere.build_quadrature(n, 8).nodes
+        frames = bd._tangent_frames(nodes)
+        np.testing.assert_allclose(frames, helpers.loop_tangent_frames(nodes), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(np.einsum("mai,mi->ma", frames, nodes), 0.0, atol=1e-15)
 
 
 def test_convexity_certificate_zonal_section():

@@ -131,7 +131,7 @@ def test_basis_tables_are_built_on_the_given_rule():
 
 
 def test_rule_with_polar_nodes():
-    # Node gradients at the poles come from the pole-safe path, and only when asked for.
+    # Node gradients at the poles use the same pole-regular formula as every other point.
     base = build_quadrature(3, 16)
     poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
     rule = sphere.SphereQuadrature(
@@ -144,7 +144,52 @@ def test_rule_with_polar_nodes():
     g = sphere.field_gradient(u, rule)
     np.testing.assert_allclose(g[:-2], sphere.field_gradient(u, base), atol=1e-12)
     for node, grad in zip(poles, g[-2:]):
-        np.testing.assert_allclose(grad, sphere.tangential_gradient(u, node, base), atol=1e-12)
+        np.testing.assert_allclose(grad, sphere.field_gradient(u, base, points=node), atol=1e-12)
+
+
+@pytest.mark.parametrize("L, degree", [(0, 16), (1, 16), (6, 24), (16, 32), (32, 64), (64, 64)])
+def test_recurrence_tables_match_lpmv_oracle(L, degree):
+    q = build_quadrature(3, degree)
+    basis = sphere._basis(3, L, q)
+    # A spread of about 300 nodes keeps the row-by-row oracle fast at L = 64.
+    cols = slice(None, None, max(1, q.size // 300))
+    V, G = helpers.lpmv_harmonic_tables(L, q.nodes[cols])
+    assert np.max(np.abs(basis.V[:, cols] - V)) <= 1e-12 * max(1.0, np.max(np.abs(V)))
+    assert np.max(np.abs(basis.Gn[:, cols] - G)) <= 1e-12 * max(1.0, np.max(np.abs(G)))
+
+
+@pytest.mark.parametrize("L", [40, 64])
+def test_gradient_at_pole_matches_closed_form(L):
+    # At the north pole only the m = 1 harmonics have a gradient:
+    # -sqrt((2l+1) l (l+1) / (8 pi)), along e_x for cos and e_y for sin.
+    coeffs = np.random.default_rng(L).normal(size=sphere.basis_size(3, L))
+    u = HarmonicField(n=3, degree=L, coeffs=coeffs)
+    ell = np.arange(1, L + 1)
+    amp = -np.sqrt((2 * ell + 1) * ell * (ell + 1) / (8.0 * math.pi))
+    expected = np.array([amp @ coeffs[ell * ell + 1], amp @ coeffs[ell * ell + 2], 0.0])
+    g = sphere.field_gradient(u, points=np.array([0.0, 0.0, 1.0]))
+    assert np.linalg.norm(g - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_point_batches_match_single_points():
+    u = random_field(3, 6, seed=17)
+    q = sphere.default_quadrature(3, 6)
+    pts = np.vstack([q.nodes[:5], [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
+    batch = (
+        sphere.synthesize(u, q, pts),
+        sphere.field_gradient(u, q, pts),
+        sphere.hessian_form(u, q, pts),
+    )
+    for j, x in enumerate(pts):
+        single = (
+            sphere.synthesize(u, q, x),
+            sphere.field_gradient(u, q, x),
+            sphere.hessian_form(u, q, x),
+        )
+        assert isinstance(single[0], float) and isinstance(single[2], float)
+        for b, one in zip(batch, single):
+            np.testing.assert_allclose(b[j], one, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(batch[2][:5], sphere.hessian_form(u, q)[:5], rtol=0, atol=1e-12)
 
 
 def test_basis_rejects_rule_of_other_dimension():
@@ -213,7 +258,7 @@ def test_laplacian_fd_oracle(n):
 
 def test_gradient_of_constant_vanishes():
     u = HarmonicField(n=3, degree=2, coeffs=np.eye(9)[0])
-    g = sphere.tangential_gradient(u, np.array([0.0, 0.0, 1.0]))
+    g = sphere.field_gradient(u, points=np.array([0.0, 0.0, 1.0]))
     np.testing.assert_allclose(g, 0.0, atol=1e-14)
 
 
@@ -222,7 +267,7 @@ def test_gradient_of_x3_at_e1():
     c = np.zeros(9)
     c[1] = math.sqrt(4 * math.pi / 3.0)
     u = HarmonicField(n=3, degree=2, coeffs=c)
-    g = sphere.tangential_gradient(u, np.array([1.0, 0.0, 0.0]))
+    g = sphere.field_gradient(u, points=np.array([1.0, 0.0, 0.0]))
     np.testing.assert_allclose(g, [0.0, 0.0, 1.0], atol=1e-12)
 
 
@@ -243,7 +288,7 @@ def test_gradient_fd_oracle_including_pole():
         return float(sphere.synthesize(u, q, points=np.atleast_2d(x))[0])
 
     for x in (q.nodes[7], np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])):
-        g = sphere.tangential_gradient(u, x, q)
+        g = sphere.field_gradient(u, q, points=x)
         np.testing.assert_allclose(g, helpers.fd_gradient(u_eval, x), atol=1e-8)
 
 
@@ -278,12 +323,12 @@ def test_even_mean_zero_poincare(seed):
 
 def test_hessian_form_constant_zero():
     u = HarmonicField(n=3, degree=2, coeffs=np.eye(9)[0])
-    assert sphere.tangential_hessian_form(u, np.array([0.0, 0.0, 1.0])) == pytest.approx(0.0, abs=1e-14)
+    assert sphere.hessian_form(u, points=np.array([0.0, 0.0, 1.0])) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_hessian_form_zonal_vanishes_at_pole():
     u = HarmonicField.single_mode(3, 2, 1.0)
-    val = sphere.tangential_hessian_form(u, np.array([0.0, 0.0, 1.0]))
+    val = sphere.hessian_form(u, points=np.array([0.0, 0.0, 1.0]))
     assert val == pytest.approx(0.0, abs=1e-12)
 
 
@@ -295,7 +340,7 @@ def test_hessian_form_fd_oracle(n):
     def u_eval(x):
         return float(sphere.synthesize(u, q, points=np.atleast_2d(x))[0])
 
-    vals = sphere.hessian_form_at_nodes(u, q)
+    vals = sphere.hessian_form(u, q)
     for idx in (1, q.size // 2):
         x = q.nodes[idx]
         assert vals[idx] == pytest.approx(helpers.fd_hessian_form(u_eval, x), abs=1e-6)
@@ -307,4 +352,4 @@ def test_hessian_form_rejects_insufficient_headroom():
     u = random_field(3, 10, seed=4, amplitude=5.0)
     q = build_quadrature(3, 12)
     with pytest.raises(QuadratureError):
-        sphere.hessian_form_at_nodes(u, q)
+        sphere.hessian_form(u, q)
