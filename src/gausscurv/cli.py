@@ -13,11 +13,9 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -50,8 +48,6 @@ COMMANDS = (
     "moments",
 )
 
-SCAN_COMMANDS = {"counterexample", "threshold-scan", "second-variation"}
-
 
 def weight_preset(name: str):
     if name == "gaussian":
@@ -76,7 +72,7 @@ class RunConfig:
     k: int = 2
     epsilon: float = 1e-3
     amplitude: float = 0.1
-    weight: str = "gaussian"
+    weight: str = field(default="gaussian", metadata={"help": ", ".join(WEIGHT_PRESETS) + ", or all"})
     slack: float = 1e-8
     cap_height: float = 40.0
     r_min: float = 0.01
@@ -131,19 +127,13 @@ class RunReport:
     entries: list
     summary: dict
     wall_time_s: float = 0.0
-    csv_rows: list = field(default_factory=list)
 
     @property
     def all_passed(self) -> bool:
         return self.summary.get("passed") == self.summary.get("total")
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "entries": self.entries,
-            "summary": self.summary,
-            "wall_time_s": self.wall_time_s,
-        }
+        return dict(vars(self))
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -160,6 +150,22 @@ def _random_polar_coeffs(rng: np.random.Generator, amplitude: float, degree: int
     return cos_c, sin_c
 
 
+def _sample_polar(seed, amplitude, trial, degree, decay, accept, kind) -> plane.PolarCurve:
+    """Rejection-sample the trial's coefficient stream until ``accept(curve)``."""
+    if not 0.0 < amplitude <= 0.3:
+        raise ValueError("amplitude must lie in (0, 0.3]")
+    rng = _trial_rng(seed, trial)
+    for _ in range(1000):
+        cos_c, sin_c = _random_polar_coeffs(rng, amplitude, degree, decay)
+        try:
+            curve = plane.PolarCurve(cos_c, sin_c)
+        except ValueError:
+            continue
+        if accept(curve):
+            return curve
+    raise GausscurvError(f"{kind} curve generator exceeded 1000 rejections")
+
+
 def generate_convex_polar(seed: int, amplitude: float, trial: int = 0, degree: int = 12) -> plane.PolarCurve:
     """Deterministic random convex curve near the unit circle.
 
@@ -171,15 +177,7 @@ def generate_convex_polar(seed: int, amplitude: float, trial: int = 0, degree: i
     GausscurvError
         After 1000 consecutive rejections.
     """
-    if not 0.0 < amplitude <= 0.3:
-        raise ValueError("amplitude must lie in (0, 0.3]")
-    rng = _trial_rng(seed, trial)
-    for _ in range(1000):
-        cos_c, sin_c = _random_polar_coeffs(rng, amplitude, degree)
-        curve = plane.PolarCurve(cos_c, sin_c)
-        if curve.is_convex():
-            return curve
-    raise GausscurvError("convex curve generator exceeded 1000 rejections")
+    return _sample_polar(seed, amplitude, trial, degree, 3.0, plane.PolarCurve.is_convex, "convex")
 
 
 def generate_star_polar(seed: int, amplitude: float, trial: int = 0, degree: int = 12) -> plane.PolarCurve:
@@ -188,18 +186,11 @@ def generate_star_polar(seed: int, amplitude: float, trial: int = 0, degree: int
     Coefficients decay like 1/k^2, slowly enough that higher amplitudes
     routinely produce non-convex boundaries; only positivity is enforced.
     """
-    if not 0.0 < amplitude <= 0.3:
-        raise ValueError("amplitude must lie in (0, 0.3]")
-    rng = _trial_rng(seed, trial)
-    for _ in range(1000):
-        cos_c, sin_c = _random_polar_coeffs(rng, amplitude, degree, decay=2.0)
-        try:
-            curve = plane.PolarCurve(cos_c, sin_c)
-        except ValueError:
-            continue
-        if curve.min_radius >= plane.ORIGIN_CLEARANCE:
-            return curve
-    raise GausscurvError("star-shaped curve generator exceeded 1000 rejections")
+
+    def clear_of_origin(curve):
+        return curve.min_radius >= plane.ORIGIN_CLEARANCE
+
+    return _sample_polar(seed, amplitude, trial, degree, 2.0, clear_of_origin, "star-shaped")
 
 
 def _report_dict(rep: plane.InequalityReport) -> dict:
@@ -212,31 +203,15 @@ def _report_dict(rep: plane.InequalityReport) -> dict:
     }
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("GAUSSCURV_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"GAUSSCURV_THREADS must be an integer, got {raw!r}")
-    if value == 0:
-        return min(os.cpu_count() or 1, 8)
-    return max(value, 1)
-
-
 def _map_trials(fn, count: int, seed: int | None = None):
-    """Run trials in index order; failures carry the trial's stream key."""
-
-    def wrapped(i):
+    """Run trials serially in index order; failures carry the trial's stream key."""
+    entries = []
+    for i in range(count):
         try:
-            return fn(i)
+            entries.append(fn(i))
         except GausscurvError as exc:
             raise type(exc)(f"trial {i} (seed {seed}): {exc}") from exc
-
-    workers = _thread_count()
-    if workers == 1:
-        return [wrapped(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(wrapped, range(count)))
+    return entries
 
 
 def _weights_for(config: RunConfig):
@@ -244,70 +219,51 @@ def _weights_for(config: RunConfig):
     return [(name, weight_preset(name)) for name in names]
 
 
-def _run_verify2d(config: RunConfig):
+def _run_planar_batch(config: RunConfig, generate, check):
+    """Shared trial loop of verify2d and bounds2d.
+
+    ``check(curve, wp)`` returns the weight's report entry and the margins
+    that must clear ``-slack``.
+    """
     pairs = _weights_for(config)
+    margins = []
 
     def one(trial: int) -> dict:
-        curve = generate_convex_polar(config.seed, config.amplitude, trial)
+        curve = generate(config.seed, config.amplitude, trial)
         entry = {"trial": trial, "weights": {}}
         ok = True
         for name, wp in pairs:
-            two = plane.verify_two_sided(curve, wp)
-            entry["weights"][name] = {
-                "lower": _report_dict(two.lower),
-                "upper": _report_dict(two.upper),
-            }
-            ok = ok and two.lower.margin >= -config.slack and two.upper.margin >= -config.slack
+            entry["weights"][name], checked = check(curve, wp)
+            margins.extend(checked)
+            ok = ok and all(m >= -config.slack for m in checked)
         entry["passed"] = ok
         return entry
 
     entries = _map_trials(one, config.trials, config.seed)
-    margins = [
-        rep[key]["margin"]
-        for e in entries
-        for rep in e["weights"].values()
-        for key in ("lower", "upper")
-    ]
-    summary = {
-        "passed": sum(e["passed"] for e in entries),
-        "total": len(entries),
-        "worst_margin": min(margins),
-        "max_relative_error": None,
-    }
-    return entries, summary, None
+    return entries, {"worst_margin": min(margins)}, None
+
+
+def _run_verify2d(config: RunConfig):
+    def check(curve, wp):
+        two = plane.verify_two_sided(curve, wp)
+        report = {"lower": _report_dict(two.lower), "upper": _report_dict(two.upper)}
+        return report, (two.lower.margin, two.upper.margin)
+
+    return _run_planar_batch(config, generate_convex_polar, check)
 
 
 def _run_bounds2d(config: RunConfig):
-    pairs = _weights_for(config)
+    def check(curve, wp):
+        rep = plane.boundary_inverse_weight(curve, wp)
+        return _report_dict(rep), (rep.margin,)
 
-    def one(trial: int) -> dict:
-        curve = generate_star_polar(config.seed, config.amplitude, trial)
-        entry = {"trial": trial, "weights": {}}
-        ok = True
-        for name, wp in pairs:
-            rep = plane.boundary_inverse_weight(curve, wp)
-            entry["weights"][name] = _report_dict(rep)
-            ok = ok and rep.margin >= -config.slack
-        entry["passed"] = ok
-        return entry
-
-    entries = _map_trials(one, config.trials, config.seed)
-    margins = [w["margin"] for e in entries for w in e["weights"].values()]
-    summary = {
-        "passed": sum(e["passed"] for e in entries),
-        "total": len(entries),
-        "worst_margin": min(margins),
-        "max_relative_error": None,
-    }
-    return entries, summary, None
+    return _run_planar_batch(config, generate_star_polar, check)
 
 
 def _stability_families(h_values, r: float):
     """Ellipse and Fourier-bump families shrinking onto the disk of radius ``r``."""
-    ellipses = [plane.PolarCurve.ellipse(1.0 + 1.0 / h, 1.0).scaled(r) for h in h_values]
-    bumps = [
-        plane.PolarCurve(np.array([1.0, 0.0, 1.0 / h]), np.zeros(2)).scaled(r) for h in h_values
-    ]
+    ellipses = [plane.PolarCurve.ellipse(r * (1.0 + 1.0 / h), r) for h in h_values]
+    bumps = [plane.PolarCurve(np.array([r, 0.0, r / h]), np.zeros(2)) for h in h_values]
     return {"ellipse": ellipses, "fourier-bump": bumps}
 
 
@@ -316,8 +272,6 @@ def _run_stability2d(config: RunConfig):
     r = config.r if config.r is not None else 1.0
     h_values = list(range(config.h_min, config.h_max + 1))
     entries = []
-    passed = 0
-    total = 0
     for name, family in _stability_families(h_values, r).items():
         ratios = plane.stability_ratio(family, wp, r)
         tail = ratios[len(ratios) // 2 :]
@@ -333,22 +287,15 @@ def _run_stability2d(config: RunConfig):
                 "passed": bounded,
             }
         )
-        passed += bounded
-        total += 1
-    summary = {
-        "passed": passed,
-        "total": total,
-        "worst_margin": None,
-        "max_relative_error": max(e["tail_spread"] for e in entries),
-    }
-    return entries, summary, None
+    return entries, {"max_relative_error": max(e["tail_spread"] for e in entries)}, None
 
 
 def _run_counterexample(config: RunConfig):
     if config.r is not None:
         r_values = [config.r]
     else:
-        r_values = list(np.linspace(config.r_min, config.r_max, config.points))
+        # Python floats: with numpy radii a failed check is a numpy bool, which json cannot write.
+        r_values = np.linspace(config.r_min, config.r_max, config.points).tolist()
     entries = []
     rows = []
     for r in r_values:
@@ -378,13 +325,7 @@ def _run_counterexample(config: RunConfig):
                 "relative_error": abs(gap - 1.0),
             }
         )
-    summary = {
-        "passed": sum(e["passed"] for e in entries),
-        "total": len(entries),
-        "worst_margin": min(e["gap"] - 1.0 for e in entries),
-        "max_relative_error": None,
-    }
-    return entries, summary, rows
+    return entries, {"worst_margin": min(e["gap"] - 1.0 for e in entries)}, rows
 
 
 def _run_second_variation(config: RunConfig):
@@ -412,13 +353,7 @@ def _run_second_variation(config: RunConfig):
             "relative_error": rep.relative_error,
         }
     ]
-    summary = {
-        "passed": sum(e["passed"] for e in entries),
-        "total": len(entries),
-        "worst_margin": None,
-        "max_relative_error": rep.relative_error,
-    }
-    return entries, summary, rows
+    return entries, {"max_relative_error": rep.relative_error}, rows
 
 
 def _run_threshold_scan(config: RunConfig):
@@ -445,13 +380,7 @@ def _run_threshold_scan(config: RunConfig):
             "relative_error": err / max(algebraic, 1e-300),
         }
     ]
-    summary = {
-        "passed": sum(e["passed"] for e in entries),
-        "total": len(entries),
-        "worst_margin": None,
-        "max_relative_error": err,
-    }
-    return entries, summary, rows
+    return entries, {"max_relative_error": err}, rows
 
 
 def random_even_body(seed: int, trial: int, n: int, radius: float, amplitude: float, degree: int = 6) -> bd.RadialGraph:
@@ -501,13 +430,7 @@ def _run_calibration(config: RunConfig):
 
     entries = _map_trials(one, config.trials, config.seed)
     margins = [e[k]["margin"] for e in entries for k in ("ineq1", "ineq3")]
-    summary = {
-        "passed": sum(e["passed"] for e in entries),
-        "total": len(entries),
-        "worst_margin": min(margins),
-        "max_relative_error": None,
-    }
-    return entries, summary, None
+    return entries, {"worst_margin": min(margins)}, None
 
 
 def _run_moments(config: RunConfig):
@@ -532,13 +455,7 @@ def _run_moments(config: RunConfig):
                     "passed": max(res_b, res_c) < 1e-10,
                 }
             )
-    summary = {
-        "passed": sum(e["passed"] for e in entries),
-        "total": len(entries),
-        "worst_margin": -max(max(e["residual_b"], e["residual_c"]) for e in entries),
-        "max_relative_error": None,
-    }
-    return entries, summary, None
+    return entries, {"worst_margin": -max(max(e["residual_b"], e["residual_c"]) for e in entries)}, None
 
 
 _RUNNERS = {
@@ -554,21 +471,31 @@ _RUNNERS = {
 
 
 def run(config: RunConfig) -> RunReport:
-    """Execute one command, write the JSON (and CSV) outputs, return the report."""
+    """Execute one command, write the JSON (and CSV) outputs, return the report.
+
+    A runner returns ``(entries, extra_summary, rows)``; the pass count
+    comes from the entries, and a CSV is written exactly when there are rows.
+    """
     config.validate()
     start = time.perf_counter()
-    entries, summary, rows = _RUNNERS[config.command](config)
+    entries, extra, rows = _RUNNERS[config.command](config)
+    summary = {
+        "passed": sum(e["passed"] for e in entries),
+        "total": len(entries),
+        "worst_margin": None,
+        "max_relative_error": None,
+        **extra,
+    }
     report = RunReport(
         config=config.to_dict(),
         entries=entries,
         summary=summary,
         wall_time_s=time.perf_counter() - start,
-        csv_rows=rows or [],
     )
     with open(config.output + ".json", "w") as fh:
         json.dump(report.to_dict(), fh, sort_keys=True, indent=1)
         fh.write("\n")
-    if config.command in SCAN_COMMANDS and rows:
+    if rows:
         with open(config.output + ".csv", "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=["r", "predicted", "measured", "relative_error"])
             writer.writeheader()
@@ -585,22 +512,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
     for name in COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--trials", type=int, default=1000)
-        p.add_argument("--n", type=int, default=3)
-        p.add_argument("--r", type=float, default=None)
-        p.add_argument("--k", type=int, default=2)
-        p.add_argument("--epsilon", type=float, default=1e-3)
-        p.add_argument("--amplitude", type=float, default=0.1)
-        p.add_argument("--weight", default="gaussian", help="gaussian, inverse-quadratic, exponential, or all")
-        p.add_argument("--slack", type=float, default=1e-8)
-        p.add_argument("--cap-height", dest="cap_height", type=float, default=40.0)
-        p.add_argument("--r-min", dest="r_min", type=float, default=0.01)
-        p.add_argument("--r-max", dest="r_max", type=float, default=0.25)
-        p.add_argument("--points", type=int, default=100)
-        p.add_argument("--h-min", dest="h_min", type=int, default=4)
-        p.add_argument("--h-max", dest="h_max", type=int, default=64)
-        p.add_argument("--output", default="")
+        for f in fields(RunConfig)[1:]:
+            kind = float if f.name == "r" else type(f.default)
+            flag = "--" + f.name.replace("_", "-")
+            p.add_argument(flag, dest=f.name, type=kind, default=f.default, help=f.metadata.get("help"))
     return parser
 
 
@@ -646,11 +561,8 @@ def parse_config(argv) -> RunConfig:
     ns = parser.parse_args(argv)
     if ns.command is None:
         parser.error("a command is required")
-    kwargs = {k: v for k, v in vars(ns).items() if k not in ("config",) and v is not None}
-    try:
-        return RunConfig(**kwargs).validate()
-    except TypeError as exc:
-        raise ConfigError(str(exc))
+    kwargs = {k: v for k, v in vars(ns).items() if k != "config" and v is not None}
+    return RunConfig(**kwargs).validate()
 
 
 def main(argv=None) -> int:
@@ -661,6 +573,10 @@ def main(argv=None) -> int:
         return 3
     try:
         report = run(config)
+    except ValueError as exc:
+        # A flag that passed validation can still leave a library function's domain.
+        print(f"gausscurv: configuration error: {config.command}: {exc}", file=sys.stderr)
+        return 3
     except GausscurvError as exc:
         print(f"gausscurv: numerical failure: {exc}", file=sys.stderr)
         return 4

@@ -208,12 +208,12 @@ def _detect_parity(k_of: np.ndarray, coeffs: np.ndarray) -> str:
 
 @dataclass(frozen=True, eq=False)
 class HarmonicField:
-    """A scalar field on S^(n-1), stored as basis coefficients.
+    """A scalar field on S^(n-1), n = 3..8, stored as basis coefficients.
 
     For n = 3 the coefficients run over real spherical harmonics ordered by
     degree blocks (m = 0, then cos/sin pairs for m = 1..l), so the block for
-    degree l starts at offset l^2.  For other dimensions they index the
-    L2-normalised zonal Gegenbauer polynomials in t = <x, e_1>.
+    degree l starts at offset l^2.  For n >= 4 they index the L2-normalised
+    zonal Gegenbauer polynomials in t = <x, e_1>.
     """
 
     n: int
@@ -222,6 +222,9 @@ class HarmonicField:
     parity: str = field(default="")
 
     def __post_init__(self):
+        if not 3 <= self.n <= MAX_DIMENSION:
+            # At n = 2 the zonal Gegenbauer family degenerates (lambda = 0).
+            raise ValueError(f"fields need dimension in 3..{MAX_DIMENSION}, got {self.n}")
         c = np.asarray(self.coeffs, dtype=float)
         if c.shape != (basis_size(self.n, self.degree),):
             raise ValueError(

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gausscurv import cli, plane
 from gausscurv.errors import ConfigError
@@ -33,6 +34,11 @@ def test_dimension_floor_rejected():
     with pytest.raises(ConfigError):
         cli.parse_config(["verify2d", "--n", "1"])
     assert cli.main(["verify2d", "--n", "1"]) == 3
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_parser_defaults_are_runconfig_defaults(command):
+    assert cli.parse_config([command]) == cli.RunConfig(command).validate()
 
 
 def test_unknown_command_is_usage_error():
@@ -123,6 +129,14 @@ def test_run_counterexample_single_radius(tmp_path):
     assert len(csv_text) == 2
 
 
+def test_counterexample_scan_reports_failing_radius(tmp_path):
+    # r = 1 lies past the counterexample's range, so its check fails and is reported.
+    rc = cli.main(["counterexample", "--points", "2", "--r-max", "1", "--output", str(tmp_path / "ce")])
+    assert rc == 1
+    data = json.loads((tmp_path / "ce.json").read_text())
+    assert [e["passed"] for e in data["entries"]] == [True, False]
+
+
 def test_run_verify2d_small_batch(tmp_path):
     cfg = cli.parse_config(
         ["verify2d", "--trials", "25", "--seed", "42", "--output", str(tmp_path / "v")]
@@ -157,7 +171,7 @@ def test_report_determinism(tmp_path):
 def test_exit_status_on_failing_check(tmp_path, monkeypatch):
     # Force a failure by shrinking the slack far below quadrature error.
     monkeypatch.setattr(
-        cli, "_RUNNERS", dict(cli._RUNNERS, verify2d=lambda cfg: ([{"passed": False}], {"passed": 0, "total": 1, "worst_margin": -1.0, "max_relative_error": None}, None)),
+        cli, "_RUNNERS", dict(cli._RUNNERS, verify2d=lambda cfg: ([{"passed": False}], {"worst_margin": -1.0}, None)),
     )
     rc = cli.main(["verify2d", "--trials", "1", "--output", str(tmp_path / "f")])
     assert rc == 1
@@ -184,25 +198,6 @@ def test_failing_trial_is_identified(monkeypatch):
 
     with pytest.raises(QuadratureError, match=r"trial 3 \(seed 42\)"):
         cli._map_trials(one, 8, seed=42)
-
-
-def test_threads_env_parsing(monkeypatch):
-    monkeypatch.setenv("GAUSSCURV_THREADS", "0")
-    assert cli._thread_count() >= 1
-    monkeypatch.setenv("GAUSSCURV_THREADS", "3")
-    assert cli._thread_count() == 3
-    monkeypatch.setenv("GAUSSCURV_THREADS", "junk")
-    with pytest.raises(ConfigError):
-        cli._thread_count()
-
-
-def test_parallel_matches_serial(tmp_path, monkeypatch):
-    args = ["bounds2d", "--trials", "8", "--seed", "11", "--output"]
-    monkeypatch.setenv("GAUSSCURV_THREADS", "1")
-    serial = cli.run(cli.parse_config(args + [str(tmp_path / "s")]))
-    monkeypatch.setenv("GAUSSCURV_THREADS", "4")
-    parallel = cli.run(cli.parse_config(args + [str(tmp_path / "p")]))
-    assert serial.entries == parallel.entries
 
 
 def test_stability_command(tmp_path):
@@ -253,6 +248,57 @@ def test_unwritable_output_is_configuration_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["counterexample", "--r", "10"],
+        ["counterexample", "--r", "0.1", "--cap-height", "0.001"],
+        ["second-variation", "--n", "3", "--k", "80"],
+        ["calibration", "--n", "6", "--r", "80", "--trials", "1"],
+    ],
+)
+def test_flags_outside_library_domain_are_configuration_errors(tmp_path, capsys, argv):
+    # Each value passes validation but leaves the domain of a library function.
+    assert cli.main(argv + ["--output", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"gausscurv: configuration error: {argv[0]}: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+# Flags that bound the run time are always given; the rest may be left at their defaults.
+_BOUNDED_FLAGS = {
+    "--trials": st.integers(1, 3),
+    "--points": st.integers(1, 5),
+    "--h-max": st.integers(5, 30),
+}
+_FREE_FLAGS = {
+    "--n": st.integers(1, 9),
+    "--r": st.floats(1e-3, 100.0),
+    "--k": st.sampled_from([1, 2, 3, 4, 8, 40, 80]),
+    "--epsilon": st.floats(1e-4, 2e-2),
+    "--amplitude": st.floats(1e-3, 0.35),
+    "--weight": st.sampled_from(cli.WEIGHT_PRESETS + ("all",)),
+    "--cap-height": st.floats(1e-3, 100.0),
+    "--r-min": st.floats(1e-3, 0.3),
+    "--r-max": st.floats(0.2, 1.0),
+}
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    command=st.sampled_from(cli.COMMANDS),
+    flags=st.fixed_dictionaries(_BOUNDED_FLAGS, optional=_FREE_FLAGS),
+)
+def test_random_configs_exit_cleanly(tmp_path, capsys, command, flags):
+    argv = [command, "--output", str(tmp_path / "fuzz")]
+    for flag, value in flags.items():
+        argv += [flag, str(value)]
+    assert cli.main(argv) in (0, 1, 3, 4)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) <= 1
 
 
 def test_weight_presets_admissible():

@@ -197,6 +197,13 @@ def test_basis_rejects_rule_of_other_dimension():
         sphere.synthesize(random_field(4, 4, seed=1), build_quadrature(3, 16))
 
 
+@pytest.mark.parametrize("n", [1, 2, sphere.MAX_DIMENSION + 1])
+def test_field_rejects_unsupported_dimension(n):
+    # At n = 2 the zonal basis would normalise at lambda = 0 and synthesize NaN.
+    with pytest.raises(ValueError, match="dimension"):
+        HarmonicField(n=n, degree=2, coeffs=[1.0, 0.5, 0.2])
+
+
 def test_parity_detection():
     even = random_field(3, 6, seed=2, even_only=True)
     assert even.parity == "even"
