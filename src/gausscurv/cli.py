@@ -85,6 +85,10 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
+        for name, value in self.__dict__.items():
+            # NaN passes checks such as `self.r <= 0` below.
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name.replace('_', '-')} must be finite, got {value}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in 64 bits")
         if self.trials < 1:
@@ -282,6 +286,8 @@ def _run_stability2d(config: RunConfig):
             {
                 "family": name,
                 "h": h_values,
+                # Members outside the convex hypothesis, measured by the sampled Hausdorff distance.
+                "nonconvex_h": [h for h, curve in zip(h_values, family) if not curve.is_convex()],
                 "ratios": ratios,
                 "tail_spread": max(tail) / min(tail),
                 "passed": bounded,

@@ -18,6 +18,13 @@ The inequality machinery compares a convex or star-shaped body against the
 centred disk with the same weighted area: the curvature energy of the disk
 bounds that of the body from above, and the gap is squeezed between two
 boundary integrals of the normal deficiency.
+
+Distances to the centred disk ``D_r`` need no sampling for convex bodies:
+``d_H(K, D_r) = max |h_K - r|`` over the support function ``h_K``, and the
+support value at the outward normal of the boundary point at angle theta is
+``rho^2 / sqrt(rho^2 + rho'^2)``, so the distance is one maximum over the
+grid.  Curves that fail the grid convexity certificate, and pairs of general
+star-shaped curves, use the sampled :func:`hausdorff_distance`.
 """
 
 from __future__ import annotations
@@ -232,7 +239,11 @@ class PolarCurve:
 
     @classmethod
     def from_text(cls, text: str) -> "PolarCurve":
-        lines = [ln for ln in text.splitlines()]
+        """Inverse of :meth:`to_text`; raises ``ValueError`` on malformed text."""
+        lines = text.splitlines()
+        if len(lines) < 2:
+            missing = "cosine-coefficient" if lines else "degree"
+            raise ValueError(f"curve text has no {missing} line")
         degree = int(lines[0].strip())
         cos_c = np.array([float(t) for t in lines[1].split()])
         sin_c = np.array([float(t) for t in lines[2].split()]) if len(lines) > 2 else np.zeros(0)
@@ -493,16 +504,28 @@ def lemma_gradient_bound(curve: PolarCurve) -> InequalityReport:
     return _report(lhs, rhs, 1e-9 * (1.0 + lhs))
 
 
+def _distance_to_disk(curve: PolarCurve, r: float) -> float:
+    """Hausdorff distance from the region of ``curve`` to the centred disk of radius ``r``."""
+    if curve.is_convex():
+        support = curve.rho**2 / np.sqrt(curve.rho**2 + curve.drho**2)
+        return float(np.max(np.abs(support - r)))
+    return hausdorff_distance(curve, PolarCurve.circle(r))
+
+
 def stability_ratio(family: Sequence[PolarCurve], wp: WeightPair, r: float):
     """Gap-to-distance ratios for a family shrinking onto the disk of radius ``r``.
 
+    The distance of a convex member is ``max |h_K - r|``, its support
+    function's deviation from the disk's, read off its grid as
+    ``rho^2 / sqrt(rho^2 + rho'^2)`` (the support value at the outward normal
+    of the boundary point at angle theta).  Members that fail
+    :meth:`PolarCurve.is_convex` keep the sampled :func:`hausdorff_distance`.
     The degenerate member equal to the disk reports 0.
     """
-    disk = PolarCurve.circle(r)
     target = disk_energy(wp, r)
     ratios = []
     for curve in family:
         gap = abs(curvature_energy(curve, wp) - target)
-        dist = hausdorff_distance(curve, disk)
+        dist = _distance_to_disk(curve, r)
         ratios.append(0.0 if dist < 1e-12 else gap / dist)
     return ratios

@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -223,6 +224,15 @@ def test_stability_command_honours_radius(tmp_path):
     assert report.all_passed
 
 
+@pytest.mark.parametrize("h_min, bumps", [(4, [4]), (2, [2, 3, 4])])
+def test_stability_report_names_nonconvex_members(tmp_path, h_min, bumps):
+    cfg = cli.parse_config(
+        ["stability2d", "--h-min", str(h_min), "--h-max", "16", "--output", str(tmp_path / "st")]
+    )
+    nonconvex = {e["family"]: e["nonconvex_h"] for e in cli.run(cfg).entries}
+    assert nonconvex == {"ellipse": [], "fourier-bump": bumps}
+
+
 def test_stability_underflowing_weight_is_numerical_failure(tmp_path, capsys):
     assert cli.main(["stability2d", "--r", "50", "--output", str(tmp_path / "st")]) == 4
     assert "Traceback" not in capsys.readouterr().err
@@ -267,6 +277,27 @@ def test_flags_outside_library_domain_are_configuration_errors(tmp_path, capsys,
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moments", "--r", "nan"],
+        ["verify2d", "--slack", "nan"],
+        ["calibration", "--r", "inf"],
+        ["counterexample", "--r", "nan"],
+        ["counterexample", "--cap-height", "nan"],
+    ],
+)
+def test_non_finite_flags_are_configuration_errors(tmp_path, capsys, argv):
+    assert cli.main(argv + ["--output", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("gausscurv: configuration error: ")
+    assert "must be finite" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "x.json").exists()
+
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf])
+
 # Flags that bound the run time are always given; the rest may be left at their defaults.
 _BOUNDED_FLAGS = {
     "--trials": st.integers(1, 3),
@@ -275,12 +306,13 @@ _BOUNDED_FLAGS = {
 }
 _FREE_FLAGS = {
     "--n": st.integers(1, 9),
-    "--r": st.floats(1e-3, 100.0),
+    "--r": st.floats(1e-3, 100.0) | _NON_FINITE,
     "--k": st.sampled_from([1, 2, 3, 4, 8, 40, 80]),
     "--epsilon": st.floats(1e-4, 2e-2),
     "--amplitude": st.floats(1e-3, 0.35),
     "--weight": st.sampled_from(cli.WEIGHT_PRESETS + ("all",)),
-    "--cap-height": st.floats(1e-3, 100.0),
+    "--cap-height": st.floats(1e-3, 100.0) | _NON_FINITE,
+    "--slack": st.floats(1e-12, 1e-2) | _NON_FINITE,
     "--r-min": st.floats(1e-3, 0.3),
     "--r-max": st.floats(0.2, 1.0),
 }

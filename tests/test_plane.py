@@ -343,6 +343,34 @@ def test_hausdorff_support_function_oracle():
     assert d == pytest.approx(helpers.support_distance(e, c), abs=1e-4)
 
 
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+def test_support_distance_matches_sampled_hausdorff(r):
+    # The sampled k-d-tree distance is the oracle for the grid support form.
+    hs = range(5, 198, 3)
+    for name, family in cli._stability_families(hs, r).items():
+        for h, curve in zip(hs, family):
+            assert curve.is_convex(), (name, h)
+            expected = plane.hausdorff_distance(curve, PolarCurve.circle(r))
+            assert plane._distance_to_disk(curve, r) == pytest.approx(expected, rel=1e-12, abs=0.0), (name, h)
+
+
+def test_stability_ratio_samples_only_nonconvex_members(monkeypatch):
+    sampled = []
+    original = plane.hausdorff_distance
+
+    def counting(c1, c2, *args, **kwargs):
+        sampled.append(c1)
+        return original(c1, c2, *args, **kwargs)
+
+    monkeypatch.setattr(plane, "hausdorff_distance", counting)
+    hs = list(range(4, 65))
+    families = cli._stability_families(hs, 1.0)
+    for family in families.values():
+        plane.stability_ratio(family, GAUSSIAN, 1.0)
+    assert sampled == [families["fourier-bump"][0]]
+    assert not sampled[0].is_convex()
+
+
 # ---------------------------------------------------------------------------
 # gradient bound for pinched convex curves
 
@@ -425,6 +453,12 @@ def test_polar_curve_text_round_trip(tmp_path):
     loaded = PolarCurve.load(path)
     np.testing.assert_allclose(loaded.cos_coeffs, curve.cos_coeffs, rtol=0, atol=0)
     np.testing.assert_allclose(loaded.sin_coeffs, curve.sin_coeffs, rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("text, missing", [("", "degree"), ("3\n", "cosine-coefficient")])
+def test_polar_curve_from_truncated_text(text, missing):
+    with pytest.raises(ValueError, match=missing):
+        PolarCurve.from_text(text)
 
 
 def test_report_pass_rule():
