@@ -99,8 +99,9 @@ class RunConfig:
             raise ConfigError("this command needs dimension at least 3")
         if self.r is not None and self.r <= 0:
             raise ConfigError("radius must be positive")
-        if self.k < 2 or self.k % 2:
-            raise ConfigError("mode must be even and at least 2")
+        # Mode k needs a sphere quadrature of degree 4k, and quadrature degrees stop at MAX_DEGREE.
+        if not 2 <= self.k <= sphere.MAX_DEGREE // 4 or self.k % 2:
+            raise ConfigError(f"{self.command}: mode must be even and in 2..{sphere.MAX_DEGREE // 4}")
         if not 4.0 * ex.EPSILON_FLOOR <= self.epsilon <= ex.EPSILON_CAP:
             raise ConfigError("epsilon out of the supported range")
         if not 0.0 < self.amplitude <= 0.3:
@@ -563,8 +564,18 @@ def parse_config(argv) -> RunConfig:
         if len(argv) < 2:
             raise ConfigError("--config needs a file path")
         argv = _argv_from_file(argv[1]) + argv[2:]
+    # argparse takes "-1e-3" or "-inf" after a flag (or its prefix) for another flag;
+    # "--r=-1e-3" is unambiguous.
+    flags = ["--" + f.name.replace("_", "-") for f in fields(RunConfig)[1:]]
+    joined = []
+    for token in argv:
+        prev = joined[-1] if joined else ""
+        if len(prev) > 2 and "=" not in prev and any(f.startswith(prev) for f in flags):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
     parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = parser.parse_args(joined)
     if ns.command is None:
         parser.error("a command is required")
     kwargs = {k: v for k, v in vars(ns).items() if k != "config" and v is not None}

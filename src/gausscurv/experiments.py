@@ -65,7 +65,7 @@ def cylinder_volume(s: float) -> float:
     """Gaussian volume of the infinite cylinder of radius ``s`` in R^3."""
     if s <= 0:
         raise ValueError("cross-section radius must be positive")
-    return 1.0 - math.exp(-0.5 * s * s)
+    return -math.expm1(-0.5 * s * s)
 
 
 def cylinder_energy(s: float) -> float:
@@ -115,7 +115,7 @@ def capped_cylinder(spec: CylinderSpec) -> CappedCylinder:
     if spec.half_height is None:
         return CappedCylinder(cylinder_volume(s), cylinder_energy(s), 0.0, 0.0)
     T = spec.half_height
-    disk_mass = 1.0 - math.exp(-0.5 * s * s)
+    disk_mass = -math.expm1(-0.5 * s * s)
     inv_root = 1.0 / math.sqrt(2.0 * math.pi)
 
     lat_vol, lv_err = _quad(
@@ -124,7 +124,7 @@ def capped_cylinder(spec: CylinderSpec) -> CappedCylinder:
     cap_vol, cv_err = _quad(
         lambda z: inv_root
         * math.exp(-0.5 * z * z)
-        * (1.0 - math.exp(-0.5 * (s * s - (z - T) ** 2))),
+        * -math.expm1(-0.5 * (s * s - (z - T) ** 2)),
         T,
         T + s,
     )

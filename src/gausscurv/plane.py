@@ -9,10 +9,10 @@ zero-padded inverse real FFT; at arbitrary angles, from one Horner recurrence
 in ``z = e^{i theta}``.
 
 All integrals in the angle use the uniform rule on the cached grid, which is
-spectrally accurate for smooth periodic integrands.  The centred weighted
-area needs no radial quadrature: ``w = -f'/r`` gives
-``int_0^rho t w(t) dt = f(0) - f(rho)`` exactly.  Only the area of a
-translated body goes through the adaptive batch integrator.
+spectrally accurate for smooth periodic integrands.  Weighted areas are such
+sums too: ``phi(r) = (f(0) - f(r)) / r^2`` has ``div(x phi(|x|)) = w(|x|)``,
+so the area is the flux ``int phi(|x|) (x y' - y x') dtheta``, which for a
+centred body is ``int (f(0) - f(rho)) dtheta``.
 
 The inequality machinery compares a convex or star-shaped body against the
 centred disk with the same weighted area: the curvature energy of the disk
@@ -37,8 +37,8 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.spatial import cKDTree
 
-from .errors import ConvexityError
-from .weights import WeightPair, integrate_radial
+from .errors import ConvexityError, QuadratureError
+from .weights import WeightPair
 
 __all__ = [
     "PolarCurve",
@@ -62,6 +62,8 @@ __all__ = [
 DEFAULT_DEGREE = 64
 DEFAULT_GRID = 1024
 ORIGIN_CLEARANCE = 1e-6
+# Largest relative error estimate a translated weighted area may return.
+AREA_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -102,9 +104,8 @@ class PolarCurve:
     def __init__(self, cos_coeffs, sin_coeffs=None, grid_size: int = DEFAULT_GRID):
         cos_c = np.atleast_1d(np.array(cos_coeffs, dtype=float))
         if sin_coeffs is None:
-            sin_c = np.zeros(max(cos_c.size - 1, 0))
-        else:
-            sin_c = np.atleast_1d(np.array(sin_coeffs, dtype=float))
+            sin_coeffs = np.zeros(max(cos_c.size - 1, 0))
+        sin_c = np.atleast_1d(np.array(sin_coeffs, dtype=float))
         if sin_c.size != cos_c.size - 1:
             raise ValueError("need one sine coefficient per positive frequency")
         self.cos_coeffs = cos_c
@@ -126,14 +127,9 @@ class PolarCurve:
         """Project a positive 2pi-periodic callable onto the trig basis by FFT."""
         theta = 2.0 * np.pi * np.arange(grid_size) / grid_size
         vals = np.asarray(fn(theta), dtype=float)
-        spec = np.fft.rfft(vals) / grid_size
-        kmax = min(degree, spec.size - 1)
-        cos_c = np.zeros(kmax + 1)
-        sin_c = np.zeros(kmax)
-        cos_c[0] = spec[0].real
-        cos_c[1:] = 2.0 * spec[1 : kmax + 1].real
-        sin_c[:] = -2.0 * spec[1 : kmax + 1].imag
-        return cls(cos_c, sin_c, grid_size=grid_size)
+        spec = np.fft.rfft(vals)[: degree + 1] / grid_size
+        cos_c = np.concatenate([spec[:1].real, 2.0 * spec[1:].real])
+        return cls(cos_c, -2.0 * spec[1:].imag, grid_size=grid_size)
 
     @classmethod
     def circle(cls, radius: float, grid_size: int = DEFAULT_GRID):
@@ -223,11 +219,8 @@ class PolarCurve:
         degree = self.degree if degree is None else degree
         if degree < self.degree:
             raise ValueError("refinement cannot drop stored modes")
-        cos_c = np.zeros(degree + 1)
-        sin_c = np.zeros(degree)
-        cos_c[: self.degree + 1] = self.cos_coeffs
-        sin_c[: self.degree] = self.sin_coeffs
-        return PolarCurve(cos_c, sin_c, grid_size or self.grid_size)
+        pad = (0, degree - self.degree)
+        return PolarCurve(np.pad(self.cos_coeffs, pad), np.pad(self.sin_coeffs, pad), grid_size or self.grid_size)
 
     def to_text(self) -> str:
         lines = [
@@ -291,28 +284,35 @@ def _radii_about(curve: PolarCurve, center):
 
 
 def _weighted_area(curve: PolarCurve, wp: WeightPair, center=None):
+    f0 = _f_at(wp, 0.0)
     if center is None:
-        f0 = _f_at(wp, 0.0)
         total, err = _spectral_integral(f0 - wp.f(curve.rho))
         # Rounding of the difference, which matters where f(0) dwarfs it.
         return total, err + 8.0 * np.pi * np.finfo(float).eps * abs(f0)
-    cx, cy = center
     cos_t, sin_t = np.cos(curve.theta), np.sin(curve.theta)
-
-    def integrand(t):
-        dist = np.sqrt((t * cos_t[:, None] + cx) ** 2 + (t * sin_t[:, None] + cy) ** 2)
-        return t * wp.w(dist)
-
-    inner, inner_err = integrate_radial(integrand, curve.rho)
-    total, ang_err = _spectral_integral(inner)
-    return total, ang_err + 2.0 * np.pi * float(np.max(inner_err))
+    x, y = curve.rho * cos_t + center[0], curve.rho * sin_t + center[1]
+    dx, dy = curve.drho * cos_t - curve.rho * sin_t, curve.drho * sin_t + curve.rho * cos_t
+    r2 = x * x + y * y
+    # Angle swept about the origin; where the boundary meets it the integrand's limit is 0.
+    sweep = np.divide(x * dy - y * dx, r2, out=np.zeros_like(r2), where=r2 > 0.0)
+    total, err = _spectral_integral((f0 - wp.f(np.sqrt(r2))) * sweep)
+    # Rounding of f(0) - f(|x|), which the sweep amplifies near the origin.
+    err += 2.0 * np.pi * np.finfo(float).eps * abs(f0) * float(np.mean(np.abs(sweep)))
+    if not err <= AREA_RTOL * abs(total):
+        raise QuadratureError(f"translated weighted area error {err:.2g} exceeds {AREA_RTOL:g} relative")
+    return total, err
 
 
 def weighted_area(curve: PolarCurve, wp: WeightPair, center=None) -> float:
     """Weighted area of the region, optionally translated by ``center``.
 
-    The centred area is the closed form ``int (f(0) - f(rho)) dtheta``; a
-    ``center``, even ``(0, 0)``, integrates ``t w(t)`` along each ray instead.
+    Raises
+    ------
+    QuadratureError
+        If a ``center``, even ``(0, 0)``, gives a relative error estimate
+        above ``AREA_RTOL``: the boundary passes too close to the origin for
+        the grid (``curve.refined(grid_size=...)`` helps), or a distant
+        body's area cancels against ``f(0)``.
     """
     return _weighted_area(curve, wp, center)[0]
 

@@ -8,10 +8,11 @@ distance to the origin.  Each admissible ``f`` induces an area weight
 which is nonnegative exactly because ``f`` is non-increasing.  The Gaussian
 weight ``f(r) = exp(-r^2/2)`` is the special case where ``w = f``.
 
-The module also provides the standard normal half-space volume ``psi``, the
-radial moment integrals used by the higher-dimensional expansions, and a
-vectorised adaptive Gauss-Legendre integrator for batches of radial
-integrals sharing one integrand.
+The module also provides the standard normal half-space volume ``psi`` and
+the radial moment integrals used by the higher-dimensional expansions.  The
+library's other radial integrals have closed forms or flux forms; the
+vectorised adaptive Gauss-Legendre integrator :func:`integrate_radial` is the
+reference the test suite checks them against, and no library code calls it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
     "make_weight",
     "psi",
     "radial_moments",
-    "integrate_radial",
     "VALIDATION_GRID",
 ]
 
@@ -216,6 +216,10 @@ def _panel_eval(fn, upper, nodes, wts, a, b):
 
 def integrate_radial(fn, upper, rtol: float = RADIAL_RTOL, max_depth: int = 12):
     """Integrate ``fn`` from 0 to each entry of ``upper`` simultaneously.
+
+    The test suite's radial reference integrator: it checks the library's
+    closed-form radial integrals (planar weighted areas, body volumes and
+    fluxes) ray by ray.  Not part of the public API.
 
     ``fn`` must map an array of radii of shape (len(upper), m) to integrand
     values of the same shape, which lets callers build integrands that depend

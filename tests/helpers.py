@@ -4,7 +4,8 @@ Everything here deliberately avoids the spectral code paths under test:
 polar radii are summed mode by mode with dense cos/sin matrices, curve
 geometry is differentiated by finite differences of the Cartesian
 parametrisation, sphere operators act on the homogeneous extension through
-finite-difference stencils, and areas come from Monte Carlo sampling.
+finite-difference stencils, and areas come from Monte Carlo sampling, from
+adaptive quadrature along rays, or from 1D integrals over circles.
 """
 
 import numpy as np
@@ -97,6 +98,71 @@ def montecarlo_weighted_area(curve, wp, rng, samples=400_000):
     mean = np.mean(vals)
     std_err = np.std(vals) / np.sqrt(samples)
     return float(mean * area_box), float(std_err * area_box)
+
+
+def ray_weighted_area(curve, wp, center):
+    """Weighted area of the region translated by ``center``: ``t w(|x|)`` integrated along each grid ray."""
+    from gausscurv.weights import integrate_radial
+
+    cx, cy = center
+    cos_t, sin_t = np.cos(curve.theta), np.sin(curve.theta)
+
+    def integrand(t):
+        dist = np.sqrt((t * cos_t[:, None] + cx) ** 2 + (t * sin_t[:, None] + cy) ** 2)
+        return t * wp.w(dist)
+
+    inner, _ = integrate_radial(integrand, curve.rho)
+    return TWO_PI * float(np.mean(inner))
+
+
+def disk_weighted_area(wp, radius, dist):
+    """Weighted area of the disk of ``radius`` centred ``dist > 0`` from the origin.
+
+    The circle ``|x| = r`` meets the disk in an arc of angle
+    ``2 arccos((r^2 + dist^2 - radius^2) / (2 r dist))``, so the area is one
+    integral over r.  When the origin is inside, the centred disk of radius
+    ``radius - dist`` lies wholly inside and contributes ``2 pi (f(0) - f(radius - dist))``.
+    """
+    from scipy.integrate import quad
+
+    lo, hi = abs(radius - dist), radius + dist
+
+    def arc_mass(t):
+        # r = lo + (hi - lo) sin^2(t/2) smooths the square-root ends of the arc angle.
+        r = lo + 0.5 * (hi - lo) * (1.0 - np.cos(t))
+        cos_arc = np.clip((r * r + dist * dist - radius * radius) / (2.0 * r * dist), -1.0, 1.0)
+        return wp.w(np.array([r]))[0] * 2.0 * r * np.arccos(cos_arc) * 0.5 * (hi - lo) * np.sin(t)
+
+    area, _ = quad(arc_mass, 0.0, np.pi, epsabs=0.0, epsrel=2e-14, limit=200)
+    if dist < radius:
+        f = wp.f(np.array([0.0, radius - dist]))
+        area += TWO_PI * (f[0] - f[1])
+    return float(area)
+
+
+def star_weighted_area_about(curve, wp, center, samples=1024):
+    """Weighted area of the region translated by ``center``, star-shaped about the origin.
+
+    Along each of ``samples`` rays from the origin the boundary radius R is
+    bisected to full precision on whether a point lies in the curve's region
+    (radii summed mode by mode); the area is then ``int (f(0) - f(R)) dphi``.
+    Every ray must leave the translated region exactly once, as it does for
+    a convex region containing the origin.
+    """
+    phi = TWO_PI * np.arange(samples) / samples
+    ray = np.column_stack([np.cos(phi), np.sin(phi)])
+    lo = np.zeros(samples)
+    hi = np.full(samples, curve.max_radius + float(np.hypot(*center)))
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            break
+        p = mid[:, None] * ray - np.asarray(center)
+        outside = np.hypot(p[:, 0], p[:, 1]) > dense_polar(curve, np.arctan2(p[:, 1], p[:, 0]))
+        hi = np.where(outside, mid, hi)
+        lo = np.where(outside, lo, mid)
+    f = wp.f(np.concatenate([[0.0], mid]))
+    return TWO_PI * float(np.mean(f[0] - f[1:]))
 
 
 def support_distance(c1, c2, samples=8192):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from gausscurv import cli, plane
+from gausscurv import cli, plane, sphere
 from gausscurv.errors import ConfigError
 
 
@@ -296,7 +296,62 @@ def test_non_finite_flags_are_configuration_errors(tmp_path, capsys, argv):
     assert not (tmp_path / "x.json").exists()
 
 
-_NON_FINITE = st.sampled_from([math.nan, math.inf])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moments", "--r", "-1e-3"],
+        ["moments", "--r", "-inf"],
+        ["moments", "--r", "-1"],
+        ["moments", "--r=-1e-3"],
+        ["verify2d", "--slack", "-1e-9"],
+        ["verify2d", "--sla", "-1e-9"],
+    ],
+)
+def test_negative_flags_are_configuration_errors_however_written(tmp_path, capsys, argv):
+    # argparse alone reads "-1e-3" and "-inf" as flags, a usage error (exit 2).
+    assert cli.main(argv + ["--output", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("gausscurv: configuration error: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_negative_value_in_config_file_is_configuration_error(tmp_path, capsys):
+    path = tmp_path / "neg.cfg"
+    path.write_text(f"command = moments\nr = -1e-3\noutput = {tmp_path / 'x'}\n")
+    assert cli.main(["--config", str(path)]) == 3
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["second-variation", "--k", "18"],
+        ["second-variation", "--n", "4", "--k", "64"],
+        ["second-variation", "--k", "66"],
+        ["threshold-scan", "--k", "70"],
+    ],
+)
+def test_mode_above_quadrature_limit_is_configuration_error(tmp_path, capsys, argv):
+    # Mode k needs sphere quadratures of degree 4k, which stop at sphere.MAX_DEGREE.
+    assert cli.main(argv + ["--output", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert f"mode must be even and in 2..{sphere.MAX_DEGREE // 4}" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_largest_mode_runs_in_every_dimension(tmp_path, n):
+    k = str(sphere.MAX_DEGREE // 4)
+    assert cli.main(["second-variation", "--n", str(n), "--k", k, "--output", str(tmp_path / "sv")]) == 0
+
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def _either_sign(lo, hi):
+    return st.floats(lo, hi) | st.floats(-hi, -lo)
+
 
 # Flags that bound the run time are always given; the rest may be left at their defaults.
 _BOUNDED_FLAGS = {
@@ -306,13 +361,13 @@ _BOUNDED_FLAGS = {
 }
 _FREE_FLAGS = {
     "--n": st.integers(1, 9),
-    "--r": st.floats(1e-3, 100.0) | _NON_FINITE,
+    "--r": _either_sign(1e-3, 100.0) | _NON_FINITE,
     "--k": st.sampled_from([1, 2, 3, 4, 8, 40, 80]),
     "--epsilon": st.floats(1e-4, 2e-2),
     "--amplitude": st.floats(1e-3, 0.35),
     "--weight": st.sampled_from(cli.WEIGHT_PRESETS + ("all",)),
-    "--cap-height": st.floats(1e-3, 100.0) | _NON_FINITE,
-    "--slack": st.floats(1e-12, 1e-2) | _NON_FINITE,
+    "--cap-height": _either_sign(1e-3, 100.0) | _NON_FINITE,
+    "--slack": _either_sign(1e-12, 1e-2) | _NON_FINITE,
     "--r-min": st.floats(1e-3, 0.3),
     "--r-max": st.floats(0.2, 1.0),
 }

@@ -26,6 +26,15 @@ def test_cylinder_volume_closed_form():
     assert ex.cylinder_volume(0.5) == pytest.approx(0.117503097415405, abs=1e-12)
 
 
+def test_cylinder_volume_small_radius_series():
+    # s(0.01), the default counterexample scan's smallest radius, where 1 - exp(-s^2/2) cancels.
+    s = 7.29e-4
+    series = s**2 / 2 - s**4 / 8 + s**6 / 48
+    assert ex.cylinder_volume(s) == pytest.approx(series, rel=1e-15, abs=0.0)
+    capped = ex.capped_cylinder(ex.CylinderSpec(s=s, half_height=40.0))
+    assert capped.volume == pytest.approx(series, rel=1e-12, abs=0.0)
+
+
 def test_cylinder_energy_closed_form():
     assert ex.cylinder_energy(1e-9) == pytest.approx((2 * math.pi) ** 1.5, rel=1e-12)
     assert ex.cylinder_energy(1.0) == pytest.approx((2 * math.pi) ** 1.5 * math.exp(-0.5), rel=1e-15)

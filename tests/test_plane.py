@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import ncx2
 
 import helpers
 from gausscurv import cli, plane
-from gausscurv.errors import ConvexityError
+from gausscurv.errors import ConvexityError, QuadratureError
 from gausscurv.plane import PolarCurve
 from gausscurv.weights import make_gaussian_weight, make_weight
 
@@ -104,7 +105,7 @@ def test_weighted_area_monte_carlo_oracle():
 
 @pytest.mark.parametrize("name", cli.WEIGHT_PRESETS)
 def test_centred_area_closed_form_matches_radial_quadrature(name):
-    # center=(0, 0) still integrates t w(t) along each ray: the oracle.
+    # Integrating t w(t) along each ray is the oracle.
     wp = cli.weight_preset(name)
     curves = [
         PolarCurve.ellipse(1.3, 0.7),
@@ -113,8 +114,76 @@ def test_centred_area_closed_form_matches_radial_quadrature(name):
         cli.generate_convex_polar(1, 0.1, 2).scaled(0.05),
     ]
     for c in curves:
-        oracle = plane.weighted_area(c, wp, center=(0.0, 0.0))
+        oracle = helpers.ray_weighted_area(c, wp, (0.0, 0.0))
         assert plane.weighted_area(c, wp) == pytest.approx(oracle, rel=1e-13, abs=0.0)
+
+
+# Unit circles centred at (-dist, 0): the origin is inside for dist < 1, and the
+# boundary node theta = 0 lies |1 - dist| from it (on it at dist = 1).
+
+
+@pytest.mark.parametrize("dist", [0.3, 1 - 1e-4, 1 - 1e-6, 1.0, 1 + 1e-6, 1 + 1e-4, 1.7])
+def test_translated_gaussian_area_matches_noncentral_chi2(dist):
+    # For X ~ N(0, I) the Gaussian area of a disk D is 2 pi P(X in D), and |X - c|^2
+    # is non-central chi-squared with 2 degrees of freedom and non-centrality |c|^2.
+    area, err = plane._weighted_area(PolarCurve.circle(1.0), GAUSSIAN, (-dist, 0.0))
+    exact = 2 * np.pi * ncx2.cdf(1.0, 2, dist**2)
+    assert area == pytest.approx(exact, rel=1e-12, abs=0.0)
+    assert abs(area - exact) <= err
+
+
+@pytest.mark.parametrize("name", ["inverse-quadratic", "exponential"])
+@pytest.mark.parametrize("dist", [0.7, 1.1])
+def test_translated_area_matches_disk_oracle(name, dist):
+    wp = cli.weight_preset(name)
+    area, err = plane._weighted_area(PolarCurve.circle(1.0), wp, (-dist, 0.0))
+    oracle = helpers.disk_weighted_area(wp, 1.0, dist)
+    assert area == pytest.approx(oracle, rel=1e-13, abs=0.0)
+    assert abs(area - oracle) <= err
+
+
+@pytest.mark.parametrize(
+    "name, dist",
+    [("exponential", 0.99), ("exponential", 1.0), ("exponential", 1.01),
+     ("gaussian", 1 - 1e-8), ("inverse-quadratic", 1 + 1e-8)],
+)
+def test_translated_area_raises_where_grid_is_too_coarse(name, dist):
+    # A boundary this close to the origin leaves a peak the 1024-node grid cannot
+    # resolve (exp(-r)/r is singular there), or f(0) - f(|x|) loses its digits.
+    with pytest.raises(QuadratureError, match="relative"):
+        plane.weighted_area(PolarCurve.circle(1.0), cli.weight_preset(name), center=(-dist, 0.0))
+
+
+@pytest.mark.parametrize("dist", [0.99, 1.01])
+def test_translated_area_near_origin_on_refined_grid(dist):
+    wp = cli.weight_preset("exponential")
+    fine = PolarCurve.circle(1.0).refined(grid_size=16384)
+    area, err = plane._weighted_area(fine, wp, (-dist, 0.0))
+    oracle = helpers.disk_weighted_area(wp, 1.0, dist)
+    assert area == pytest.approx(oracle, rel=1e-12, abs=0.0)
+    assert abs(area - oracle) <= err
+
+
+def test_translated_area_with_origin_inside_matches_root_found_boundary():
+    # The origin lies inside every translated body, where exp(-r)/r is singular.
+    wp = cli.weight_preset("exponential")
+    for trial in range(20):
+        curve = cli.generate_convex_polar(7, 0.1, trial)
+        area, err = plane._weighted_area(curve, wp, (0.3, -0.2))
+        oracle = helpers.star_weighted_area_about(curve, wp, (0.3, -0.2))
+        assert area == pytest.approx(oracle, rel=1e-13, abs=0.0)
+        assert abs(area - oracle) <= err
+
+
+@pytest.mark.parametrize("name", cli.WEIGHT_PRESETS)
+def test_translated_area_matches_radial_quadrature(name):
+    wp = cli.weight_preset(name)
+    centers = [(2.5, 0.4), (-1.5, 1.5)] + ([] if name == "exponential" else [(0.3, -0.2)])
+    for trial in range(3):
+        curve = cli.generate_convex_polar(7, 0.1, trial)
+        for center in centers:
+            oracle = helpers.ray_weighted_area(curve, wp, center)
+            assert plane.weighted_area(curve, wp, center=center) == pytest.approx(oracle, rel=1e-13, abs=0.0)
 
 
 def test_matched_radius_gaussian_closed_form():
