@@ -62,6 +62,7 @@ from .sphere import (
     SphereQuadrature,
     build_quadrature,
     field_gradient,
+    hessian,
     hessian_form,
     laplace_beltrami,
     zonal_quadrature,

@@ -2,9 +2,9 @@
 
 A body is stored as a base radius times a spectral perturbation,
 ``h(x) = r (1 + u(x))``, with boundary ``{x h(x) : x on the sphere}``.
-Mean curvature is evaluated from the spherical gradient, Laplacian, and
-Hessian cubic form of ``h``, by one formula at the nodes or at any unit
-points; surface integrals use the area element
+Mean curvature and the convexity certificate both read the covariant
+Hessian of ``h`` (:func:`sphere.hessian`), with its gradient and Laplacian,
+at the nodes or at any unit points; surface integrals use the area element
 ``h^(n-2) sqrt(h^2 + |grad h|^2)`` and the quadrature carried by the body.
 Gaussian volumes integrate ``t^(n-1) exp(-t^2/2)`` radially in closed form,
 through the regularised incomplete gamma function.
@@ -44,6 +44,8 @@ __all__ = [
     "save_body",
     "load_body",
 ]
+
+_CONVEX_RTOL = 1e-8
 
 
 class RadialGraph:
@@ -121,11 +123,16 @@ class RadialGraph:
         return self.radius * sphere.synthesize(lap_u, self.quad)
 
     @cached_property
-    def hessian_form_nodes(self) -> np.ndarray:
-        """(1/2) <grad |grad h|^2, grad h> at the nodes; scales as r^3."""
+    def hess_nodes(self) -> np.ndarray:
+        """Covariant Hessian of ``h`` at the nodes, shape (nodes, n, n)."""
         if self.perturbation is None:
-            return np.zeros(self.quad.size)
-        return self.radius**3 * sphere.hessian_form(self.perturbation, self.quad)
+            return np.zeros((self.quad.size, self.n, self.n))
+        return self.radius * sphere.hessian(self.perturbation, self.quad)
+
+    @cached_property
+    def hessian_form_nodes(self) -> np.ndarray:
+        """Hess h(grad h, grad h) at the nodes."""
+        return np.einsum("mi,mij,mj->m", self.grad_nodes, self.hess_nodes, self.grad_nodes)
 
     @cached_property
     def sq_grad_nodes(self) -> np.ndarray:
@@ -297,33 +304,16 @@ def _tangent_frames(nodes: np.ndarray) -> np.ndarray:
 def second_fundamental_min(body: RadialGraph) -> float:
     """Smallest eigenvalue of the (unnormalised) second fundamental form over all nodes.
 
-    Works for the full spherical-harmonic representation (n = 3).  The
-    derivative of the unnormalised Gauss map ``x h - grad h`` is assembled
-    spectrally, so no finite differencing enters.  Positive semidefiniteness
-    at every node certifies convexity.
+    At each node it is the form ``tau (h^2 I + 2 grad h grad h^T - h Hess h) tau^T``
+    on an orthonormal tangent frame ``tau``, the analogue of the planar
+    ``rho^2 + 2 rho'^2 - rho rho''``; it is ``r^2`` for the ball of radius r.
+    Positive semidefiniteness at every node certifies convexity there.
     """
-    if body.n != 3:
-        raise ValueError("the spectral certificate is implemented for n = 3")
-    if body.perturbation is None:
-        return body.radius**2
-    quad = body.quad
-    X = quad.nodes
-    L2 = min(2 * body.perturbation.degree, sphere.MAX_DEGREE)
-    h = body.h_nodes
-    grad_h = body.grad_nodes
-    psi_fields = []
-    for i in range(3):
-        vals = X[:, i] * h - grad_h[:, i]
-        psi_fields.append(sphere.analyze(vals, 3, L2, quad))
-    Gpsi = np.stack([sphere.field_gradient(f, quad) for f in psi_fields])  # (3, M, 3)
-
-    tau = _tangent_frames(X)
-    A = np.einsum("imc,mac->mia", Gpsi, tau)
-    gtau = np.einsum("mc,mbc->mb", grad_h, tau)
-    dF = gtau[:, :, None] * X[:, None, :] + h[:, None, None] * tau
-    form = np.einsum("mia,mbi->mab", A, dF)
-    form = 0.5 * (form + np.swapaxes(form, 1, 2))
-    return float(np.min(np.linalg.eigvalsh(form)))
+    h, g = body.h_nodes, body.grad_nodes
+    M = (h * h)[:, None, None] * np.eye(body.n) + 2.0 * g[:, :, None] * g[:, None, :]
+    M -= h[:, None, None] * body.hess_nodes
+    tau = _tangent_frames(body.quad.nodes)
+    return float(np.min(np.linalg.eigvalsh(tau @ M @ tau.transpose(0, 2, 1))))
 
 
 def _zonal_section_curve(body: RadialGraph) -> plane.PolarCurve:
@@ -341,18 +331,16 @@ def _zonal_section_curve(body: RadialGraph) -> plane.PolarCurve:
     return plane.PolarCurve.from_function(section, degree=max(u.degree, 4))
 
 
-def is_convex(body: RadialGraph, tol: float | None = None) -> bool:
-    """Convexity certificate at the quadrature nodes.
+def is_convex(body: RadialGraph) -> bool:
+    """Convexity certificate: :func:`second_fundamental_min` >= ``-1e-8 max h^2`` for n = 3.
 
-    For n = 3 this checks the second fundamental form; axisymmetric bodies
-    in other dimensions are convex exactly when their meridian section is.
+    Axisymmetric bodies in higher dimensions are convex exactly when their
+    meridian section is, which is checked on its planar grid.
     """
     if body.perturbation is None:
         return True
     if body.n == 3:
-        if tol is None:
-            tol = 1e-8 * float(np.max(body.h_nodes)) ** 2
-        return second_fundamental_min(body) >= -tol
+        return second_fundamental_min(body) >= -_CONVEX_RTOL * float(np.max(body.h_nodes)) ** 2
     return _zonal_section_curve(body).is_convex()
 
 

@@ -198,15 +198,6 @@ def _experiment_quadrature(n: int, k: int):
     return sphere.default_quadrature(n, max(k, 8))
 
 
-def _matched_gap(n: int, r: float, k: int, eps: float, quad) -> float:
-    u = _mode_field(n, k, eps)
-    raw = bd.RadialGraph(n, r, u, quad=quad)
-    target = bd.gaussian_volume(bd.RadialGraph(n, r, None, quad=quad))
-    matched = bd.volume_match(raw, target)
-    ball = bd.RadialGraph(n, r, None, quad=quad)
-    return bd.curvature_energy_nd(matched) - bd.curvature_energy_nd(ball)
-
-
 def measure_second_variation(n: int, r: float, k: int, epsilon: float = 1e-3) -> VariationReport:
     """Measure the quadratic energy gap of a pure even mode around the ball.
 
@@ -226,8 +217,15 @@ def measure_second_variation(n: int, r: float, k: int, epsilon: float = 1e-3) ->
         # The smallest Richardson level is epsilon/4 and must clear the noise floor.
         raise ValueError(f"epsilon must lie in [{4 * EPSILON_FLOOR}, {EPSILON_CAP}]")
     quad_rule = _experiment_quadrature(n, k)
+    ball = bd.RadialGraph(n, r, None, quad=quad_rule)
+    target, ball_energy = bd.gaussian_volume(ball), bd.curvature_energy_nd(ball)
+
+    def matched_gap(eps: float) -> float:
+        raw = bd.RadialGraph(n, r, _mode_field(n, k, eps), quad=quad_rule)
+        return bd.curvature_energy_nd(bd.volume_match(raw, target)) - ball_energy
+
     eps_levels = (epsilon, epsilon / 2.0, epsilon / 4.0)
-    gaps = tuple(_matched_gap(n, r, k, e, quad_rule) for e in eps_levels)
+    gaps = tuple(matched_gap(e) for e in eps_levels)
     q = [g / e**2 for g, e in zip(gaps, eps_levels)]
     lvl1 = 2.0 * q[1] - q[0]
     lvl2 = 2.0 * q[2] - q[1]

@@ -64,6 +64,8 @@ DEFAULT_GRID = 1024
 ORIGIN_CLEARANCE = 1e-6
 # Largest relative error estimate a translated weighted area may return.
 AREA_RTOL = 1e-10
+# The convexity certificate may dip to -_CONVEX_RTOL max rho^2 from rounding.
+_CONVEX_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -198,10 +200,8 @@ class PolarCurve:
         """Curvature numerator ``rho^2 + 2 rho'^2 - rho rho''`` on the grid."""
         return self.rho**2 + 2.0 * self.drho**2 - self.rho * self.ddrho
 
-    def is_convex(self, tol: float | None = None) -> bool:
-        if tol is None:
-            tol = 1e-10 * float(np.max(self.rho)) ** 2
-        return float(np.min(self.convexity_certificate)) >= -tol
+    def is_convex(self) -> bool:
+        return float(np.min(self.convexity_certificate)) >= -_CONVEX_RTOL * float(np.max(self.rho)) ** 2
 
     @property
     def min_radius(self) -> float:

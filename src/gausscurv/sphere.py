@@ -17,7 +17,8 @@ realises every Laplace-Beltrami eigenvalue and is all the higher-dimensional
 experiments need.  Gradients are gradients of the degree-0 homogeneous
 extension, hence always tangent.  The S^2 tables come from the normalised
 associated-Legendre recurrence, run also on P_l^m / sin(theta) so that the
-gradient formula stays regular at the poles.
+gradient formula stays regular at the poles.  Covariant Hessians differentiate
+the exactly projected gradient on S^2 and have a closed form for zonal fields.
 
 Every evaluation takes ``points=None`` for the quadrature nodes, an (m, n)
 array of unit vectors for m results, or one (n,) unit vector for a single
@@ -48,13 +49,13 @@ __all__ = [
     "analyze",
     "laplace_beltrami",
     "field_gradient",
+    "hessian",
     "hessian_form",
 ]
 
 MAX_DIMENSION = 8
 MAX_DEGREE = 64
 _MAX_NODES = 3_000_000
-_HESSIAN_RESIDUAL_TOL = 1e-6
 
 
 def sphere_area(n: int) -> float:
@@ -121,22 +122,10 @@ def build_quadrature(n: int, degree: int) -> SphereQuadrature:
     est = max(degree + 1, 4) * (degree // 2 + 1) ** max(n - 2, 0)
     if est > _MAX_NODES:
         raise ValueError(f"product rule for (n={n}, degree={degree}) needs ~{est} nodes")
-    if n == 2:
-        nodes, wts = _circle_rule(degree)
-    elif n == 3:
+    nodes, wts = _chain_rule(n, degree)
+    if n == 3:
         # Polar axis x_3: matches the usual real-harmonic conventions.
-        m = degree // 2 + 1
-        t, wt = roots_jacobi(m, 0.0, 0.0)
-        mphi = max(degree + 1, 4)
-        phi = 2.0 * np.pi * np.arange(mphi) / mphi
-        s = np.sqrt(1.0 - t**2)
-        nodes = np.empty((m * mphi, 3))
-        nodes[:, 0] = np.repeat(s, mphi) * np.tile(np.cos(phi), m)
-        nodes[:, 1] = np.repeat(s, mphi) * np.tile(np.sin(phi), m)
-        nodes[:, 2] = np.repeat(t, mphi)
-        wts = np.repeat(wt, mphi) * (2.0 * np.pi / mphi)
-    else:
-        nodes, wts = _chain_rule(n, degree)
+        nodes = nodes[:, [1, 2, 0]]
     return _frozen_rule(n, degree, nodes, wts)
 
 
@@ -255,14 +244,6 @@ class HarmonicField:
         c[k * k if n == 3 else k] = amplitude
         return cls(n=n, degree=L, coeffs=c)
 
-    def lifted(self, degree: int) -> "HarmonicField":
-        """Embed into a larger basis (coefficient blocks are degree-ordered)."""
-        if degree < self.degree:
-            raise ValueError("cannot lift to a smaller degree")
-        c = np.zeros(basis_size(self.n, degree))
-        c[: self.coeffs.size] = self.coeffs
-        return HarmonicField(n=self.n, degree=degree, coeffs=c, parity=self.parity)
-
     def norm_l2(self) -> float:
         return float(np.linalg.norm(self.coeffs))
 
@@ -290,8 +271,9 @@ class _Tables:
 
     Subclasses provide ``values_at(X)``, shape (basis, m), and
     ``gradients_at(X)``, shape (basis, m, n), for unit points ``X`` of shape
-    (m, n).  Node values are built with the basis; the node-gradient table,
-    the larger of the two, only on first use.
+    (m, n), and ``hessians_at(coeffs, X)``, the covariant Hessians (m, n, n)
+    of the field with those coefficients.  Node values are built with the
+    basis; the node-gradient table, the larger of the two, only on first use.
     """
 
     def __init__(self, quad: SphereQuadrature):
@@ -402,6 +384,24 @@ class _FullBasis3D(_Tables):
             out[sin_rows] = (dP * sn)[:, :, None] * e_theta + (mQ * c)[:, :, None] * e_phi
         return out
 
+    def hessians_at(self, coeffs: np.ndarray, X: np.ndarray) -> np.ndarray:
+        # Each component of grad u is a spherical polynomial of degree L + 1, so
+        # its projection at that degree is exact on a rule of degree 2L + 2.  The
+        # gradients of the three projected fields are the rows of the Jacobian J
+        # of grad u, and P J P with P = I - x x^T is the covariant Hessian.
+        q, L1 = self.quad, self.L + 1
+        if L1 > MAX_DEGREE or q.degree < 2 * L1:
+            raise QuadratureError(
+                f"the Hessian of a degree-{self.L} field needs a rule of degree {2 * L1}, got {q.degree}"
+            )
+        up = _basis(3, L1, q)
+        grad = np.einsum("b,bmi->mi", coeffs, self.Gn, optimize=True)
+        C = up.V @ (q.weights[:, None] * grad)
+        G = up.Gn if X is q.nodes else up.gradients_at(X)
+        J = np.einsum("bi,bmj->mij", C, G, optimize=True)
+        P = np.eye(3) - X[:, :, None] * X[:, None, :]
+        return P @ J @ P
+
 
 class _ZonalBasis(_Tables):
     """L2-normalised Gegenbauer polynomials in t = <x, e_1> on S^(n-1)."""
@@ -423,21 +423,32 @@ class _ZonalBasis(_Tables):
         self.k = k
         super().__init__(quad)
 
+    def _derivatives(self, t: np.ndarray, order: int) -> np.ndarray:
+        """Row k: d^j/dt^j C_k^lam(t) = 2^j lam...(lam+j-1) C_(k-j)^(lam+j), normalised."""
+        out = np.zeros((self.L + 1, t.size))
+        if self.L >= order:
+            scale = math.prod(2.0 * (self.lam + j) for j in range(order))
+            out[order:] = (scale * self.norms[order:, None]) * eval_gegenbauer(
+                self.k[: self.L + 1 - order, None], self.lam + order, t[None, :]
+            )
+        return out
+
     def values_at(self, X: np.ndarray) -> np.ndarray:
-        t = np.atleast_2d(X)[:, 0]
-        return self.norms[:, None] * eval_gegenbauer(self.k[:, None], self.lam, t[None, :])
+        return self._derivatives(np.atleast_2d(X)[:, 0], 0)
 
     def gradients_at(self, X: np.ndarray) -> np.ndarray:
-        # grad C_k(<x, e_1>) = C_k'(t) (e_1 - t x), with C_k' = 2 lam C_(k-1)^(lam+1).
+        # grad g(<x, e_1>) = g'(t) a, with a = e_1 - t x.
         X = np.atleast_2d(X)
+        a = np.eye(X.shape[1])[0] - X[:, :1] * X
+        return self._derivatives(X[:, 0], 1)[:, :, None] * a[None, :, :]
+
+    def hessians_at(self, coeffs: np.ndarray, X: np.ndarray) -> np.ndarray:
+        # Hess g(<x, e_1>) = g''(t) a a^T - t g'(t) P, with P = I - x x^T.
         t = X[:, 0]
-        dg = np.zeros((self.L + 1, t.size))
-        dg[1:] = (2.0 * self.lam * self.norms[1:, None]) * eval_gegenbauer(
-            self.k[:-1, None], self.lam + 1.0, t[None, :]
-        )
-        tangent = -t[:, None] * X
-        tangent[:, 0] += 1.0
-        return dg[:, :, None] * tangent[None, :, :]
+        d1, d2 = (coeffs @ self._derivatives(t, j) for j in (1, 2))
+        a = np.eye(X.shape[1])[0] - X[:, :1] * X
+        P = np.eye(X.shape[1]) - X[:, :, None] * X[:, None, :]
+        return d2[:, None, None] * a[:, :, None] * a[:, None, :] - (t * d1)[:, None, None] * P
 
 
 def _basis(n: int, L: int, quad: SphereQuadrature):
@@ -505,39 +516,39 @@ def field_gradient(field: HarmonicField, quad: SphereQuadrature | None = None, p
     return g[0] if single else g
 
 
-def _squared_gradient_field(field: HarmonicField, quad: SphereQuadrature):
-    """Project |grad u|^2 onto the basis with doubled degree headroom.
+def hessian(field: HarmonicField, quad: SphereQuadrature | None = None, points=None) -> np.ndarray:
+    """Covariant Hessian at every node, shape (nodes, n, n), or at unit ``points``.
 
-    Returns the projection and the gradient of ``u`` at the nodes.
-    """
-    lifted = field.lifted(min(2 * field.degree, MAX_DEGREE))
-    g = field_gradient(lifted, quad)
-    sq = np.einsum("mi,mi->m", g, g)
-    sq_field = analyze(sq, field.n, lifted.degree, quad)
-    resid = float(np.max(np.abs(synthesize(sq_field, quad) - sq)))
-    if resid > _HESSIAN_RESIDUAL_TOL * (1.0 + float(np.max(np.abs(sq)))):
-        raise QuadratureError(
-            f"projection residual {resid:g} of |grad u|^2 exceeds headroom tolerance"
-        )
-    return sq_field, g
-
-
-def hessian_form(field: HarmonicField, quad: SphereQuadrature | None = None, points=None):
-    """The cubic form (1/2) <grad |grad u|^2, grad u> at every node, or at unit ``points``.
-
-    ``points`` follows :func:`field_gradient`: (m, n) gives m values, (n,) one
-    float.  |grad u|^2 is projected once per call, on the nodes of ``quad``.
+    ``points`` of shape (m, n) gives an (m, n, n) array, a single (n,) vector
+    one (n, n) matrix, symmetric and zero on the point's own direction.  On
+    S^2 the components of grad u are projected at degree L + 1 on the nodes of
+    ``quad`` and differentiated again; for n >= 4 a closed form serves.
 
     Raises
     ------
     QuadratureError
-        When ``quad`` is too coarse to represent |grad u|^2.
+        On S^2, when ``quad`` has degree below 2L + 2 or L + 1 exceeds 64.
     """
-    q = quad if quad is not None else default_quadrature(field.n, field.degree)
-    sq_field, g = _squared_gradient_field(field, q)
-    if points is not None:
-        g = field_gradient(field, q, points)
-    form = 0.5 * np.einsum("...i,...i->...", field_gradient(sq_field, q, points), g)
+    b = _basis_for(field, quad)
+    # At the nodes X is the rule's own array, which lets cached tables serve.
+    X, single = _points(b.quad.nodes if points is None else points)
+    H = b.hessians_at(field.coeffs, X)
+    return H[0] if single else H
+
+
+def hessian_form(field: HarmonicField, quad: SphereQuadrature | None = None, points=None):
+    """The cubic form Hess u(grad u, grad u) at every node, or at unit ``points``.
+
+    It equals (1/2) <grad |grad u|^2, grad u>.  ``points`` follows
+    :func:`field_gradient`: (m, n) gives m values, (n,) one float.
+
+    Raises
+    ------
+    QuadratureError
+        As :func:`hessian`.
+    """
+    g = field_gradient(field, quad, points)
+    form = np.einsum("...i,...ij,...j->...", g, hessian(field, quad, points), g)
     return float(form) if form.ndim == 0 else form
 
 

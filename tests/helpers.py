@@ -5,7 +5,10 @@ polar radii are summed mode by mode with dense cos/sin matrices, curve
 geometry is differentiated by finite differences of the Cartesian
 parametrisation, sphere operators act on the homogeneous extension through
 finite-difference stencils, and areas come from Monte Carlo sampling, from
-adaptive quadrature along rays, or from 1D integrals over circles.
+adaptive quadrature along rays, or from 1D integrals over circles.  Second
+derivatives on the sphere also have the library's former evaluation paths
+as oracles: the projection of |grad u|^2, the Weingarten assembly of the
+second fundamental form, and the meridian section of an axisymmetric body.
 """
 
 import numpy as np
@@ -238,6 +241,55 @@ def fd_hessian_form(field_eval, x, step=1e-4):
     return 0.5 * float(np.dot(gs, g))
 
 
+def fd_hessian(field_eval, x, step=1e-3):
+    """Covariant Hessian ``P D^2 U P`` from central differences of the extension.
+
+    The extension ``U`` is 0-homogeneous, so its radial derivative vanishes
+    and the covariant Hessian is the tangential block of the ambient one.
+    Richardson on steps h and 2h makes the mixed stencil fourth order.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    eye = np.eye(n)
+
+    def ambient(h):
+        D = np.empty((n, n))
+        for i in range(n):
+            for j in range(n):
+                vals = [
+                    _extension(field_eval, x + h * (si * eye[i] + sj * eye[j]))
+                    for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))
+                ]
+                D[i, j] = (vals[0] - vals[1] - vals[2] + vals[3]) / (4 * h * h)
+        return D
+
+    D = (4 * ambient(step) - ambient(2 * step)) / 3
+    P = eye - np.outer(x, x)
+    return P @ D @ P
+
+
+def projected_hessian_form(field, quad, points=None):
+    """(1/2) <grad |grad u|^2, grad u> with |grad u|^2 projected at degree 2L on ``quad``.
+
+    |grad u|^2 lies in the span of the harmonics up to degree 2L, so the
+    projection is exact once ``quad`` integrates degree 4L; the residual at
+    the nodes is asserted small.
+    """
+    from gausscurv import sphere
+
+    L2 = min(2 * field.degree, sphere.MAX_DEGREE)
+    coeffs = np.zeros(sphere.basis_size(field.n, L2))
+    coeffs[: field.coeffs.size] = field.coeffs
+    lifted = sphere.HarmonicField(n=field.n, degree=L2, coeffs=coeffs)
+    g = sphere.field_gradient(lifted, quad)
+    sq = np.einsum("mi,mi->m", g, g)
+    sq_field = sphere.analyze(sq, field.n, L2, quad)
+    assert np.max(np.abs(sphere.synthesize(sq_field, quad) - sq)) <= 1e-10 * (1.0 + np.max(sq))
+    if points is not None:
+        g = sphere.field_gradient(field, quad, points)
+    return 0.5 * np.einsum("...i,...i->...", sphere.field_gradient(sq_field, quad, points), g)
+
+
 def monomial_sphere_moment(n, exponents):
     """Closed-form integral of a monomial with even exponents over S^(n-1)."""
     from math import gamma
@@ -335,3 +387,43 @@ def loop_tangent_frames(nodes):
             out.append(v / np.linalg.norm(v))
         frames[idx] = np.array(out)
     return frames
+
+
+def weingarten_second_fundamental_min(body):
+    """Smallest eigenvalue of the second fundamental form on S^2 by the Weingarten map.
+
+    The three components of the unnormalised Gauss map ``x h - grad h`` are
+    projected at degree 2L and differentiated; the form pairs that
+    derivative with the derivative ``h tau + <grad h, tau> x`` of the boundary.
+    """
+    from gausscurv import sphere
+
+    quad, X = body.quad, body.quad.nodes
+    L2 = min(2 * body.perturbation.degree, sphere.MAX_DEGREE)
+    h, grad_h = body.h_nodes, body.grad_nodes
+    psi = [sphere.analyze(X[:, i] * h - grad_h[:, i], 3, L2, quad) for i in range(3)]
+    Gpsi = np.stack([sphere.field_gradient(f, quad) for f in psi])
+    tau = loop_tangent_frames(X)
+    A = np.einsum("imc,mac->mia", Gpsi, tau)
+    gtau = np.einsum("mc,mbc->mb", grad_h, tau)
+    dF = gtau[:, :, None] * X[:, None, :] + h[:, None, None] * tau
+    form = np.einsum("mia,mbi->mab", A, dF)
+    return float(np.min(np.linalg.eigvalsh(0.5 * (form + np.swapaxes(form, 1, 2)))))
+
+
+def section_certificate(body, theta):
+    """``rho^2 + 2 rho'^2 - rho rho''`` of the meridian section of a zonal body at ``theta``.
+
+    The section ``rho(theta) = h(cos theta, sin theta, 0, ...)`` is a
+    trigonometric polynomial of the field's degree, fitted as a planar curve.
+    """
+    from gausscurv import plane, sphere
+
+    def section(th):
+        pts = np.zeros((th.size, body.n))
+        pts[:, 0], pts[:, 1] = np.cos(th), np.sin(th)
+        return body.radius * (1.0 + sphere.synthesize(body.perturbation, body.quad, points=pts))
+
+    curve = plane.PolarCurve.from_function(section, degree=max(body.perturbation.degree, 4))
+    rho, drho, ddrho = curve.rho_at(theta), curve.drho_at(theta), curve.ddrho_at(theta)
+    return rho**2 + 2.0 * drho**2 - rho * ddrho

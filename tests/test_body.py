@@ -318,6 +318,54 @@ def test_convexity_certificate_ball_and_perturbations():
     assert not bd.is_convex(rough)
 
 
+@pytest.mark.parametrize("n", range(3, 9))
+def test_second_fundamental_min_of_ball_is_r_squared(n):
+    assert bd.second_fundamental_min(RadialGraph(n, 1.7)) == pytest.approx(1.7**2, rel=1e-14)
+
+
+def test_second_fundamental_min_matches_weingarten_oracle():
+    for trial in range(50):
+        graph = cli.random_even_body(7, trial, 3, 1.0 + trial % 4, (1e-2, 0.1, 0.3)[trial % 3])
+        oracle = helpers.weingarten_second_fundamental_min(graph)
+        assert bd.second_fundamental_min(graph) == pytest.approx(oracle, rel=1e-12), trial
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_second_fundamental_min_sign_in_higher_dimensions(n):
+    gentle = RadialGraph(n, 1.0, zonal_mode(n, 2, 1e-2))
+    rough = RadialGraph(n, 1.0, zonal_mode(n, 4, 0.5))
+    assert bd.second_fundamental_min(gentle) > 0.0 and bd.is_convex(gentle)
+    assert bd.second_fundamental_min(rough) < 0.0 and not bd.is_convex(rough)
+    assert np.min(helpers.section_certificate(rough, np.linspace(0, np.pi, 257))) < 0.0
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_meridian_direction_of_form_is_section_certificate(n):
+    # Along the meridian the form h^2 + 2 h_theta^2 - h h_theta_theta is the
+    # planar certificate of the section curve at the node's angle.
+    u = HarmonicField(n=n, degree=8, coeffs=np.random.default_rng(n).normal(size=9) / np.arange(1, 10) ** 3)
+    graph = RadialGraph(n, 1.3, u)
+    X = graph.quad.nodes
+    theta = np.arctan2(X[:, 1], X[:, 0])
+    e = np.zeros_like(X)
+    e[:, 0], e[:, 1] = -np.sin(theta), np.cos(theta)
+    h, g = graph.h_nodes, graph.grad_nodes
+    form = h**2 + 2.0 * np.einsum("mi,mi->m", g, e) ** 2
+    form -= h * np.einsum("mi,mij,mj->m", e, graph.hess_nodes, e)
+    certificate = helpers.section_certificate(graph, theta)
+    assert np.max(np.abs(form - certificate)) <= 1e-12 * np.max(np.abs(certificate))
+
+
+def test_calibration_builds_tables_one_degree_above_the_body():
+    # The Hessian projects degree-7 gradient components; no degree-12 tables.
+    base = sphere.build_quadrature(3, 24)
+    rule = sphere.SphereQuadrature(n=3, degree=24, nodes=base.nodes, weights=base.weights)
+    u = cli.random_even_body(1, 0, 3, 3.0, 1e-2).perturbation
+    graph = RadialGraph(3, 3.0, u, quad=rule)
+    experiments.calibration_check(graph, M=float(np.max(bd.mean_curvature(graph))))
+    assert set(rule._bases) == {6, 7}
+
+
 def test_tangent_frames_match_node_loop():
     for n in (3, 4):
         nodes = sphere.build_quadrature(n, 8).nodes

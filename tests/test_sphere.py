@@ -325,6 +325,86 @@ def test_even_mean_zero_poincare(seed):
 
 
 # ---------------------------------------------------------------------------
+# covariant Hessian
+
+
+def random_unit_points(n, m, seed):
+    X = np.random.default_rng(seed).normal(size=(m, n))
+    return X / np.linalg.norm(X, axis=1)[:, None]
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("L", [1, 2, 5, 9, 16, 31])
+def test_hessian_trace_is_laplace_beltrami(n, L):
+    u = random_field(n, L, seed=10 * n + L)
+    q = sphere.default_quadrature(n, L)
+    lap = sphere.laplace_beltrami(u)
+    for pts in (None, random_unit_points(n, 40, seed=L)):
+        trace = np.trace(sphere.hessian(u, q, pts), axis1=1, axis2=2)
+        ref = sphere.synthesize(lap, q, pts)
+        assert np.max(np.abs(trace - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_hessian_is_symmetric_and_tangent(n):
+    u = random_field(n, 9, seed=n)
+    q = sphere.default_quadrature(n, 9)
+    for X in (q.nodes, random_unit_points(n, 40, seed=n)):
+        H = sphere.hessian(u, q, None if X is q.nodes else X)
+        scale = np.max(np.abs(H))
+        assert np.max(np.abs(H - H.transpose(0, 2, 1))) <= 1e-12 * scale
+        assert np.max(np.abs(np.einsum("mij,mj->mi", H, X))) <= 1e-14 * scale
+    single = sphere.hessian(u, q, X[0])
+    assert single.shape == (n, n)
+    np.testing.assert_allclose(single, H[0], rtol=0, atol=1e-14 * scale)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_hessian_fd_oracle_at_nodes_and_poles(n):
+    u = random_field(n, 4, seed=31, amplitude=0.1)
+    q = sphere.default_quadrature(n, 4)
+
+    def u_eval(x):
+        return float(sphere.synthesize(u, q, points=np.atleast_2d(x))[0])
+
+    # The basis poles: x_3 on S^2, x_1 for the zonal family.
+    pole = np.eye(n)[2 if n == 3 else 0]
+    nodes = sphere.hessian(u, q)
+    for x, H in ((q.nodes[1], nodes[1]), (q.nodes[q.size // 2], nodes[q.size // 2]),
+                 (pole, sphere.hessian(u, q, pole)), (-pole, sphere.hessian(u, q, -pole))):
+        np.testing.assert_allclose(H, helpers.fd_hessian(u_eval, x), rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("k", [2, 17, 31])
+def test_hessian_of_zonal_s2_harmonic_matches_legendre_closed_form(k):
+    # u = N P_k(x_3): Hess u = g'' a a^T - t g' P with t = x_3, a = e_3 - t x.
+    # Degree 31 is the highest whose Hessian the default degree-64 rule resolves.
+    from numpy.polynomial.legendre import Legendre
+
+    u = HarmonicField.single_mode(3, k, 1.0, degree=k)
+    q = sphere.default_quadrature(3, k)
+    g = Legendre.basis(k) * math.sqrt((2 * k + 1) / (4.0 * math.pi))
+    X = np.vstack([q.nodes[:: max(1, q.size // 200)], [[0.0, 0.0, 1.0]]])
+    t = X[:, 2]
+    a = np.eye(3)[2] - t[:, None] * X
+    P = np.eye(3) - X[:, :, None] * X[:, None, :]
+    expected = g.deriv(2)(t)[:, None, None] * a[:, :, None] * a[:, None, :]
+    expected -= (t * g.deriv(1)(t))[:, None, None] * P
+    H = sphere.hessian(u, q, X)
+    assert np.max(np.abs(H - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_hessian_rejects_degree_beyond_tables():
+    # The gradient components of a degree-64 field have degree 65, above the
+    # cap, even on a rule that claims enough degree (few nodes keep it cheap).
+    base = build_quadrature(3, 2)
+    rule = sphere.SphereQuadrature(n=3, degree=2 * sphere.MAX_DEGREE + 2, nodes=base.nodes, weights=base.weights)
+    u = random_field(3, sphere.MAX_DEGREE, seed=2)
+    with pytest.raises(QuadratureError, match="degree"):
+        sphere.hessian(u, rule)
+
+
+# ---------------------------------------------------------------------------
 # Hessian cubic form
 
 
@@ -354,9 +434,21 @@ def test_hessian_form_fd_oracle(n):
 
 
 def test_hessian_form_rejects_insufficient_headroom():
-    # A degree-10 field analysed with a low-order quadrature cannot represent
-    # its squared gradient; the projection residual must trip.
+    # The Hessian of a degree-10 field projects its degree-11 gradient
+    # components, which needs a rule of degree 22; a degree-12 rule must raise.
     u = random_field(3, 10, seed=4, amplitude=5.0)
     q = build_quadrature(3, 12)
     with pytest.raises(QuadratureError):
         sphere.hessian_form(u, q)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("L", [3, 8, 16])
+def test_hessian_form_matches_projected_oracle(n, L):
+    u = random_field(n, L, seed=7 * n + L)
+    q = sphere.default_quadrature(n, L)
+    oracle = helpers.projected_hessian_form(u, q)
+    assert np.max(np.abs(sphere.hessian_form(u, q) - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+    pts = random_unit_points(n, 20, seed=L)
+    oracle = helpers.projected_hessian_form(u, q, pts)
+    assert np.max(np.abs(sphere.hessian_form(u, q, pts) - oracle)) <= 1e-12 * np.max(np.abs(oracle))
