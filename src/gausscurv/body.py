@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import gammainc
+from scipy.special import gammainc, gammaincinv
 
 from . import plane, sphere
 from .errors import QuadratureError
@@ -56,26 +56,26 @@ class RadialGraph:
 
     Parameters
     ----------
-    n : ambient dimension, at least 3.
+    n : ambient dimension, 3..8.
     radius : base radius ``r`` (positive).
-    perturbation : optional :class:`sphere.HarmonicField` ``u``; None means a ball.
+    perturbation : :class:`sphere.HarmonicField` ``u``; None stores a ball as the zero field.
     quad : quadrature used for all node values and surface integrals; the
         default has enough degree headroom for nonlinear products of ``u``.
     """
 
     def __init__(self, n, radius, perturbation=None, quad=None):
-        if n < 3:
-            raise ValueError(f"radial graphs need dimension >= 3, got {n}")
+        # The field validates the dimension, the zero field included.
         if radius <= 0:
             raise ValueError(f"base radius must be positive, got {radius}")
-        if perturbation is not None and perturbation.n != n:
+        if perturbation is None:
+            perturbation = sphere.HarmonicField.zero(n, 0)
+        if perturbation.n != n:
             raise ValueError("perturbation dimension does not match the body")
         self.n = int(n)
         self.radius = float(radius)
         self.perturbation = perturbation
         if quad is None:
-            L = perturbation.degree if perturbation is not None else 4
-            quad = sphere.default_quadrature(n, max(L, 4))
+            quad = sphere.default_quadrature(n, max(perturbation.degree, 4))
         self.quad = quad
         if np.min(self.h_nodes) <= 0.0:
             raise ValueError("boundary radius must stay positive at every node")
@@ -87,7 +87,8 @@ class RadialGraph:
         Without ``quad`` the fit runs on the product rule, so for n >= 4 a
         callable that is not zonal is replaced by its L2 projection onto the
         zonal fields (its average over each subsphere ``x_1 = t``); the body
-        is then built on the default rule.
+        is then built on the default rule.  The fit raises
+        :class:`QuadratureError` above half the fit rule's degree (32 by default).
         """
         fit_quad = quad
         if quad is None:
@@ -104,29 +105,21 @@ class RadialGraph:
 
     @cached_property
     def h_nodes(self) -> np.ndarray:
-        if self.perturbation is None:
-            return np.full(self.quad.size, self.radius)
         u = sphere.synthesize(self.perturbation, self.quad)
         return self.radius * (1.0 + u)
 
     @cached_property
     def grad_nodes(self) -> np.ndarray:
-        if self.perturbation is None:
-            return np.zeros((self.quad.size, self.n))
         return self.radius * sphere.field_gradient(self.perturbation, self.quad)
 
     @cached_property
     def lap_nodes(self) -> np.ndarray:
-        if self.perturbation is None:
-            return np.zeros(self.quad.size)
         lap_u = sphere.laplace_beltrami(self.perturbation)
         return self.radius * sphere.synthesize(lap_u, self.quad)
 
     @cached_property
     def hess_nodes(self) -> np.ndarray:
         """Covariant Hessian of ``h`` at the nodes, shape (nodes, n, n)."""
-        if self.perturbation is None:
-            return np.zeros((self.quad.size, self.n, self.n))
         return self.radius * sphere.hessian(self.perturbation, self.quad)
 
     @cached_property
@@ -150,13 +143,11 @@ class RadialGraph:
     @property
     def is_symmetric(self) -> bool:
         """True when the body equals its reflection through the origin."""
-        return self.perturbation is None or self.perturbation.parity == "even"
+        return self.perturbation.parity == "even"
 
     @property
     def perturbation_magnitude(self) -> float:
         """Coefficient-based W^(2,inf)-style size estimate of ``u`` (heuristic)."""
-        if self.perturbation is None:
-            return 0.0
         lam = np.array([sphere.eigenvalue(self.n, k) for k in self.perturbation.degrees])
         return float(np.sum(np.abs(self.perturbation.coeffs) * (1.0 + lam)))
 
@@ -169,11 +160,10 @@ def mean_curvature(body: RadialGraph, points=None):
 
     ``points`` of shape (m, n) gives m values, a single (n,) vector one float.
     """
-    n, r = body.n, body.radius
+    n, r, u = body.n, body.radius, body.perturbation
     if points is None:
         h, sq, lap, hess = body.h_nodes, body.sq_grad_nodes, body.lap_nodes, body.hessian_form_nodes
     else:
-        u = body.perturbation if body.perturbation is not None else sphere.HarmonicField.zero(n, 2)
         h = r * (1.0 + sphere.synthesize(u, body.quad, points))
         grad = r * sphere.field_gradient(u, body.quad, points)
         sq = np.einsum("...i,...i->...", grad, grad)
@@ -337,8 +327,6 @@ def is_convex(body: RadialGraph) -> bool:
     Axisymmetric bodies in higher dimensions are convex exactly when their
     meridian section is, which is checked on its planar grid.
     """
-    if body.perturbation is None:
-        return True
     if body.n == 3:
         return second_fundamental_min(body) >= -_CONVEX_RTOL * float(np.max(body.h_nodes)) ** 2
     return _zonal_section_curve(body).is_convex()
@@ -377,9 +365,8 @@ def gaussian_radial_integral(n: int, h):
 
 
 def ball_gaussian_volume(n: int, r) -> float:
-    """Gaussian measure of the centred ball of radius ``r``."""
-    area = sphere.sphere_area(n)
-    return area * gaussian_radial_integral(n, r) / (2.0 * math.pi) ** (n / 2.0)
+    """Gaussian measure of the centred ball of radius ``r``: the chi_n CDF ``P(n/2, r^2/2)``."""
+    return gammainc(n / 2.0, 0.5 * np.square(r))
 
 
 def ball_energy(n: int, r: float) -> float:
@@ -388,24 +375,15 @@ def ball_energy(n: int, r: float) -> float:
 
 
 def ball_match_radius(n: int, target: float) -> float:
-    """Radius of the centred ball with prescribed Gaussian volume."""
+    """Radius of the centred ball with Gaussian volume ``target``: the chi_n quantile."""
     if not 0.0 < target < 1.0:
         raise ValueError("target Gaussian volume must lie in (0, 1)")
-    hi = 1.0
-    while ball_gaussian_volume(n, hi) < target:
-        hi *= 2.0
-        if hi > 1e3:
-            raise ValueError("target volume is numerically indistinguishable from 1")
-    return brentq(
-        lambda r: ball_gaussian_volume(n, r) - target, 0.0, hi, xtol=1e-15, rtol=8.9e-16
-    )
+    return math.sqrt(2.0 * gammaincinv(n / 2.0, target))
 
 
 def save_body(body: RadialGraph, path) -> None:
-    """Write ``n L parity`` and the spectral coefficients of ``h`` as plain text."""
+    """Write ``n L parity`` and the spectral coefficients of ``h`` as plain text; a ball has L = 0."""
     u = body.perturbation
-    if u is None:
-        u = sphere.HarmonicField.zero(body.n, 2)
     coeffs = body.radius * u.coeffs.copy()
     coeffs[0] += body.radius * math.sqrt(sphere.sphere_area(body.n))
     with open(path, "w") as fh:

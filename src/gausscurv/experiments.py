@@ -217,7 +217,7 @@ def measure_second_variation(n: int, r: float, k: int, epsilon: float = 1e-3) ->
         # The smallest Richardson level is epsilon/4 and must clear the noise floor.
         raise ValueError(f"epsilon must lie in [{4 * EPSILON_FLOOR}, {EPSILON_CAP}]")
     quad_rule = _experiment_quadrature(n, k)
-    ball = bd.RadialGraph(n, r, None, quad=quad_rule)
+    ball = bd.RadialGraph(n, r, quad=quad_rule)
     target, ball_energy = bd.gaussian_volume(ball), bd.curvature_energy_nd(ball)
 
     def matched_gap(eps: float) -> float:
@@ -310,7 +310,8 @@ def calibration_check(graph: bd.RadialGraph, M: float) -> CalibrationResult:
     psi(sqrt(n-2)))``.  Three inscribed-radius gates are reported separately
     because they differ subtly: ``r_E >= 2M``, ``r_E >= sqrt(2(n-2))`` and
     ``r_E >= 2 sqrt(n-2)``.  Both inequalities are evaluated regardless of
-    the gates so that exploratory runs can see how far they degrade.
+    the gates so that exploratory runs can see how far they degrade.  Both
+    compare with :func:`body.ball_energy`, since on a ball ``h / slant = 1``.
 
     Raises
     ------
@@ -326,10 +327,10 @@ def calibration_check(graph: bd.RadialGraph, M: float) -> CalibrationResult:
     gate_volume = vol >= max(psi(2.0 * M), psi(math.sqrt(n - 2)))
     r_in = bd.inscribed_radius(graph)
     r = bd.ball_match_radius(n, vol)
-    ball = bd.RadialGraph(n, r, None, quad=graph.quad)
-    quad_slack = 1e-9 * (1.0 + abs(bd.ball_energy(n, r)))
-    ineq1 = _report(bd.curvature_energy_nd(graph), bd.curvature_energy_nd(ball), quad_slack)
-    ineq3 = _report(bd.flux_energy(graph), bd.flux_energy(ball), quad_slack)
+    ball_energy = bd.ball_energy(n, r)
+    quad_slack = 1e-9 * (1.0 + abs(ball_energy))
+    ineq1 = _report(bd.curvature_energy_nd(graph), ball_energy, quad_slack)
+    ineq3 = _report(bd.flux_energy(graph), ball_energy, quad_slack)
     return CalibrationResult(
         hypothesis_ok=bool(gate_volume),
         ineq1=ineq1,

@@ -487,7 +487,18 @@ def synthesize(field: HarmonicField, quad: SphereQuadrature | None = None, point
 
 
 def analyze(values, n: int, degree: int, quad: SphereQuadrature) -> HarmonicField:
-    """Project node values onto the basis up to ``degree`` by quadrature."""
+    """Project node values onto the basis up to ``degree`` by quadrature.
+
+    Raises
+    ------
+    QuadratureError
+        When ``quad`` has degree below ``2 * degree``: the products of basis
+        functions would not be integrated exactly, and higher harmonics alias.
+    """
+    if quad.degree < 2 * degree:
+        raise QuadratureError(
+            f"projecting onto degree {degree} needs a rule of degree {2 * degree}, got {quad.degree}"
+        )
     b = _basis(n, degree, quad)
     return HarmonicField(n=n, degree=degree, coeffs=b.analyze(np.asarray(values, dtype=float)))
 

@@ -163,12 +163,16 @@ def _moment(power: int, r: float) -> float:
         lambda t: t**power * math.exp(-0.5 * r * r * t * t),
         0.0,
         1.0,
-        epsabs=1e-15,
+        epsabs=0.0,
         epsrel=RADIAL_RTOL,
         limit=200,
     )
-    if err > 1e-11 * max(1.0, abs(val)):
-        raise QuadratureError(f"radial moment t^{power} did not converge (err={err:g})")
+    # Relative: at large r the moments fall far below any absolute floor.  The
+    # integrand is positive, so a zero result means the peak at t = 0 was missed.
+    if not val > 0.0 or err > 1e-11 * val:
+        raise QuadratureError(
+            f"radial moment t^{power} did not converge (value={val:g}, err={err:g})"
+        )
     return val
 
 

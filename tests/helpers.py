@@ -9,6 +9,8 @@ adaptive quadrature along rays, or from 1D integrals over circles.  Second
 derivatives on the sphere also have the library's former evaluation paths
 as oracles: the projection of |grad u|^2, the Weingarten assembly of the
 second fundamental form, and the meridian section of an axisymmetric body.
+Ball volumes and matched radii have the sphere-area form and a bracketed
+root finder as oracles for the chi_n distribution function and quantile.
 """
 
 import numpy as np
@@ -358,6 +360,25 @@ def radial_gaussian_volume(body):
     n = body.n
     vals, _ = integrate_radial(lambda t: t ** (n - 1) * np.exp(-0.5 * t * t), body.h_nodes)
     return float(np.dot(body.quad.weights, vals)) / (2.0 * np.pi) ** (n / 2.0)
+
+
+def area_ball_gaussian_volume(n, r):
+    """Gaussian volume of the centred ball as sphere area times the radial integral."""
+    from gausscurv import body, sphere
+
+    return sphere.sphere_area(n) * body.gaussian_radial_integral(n, r) / (2.0 * np.pi) ** (n / 2.0)
+
+
+def brentq_ball_match_radius(n, target):
+    """Ball radius with Gaussian volume ``target`` by a doubling bracket and brentq."""
+    from scipy.optimize import brentq
+
+    hi = 1.0
+    while area_ball_gaussian_volume(n, hi) < target:
+        hi *= 2.0
+    return brentq(
+        lambda r: area_ball_gaussian_volume(n, r) - target, 0.0, hi, xtol=1e-15, rtol=8.9e-16
+    )
 
 
 def radial_inverse_square_flux_bulk(body):

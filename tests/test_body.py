@@ -10,6 +10,7 @@ import mesh_oracle
 from gausscurv import body as bd
 from gausscurv import cli, experiments, sphere
 from gausscurv.body import RadialGraph
+from gausscurv.errors import QuadratureError
 from gausscurv.sphere import HarmonicField
 
 # Frozen from the one-dimensional erf-based display evaluated independently.
@@ -24,8 +25,6 @@ def body_radius_fn(graph):
     """Evaluate h on arbitrary unit vectors, for the mesh oracle."""
 
     def fn(dirs):
-        if graph.perturbation is None:
-            return np.full(dirs.shape[0], graph.radius)
         vals = sphere.synthesize(graph.perturbation, graph.quad, points=dirs)
         return graph.radius * (1.0 + vals)
 
@@ -106,6 +105,26 @@ def test_from_function_projects_non_zonal_callable():
     np.testing.assert_allclose(graph.perturbation.coeffs, old.perturbation.coeffs, atol=1e-14)
 
 
+@pytest.mark.parametrize("L", [24, 32, 33, 40])
+def test_from_function_rejects_aliasing_degrees(L):
+    # The default S^2 fit rule has degree 64, which projects exactly up to degree 32.
+    block = np.zeros(sphere.basis_size(3, L))
+    block[L * L :] = np.random.default_rng(L).standard_normal(2 * L + 1)
+    field = HarmonicField(n=3, degree=L, coeffs=block)
+    rule = sphere.build_quadrature(3, 64)
+
+    def radius(dirs):
+        return 3.0 + 1e-3 * sphere.synthesize(field, rule, points=dirs)
+
+    if L > 32:
+        with pytest.raises(QuadratureError):
+            RadialGraph.from_function(3, radius, degree=L)
+        return
+    graph = RadialGraph.from_function(3, radius, degree=L)
+    fitted = graph.radius * graph.perturbation.coeffs[L * L :]
+    np.testing.assert_allclose(fitted, 1e-3 * block[L * L :], rtol=0.0, atol=1e-13)
+
+
 def test_mesh_curvature_oracle_converges():
     u = zonal_mode(3, 2, 0.05)
     graph = RadialGraph(3, 1.0, u)
@@ -138,6 +157,24 @@ def test_gaussian_volume_ball_closed_form():
 def test_gaussian_volume_small_ball_frozen_value():
     assert bd.ball_gaussian_volume(3, 0.1) == pytest.approx(GAMMA3_BALL_01, abs=1e-15)
     assert bd.gaussian_volume(RadialGraph(3, 0.1)) == pytest.approx(GAMMA3_BALL_01, abs=1e-13)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_ball_match_radius_inverts_ball_volume(n):
+    # Relative accuracy down to the smallest volumes, where an absolute xtol gave 0.
+    for v in np.geomspace(1e-300, 0.999, 40):
+        r = bd.ball_match_radius(n, v)
+        assert bd.ball_gaussian_volume(n, r) == pytest.approx(v, rel=1e-13, abs=0.0), v
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_ball_closed_forms_match_oracles(n):
+    for v in np.geomspace(1e-5, 0.999, 30):
+        r = bd.ball_match_radius(n, v)
+        assert r == pytest.approx(helpers.brentq_ball_match_radius(n, v), rel=5e-14, abs=0.0), v
+        assert bd.ball_gaussian_volume(n, r) == pytest.approx(
+            helpers.area_ball_gaussian_volume(n, r), rel=5e-14, abs=0.0
+        ), v
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -400,6 +437,37 @@ def test_body_integrals_bundle():
     assert bundle.gaussian_volume == pytest.approx(bd.gaussian_volume(graph))
     assert bundle.inscribed_radius == pytest.approx(bd.inscribed_radius(graph))
     assert np.isfinite(bundle.flux_energy) and np.isfinite(bundle.inverse_square_flux)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_ball_is_the_zero_field(n):
+    r = 1.7
+    ball = RadialGraph(n, r)
+    assert ball.perturbation.degree == 0
+    assert np.all(ball.h_nodes == r)
+    for nodes in (ball.grad_nodes, ball.lap_nodes, ball.hess_nodes):
+        assert not np.any(nodes)
+    np.testing.assert_allclose(bd.mean_curvature(ball), (n - 1) / r, rtol=1e-15)
+    np.testing.assert_allclose(bd.mean_curvature(ball, ball.quad.nodes[:5]), (n - 1) / r, rtol=1e-15)
+    assert bd.is_convex(ball)
+    assert ball.is_symmetric and ball.perturbation_magnitude == 0.0
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_ball_text_round_trip(n, tmp_path):
+    path = tmp_path / "ball.txt"
+    bd.save_body(RadialGraph(n, 2.5), path)
+    assert path.read_text().splitlines()[0] == f"{n} 0 even"
+    loaded = bd.load_body(path)
+    assert loaded.radius == pytest.approx(2.5, rel=1e-15)
+    assert not np.any(loaded.perturbation.coeffs)
+    # The older format wrote a ball as a degree-2 field with zero higher coefficients.
+    coeffs = np.zeros(sphere.basis_size(n, 2))
+    coeffs[0] = 2.5 * math.sqrt(sphere.sphere_area(n))
+    path.write_text(f"{n} 2 even\n" + " ".join(repr(float(c)) for c in coeffs) + "\n")
+    old = bd.load_body(path)
+    assert old.radius == pytest.approx(2.5, rel=1e-15)
+    np.testing.assert_allclose(old.h_nodes, 2.5, rtol=1e-15)
 
 
 def test_body_text_round_trip(tmp_path):

@@ -250,6 +250,15 @@ def test_calibration_small_body_reports_without_gate():
     assert np.isfinite(res.ineq1.margin) and np.isfinite(res.ineq3.margin)
 
 
+@pytest.mark.parametrize("n", [3, 4, 6, 8])
+def test_calibration_ball_side_matches_quadrature_ball(n):
+    graph = cli.random_even_body(5, n, n, 2.0, 1e-2)
+    res = ex.calibration_check(graph, M=1.0)
+    ball = RadialGraph(n, res.matched_radius, quad=graph.quad)
+    assert res.ineq1.rhs == pytest.approx(bd.curvature_energy_nd(ball), rel=1e-13, abs=0.0)
+    assert res.ineq3.rhs == pytest.approx(bd.flux_energy(ball), rel=1e-13, abs=0.0)
+
+
 def test_calibration_rejects_nonconvex():
     rough = RadialGraph(3, 1.0, HarmonicField.single_mode(3, 4, 0.5))
     with pytest.raises(ConvexityError):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from gausscurv.errors import AdmissibilityError
+from gausscurv.body import gaussian_radial_integral
+from gausscurv.errors import AdmissibilityError, QuadratureError
 from gausscurv.weights import (
     VALIDATION_GRID,
     integrate_radial,
@@ -98,6 +99,22 @@ def test_moment_recurrence_sweep(n, r):
     e = math.exp(-0.5 * r * r)
     assert abs(m.b_n - (n * m.a_n - e) / r**2) < 1e-10
     assert abs(m.c_n - ((n * (n + 2) * m.a_n - (n + 2) * e) / r**4 - e / r**2)) < 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+@pytest.mark.parametrize("r", [30.0, 100.0, 1000.0])
+def test_moments_relative_accuracy_at_large_radius(n, r):
+    # P(., r^2/2) is 1 to double precision here, so the closed form is exact.
+    m = radial_moments(n, r)
+    for j, value in zip((0, 2, 4), (m.a_n, m.b_n, m.c_n)):
+        exact = gaussian_radial_integral(n + j, r) / r ** (n + j)
+        assert value == pytest.approx(exact, rel=1e-13, abs=0.0), j
+
+
+def test_moments_raise_when_quadrature_misses_the_peak():
+    # At r = 1e5 the mass sits within 1e-5 of t = 0 and the adaptive rule returns 0.
+    with pytest.raises(QuadratureError):
+        radial_moments(3, 1e5)
 
 
 def test_weight_identity_on_grid():
