@@ -65,7 +65,6 @@ from .sphere import (
     hessian,
     hessian_form,
     laplace_beltrami,
-    zonal_quadrature,
 )
 from .weights import (
     RadialMoments,

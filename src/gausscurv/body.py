@@ -84,21 +84,25 @@ class RadialGraph:
     def from_function(cls, n, fn, degree=16, quad=None):
         """Fit ``h`` from a callable on unit vectors and split off the mean radius.
 
-        Without ``quad`` the fit runs on the product rule, so for n >= 4 a
-        callable that is not zonal is replaced by its L2 projection onto the
-        zonal fields (its average over each subsphere ``x_1 = t``); the body
-        is then built on the default rule.  The fit raises
-        :class:`QuadratureError` above half the fit rule's degree (32 by default).
+        The fit runs on the body's own rule, the default one without ``quad``,
+        and raises :class:`QuadratureError` above half its degree (32 by
+        default).  For n >= 4 every field is zonal, so a callable that is not
+        raises ``ValueError``: its values at the nodes turned about e_1 onto
+        ``(t, s (1, ..., 1) / sqrt(n - 1))`` must match to 1e-12 relative.
         """
-        fit_quad = quad
         if quad is None:
             quad = sphere.default_quadrature(n, max(degree, 4))
-            fit_quad = sphere.build_quadrature(n, quad.degree)
-        vals = np.asarray(fn(fit_quad.nodes), dtype=float)
-        h_field = sphere.analyze(vals, n, degree, fit_quad)
+        X = quad.nodes
+        vals = np.asarray(fn(X), dtype=float)
+        if n >= 4:
+            turned = np.empty_like(X)
+            turned[:, 0] = X[:, 0]
+            turned[:, 1:] = np.linalg.norm(X[:, 1:], axis=1, keepdims=True) / math.sqrt(n - 1)
+            if np.max(np.abs(fn(turned) - vals)) > 1e-12 * np.max(np.abs(vals)):
+                raise ValueError(f"fields on S^{n - 1} are zonal; the callable depends on more than x_1")
+        h_field = sphere.analyze(vals, n, degree, quad)
         radius = h_field.mean()
         coeffs = h_field.coeffs / radius
-        coeffs = coeffs.copy()
         coeffs[0] -= math.sqrt(sphere.sphere_area(n))
         u = sphere.HarmonicField(n=n, degree=degree, coeffs=coeffs)
         return cls(n, radius, u, quad=quad)

@@ -1,14 +1,14 @@
 """Quadrature and spherical harmonic calculus on the unit sphere.
 
-The general rules are product rules: uniform angles on the circle,
-Gauss-Legendre in the polar cosine times uniform azimuth on S^2, and a
-recursive chain of Gauss-Jacobi rules with weight (1-t^2)^((n-3)/2) for
-n >= 4.  A product rule built for ``degree`` integrates every polynomial of
-that total degree exactly.  For n >= 4 every field is zonal, so the default
-rule is the meridian rule: the outer Gauss-Jacobi factor alone, with its
-nodes on the meridian ``(t, sqrt(1-t^2), 0, ...)`` and its weights times
-``|S^(n-2)|``.  It integrates every zonal polynomial of ``degree`` exactly
-with ``degree // 2 + 1`` nodes, in every dimension up to 8.
+There is one rule per dimension, ``build_quadrature(n, degree)``.  On the
+circle it is uniform angles.  For n >= 3 it has ``degree // 2 + 1``
+Gauss-Jacobi nodes of the weight (1-t^2)^((n-3)/2) in the polar cosine t.  On
+S^2 these are Gauss-Legendre nodes, times uniform azimuth about the polar axis
+x_3, and the rule integrates every polynomial of ``degree`` exactly.  For
+n >= 4 every field is zonal, and the rule is the meridian rule: one node per t
+on the meridian ``(t, sqrt(1-t^2), 0, ...)``, with its weight times
+``|S^(n-2)|``.  It integrates every zonal polynomial of ``degree`` exactly, and
+nothing else, in every dimension up to 8.
 
 Scalar fields are stored spectrally.  For n = 3 the basis is the full set of
 real L2-normalised spherical harmonics up to a degree cap; for other
@@ -41,7 +41,6 @@ __all__ = [
     "HarmonicField",
     "sphere_area",
     "build_quadrature",
-    "zonal_quadrature",
     "default_quadrature",
     "basis_size",
     "eigenvalue",
@@ -55,7 +54,6 @@ __all__ = [
 
 MAX_DIMENSION = 8
 MAX_DEGREE = 64
-_MAX_NODES = 3_000_000
 
 
 def sphere_area(n: int) -> float:
@@ -89,90 +87,47 @@ def _circle_rule(degree: int):
     return nodes, np.full(m, 2.0 * np.pi / m)
 
 
-def _chain_rule(n: int, degree: int):
-    """Recursive product rule with x_1 as the outermost polar coordinate."""
-    if n == 2:
-        return _circle_rule(degree)
-    m = degree // 2 + 1
-    alpha = (n - 3) / 2.0
-    t, wt = roots_jacobi(m, alpha, alpha)
-    sub_nodes, sub_w = _chain_rule(n - 1, degree)
-    s = np.sqrt(1.0 - t**2)
-    nodes = np.empty((m * sub_nodes.shape[0], n))
-    nodes[:, 0] = np.repeat(t, sub_nodes.shape[0])
-    nodes[:, 1:] = np.repeat(s, sub_nodes.shape[0])[:, None] * np.tile(sub_nodes, (m, 1))
-    wts = np.repeat(wt, sub_w.size) * np.tile(sub_w, m)
-    return nodes, wts
-
-
 @lru_cache(maxsize=None)
 def build_quadrature(n: int, degree: int) -> SphereQuadrature:
-    """Build a product quadrature on S^(n-1) exact for polynomials of ``degree``.
+    """The rule on S^(n-1) of ``degree``: exact for every polynomial of that
+    degree on the circle and on S^2, and for every zonal one when n >= 4.
 
     Raises
     ------
     ValueError
-        For dimensions outside {2..8}, degrees above 64, or combinations
-        whose product rule would exceed the node budget.
+        For dimensions outside {2..8} or degrees above 64.
     """
     if not 2 <= n <= MAX_DIMENSION:
         raise ValueError(f"dimension must be in 2..{MAX_DIMENSION}, got {n}")
     if not 0 <= degree <= MAX_DEGREE:
         raise ValueError(f"degree must be in 0..{MAX_DEGREE}, got {degree}")
-    est = max(degree + 1, 4) * (degree // 2 + 1) ** max(n - 2, 0)
-    if est > _MAX_NODES:
-        raise ValueError(f"product rule for (n={n}, degree={degree}) needs ~{est} nodes")
-    nodes, wts = _chain_rule(n, degree)
-    if n == 3:
-        # Polar axis x_3: matches the usual real-harmonic conventions.
-        nodes = nodes[:, [1, 2, 0]]
-    return _frozen_rule(n, degree, nodes, wts)
-
-
-def _frozen_rule(n: int, degree: int, nodes, wts) -> SphereQuadrature:
-    nodes = np.ascontiguousarray(nodes)
+    if n == 2:
+        nodes, wts = _circle_rule(degree)
+    else:
+        alpha = (n - 3) / 2.0
+        t, wt = roots_jacobi(degree // 2 + 1, alpha, alpha)
+        s = np.sqrt(1.0 - t**2)
+        if n == 3:
+            # Polar axis x_3: matches the usual real-harmonic conventions.
+            circle, cw = _circle_rule(degree)
+            nodes = np.empty((t.size * cw.size, 3))
+            nodes[:, :2] = np.repeat(s, cw.size)[:, None] * np.tile(circle, (t.size, 1))
+            nodes[:, 2] = np.repeat(t, cw.size)
+            wts = np.repeat(wt, cw.size) * np.tile(cw, t.size)
+        else:
+            nodes = np.zeros((t.size, n))
+            nodes[:, 0] = t
+            nodes[:, 1] = s
+            wts = wt * sphere_area(n - 1)
     nodes /= np.linalg.norm(nodes, axis=1)[:, None]
     nodes.setflags(write=False)
     wts.setflags(write=False)
     return SphereQuadrature(n=n, degree=degree, nodes=nodes, weights=wts)
 
 
-@lru_cache(maxsize=None)
-def zonal_quadrature(n: int, degree: int) -> SphereQuadrature:
-    """Meridian rule on S^(n-1), n >= 4, exact for zonal polynomials of ``degree``.
-
-    Integrals of functions of ``t = x_1`` alone reduce to
-    ``|S^(n-2)| int f(t) (1-t^2)^((n-3)/2) dt``; the rule is that integral's
-    Gauss-Jacobi rule with its nodes placed on the meridian.  It integrates
-    nothing else correctly, so only zonal fields may be evaluated on it.
-
-    Raises
-    ------
-    ValueError
-        For dimensions outside {4..8} or degrees above 64.
-    """
-    if not 4 <= n <= MAX_DIMENSION:
-        raise ValueError(f"zonal rules need dimension in 4..{MAX_DIMENSION}, got {n}")
-    if not 0 <= degree <= MAX_DEGREE:
-        raise ValueError(f"degree must be in 0..{MAX_DEGREE}, got {degree}")
-    alpha = (n - 3) / 2.0
-    t, wt = roots_jacobi(degree // 2 + 1, alpha, alpha)
-    nodes = np.zeros((t.size, n))
-    nodes[:, 0] = t
-    nodes[:, 1] = np.sqrt(1.0 - t**2)
-    return _frozen_rule(n, degree, nodes, wt * sphere_area(n - 1))
-
-
 def default_quadrature(n: int, degree: int) -> SphereQuadrature:
-    """Quadrature sized for nonlinear products of fields up to ``degree``.
-
-    The meridian rule for n >= 4, where every field is zonal; the product
-    rule otherwise.
-    """
-    qdegree = min(max(4 * degree, 16), MAX_DEGREE)
-    if n >= 4:
-        return zonal_quadrature(n, qdegree)
-    return build_quadrature(n, qdegree)
+    """Quadrature sized for nonlinear products of fields up to ``degree``."""
+    return build_quadrature(n, min(max(4 * degree, 16), MAX_DEGREE))
 
 
 def basis_size(n: int, degree: int) -> int:
@@ -395,10 +350,10 @@ class _FullBasis3D(_Tables):
                 f"the Hessian of a degree-{self.L} field needs a rule of degree {2 * L1}, got {q.degree}"
             )
         up = _basis(3, L1, q)
-        grad = np.einsum("b,bmi->mi", coeffs, self.Gn, optimize=True)
+        grad = np.tensordot(coeffs, self.Gn, axes=1)
         C = up.V @ (q.weights[:, None] * grad)
         G = up.Gn if X is q.nodes else up.gradients_at(X)
-        J = np.einsum("bi,bmj->mij", C, G, optimize=True)
+        J = np.tensordot(C, G, axes=(0, 0)).transpose(1, 0, 2)
         P = np.eye(3) - X[:, :, None] * X[:, None, :]
         return P @ J @ P
 
@@ -521,9 +476,9 @@ def field_gradient(field: HarmonicField, quad: SphereQuadrature | None = None, p
     """
     b = _basis_for(field, quad)
     if points is None:
-        return np.einsum("b,bmi->mi", field.coeffs, b.Gn, optimize=True)
+        return np.tensordot(field.coeffs, b.Gn, axes=1)
     X, single = _points(points)
-    g = np.einsum("b,bmi->mi", field.coeffs, b.gradients_at(X), optimize=True)
+    g = np.tensordot(field.coeffs, b.gradients_at(X), axes=1)
     return g[0] if single else g
 
 

@@ -176,13 +176,29 @@ def _moment(power: int, r: float) -> float:
     return val
 
 
+def _recurrence_check(n: int, r: float, a: float, b: float, c: float):
+    """Residuals of ``b`` and ``c`` against their recurrences from ``a``, and
+    whether both are within 1e-10 relative of their moments.
+
+    The subtractions cancel almost completely as r -> 0; the tolerances widen
+    by the rounding noise they amplify so tiny radii stay usable.
+    """
+    e = math.exp(-0.5 * r * r)
+    res_b = abs(b - (n * a - e) / r**2)
+    res_c = abs(c - ((n * (n + 2) * a - (n + 2) * e) / r**4 - e / r**2))
+    tol_b = 1e-10 * abs(b) + 1e-14 * (n * abs(a) + e) / r**2
+    tol_c = 1e-10 * abs(c) + 1e-14 * (n * (n + 2) * abs(a) + (n + 2) * e) / r**4
+    return res_b, res_c, res_b <= tol_b and res_c <= tol_c
+
+
 def radial_moments(n: int, r: float) -> RadialMoments:
     """Compute the three radial moments for dimension ``n`` and radius ``r``.
 
     Raises
     ------
     QuadratureError
-        If the quadrature fails or the recurrence residuals exceed 1e-10.
+        If the quadrature fails or the recurrence residuals exceed 1e-10
+        relative to the moments.
     """
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
@@ -191,17 +207,9 @@ def radial_moments(n: int, r: float) -> RadialMoments:
     a = _moment(n - 1, r)
     b = _moment(n + 1, r)
     c = _moment(n + 3, r)
-    e = math.exp(-0.5 * r * r)
-    b_rec = (n * a - e) / r**2
-    c_rec = (n * (n + 2) * a - (n + 2) * e) / r**4 - e / r**2
-    # The subtractions cancel almost completely as r -> 0; widen the guard by
-    # the rounding noise they amplify so tiny radii stay usable.
-    tol_b = 1e-10 + 1e-14 * (n * abs(a) + e) / r**2
-    tol_c = 1e-10 + 1e-14 * (n * (n + 2) * abs(a) + (n + 2) * e) / r**4
-    if abs(b - b_rec) > tol_b or abs(c - c_rec) > tol_c:
-        raise QuadratureError(
-            f"moment recurrence residuals too large: {abs(b - b_rec):g}, {abs(c - c_rec):g}"
-        )
+    res_b, res_c, held = _recurrence_check(n, r, a, b, c)
+    if not held:
+        raise QuadratureError(f"moment recurrence residuals too large: {res_b:g}, {res_c:g}")
     return RadialMoments(n=n, r=r, a_n=a, b_n=b, c_n=c)
 
 

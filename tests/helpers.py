@@ -11,7 +11,11 @@ as oracles: the projection of |grad u|^2, the Weingarten assembly of the
 second fundamental form, and the meridian section of an axisymmetric body.
 Ball volumes and matched radii have the sphere-area form and a bracketed
 root finder as oracles for the chi_n distribution function and quantile.
+The recursive product rule, exact for every polynomial of its degree, is the
+oracle of the library's one rule per dimension.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -303,6 +307,42 @@ def monomial_sphere_moment(n, exponents):
     for ai in a:
         num *= gamma(ai + 0.5)
     return num / gamma(sum(a) + n / 2.0)
+
+
+def _chain_rule(n, degree):
+    """Recursive product rule with x_1 as the outermost polar coordinate."""
+    if n == 2:
+        m = max(degree + 1, 4)
+        theta = TWO_PI * np.arange(m) / m
+        return np.column_stack([np.cos(theta), np.sin(theta)]), np.full(m, TWO_PI / m)
+    from scipy.special import roots_jacobi
+
+    m = degree // 2 + 1
+    alpha = (n - 3) / 2.0
+    t, wt = roots_jacobi(m, alpha, alpha)
+    sub_nodes, sub_w = _chain_rule(n - 1, degree)
+    s = np.sqrt(1.0 - t**2)
+    nodes = np.empty((m * sub_nodes.shape[0], n))
+    nodes[:, 0] = np.repeat(t, sub_nodes.shape[0])
+    nodes[:, 1:] = np.repeat(s, sub_nodes.shape[0])[:, None] * np.tile(sub_nodes, (m, 1))
+    return nodes, np.repeat(wt, sub_w.size) * np.tile(sub_w, m)
+
+
+@lru_cache(maxsize=None)
+def product_rule(n, degree):
+    """Product rule on S^(n-1) exact for every polynomial of ``degree``.
+
+    Gauss-Jacobi factors in each polar cosine and uniform angles on the last
+    circle; on S^2 the polar axis is x_3, as in the library's rule.  It has
+    ``max(degree + 1, 4) * (degree // 2 + 1)^(n - 2)`` nodes.
+    """
+    from gausscurv.sphere import SphereQuadrature
+
+    nodes, wts = _chain_rule(n, degree)
+    if n == 3:
+        nodes = nodes[:, [1, 2, 0]]
+    nodes /= np.linalg.norm(nodes, axis=1)[:, None]
+    return SphereQuadrature(n=n, degree=degree, nodes=nodes, weights=wts)
 
 
 # ---------------------------------------------------------------------------

@@ -73,36 +73,38 @@ def test_meridian_rule_matches_product_rule(n):
     # Every field is zonal for n >= 4, so the meridian rule must give the
     # product rule's surface and volume integrals.
     meridian = cli.random_even_body(17, n, n, 1.3, 5e-2)
-    assert meridian.quad is sphere.zonal_quadrature(n, meridian.quad.degree)
+    assert meridian.quad is sphere.build_quadrature(n, meridian.quad.degree)
     product = RadialGraph(
         n,
         meridian.radius,
         meridian.perturbation,
-        quad=sphere.build_quadrature(n, meridian.quad.degree),
+        quad=helpers.product_rule(n, meridian.quad.degree),
     )
     for integral in (bd.gaussian_volume, bd.curvature_energy_nd, bd.flux_energy):
         assert integral(meridian) == pytest.approx(integral(product), rel=1e-10), integral
 
 
-def test_from_function_projects_non_zonal_callable():
-    # The L2 projection onto zonal fields averages over each subsphere
-    # x_1 = t, where the mean of x_2^2 is (1 - t^2) / (n - 1).
-    n, degree = 4, 4
-
+def test_from_function_rejects_non_zonal_callable():
+    # Fields are zonal for n >= 4, so a callable that also reads x_2 is refused.
     def radius(dirs):
         return 1.0 + 0.1 * dirs[:, 0] ** 2 + 0.05 * dirs[:, 1] ** 2
 
-    graph = RadialGraph.from_function(n, radius, degree=degree)
-    assert graph.quad is sphere.default_quadrature(n, degree)
-    t = graph.quad.nodes[:, 0]
-    projected = 1.0 + 0.1 * t**2 + 0.05 * (1.0 - t**2) / (n - 1)
-    np.testing.assert_allclose(graph.h_nodes, projected, atol=1e-13)
-    # Same coefficients as a fit on the product rule the body used to carry.
-    old = RadialGraph.from_function(
-        n, radius, degree=degree, quad=sphere.build_quadrature(n, graph.quad.degree)
+    for n in range(4, 9):
+        with pytest.raises(ValueError, match="zonal"):
+            RadialGraph.from_function(n, radius, degree=4)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_from_function_fits_zonal_callable_in_high_dimensions(n):
+    def radius(dirs):
+        return 1.0 + 0.1 * dirs[:, 0] ** 2
+
+    graph = RadialGraph.from_function(n, radius)
+    assert graph.quad is sphere.default_quadrature(n, 16)
+    np.testing.assert_allclose(graph.h_nodes, radius(graph.quad.nodes), rtol=0.0, atol=1e-12)
+    assert graph.radius * (1.0 + sphere.synthesize(graph.perturbation, points=np.eye(n)[1])) == (
+        pytest.approx(1.0, abs=1e-12)
     )
-    assert graph.radius == pytest.approx(old.radius, rel=1e-14)
-    np.testing.assert_allclose(graph.perturbation.coeffs, old.perturbation.coeffs, atol=1e-14)
 
 
 @pytest.mark.parametrize("L", [24, 32, 33, 40])
@@ -405,7 +407,7 @@ def test_calibration_builds_tables_one_degree_above_the_body():
 
 def test_tangent_frames_match_node_loop():
     for n in (3, 4):
-        nodes = sphere.build_quadrature(n, 8).nodes
+        nodes = helpers.product_rule(n, 8).nodes
         frames = bd._tangent_frames(nodes)
         np.testing.assert_allclose(frames, helpers.loop_tangent_frames(nodes), rtol=0, atol=1e-15)
         np.testing.assert_allclose(np.einsum("mai,mi->ma", frames, nodes), 0.0, atol=1e-15)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import helpers
 from gausscurv import body as bd
 from gausscurv import cli, experiments as ex, sphere
 from gausscurv.body import RadialGraph
@@ -201,7 +202,7 @@ def test_second_variation_meridian_rule_matches_product_rule(n, monkeypatch):
     monkeypatch.setattr(
         ex,
         "_experiment_quadrature",
-        lambda n_, k: sphere.build_quadrature(n_, sphere.default_quadrature(n_, max(k, 8)).degree),
+        lambda n_, k: helpers.product_rule(n_, sphere.default_quadrature(n_, max(k, 8)).degree),
     )
     product = ex.measure_second_variation(n, 1.0, 2, 1e-3).measured_coefficient
     assert meridian == pytest.approx(product, rel=1e-5)

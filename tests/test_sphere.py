@@ -35,7 +35,8 @@ def test_total_weight_is_sphere_area(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_first_and_second_moments(n):
-    q = build_quadrature(n, 6)
+    # For n >= 4 the library's rule is exact for zonal integrands only.
+    q = build_quadrature(n, 6) if n <= 3 else helpers.product_rule(n, 6)
     first = q.weights @ q.nodes
     np.testing.assert_allclose(first, 0.0, atol=1e-12)
     second = np.einsum("m,mi,mj->ij", q.weights, q.nodes, q.nodes)
@@ -49,7 +50,7 @@ def test_first_and_second_moments(n):
     (5, (4, 0, 2, 0, 0)),
 ])
 def test_monomial_moments_closed_form(n, exponents):
-    q = build_quadrature(n, 12)
+    q = build_quadrature(n, 12) if n == 3 else helpers.product_rule(n, 12)
     vals = np.prod(q.nodes ** np.array(exponents), axis=1)
     assert q.weights @ vals == pytest.approx(helpers.monomial_sphere_moment(n, exponents), abs=1e-10)
 
@@ -57,7 +58,7 @@ def test_monomial_moments_closed_form(n, exponents):
 @pytest.mark.parametrize("n", range(4, 9))
 def test_zonal_quadrature_integrates_x1_powers_exactly(n):
     degree = 16
-    q = sphere.zonal_quadrature(n, degree)
+    q = build_quadrature(n, degree)
     assert q.size == degree // 2 + 1
     np.testing.assert_allclose(np.linalg.norm(q.nodes, axis=1), 1.0, atol=1e-14)
     for j in range(degree + 1):
@@ -68,7 +69,14 @@ def test_zonal_quadrature_integrates_x1_powers_exactly(n):
 def test_default_quadrature_is_meridian_rule_from_n4():
     assert sphere.default_quadrature(3, 8) is build_quadrature(3, 32)
     for n in range(4, 9):
-        assert sphere.default_quadrature(n, 8) is sphere.zonal_quadrature(n, 32)
+        assert sphere.default_quadrature(n, 8) is build_quadrature(n, 32)
+
+
+@pytest.mark.parametrize("degree", range(65))
+def test_s2_rule_is_the_product_rule(degree):
+    rule, product = build_quadrature(3, degree), helpers.product_rule(3, degree)
+    assert np.array_equal(rule.nodes, product.nodes)
+    assert np.array_equal(rule.weights, product.weights)
 
 
 def test_quadrature_rejects_unsupported():
@@ -76,12 +84,8 @@ def test_quadrature_rejects_unsupported():
         build_quadrature(9, 8)
     with pytest.raises(ValueError):
         build_quadrature(3, 80)
-    with pytest.raises(ValueError):
-        build_quadrature(8, 64)
-    with pytest.raises(ValueError):
-        sphere.zonal_quadrature(3, 8)
-    with pytest.raises(ValueError):
-        sphere.zonal_quadrature(9, 8)
+    # The top rule in the top dimension is a 33-node meridian rule.
+    assert build_quadrature(8, 64).size == 33
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from gausscurv import weights
 from gausscurv.body import gaussian_radial_integral
 from gausscurv.errors import AdmissibilityError, QuadratureError
 from gausscurv.weights import (
@@ -115,6 +116,17 @@ def test_moments_raise_when_quadrature_misses_the_peak():
     # At r = 1e5 the mass sits within 1e-5 of t = 0 and the adaptive rule returns 0.
     with pytest.raises(QuadratureError):
         radial_moments(3, 1e5)
+
+
+def test_moments_recurrence_check_is_relative(monkeypatch):
+    # At n = 8, r = 100 the moments are ~1e-15..1e-21, far below any absolute
+    # tolerance; a b_n 1e-8 off in relative terms must still be caught.
+    moment = weights._moment
+    monkeypatch.setattr(
+        weights, "_moment", lambda power, r: moment(power, r) * (1.0 + 1e-8 * (power == 9))
+    )
+    with pytest.raises(QuadratureError, match="recurrence"):
+        radial_moments(8, 100.0)
 
 
 def test_weight_identity_on_grid():
