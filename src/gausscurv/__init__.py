@@ -8,12 +8,10 @@ quadrature with error estimates.
 """
 
 from .body import (
-    BodyIntegrals,
     RadialGraph,
     ball_energy,
     ball_gaussian_volume,
     ball_match_radius,
-    body_integrals,
     curvature_energy_nd,
     flux_energy,
     gaussian_volume,

@@ -13,7 +13,6 @@ through the regularised incomplete gamma function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -22,10 +21,11 @@ from scipy.special import gammainc, gammaincinv
 
 from . import plane, sphere
 from .errors import QuadratureError
+from .weights import gaussian_radial_integral
 
 __all__ = [
     "RadialGraph",
-    "BodyIntegrals",
+    "curvature_terms",
     "mean_curvature",
     "gaussian_volume",
     "curvature_energy_nd",
@@ -36,7 +36,6 @@ __all__ = [
     "volume_match",
     "second_fundamental_min",
     "is_convex",
-    "body_integrals",
     "ball_gaussian_volume",
     "ball_energy",
     "ball_match_radius",
@@ -135,28 +134,21 @@ class RadialGraph:
     def sq_grad_nodes(self) -> np.ndarray:
         return np.einsum("mi,mi->m", self.grad_nodes, self.grad_nodes)
 
-    @cached_property
-    def slant_nodes(self) -> np.ndarray:
-        """sqrt(h^2 + |grad h|^2), the length of the unnormalised normal."""
-        return np.sqrt(self.h_nodes**2 + self.sq_grad_nodes)
-
-    @cached_property
-    def area_element_nodes(self) -> np.ndarray:
-        return self.h_nodes ** (self.n - 2) * self.slant_nodes
-
-    @property
-    def is_symmetric(self) -> bool:
-        """True when the body equals its reflection through the origin."""
-        return self.perturbation.parity == "even"
-
-    @property
-    def perturbation_magnitude(self) -> float:
-        """Coefficient-based W^(2,inf)-style size estimate of ``u`` (heuristic)."""
-        lam = np.array([sphere.eigenvalue(self.n, k) for k in self.perturbation.degrees])
-        return float(np.sum(np.abs(self.perturbation.coeffs) * (1.0 + lam)))
-
     def dilated(self, scale: float) -> "RadialGraph":
         return RadialGraph(self.n, scale * self.radius, self.perturbation, quad=self.quad)
+
+
+def curvature_terms(n, h, sq, lap, hess, xp=np):
+    """Mean curvature ``H`` and curvature-energy density ``H exp(-h^2/2) h^(n-2) W``.
+
+    The inputs are values of ``h``, ``|grad h|^2``, the Laplacian of ``h`` and
+    ``Hess h(grad h, grad h)``; ``W = sqrt(h^2 + |grad h|^2)`` is the length
+    of the unnormalised normal.  Only arithmetic, powers and ``xp.sqrt`` and
+    ``xp.exp`` appear, so Taylor jets pass through the same expression.
+    """
+    W = xp.sqrt(h**2 + sq)
+    H = (-lap / h + (n - 1)) / W + (h * hess + h**2 * sq) / (h**2 * W**3)
+    return H, H * xp.exp(-0.5 * h**2) * (h ** (n - 2) * W)
 
 
 def mean_curvature(body: RadialGraph, points=None):
@@ -173,10 +165,7 @@ def mean_curvature(body: RadialGraph, points=None):
         sq = np.einsum("...i,...i->...", grad, grad)
         lap = r * sphere.synthesize(sphere.laplace_beltrami(u), body.quad, points)
         hess = r**3 * sphere.hessian_form(u, body.quad, points)
-    W = np.sqrt(h * h + sq)
-    first = (-lap / h + (n - 1)) / W
-    second = (h * hess + h**2 * sq) / (h**2 * W**3)
-    H = first + second
+    H, _ = curvature_terms(n, h, sq, lap, hess)
     return float(H) if np.ndim(H) == 0 else H
 
 
@@ -192,9 +181,8 @@ def gaussian_volume(body: RadialGraph) -> float:
 
 def curvature_energy_nd(body: RadialGraph) -> float:
     """Integral of mean curvature against the Gaussian boundary weight."""
-    H = mean_curvature(body)
-    integrand = H * np.exp(-0.5 * body.h_nodes**2) * body.area_element_nodes
-    return float(np.dot(body.quad.weights, integrand))
+    _, density = curvature_terms(body.n, body.h_nodes, body.sq_grad_nodes, body.lap_nodes, body.hessian_form_nodes)
+    return float(np.dot(body.quad.weights, density))
 
 
 def flux_energy(body: RadialGraph) -> float:
@@ -334,38 +322,6 @@ def is_convex(body: RadialGraph) -> bool:
     if body.n == 3:
         return second_fundamental_min(body) >= -_CONVEX_RTOL * float(np.max(body.h_nodes)) ** 2
     return _zonal_section_curve(body).is_convex()
-
-
-@dataclass(frozen=True)
-class BodyIntegrals:
-    """The surface and volume integrals attached to one body."""
-
-    gaussian_volume: float
-    energy: float
-    flux_energy: float
-    inverse_square_flux: float
-    inscribed_radius: float
-
-
-def body_integrals(body: RadialGraph) -> BodyIntegrals:
-    return BodyIntegrals(
-        gaussian_volume=gaussian_volume(body),
-        energy=curvature_energy_nd(body),
-        flux_energy=flux_energy(body),
-        inverse_square_flux=inverse_square_flux(body),
-        inscribed_radius=inscribed_radius(body),
-    )
-
-
-def gaussian_radial_integral(n: int, h):
-    """Closed form of ``int_0^h t^(n-1) exp(-t^2/2) dt`` for n >= 1.
-
-    It is ``2^(n/2-1) Gamma(n/2) P(n/2, h^2/2)`` with ``P`` the regularised
-    lower incomplete gamma function, which keeps full relative accuracy at
-    small ``h`` where an erf-plus-recurrence form cancels.
-    """
-    h = np.asarray(h, dtype=float)
-    return 2.0 ** (n / 2.0 - 1.0) * math.gamma(n / 2.0) * gammainc(n / 2.0, 0.5 * h * h)
 
 
 def ball_gaussian_volume(n: int, r) -> float:

@@ -102,7 +102,7 @@ class RunConfig:
         # Mode k needs a sphere quadrature of degree 4k, and quadrature degrees stop at MAX_DEGREE.
         if not 2 <= self.k <= sphere.MAX_DEGREE // 4 or self.k % 2:
             raise ConfigError(f"{self.command}: mode must be even and in 2..{sphere.MAX_DEGREE // 4}")
-        if not 4.0 * ex.EPSILON_FLOOR <= self.epsilon <= ex.EPSILON_CAP:
+        if not ex.EPSILON_FLOOR <= self.epsilon <= ex.EPSILON_CAP:
             raise ConfigError("epsilon out of the supported range")
         if not 0.0 < self.amplitude <= 0.3:
             raise ConfigError("amplitude must lie in (0, 0.3]")
@@ -364,7 +364,7 @@ def _run_second_variation(config: RunConfig):
 
 
 def _run_threshold_scan(config: RunConfig):
-    measured = ex.threshold_scan(config.n, config.k, config.epsilon)
+    measured = ex.threshold_scan(config.n, config.k)
     algebraic = ex.algebraic_threshold(config.n, config.k)
     stated = ex.statement_threshold(config.n)
     err = abs(measured - algebraic)

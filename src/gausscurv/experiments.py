@@ -3,9 +3,10 @@
 Four families: the three-dimensional cylinder whose curvature energy beats
 the volume-matched ball at small radii (capped and uncapped), measured
 second variations of the energy around the ball under a Gaussian volume
-constraint, bisection scans for the radius where a pure even mode changes
-the sign of its quadratic gap, and the flux-calibration inequality checks
-for convex bodies with bounded curvature.
+constraint, scans for the radius where a pure even mode changes the sign of
+its quadratic gap, and the flux-calibration inequality checks for convex
+bodies with bounded curvature.  Second variations are exact: order-2 Taylor
+jets carry the perturbation through :func:`body.curvature_terms`.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from . import body as bd
 from . import sphere
@@ -39,12 +41,10 @@ __all__ = [
     "measure_second_variation",
     "threshold_scan",
     "calibration_check",
-    "mean_zero_leakage",
 ]
 
-EPSILON_FLOOR = 1e-4
+EPSILON_FLOOR = 4e-4
 EPSILON_CAP = 1e-2
-SCAN_VOLUME_FLOOR = 1e-5
 
 
 @dataclass(frozen=True)
@@ -198,46 +198,99 @@ def _experiment_quadrature(n: int, k: int):
     return sphere.default_quadrature(n, max(k, 8))
 
 
+class _Jet:
+    """Truncated Taylor series ``c0 + c1 eps + c2 eps^2`` with node-array coefficients.
+
+    Sums, products, quotients, negation, scalar powers, ``sqrt`` and ``exp``
+    propagate the three coefficients (Griewank and Walther, *Evaluating
+    Derivatives*, 2nd ed., ch. 13).  Numpy defers mixed operations to the
+    jet's reflected operators.
+    """
+
+    __array_ufunc__ = None
+
+    def __init__(self, c0, c1=0.0, c2=0.0):
+        self.c = (c0, c1, c2)
+
+    @staticmethod
+    def _lift(x):
+        return x if isinstance(x, _Jet) else _Jet(x)
+
+    def __add__(self, other):
+        return _Jet(*(a + b for a, b in zip(self.c, _Jet._lift(other).c)))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Jet(*(-a for a in self.c))
+
+    def __mul__(self, other):
+        (a0, a1, a2), (b0, b1, b2) = self.c, _Jet._lift(other).c
+        return _Jet(a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return self * _Jet._lift(other) ** -1
+
+    def _compose(self, f0, f1, f2):
+        """``f(self)`` from ``f``, ``f'`` and ``f''`` at ``c0``."""
+        _, a1, a2 = self.c
+        return _Jet(f0, f1 * a1, f1 * a2 + 0.5 * f2 * a1 * a1)
+
+    def __pow__(self, p):
+        a0 = self.c[0]
+        return self._compose(a0**p, p * a0 ** (p - 1), p * (p - 1) * a0 ** (p - 2))
+
+    def sqrt(self):
+        return self**0.5
+
+    def exp(self):
+        e = np.exp(self.c[0])
+        return self._compose(e, e, e)
+
+
+def _quadratic_term(n: int, r: float, u: sphere.HarmonicField, quad_rule) -> float:
+    """Exact eps^2 coefficient of the energy of the volume-matched body ``S(eps) r (1 + eps u)``.
+
+    With ``S = 1 + s1 eps + s2 eps^2`` the Gaussian volume is held to second
+    order by two linear equations from ``G'(h) = h^(n-1) exp(-h^2/2)`` and
+    ``G''/G' = (n-1)/h - h`` at ``h = r``.  The jets of ``h``, ``|grad h|^2``
+    and the Laplacian of ``h`` enter :func:`body.curvature_terms`;
+    ``Hess h(grad h, grad h)`` is O(eps^3) and drops out.
+    """
+    mean = quad_rule.weights / np.sum(quad_rule.weights)
+    vals = sphere.synthesize(u, quad_rule)
+    grad = sphere.field_gradient(u, quad_rule)
+    lap = sphere.synthesize(sphere.laplace_beltrami(u), quad_rule)
+    s1 = -float(mean @ vals)
+    s2 = -0.5 * ((n - 1) / r - r) * r * float(mean @ (s1 + vals) ** 2) + s1 * s1  # s1^2 = -s1 mean(u)
+    zero = np.zeros_like(vals)
+    h = _Jet(np.full_like(vals, r), r * (s1 + vals), r * (s2 + s1 * vals))
+    sq = _Jet(zero, zero, r * r * np.einsum("mi,mi->m", grad, grad))
+    _, density = bd.curvature_terms(n, h, sq, _Jet(zero, r * lap, r * s1 * lap), 0.0, xp=_Jet)
+    return float(np.dot(quad_rule.weights, density.c[2]))
+
+
 def measure_second_variation(n: int, r: float, k: int, epsilon: float = 1e-3) -> VariationReport:
     """Measure the quadratic energy gap of a pure even mode around the ball.
 
-    The body ``r (1 + eps y_k)`` is volume-matched to the ball by dilation
-    and the gap is measured at eps, eps/2, eps/4; two Richardson levels strip
-    the cubic Hessian contribution.
-
-    Raises
-    ------
-    QuadratureError
-        If the two extrapolation levels disagree beyond the quadratic scale,
-        which signals that ``epsilon`` is outside the asymptotic regime.
+    ``measured_coefficient`` is the exact eps^2 coefficient of the energy of
+    ``r (1 + eps y_k)`` dilated to the ball's Gaussian volume; ``raw_gaps``
+    holds the one finite gap at ``epsilon``, with the body matched by
+    :func:`body.volume_match`.
     """
     if k < 2 or k % 2:
         raise ValueError("mode must be even and at least 2")
-    if epsilon < 4.0 * EPSILON_FLOOR or epsilon > EPSILON_CAP:
-        # The smallest Richardson level is epsilon/4 and must clear the noise floor.
-        raise ValueError(f"epsilon must lie in [{4 * EPSILON_FLOOR}, {EPSILON_CAP}]")
+    if not EPSILON_FLOOR <= epsilon <= EPSILON_CAP:
+        raise ValueError(f"epsilon must lie in [{EPSILON_FLOOR}, {EPSILON_CAP}]")
     quad_rule = _experiment_quadrature(n, k)
     ball = bd.RadialGraph(n, r, quad=quad_rule)
-    target, ball_energy = bd.gaussian_volume(ball), bd.curvature_energy_nd(ball)
-
-    def matched_gap(eps: float) -> float:
-        raw = bd.RadialGraph(n, r, _mode_field(n, k, eps), quad=quad_rule)
-        return bd.curvature_energy_nd(bd.volume_match(raw, target)) - ball_energy
-
-    eps_levels = (epsilon, epsilon / 2.0, epsilon / 4.0)
-    gaps = tuple(matched_gap(e) for e in eps_levels)
-    q = [g / e**2 for g, e in zip(gaps, eps_levels)]
-    lvl1 = 2.0 * q[1] - q[0]
-    lvl2 = 2.0 * q[2] - q[1]
-    coeff = (4.0 * lvl2 - lvl1) / 3.0
-    scale = r ** (n - 2) * math.exp(-0.5 * r * r) * (k * (k + n - 2) + n * n)
-    if abs(lvl2 - lvl1) > 0.25 * max(abs(lvl1), abs(lvl2)) + 1e-3 * scale:
-        raise QuadratureError(
-            f"Richardson levels disagree: {lvl1:g} vs {lvl2:g} at epsilon={epsilon:g}"
-        )
-    predicted_coeff = quadratic_coefficient(n, r, k)
+    raw = bd.RadialGraph(n, r, _mode_field(n, k, epsilon), quad=quad_rule)
+    gap = bd.curvature_energy_nd(bd.volume_match(raw, bd.gaussian_volume(ball))) - bd.curvature_energy_nd(ball)
+    coeff = _quadratic_term(n, r, _mode_field(n, k, 1.0), quad_rule)
     measured = coeff * epsilon**2
-    predicted = predicted_coeff * epsilon**2
+    predicted = quadratic_coefficient(n, r, k) * epsilon**2
     rel = abs(measured - predicted) / max(abs(predicted), 1e-300)
     return VariationReport(
         n=n,
@@ -248,43 +301,36 @@ def measure_second_variation(n: int, r: float, k: int, epsilon: float = 1e-3) ->
         predicted_quadratic=predicted,
         relative_error=rel,
         measured_coefficient=coeff,
-        raw_gaps=gaps,
+        raw_gaps=(gap,),
     )
 
 
-def threshold_scan(n: int, k: int, epsilon: float = 3e-3, tol: float = 1e-4) -> float:
-    """Locate the squared radius where the measured quadratic gap changes sign.
+def threshold_scan(n: int, k: int) -> float:
+    """Locate the squared radius where the exact quadratic coefficient changes sign.
 
-    Bisection on the Richardson-extrapolated coefficient; the result should
-    match :func:`algebraic_threshold` to about ``tol``.
+    ``brentq`` finds the root of the coefficient divided by the ball's
+    ``r^(n-2) exp(-r^2/2)``, which leaves a function close to linear in
+    ``r^2``, on ``[(n-2)/4, n-2]``.  Since ``k (k + n - 2) >= 2n``, every even
+    mode's :func:`algebraic_threshold` lies above ``(n-2)/2`` in that bracket.
 
     Raises
     ------
     QuadratureError
-        If the initial bracket does not straddle a sign change.
+        If the bracket does not straddle a sign change.
     """
     if k < 2 or k % 2:
         raise ValueError("mode must be even and at least 2")
+    quad_rule = _experiment_quadrature(n, k)
+    u = _mode_field(n, k, 1.0)
 
-    def coeff(r_sq: float) -> float:
-        return measure_second_variation(n, math.sqrt(r_sq), k, epsilon).measured_coefficient
+    def scaled(r_sq: float) -> float:
+        r = math.sqrt(r_sq)
+        return _quadratic_term(n, r, u, quad_rule) / (r ** (n - 2) * math.exp(-0.5 * r_sq))
 
-    # Volume matching holds the Gaussian volume to 1e-13 absolutely, so the
-    # measured gap is noise once the ball's volume nears that scale; in high
-    # dimensions it does so at larger radii.  The bracket starts where the
-    # ball's volume is SCAN_VOLUME_FLOOR.
-    lo = bd.ball_match_radius(n, SCAN_VOLUME_FLOOR) ** 2
-    hi = float(n - 2) - 1e-9
-    c_lo, c_hi = coeff(lo), coeff(hi)
-    if c_lo <= 0.0 or c_hi >= 0.0:
-        raise QuadratureError("threshold bisection bracket does not change sign")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if coeff(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    lo, hi = 0.25 * (n - 2), float(n - 2)
+    if not scaled(lo) > 0.0 > scaled(hi):
+        raise QuadratureError("threshold bracket does not change sign")
+    return brentq(scaled, lo, hi, xtol=1e-15)
 
 
 @dataclass(frozen=True)
@@ -343,17 +389,3 @@ def calibration_check(graph: bd.RadialGraph, M: float) -> CalibrationResult:
         gate_inscribed_stated=bool(r_in >= math.sqrt(2.0 * (n - 2))),
         gate_inscribed_used=bool(r_in >= 2.0 * math.sqrt(n - 2)),
     )
-
-
-def mean_zero_leakage(u: sphere.HarmonicField) -> float:
-    """Squared sphere average of ``u`` relative to its squared L2 norm.
-
-    Vanishes for pure modes; after volume matching it decays quadratically
-    in the perturbation amplitude, which quantifies how little the matching
-    constraint leaks into the zero mode.
-    """
-    total = u.coeffs[0] * math.sqrt(sphere.sphere_area(u.n))
-    norm_sq = float(np.dot(u.coeffs, u.coeffs))
-    if norm_sq == 0.0:
-        return 0.0
-    return float(total * total / norm_sq)

@@ -8,11 +8,12 @@ distance to the origin.  Each admissible ``f`` induces an area weight
 which is nonnegative exactly because ``f`` is non-increasing.  The Gaussian
 weight ``f(r) = exp(-r^2/2)`` is the special case where ``w = f``.
 
-The module also provides the standard normal half-space volume ``psi`` and
-the radial moment integrals used by the higher-dimensional expansions.  The
-library's other radial integrals have closed forms or flux forms; the
-vectorised adaptive Gauss-Legendre integrator :func:`integrate_radial` is the
-reference the test suite checks them against, and no library code calls it.
+The module also provides the standard normal half-space volume ``psi``, the
+closed form of ``int_0^h t^(n-1) exp(-t^2/2) dt`` and the radial moment
+integrals built on it for the higher-dimensional expansions.  The library's
+other radial integrals have closed forms or flux forms; the vectorised
+adaptive Gauss-Legendre integrator :func:`integrate_radial` is the reference
+the test suite checks them against, and no library code calls it.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import erfc
+from scipy.special import erfc, gammainc, hyp1f1
 
 from .errors import AdmissibilityError, QuadratureError
 
@@ -33,6 +33,7 @@ __all__ = [
     "make_gaussian_weight",
     "make_weight",
     "psi",
+    "gaussian_radial_integral",
     "radial_moments",
     "VALIDATION_GRID",
 ]
@@ -146,7 +147,7 @@ def psi(s: float) -> float:
 class RadialMoments:
     """Moment integrals ``int_0^1 t^(n-1+j) exp(-r^2 t^2 / 2) dt`` for j in {0, 2, 4}.
 
-    ``a_n``, ``b_n``, ``c_n`` are computed by adaptive quadrature; the
+    ``a_n``, ``b_n``, ``c_n`` are evaluated in closed form; the
     integration-by-parts recurrences tying them together are asserted at
     construction to 1e-10.
     """
@@ -158,22 +159,33 @@ class RadialMoments:
     c_n: float
 
 
+def gaussian_radial_integral(n: int, h):
+    """Closed form of ``int_0^h t^(n-1) exp(-t^2/2) dt`` for n >= 1.
+
+    It is ``2^(n/2-1) Gamma(n/2) P(n/2, h^2/2)`` with ``P`` the regularised
+    lower incomplete gamma function, which keeps full relative accuracy at
+    small ``h`` where an erf-plus-recurrence form cancels.
+    """
+    h = np.asarray(h, dtype=float)
+    return 2.0 ** (n / 2.0 - 1.0) * math.gamma(n / 2.0) * gammainc(n / 2.0, 0.5 * h * h)
+
+
 def _moment(power: int, r: float) -> float:
-    val, err = quad(
-        lambda t: t**power * math.exp(-0.5 * r * r * t * t),
-        0.0,
-        1.0,
-        epsabs=0.0,
-        epsrel=RADIAL_RTOL,
-        limit=200,
-    )
-    # Relative: at large r the moments fall far below any absolute floor.  The
-    # integrand is positive, so a zero result means the peak at t = 0 was missed.
-    if not val > 0.0 or err > 1e-11 * val:
-        raise QuadratureError(
-            f"radial moment t^{power} did not converge (value={val:g}, err={err:g})"
-        )
-    return val
+    """``int_0^1 t^power exp(-r^2 t^2 / 2) dt``, in closed form.
+
+    From r = 1 on it is ``gaussian_radial_integral(m, r) / r^m`` with
+    ``m = power + 1``; writing ``r = f 2^e``, ``f`` in [1/2, 1), it divides by
+    ``f^m`` and shifts by ``2^(-e m)``, so no power of ``r`` overflows.  Below
+    r = 1, where the incomplete gamma function loses up to 2e-14 relative, it
+    is Kummer's ``1F1(m/2; m/2 + 1; -r^2/2) / m``.
+    """
+    m = power + 1
+    if r < 1.0:
+        return float(hyp1f1(0.5 * m, 0.5 * m + 1.0, -0.5 * r * r)) / m
+    frac, exp2 = math.frexp(r)
+    with np.errstate(over="ignore"):  # r^2 / 2 = inf still gives P = 1 exactly
+        total = float(gaussian_radial_integral(m, r))
+    return math.ldexp(total / frac**m, -exp2 * m)
 
 
 def _recurrence_check(n: int, r: float, a: float, b: float, c: float):
@@ -183,11 +195,12 @@ def _recurrence_check(n: int, r: float, a: float, b: float, c: float):
     The subtractions cancel almost completely as r -> 0; the tolerances widen
     by the rounding noise they amplify so tiny radii stay usable.
     """
-    e = math.exp(-0.5 * r * r)
-    res_b = abs(b - (n * a - e) / r**2)
-    res_c = abs(c - ((n * (n + 2) * a - (n + 2) * e) / r**4 - e / r**2))
-    tol_b = 1e-10 * abs(b) + 1e-14 * (n * abs(a) + e) / r**2
-    tol_c = 1e-10 * abs(c) + 1e-14 * (n * (n + 2) * abs(a) + (n + 2) * e) / r**4
+    r2 = r * r
+    e = math.exp(-0.5 * r2)
+    res_b = abs(b - (n * a - e) / r2)
+    res_c = abs(c - ((n * (n + 2) * a - (n + 2) * e) / (r2 * r2) - e / r2))
+    tol_b = 1e-10 * abs(b) + 1e-14 * (n * abs(a) + e) / r2
+    tol_c = 1e-10 * abs(c) + 1e-14 * (n * (n + 2) * abs(a) + (n + 2) * e) / (r2 * r2)
     return res_b, res_c, res_b <= tol_b and res_c <= tol_c
 
 
@@ -197,8 +210,7 @@ def radial_moments(n: int, r: float) -> RadialMoments:
     Raises
     ------
     QuadratureError
-        If the quadrature fails or the recurrence residuals exceed 1e-10
-        relative to the moments.
+        If the recurrence residuals exceed 1e-10 relative to the moments.
     """
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")

@@ -10,7 +10,9 @@ derivatives on the sphere also have the library's former evaluation paths
 as oracles: the projection of |grad u|^2, the Weingarten assembly of the
 second fundamental form, and the meridian section of an axisymmetric body.
 Ball volumes and matched radii have the sphere-area form and a bracketed
-root finder as oracles for the chi_n distribution function and quantile.
+root finder as oracles for the chi_n distribution function and quantile;
+radial moments have adaptive quadrature.  The exact second variation has
+Richardson extrapolation of finite-amplitude matched energy gaps as oracle.
 The recursive product rule, exact for every polynomial of its degree, is the
 oracle of the library's one rule per dimension.
 """
@@ -488,3 +490,34 @@ def section_certificate(body, theta):
     curve = plane.PolarCurve.from_function(section, degree=max(body.perturbation.degree, 4))
     rho, drho, ddrho = curve.rho_at(theta), curve.drho_at(theta), curve.ddrho_at(theta)
     return rho**2 + 2.0 * drho**2 - rho * ddrho
+
+
+def quad_radial_moment(power, r):
+    """``int_0^1 t^power exp(-r^2 t^2 / 2) dt`` by adaptive quadrature."""
+    from scipy.integrate import quad
+
+    val, err = quad(lambda t: t**power * np.exp(-0.5 * r * r * t * t), 0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=200)
+    assert val > 0.0 and err <= 1e-11 * val, (power, r, val, err)
+    return val
+
+
+def richardson_coefficient(n, r, k, epsilon=1e-3):
+    """Quadratic gap coefficient of mode ``k`` from matched energies at eps, eps/2, eps/4.
+
+    Each body ``r (1 + eps y_k)`` is dilated to the ball's Gaussian volume;
+    two Richardson levels on ``gap / eps^2`` strip the odd powers of eps.
+    """
+    from gausscurv import body, sphere
+
+    quad = sphere.default_quadrature(n, max(k, 8))
+    ball = body.RadialGraph(n, r, quad=quad)
+    target, ball_energy = body.gaussian_volume(ball), body.curvature_energy_nd(ball)
+
+    def scaled_gap(eps):
+        mode = sphere.HarmonicField.single_mode(n, k, eps, degree=max(k, 8))
+        matched = body.volume_match(body.RadialGraph(n, r, mode, quad=quad), target)
+        return (body.curvature_energy_nd(matched) - ball_energy) / eps**2
+
+    q = [scaled_gap(epsilon / 2**j) for j in range(3)]
+    lvl1, lvl2 = 2.0 * q[1] - q[0], 2.0 * q[2] - q[1]
+    return (4.0 * lvl2 - lvl1) / 3.0

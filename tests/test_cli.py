@@ -155,6 +155,21 @@ def test_run_moments_residuals(tmp_path):
     assert all(e["residual_b"] < 1e-10 and e["residual_c"] < 1e-10 for e in report.entries)
 
 
+@pytest.mark.parametrize("r", ["1e5", "1e30"])
+def test_moments_at_large_radius_report(tmp_path, capsys, r):
+    # Adaptive quadrature misses the peak at 1e5, and r^12 overflows a float at 1e30.
+    assert cli.main(["moments", "--n", "8", "--r", r, "--output", str(tmp_path / "m")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    (entry,) = json.loads((tmp_path / "m.json").read_text())["entries"]
+    assert entry["passed"] and 0.0 < entry["b_n"] < entry["a_n"]
+
+
+def test_threshold_scan_high_mode_command(tmp_path):
+    assert cli.main(["threshold-scan", "--n", "8", "--k", "16", "--output", str(tmp_path / "ts")]) == 0
+    (entry,) = json.loads((tmp_path / "ts.json").read_text())["entries"]
+    assert entry["abs_error"] <= 1e-10
+
+
 def test_report_determinism(tmp_path):
     # Identical configuration: byte-identical JSON apart from the wall time.
     args = ["bounds2d", "--trials", "10", "--seed", "3", "--output", str(tmp_path / "a")]

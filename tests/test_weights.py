@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+import helpers
 from gausscurv import weights
 from gausscurv.body import gaussian_radial_integral
 from gausscurv.errors import AdmissibilityError, QuadratureError
@@ -97,6 +98,8 @@ def test_moment_c3_independent_quadrature():
 @pytest.mark.parametrize("r", [0.1, 0.5, 1.0, 2.0, 4.0])
 def test_moment_recurrence_sweep(n, r):
     m = radial_moments(n, r)
+    for j, value in zip((0, 2, 4), (m.a_n, m.b_n, m.c_n)):
+        assert value == pytest.approx(helpers.quad_radial_moment(n - 1 + j, r), rel=1e-13, abs=0.0), j
     e = math.exp(-0.5 * r * r)
     assert abs(m.b_n - (n * m.a_n - e) / r**2) < 1e-10
     assert abs(m.c_n - ((n * (n + 2) * m.a_n - (n + 2) * e) / r**4 - e / r**2)) < 1e-10
@@ -112,10 +115,20 @@ def test_moments_relative_accuracy_at_large_radius(n, r):
         assert value == pytest.approx(exact, rel=1e-13, abs=0.0), j
 
 
-def test_moments_raise_when_quadrature_misses_the_peak():
-    # At r = 1e5 the mass sits within 1e-5 of t = 0 and the adaptive rule returns 0.
-    with pytest.raises(QuadratureError):
-        radial_moments(3, 1e5)
+@pytest.mark.parametrize("n", [3, 8])
+def test_moments_closed_form_at_extreme_radii(n):
+    # Adaptive quadrature misses the peak within 1e-5 of t = 0 at r = 1e5; the
+    # closed form gives Gamma(m/2) 2^(m/2-1) / r^m there, since P(m/2, r^2/2) = 1.
+    for r in (1e5, 1e30):
+        m = radial_moments(n, r)
+        for j, value in zip((0, 2, 4), (m.a_n, m.b_n, m.c_n)):
+            p = n + j
+            log_exact = math.lgamma(p / 2) + (p / 2 - 1) * math.log(2.0) - p * math.log(r)
+            exact = math.exp(log_exact) if log_exact > -745.0 else 0.0
+            assert value == pytest.approx(exact, rel=1e-12, abs=1e-323), (r, j)
+    # At tiny radii the moments are 1/(n + j) to double precision.
+    m = radial_moments(n, 1e-30)
+    assert (m.a_n, m.b_n, m.c_n) == (1.0 / n, 1.0 / (n + 2), 1.0 / (n + 4))
 
 
 def test_moments_recurrence_check_is_relative(monkeypatch):
