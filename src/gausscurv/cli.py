@@ -208,15 +208,36 @@ def _report_dict(rep: plane.InequalityReport) -> dict:
     }
 
 
-def _map_trials(fn, count: int, seed: int | None = None):
-    """Run trials serially in index order; failures carry the trial's stream key."""
+def _map_trials(fn, count: int, seed: int | None = None, start: int = 0):
+    """Run trials ``start .. count - 1`` serially in index order; failures carry the trial's stream key."""
     entries = []
-    for i in range(count):
+    for i in range(start, count):
         try:
             entries.append(fn(i))
         except GausscurvError as exc:
             raise type(exc)(f"trial {i} (seed {seed}): {exc}") from exc
     return entries
+
+
+# Planar trials checked per stack; larger stacks cost memory and save little more time.
+_CHUNK = 32
+
+
+def _map_chunks(fn, count: int, seed: int | None = None):
+    """Run ``fn(trials)`` on consecutive ranges of ``_CHUNK`` trials, in index order.
+
+    ``fn`` returns one result per trial of its range.  A range that raises is
+    run again one trial at a time through :func:`_map_trials`, so an error
+    names the first failing trial in index order, as a serial run would.
+    """
+    results = []
+    for start in range(0, count, _CHUNK):
+        stop = min(start + _CHUNK, count)
+        try:
+            results.extend(fn(range(start, stop)))
+        except (GausscurvError, ValueError):
+            results.extend(_map_trials(lambda i: fn(range(i, i + 1))[0], stop, seed, start))
+    return results
 
 
 def _weights_for(config: RunConfig):
@@ -227,40 +248,48 @@ def _weights_for(config: RunConfig):
 def _run_planar_batch(config: RunConfig, generate, check):
     """Shared trial loop of verify2d and bounds2d.
 
-    ``check(curve, wp)`` returns the weight's report entry and the margins
-    that must clear ``-slack``.
+    Each trial's curve is rejection-sampled from its own stream; the curves
+    of a chunk of trials are then checked together.  ``check(curves, wp)``
+    returns, per curve, the weight's report entry and the margins that must
+    clear ``-slack``.
     """
     pairs = _weights_for(config)
-    margins = []
 
-    def one(trial: int) -> dict:
-        curve = generate(config.seed, config.amplitude, trial)
-        entry = {"trial": trial, "weights": {}}
-        ok = True
-        for name, wp in pairs:
-            entry["weights"][name], checked = check(curve, wp)
-            margins.extend(checked)
-            ok = ok and all(m >= -config.slack for m in checked)
-        entry["passed"] = ok
-        return entry
+    def chunk(trials: range) -> list:
+        curves = [generate(config.seed, config.amplitude, trial) for trial in trials]
+        checked = [check(curves, wp) for _, wp in pairs]
+        results = []
+        for k, trial in enumerate(trials):
+            entry = {"trial": trial, "weights": {}}
+            margins = []
+            for (name, _), per_curve in zip(pairs, checked):
+                entry["weights"][name], trial_margins = per_curve[k]
+                margins.extend(trial_margins)
+            entry["passed"] = all(m >= -config.slack for m in margins)
+            results.append((entry, margins))
+        return results
 
-    entries = _map_trials(one, config.trials, config.seed)
-    return entries, {"worst_margin": min(margins)}, None
+    results = _map_chunks(chunk, config.trials, config.seed)
+    worst = min(m for _, margins in results for m in margins)
+    return [entry for entry, _ in results], {"worst_margin": worst}, None
 
 
 def _run_verify2d(config: RunConfig):
-    def check(curve, wp):
-        two = plane.verify_two_sided(curve, wp)
-        report = {"lower": _report_dict(two.lower), "upper": _report_dict(two.upper)}
-        return report, (two.lower.margin, two.upper.margin)
+    def check(curves, wp):
+        return [
+            (
+                {"lower": _report_dict(two.lower), "upper": _report_dict(two.upper)},
+                (two.lower.margin, two.upper.margin),
+            )
+            for two in plane.verify_two_sided_many(curves, wp)
+        ]
 
     return _run_planar_batch(config, generate_convex_polar, check)
 
 
 def _run_bounds2d(config: RunConfig):
-    def check(curve, wp):
-        rep = plane.boundary_inverse_weight(curve, wp)
-        return _report_dict(rep), (rep.margin,)
+    def check(curves, wp):
+        return [(_report_dict(rep), (rep.margin,)) for rep in plane.boundary_inverse_weight_many(curves, wp)]
 
     return _run_planar_batch(config, generate_star_polar, check)
 

@@ -12,7 +12,18 @@ All integrals in the angle use the uniform rule on the cached grid, which is
 spectrally accurate for smooth periodic integrands.  Weighted areas are such
 sums too: ``phi(r) = (f(0) - f(r)) / r^2`` has ``div(x phi(|x|)) = w(|x|)``,
 so the area is the flux ``int phi(|x|) (x y' - y x') dtheta``, which for a
-centred body is ``int (f(0) - f(rho)) dtheta``.
+centred body is ``int (f(0) - f(rho)) dtheta``.  With the origin outside a
+translated body the angle it sweeps closes to zero, so ``int -f(|x|) dphi``
+gives the same area without the ``f(0)`` term that cancels far away.
+
+The centred-body functionals (weighted area, curvature energy, the
+normal-deficiency integrals and the inverse-weight integral) act on grids of
+shape ``(..., M)`` and reduce along the last axis, and matched radii are
+found for a whole array of areas at once.  One curve is the ``(M,)`` case;
+:func:`verify_two_sided_many` and :func:`boundary_inverse_weight_many` stack
+equally gridded curves along a leading batch axis, evaluate ``f``, ``f'``
+and the slant once per stack, and give each curve the report it gets alone,
+to the last bit.  The single-curve checks are batches of one.
 
 The inequality machinery compares a convex or star-shaped body against the
 centred disk with the same weighted area: the curvature energy of the disk
@@ -34,7 +45,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.spatial import cKDTree
 
 from .errors import ConvexityError, QuadratureError
@@ -53,7 +63,9 @@ __all__ = [
     "normal_deficiency",
     "alpha_beta",
     "verify_two_sided",
+    "verify_two_sided_many",
     "boundary_inverse_weight",
+    "boundary_inverse_weight_many",
     "hausdorff_distance",
     "lemma_gradient_bound",
     "stability_ratio",
@@ -86,8 +98,9 @@ class InequalityReport:
 
 
 def _report(lhs: float, rhs: float, quad_error: float) -> InequalityReport:
+    """A report of Python floats, so that ``passed`` is a Python bool for numpy inputs too."""
     floor = 1e-12 * (1.0 + abs(lhs) + abs(rhs))
-    return InequalityReport(lhs=float(lhs), rhs=float(rhs), quad_error=max(quad_error, floor))
+    return InequalityReport(lhs=float(lhs), rhs=float(rhs), quad_error=float(max(quad_error, floor)))
 
 
 class TwoSided(NamedTuple):
@@ -198,10 +211,10 @@ class PolarCurve:
     @property
     def convexity_certificate(self) -> np.ndarray:
         """Curvature numerator ``rho^2 + 2 rho'^2 - rho rho''`` on the grid."""
-        return self.rho**2 + 2.0 * self.drho**2 - self.rho * self.ddrho
+        return _certificate(self.rho, self.drho, self.ddrho)
 
     def is_convex(self) -> bool:
-        return float(np.min(self.convexity_certificate)) >= -_CONVEX_RTOL * float(np.max(self.rho)) ** 2
+        return bool(_convex(self.rho, self.drho, self.ddrho))
 
     @property
     def min_radius(self) -> float:
@@ -259,13 +272,32 @@ def _f_at(wp: WeightPair, r: float) -> float:
     return float(wp.f(np.array([r]))[0])
 
 
+def _stacked(curves: Sequence[PolarCurve], *names: str):
+    """The grid arrays ``names`` of the curves, each stacked to shape ``(len(curves), M)``."""
+    if len({c.grid_size for c in curves}) != 1:
+        raise ValueError("stacked curves need one common grid size")
+    return [np.stack([getattr(c, name) for c in curves]) for name in names]
+
+
 def _spectral_integral(values: np.ndarray):
-    """Uniform-rule integral over the period with a tail-based error estimate."""
-    total = 2.0 * np.pi * float(np.mean(values))
-    spec = np.abs(np.fft.rfft(values)) / values.size
-    tail = float(np.max(spec[-max(values.size // 16, 4):], initial=0.0))
-    err = 4.0 * np.pi * tail + 1e-14 * (1.0 + abs(total))
+    """Uniform-rule integrals over the period along the last axis, with tail-based error estimates."""
+    size = values.shape[-1]
+    total = 2.0 * np.pi * np.mean(values, axis=-1)
+    spec = np.abs(np.fft.rfft(values, axis=-1)) / size
+    tail = np.max(spec[..., -max(size // 16, 4):], axis=-1, initial=0.0)
+    err = 4.0 * np.pi * tail + 1e-14 * (1.0 + np.abs(total))
     return total, err
+
+
+def _certificate(rho, drho, ddrho):
+    """Curvature numerator ``rho^2 + 2 rho'^2 - rho rho''`` of each grid."""
+    return rho**2 + 2.0 * drho**2 - rho * ddrho
+
+
+def _convex(rho, drho, ddrho):
+    """Whether each grid's certificate clears the rounding floor."""
+    floor = -_CONVEX_RTOL * np.max(rho, axis=-1) ** 2
+    return np.min(_certificate(rho, drho, ddrho), axis=-1) >= floor
 
 
 def curvature_at(curve: PolarCurve, theta):
@@ -283,21 +315,36 @@ def _radii_about(curve: PolarCurve, center):
     return np.hypot(x, y)
 
 
+def _centred_area(f0: float, f_rho):
+    """Weighted areas ``int (f(0) - f(rho)) dtheta`` of centred bodies, with error estimates."""
+    total, err = _spectral_integral(f0 - f_rho)
+    # Rounding of the difference, which matters where f(0) dwarfs it.
+    return total, err + 8.0 * np.pi * np.finfo(float).eps * abs(f0)
+
+
 def _weighted_area(curve: PolarCurve, wp: WeightPair, center=None):
     f0 = _f_at(wp, 0.0)
     if center is None:
-        total, err = _spectral_integral(f0 - wp.f(curve.rho))
-        # Rounding of the difference, which matters where f(0) dwarfs it.
-        return total, err + 8.0 * np.pi * np.finfo(float).eps * abs(f0)
+        return _centred_area(f0, wp.f(curve.rho))
     cos_t, sin_t = np.cos(curve.theta), np.sin(curve.theta)
     x, y = curve.rho * cos_t + center[0], curve.rho * sin_t + center[1]
     dx, dy = curve.drho * cos_t - curve.rho * sin_t, curve.drho * sin_t + curve.rho * cos_t
     r2 = x * x + y * y
     # Angle swept about the origin; where the boundary meets it the integrand's limit is 0.
     sweep = np.divide(x * dy - y * dx, r2, out=np.zeros_like(r2), where=r2 > 0.0)
-    total, err = _spectral_integral((f0 - wp.f(np.sqrt(r2))) * sweep)
+    f_x = wp.f(np.sqrt(r2))
+    total, err = _spectral_integral((f0 - f_x) * sweep)
     # Rounding of f(0) - f(|x|), which the sweep amplifies near the origin.
     err += 2.0 * np.pi * np.finfo(float).eps * abs(f0) * float(np.mean(np.abs(sweep)))
+    if not math.hypot(*center) < curve.rho_at(math.atan2(-center[1], -center[0])):
+        # The origin is outside, so the sweep closes to zero and the f(0) term may be
+        # dropped; far away that term only cancels.  Near the boundary it keeps the
+        # integrand smooth, so the form with the smaller error estimate is kept.
+        values = -f_x * sweep
+        scale = float(np.max(np.abs(values))) or 1.0
+        far, far_err = (scale * v for v in _spectral_integral(values / scale))
+        if far_err < err:
+            total, err = far, far_err
     if not err <= AREA_RTOL * abs(total):
         raise QuadratureError(f"translated weighted area error {err:.2g} exceeds {AREA_RTOL:g} relative")
     return total, err
@@ -311,10 +358,9 @@ def weighted_area(curve: PolarCurve, wp: WeightPair, center=None) -> float:
     QuadratureError
         If a ``center``, even ``(0, 0)``, gives a relative error estimate
         above ``AREA_RTOL``: the boundary passes too close to the origin for
-        the grid (``curve.refined(grid_size=...)`` helps), or a distant
-        body's area cancels against ``f(0)``.
+        the grid (``curve.refined(grid_size=...)`` helps).
     """
-    return _weighted_area(curve, wp, center)[0]
+    return float(_weighted_area(curve, wp, center)[0])
 
 
 def weighted_disk_area(wp: WeightPair, r: float) -> float:
@@ -322,32 +368,61 @@ def weighted_disk_area(wp: WeightPair, r: float) -> float:
     return 2.0 * np.pi * (_f_at(wp, 0.0) - _f_at(wp, r))
 
 
+# Matched radii of weights other than the Gaussian are searched for in [0, _R_MAX].
+_R_MAX = 1e3
+
+
+def _matched_radii(area: np.ndarray, wp: WeightPair) -> np.ndarray:
+    """Radii of the centred disks with the weighted areas in the 1-D array ``area``.
+
+    The Gaussian pair inverts in closed form, one element at a time so that
+    a radius does not depend on the batch it is in.  Otherwise the monotone
+    ``f(r) = f(0) - area / (2 pi)`` is bisected on ``[0, _R_MAX]``, all
+    areas at once, until each midpoint equals an endpoint; the upper
+    endpoint, the first float where ``f`` reaches the level, is returned.
+    """
+    bad = area[~(area > 0.0)]
+    if bad.size:
+        raise ValueError(f"weighted area must be positive, got {bad[0]}")
+    if wp.is_gaussian:
+        arg = 1.0 - area / (2.0 * np.pi)
+        if np.any(arg <= 0.0):
+            raise ValueError("weighted area exceeds the total Gaussian mass")
+        return np.array([math.sqrt(-2.0 * math.log(a)) for a in arg])
+    level = _f_at(wp, 0.0) - area / (2.0 * np.pi)
+    if np.any(_f_at(wp, _R_MAX) >= level):
+        raise ValueError("weighted area is out of the attainable range")
+    # The bit patterns of non-negative floats are ordered as the floats are, so
+    # bisecting them reaches adjacent floats in at most 63 halvings, keeping
+    # f(lo) > level >= f(hi); a finished pair keeps its midpoint lo.
+    lo = np.zeros(level.shape, dtype=np.int64)
+    hi = np.full(level.shape, np.float64(_R_MAX).view(np.int64))
+    while np.any(hi - lo > 1):
+        mid = lo + (hi - lo) // 2  # lo + hi would overflow
+        right = wp.f(mid.view(np.float64)) > level
+        lo = np.where(right, mid, lo)
+        hi = np.where(right, hi, mid)
+    return hi.view(np.float64)
+
+
 def matched_radius(area: float, wp: WeightPair) -> float:
     """Radius of the centred disk with the given weighted area.
 
     The Gaussian pair inverts in closed form; otherwise the monotone
-    ``f(r) = f(0) - area / (2 pi)`` is solved by bracketed root finding.
+    ``f(r) = f(0) - area / (2 pi)`` is bisected on ``[0, 1e3]`` down to
+    adjacent floats.
     """
-    if area <= 0.0:
-        raise ValueError(f"weighted area must be positive, got {area}")
-    if wp.is_gaussian:
-        arg = 1.0 - area / (2.0 * np.pi)
-        if arg <= 0.0:
-            raise ValueError("weighted area exceeds the total Gaussian mass")
-        return math.sqrt(-2.0 * math.log(arg))
-    r_max = 1e3
-    level = _f_at(wp, 0.0) - area / (2.0 * np.pi)
-    if _f_at(wp, r_max) >= level:
-        raise ValueError("weighted area is out of the attainable range")
-    return brentq(
-        lambda r: _f_at(wp, r) - level, 0.0, r_max, xtol=1e-14, rtol=8.9e-16
-    )
+    return float(_matched_radii(np.array([area], dtype=float), wp)[0])
+
+
+def _energy(rho, drho, ddrho, f_radii):
+    """Curvature energies: the turning density of each grid times the weight at its radii."""
+    return _spectral_integral(_certificate(rho, drho, ddrho) / (rho**2 + drho**2) * f_radii)
 
 
 def _curvature_energy(curve: PolarCurve, wp: WeightPair, center=None):
     radii = curve.rho if center is None else _radii_about(curve, center)
-    turning = curve.convexity_certificate / (curve.rho**2 + curve.drho**2)
-    return _spectral_integral(turning * wp.f(radii))
+    return _energy(curve.rho, curve.drho, curve.ddrho, wp.f(radii))
 
 
 def curvature_energy(curve: PolarCurve, wp: WeightPair, center=None) -> float:
@@ -356,7 +431,7 @@ def curvature_energy(curve: PolarCurve, wp: WeightPair, center=None) -> float:
     In the angle variable the curvature and arc-length Jacobians collapse to
     the turning density, so the integrand is smooth even for nearly flat arcs.
     """
-    return _curvature_energy(curve, wp, center)[0]
+    return float(_curvature_energy(curve, wp, center)[0])
 
 
 def disk_energy(wp: WeightPair, r: float) -> float:
@@ -371,12 +446,10 @@ def normal_deficiency(curve: PolarCurve, theta):
     return rho * d1**2 / (rho**2 + d1**2)
 
 
-def _alpha_beta(curve: PolarCurve, wp: WeightPair):
-    rho, d1 = curve.rho, curve.drho
-    slant = np.sqrt(rho**2 + d1**2)
-    fp = wp.df(rho)
-    alpha, a_err = _spectral_integral(-d1**2 * fp / slant)
-    beta, b_err = _spectral_integral(d1**2 * (wp.f(rho) - rho * fp) / (rho * slant))
+def _alpha_beta(rho, drho, f_rho, df_rho):
+    slant = np.sqrt(rho**2 + drho**2)
+    alpha, a_err = _spectral_integral(-drho**2 * df_rho / slant)
+    beta, b_err = _spectral_integral(drho**2 * (f_rho - rho * df_rho) / (rho * slant))
     return alpha, beta, a_err, b_err
 
 
@@ -388,33 +461,52 @@ def alpha_beta(curve: PolarCurve, wp: WeightPair):
     (upper bound).  The lower integrand is dominated by the upper one
     pointwise, their difference being deficiency times ``f(|x|)/|x|^2``.
     """
-    alpha, beta, _, _ = _alpha_beta(curve, wp)
-    return alpha, beta
+    alpha, beta, _, _ = _alpha_beta(curve.rho, curve.drho, wp.f(curve.rho), wp.df(curve.rho))
+    return float(alpha), float(beta)
 
 
 def verify_two_sided(curve: PolarCurve, wp: WeightPair) -> TwoSided:
     """Check that the disk-versus-body energy gap sits between alpha and beta.
 
     Requires a convex curve containing the origin; the matched disk radius is
-    derived from the weighted area of the curve.
+    derived from the weighted area of the curve.  A batch of one for
+    :func:`verify_two_sided_many`.
 
     Raises
     ------
     ConvexityError
         If the convexity certificate fails at any grid angle.
     """
-    if not curve.is_convex():
+    return verify_two_sided_many([curve], wp)[0]
+
+
+def verify_two_sided_many(curves: Sequence[PolarCurve], wp: WeightPair) -> list[TwoSided]:
+    """:func:`verify_two_sided` for each curve, evaluated on the stacked grids.
+
+    Each report is bit-identical to the curve's own; the curves need one
+    common grid size.
+
+    Raises
+    ------
+    ConvexityError
+        If any curve's convexity certificate fails at any grid angle.
+    """
+    if not curves:
+        return []
+    rho, drho, ddrho = _stacked(curves, "rho", "drho", "ddrho")
+    if not np.all(_convex(rho, drho, ddrho)):
         raise ConvexityError("two-sided bound needs a convex curve")
-    area, area_err = _weighted_area(curve, wp)
-    r = matched_radius(area, wp)
-    energy, e_err = _curvature_energy(curve, wp)
-    gap = disk_energy(wp, r) - energy
-    alpha, beta, a_err, b_err = _alpha_beta(curve, wp)
+    f_rho = wp.f(rho)
+    area, area_err = _centred_area(_f_at(wp, 0.0), f_rho)
+    disk = 2.0 * np.pi * wp.f(_matched_radii(area, wp))
+    energy, e_err = _energy(rho, drho, ddrho, f_rho)
+    gap = disk - energy
+    alpha, beta, a_err, b_err = _alpha_beta(rho, drho, f_rho, wp.df(rho))
     gap_err = e_err + area_err
-    return TwoSided(
-        lower=_report(alpha, gap, a_err + gap_err),
-        upper=_report(gap, beta, b_err + gap_err),
-    )
+    return [
+        TwoSided(lower=_report(*lower), upper=_report(*upper))
+        for lower, upper in zip(zip(alpha, gap, a_err + gap_err), zip(gap, beta, b_err + gap_err))
+    ]
 
 
 def boundary_inverse_weight(curve: PolarCurve, wp: WeightPair) -> InequalityReport:
@@ -422,16 +514,28 @@ def boundary_inverse_weight(curve: PolarCurve, wp: WeightPair) -> InequalityRepo
 
     Holds for any star-shaped curve with the origin strictly inside, convex
     or not; curves hugging the origin closer than the clearance are rejected
-    because the inequality genuinely degenerates there.
+    because the inequality genuinely degenerates there.  A batch of one for
+    :func:`boundary_inverse_weight_many`.
     """
-    if curve.min_radius < ORIGIN_CLEARANCE:
+    return boundary_inverse_weight_many([curve], wp)[0]
+
+
+def boundary_inverse_weight_many(curves: Sequence[PolarCurve], wp: WeightPair) -> list[InequalityReport]:
+    """:func:`boundary_inverse_weight` for each curve, evaluated on the stacked grids.
+
+    Each report is bit-identical to the curve's own; the curves need one
+    common grid size.
+    """
+    if not curves:
+        return []
+    rho, drho = _stacked(curves, "rho", "drho")
+    if np.min(rho) < ORIGIN_CLEARANCE:
         raise ValueError("origin lies on the boundary within tolerance")
-    area, area_err = _weighted_area(curve, wp)
-    r = matched_radius(area, wp)
-    lhs = disk_energy(wp, r)
-    slant = np.sqrt(curve.rho**2 + curve.drho**2)
-    rhs, rhs_err = _spectral_integral(wp.f(curve.rho) / curve.rho * slant)
-    return _report(lhs, rhs, rhs_err + area_err)
+    f_rho = wp.f(rho)
+    area, area_err = _centred_area(_f_at(wp, 0.0), f_rho)
+    lhs = 2.0 * np.pi * wp.f(_matched_radii(area, wp))
+    rhs, rhs_err = _spectral_integral(f_rho / rho * np.sqrt(rho**2 + drho**2))
+    return [_report(*args) for args in zip(lhs, rhs, rhs_err + area_err)]
 
 
 def _segment_distances(points: np.ndarray, verts: np.ndarray, cand: np.ndarray) -> np.ndarray:

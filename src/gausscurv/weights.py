@@ -193,9 +193,21 @@ def _recurrence_check(n: int, r: float, a: float, b: float, c: float):
     whether both are within 1e-10 relative of their moments.
 
     The subtractions cancel almost completely as r -> 0; the tolerances widen
-    by the rounding noise they amplify so tiny radii stay usable.
+    by the rounding noise they amplify so tiny radii stay usable.  Once that
+    noise reaches ``c`` itself, at ``r^4 <= eps (n + 2)(n + 4)`` (which
+    includes every ``r`` where ``r^4`` underflows), the recurrences carry no
+    digits, and the three moments are compared with their r -> 0 limits
+    ``1/m``, ``m = n, n + 2, n + 4``, less the ``r^2 / (2 (m + 2))`` term of
+    their series; the next term, ``r^4 / (8 (m + 4))``, is below
+    ``eps (n + 2) / 8`` there.  The residuals are then those of ``b`` and
+    ``c`` against their limits.
     """
     r2 = r * r
+    if r2 * r2 <= np.finfo(float).eps * (n + 2) * (n + 4):
+        limits = [1.0 / m - r2 / (2.0 * (m + 2)) for m in (n, n + 2, n + 4)]
+        res_a, res_b, res_c = (abs(v - lim) for v, lim in zip((a, b, c), limits))
+        held = all(res <= 1e-10 * lim for res, lim in zip((res_a, res_b, res_c), limits))
+        return res_b, res_c, held
     e = math.exp(-0.5 * r2)
     res_b = abs(b - (n * a - e) / r2)
     res_c = abs(c - ((n * (n + 2) * a - (n + 2) * e) / (r2 * r2) - e / r2))

@@ -9,7 +9,8 @@ adaptive quadrature along rays, or from 1D integrals over circles.  Second
 derivatives on the sphere also have the library's former evaluation paths
 as oracles: the projection of |grad u|^2, the Weingarten assembly of the
 second fundamental form, and the meridian section of an axisymmetric body.
-Ball volumes and matched radii have the sphere-area form and a bracketed
+Planar matched radii have the former scalar root finder as oracle; ball
+volumes and matched radii have the sphere-area form and a bracketed
 root finder as oracles for the chi_n distribution function and quantile;
 radial moments have adaptive quadrature.  The exact second variation has
 Richardson extrapolation of finite-amplitude matched energy gaps as oracle.
@@ -174,6 +175,21 @@ def star_weighted_area_about(curve, wp, center, samples=1024):
         lo = np.where(outside, lo, mid)
     f = wp.f(np.concatenate([[0.0], mid]))
     return TWO_PI * float(np.mean(f[0] - f[1:]))
+
+
+def brentq_matched_radius(area, wp):
+    """Radius of the centred disk with weighted ``area``, by scalar bracketed root finding.
+
+    The library's former path for weights other than the Gaussian; its
+    ``xtol`` is absolute, so near r = 1 it may stop some ulp short of the root.
+    """
+    from scipy.optimize import brentq
+
+    def f_at(r):
+        return float(wp.f(np.array([r]))[0])
+
+    level = f_at(0.0) - area / (2.0 * np.pi)
+    return brentq(lambda r: f_at(r) - level, 0.0, 1e3, xtol=1e-14, rtol=8.9e-16)
 
 
 def support_distance(c1, c2, samples=8192):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gausscurv import cli, plane, sphere
-from gausscurv.errors import ConfigError
+from gausscurv.errors import ConfigError, GausscurvError
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +164,14 @@ def test_moments_at_large_radius_report(tmp_path, capsys, r):
     assert entry["passed"] and 0.0 < entry["b_n"] < entry["a_n"]
 
 
+def test_moments_at_tiny_radius_report(tmp_path, capsys):
+    # r^4 underflows at 1e-100; the moments are compared with their r -> 0 limits.
+    assert cli.main(["moments", "--n", "8", "--r", "1e-100", "--output", str(tmp_path / "m")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    (entry,) = json.loads((tmp_path / "m.json").read_text())["entries"]
+    assert entry["passed"] and (entry["a_n"], entry["b_n"], entry["c_n"]) == (1 / 8, 1 / 10, 1 / 12)
+
+
 def test_threshold_scan_high_mode_command(tmp_path):
     assert cli.main(["threshold-scan", "--n", "8", "--k", "16", "--output", str(tmp_path / "ts")]) == 0
     (entry,) = json.loads((tmp_path / "ts.json").read_text())["entries"]
@@ -214,6 +222,68 @@ def test_failing_trial_is_identified(monkeypatch):
 
     with pytest.raises(QuadratureError, match=r"trial 3 \(seed 42\)"):
         cli._map_trials(one, 8, seed=42)
+
+
+def _patched_generator(monkeypatch, faults):
+    """Make ``generate_convex_polar`` return or raise ``faults[trial]()`` at the given trials."""
+    real = cli.generate_convex_polar
+
+    def generate(seed, amplitude, trial=0, degree=12):
+        return faults[trial]() if trial in faults else real(seed, amplitude, trial, degree)
+
+    monkeypatch.setattr(cli, "generate_convex_polar", generate)
+
+
+def _generator_failure():
+    raise GausscurvError("convex curve generator exceeded 1000 rejections")
+
+
+def _nonconvex_curve():
+    return plane.PolarCurve.from_function(lambda t: 1.0 + 0.2 * np.cos(8 * t))
+
+
+def _verify2d_failure(tmp_path, capsys):
+    argv = ["verify2d", "--trials", "100", "--weight", "all", "--output", str(tmp_path / "v")]
+    assert cli.main(argv) == 4
+    return capsys.readouterr().err
+
+
+def test_generator_failure_names_its_trial(tmp_path, capsys, monkeypatch):
+    _patched_generator(monkeypatch, {37: _generator_failure})
+    assert "trial 37 (seed 42): convex curve generator" in _verify2d_failure(tmp_path, capsys)
+
+
+@pytest.mark.parametrize(
+    "faults, message",
+    [
+        ({40: _nonconvex_curve, 41: _generator_failure}, "trial 40 (seed 42): two-sided bound needs a convex"),
+        ({40: _generator_failure, 41: _nonconvex_curve}, "trial 40 (seed 42): convex curve generator"),
+    ],
+)
+def test_first_failing_trial_of_a_chunk_is_named(tmp_path, capsys, monkeypatch, faults, message):
+    _patched_generator(monkeypatch, faults)
+    assert message in _verify2d_failure(tmp_path, capsys)
+
+
+def test_unattainable_matched_area_in_a_chunk_is_configuration_error(tmp_path, capsys, monkeypatch):
+    # A circle of radius 1e4 has more inverse-quadratic area than any disk of radius <= 1e3.
+    real = cli.generate_star_polar
+    monkeypatch.setattr(
+        cli,
+        "generate_star_polar",
+        lambda seed, amplitude, trial=0: plane.PolarCurve.circle(1e4) if trial == 40 else real(seed, amplitude, trial),
+    )
+    argv = ["bounds2d", "--trials", "100", "--weight", "inverse-quadratic", "--output", str(tmp_path / "b")]
+    assert cli.main(argv) == 3
+    assert "attainable range" in capsys.readouterr().err
+
+
+def test_chunked_batch_equals_trials_run_one_at_a_time(tmp_path, monkeypatch):
+    args = ["bounds2d", "--trials", "40", "--weight", "all", "--amplitude", "0.2"]
+    chunked = cli.run(cli.parse_config(args + ["--output", str(tmp_path / "a")]))
+    monkeypatch.setattr(cli, "_CHUNK", 1)
+    single = cli.run(cli.parse_config(args + ["--output", str(tmp_path / "b")]))
+    assert chunked.entries == single.entries and chunked.summary == single.summary
 
 
 def test_stability_command(tmp_path):

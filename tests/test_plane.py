@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -186,6 +187,17 @@ def test_translated_area_matches_radial_quadrature(name):
             assert plane.weighted_area(curve, wp, center=center) == pytest.approx(oracle, rel=1e-13, abs=0.0)
 
 
+@pytest.mark.parametrize("name", cli.WEIGHT_PRESETS)
+@pytest.mark.parametrize("dist", [5.0, 8.5, 16.0])
+def test_far_translated_area_matches_disk_oracle(name, dist):
+    # The flux form's f(0) term cancels this far out; the Gaussian area at 16 is 5.6e-51.
+    wp = cli.weight_preset(name)
+    area, err = plane._weighted_area(PolarCurve.circle(1.0), wp, (dist, 0.0))
+    oracle = helpers.disk_weighted_area(wp, 1.0, dist)
+    assert area == pytest.approx(oracle, rel=1e-12, abs=0.0)
+    assert abs(area - oracle) <= err
+
+
 def test_matched_radius_gaussian_closed_form():
     area = 2 * np.pi * (1 - math.exp(-0.5))
     assert plane.matched_radius(area, GAUSSIAN) == pytest.approx(1.0, rel=1e-14)
@@ -203,6 +215,36 @@ def test_matched_radius_rejects_unattainable_area():
         plane.matched_radius(10.0, GAUSSIAN)
     with pytest.raises(ValueError):
         plane.matched_radius(7.0, inverse_quadratic())
+
+
+def _trial_areas(wp):
+    return np.array([plane.weighted_area(cli.generate_convex_polar(1, 0.1, t), wp) for t in range(200)])
+
+
+@pytest.mark.parametrize("name", ["inverse-quadratic", "exponential"])
+def test_bisected_radii_match_brentq_oracle(name):
+    wp = cli.weight_preset(name)
+    areas = _trial_areas(wp)
+    radii = plane._matched_radii(areas, wp)
+    oracle = np.array([helpers.brentq_matched_radius(a, wp) for a in areas])
+    assert np.max(np.abs(radii - oracle) / np.spacing(oracle)) <= 4.0
+
+
+@pytest.mark.parametrize("name", ["inverse-quadratic", "exponential"])
+def test_bisected_radii_match_closed_form_inverses(name):
+    mpmath = pytest.importorskip("mpmath")
+    inverse = {
+        "inverse-quadratic": lambda level: mpmath.sqrt(1 / level - 1),
+        "exponential": lambda level: -mpmath.log(level),
+    }[name]
+    wp = cli.weight_preset(name)
+    areas = _trial_areas(wp)
+    radii = plane._matched_radii(areas, wp)
+    # The level exactly as the library forms it; its inverse to 30 digits.
+    levels = plane._f_at(wp, 0.0) - areas / (2.0 * np.pi)
+    with mpmath.workdps(30):
+        exact = np.array([float(inverse(mpmath.mpf(float(level)))) for level in levels])
+    np.testing.assert_allclose(radii, exact, rtol=5e-16, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +380,24 @@ def test_two_sided_rejects_nonconvex():
     assert not wiggly.is_convex()
     with pytest.raises(ConvexityError):
         plane.verify_two_sided(wiggly, GAUSSIAN)
+
+
+@pytest.mark.parametrize("name", cli.WEIGHT_PRESETS)
+def test_stacked_reports_equal_single_reports(name):
+    wp = cli.weight_preset(name)
+    convex = [cli.generate_convex_polar(6, 0.1, t) for t in range(50)]
+    assert plane.verify_two_sided_many(convex, wp) == [plane.verify_two_sided(c, wp) for c in convex]
+    star = [cli.generate_star_polar(6, 0.2, t) for t in range(50)]
+    assert plane.boundary_inverse_weight_many(star, wp) == [plane.boundary_inverse_weight(c, wp) for c in star]
+
+
+def test_stacked_checks_reject_what_single_checks_reject():
+    wiggly = PolarCurve.from_function(lambda t: 1.0 + 0.2 * np.cos(8 * t))
+    with pytest.raises(ConvexityError):
+        plane.verify_two_sided_many([PolarCurve.circle(1.0), wiggly], GAUSSIAN)
+    with pytest.raises(ValueError, match="grid"):
+        plane.boundary_inverse_weight_many([PolarCurve.circle(1.0), PolarCurve.circle(1.0, grid_size=2048)], GAUSSIAN)
+    assert plane.verify_two_sided_many([], GAUSSIAN) == []
 
 
 def test_disk_energy_dominates_for_translated_convex_bodies():
@@ -535,6 +595,12 @@ def test_report_pass_rule():
     assert rep.passed and rep.margin < 0.0
     rep = plane.InequalityReport(lhs=1.0, rhs=0.9, quad_error=1e-12)
     assert not rep.passed
+
+
+def test_report_from_numpy_scalars_is_json_ready():
+    rep = plane._report(np.float64(1.0), np.float64(1.0 - 1e-13), np.float64(1e-14))
+    assert type(rep.quad_error) is float and type(rep.passed) is bool
+    assert json.loads(json.dumps({"passed": rep.passed, "quad_error": rep.quad_error}))["passed"] is True
 
 
 def test_rejects_nonpositive_radius():

@@ -142,6 +142,24 @@ def test_moments_recurrence_check_is_relative(monkeypatch):
         radial_moments(8, 100.0)
 
 
+@pytest.mark.parametrize("n", [2, 8])
+@pytest.mark.parametrize("r", [1e-300, 1e-100, 1e-5, 3e-4, 1e-3])
+def test_moments_at_tiny_radii_hold(n, r):
+    # Below r^4 = eps (n + 2)(n + 4) the moments are checked against their r -> 0 limits.
+    m = radial_moments(n, r)
+    for j, value in zip((0, 2, 4), (m.a_n, m.b_n, m.c_n)):
+        assert value == pytest.approx(1.0 / (n + j), rel=1e-6, abs=0.0), j
+
+
+def test_moments_limit_check_is_relative(monkeypatch):
+    moment = weights._moment
+    monkeypatch.setattr(
+        weights, "_moment", lambda power, r: moment(power, r) * (1.0 + 1e-8 * (power == 9))
+    )
+    with pytest.raises(QuadratureError, match="recurrence"):
+        radial_moments(8, 1e-100)
+
+
 def test_weight_identity_on_grid():
     # w(r) r + f'(r) = 0 at every sampled radius, for each preset shape.
     for wp in (
