@@ -13,6 +13,7 @@ through the regularised incomplete gamma function.
 from __future__ import annotations
 
 import math
+import weakref
 from functools import cached_property
 
 import numpy as np
@@ -25,6 +26,7 @@ from .weights import gaussian_radial_integral
 
 __all__ = [
     "RadialGraph",
+    "BodyStack",
     "curvature_terms",
     "mean_curvature",
     "gaussian_volume",
@@ -47,7 +49,21 @@ __all__ = [
 _CONVEX_RTOL = 1e-8
 
 
-class RadialGraph:
+class _NodeForms:
+    """``|grad h|^2`` and ``Hess h(grad h, grad h)`` from ``grad_nodes`` and
+    ``hess_nodes``, for one body or a stack of bodies."""
+
+    @cached_property
+    def sq_grad_nodes(self) -> np.ndarray:
+        return np.einsum("...i,...i->...", self.grad_nodes, self.grad_nodes)
+
+    @cached_property
+    def hessian_form_nodes(self) -> np.ndarray:
+        """Hess h(grad h, grad h) at the nodes."""
+        return np.einsum("...i,...ij,...j->...", self.grad_nodes, self.hess_nodes, self.grad_nodes)
+
+
+class RadialGraph(_NodeForms):
     """A star-shaped body with boundary ``{x h(x)}`` where ``h = r (1 + u)``.
 
     Instances are immutable by convention: node caches are filled lazily but
@@ -125,17 +141,51 @@ class RadialGraph:
         """Covariant Hessian of ``h`` at the nodes, shape (nodes, n, n)."""
         return self.radius * sphere.hessian(self.perturbation, self.quad)
 
-    @cached_property
-    def hessian_form_nodes(self) -> np.ndarray:
-        """Hess h(grad h, grad h) at the nodes."""
-        return np.einsum("mi,mij,mj->m", self.grad_nodes, self.hess_nodes, self.grad_nodes)
-
-    @cached_property
-    def sq_grad_nodes(self) -> np.ndarray:
-        return np.einsum("mi,mi->m", self.grad_nodes, self.grad_nodes)
-
     def dilated(self, scale: float) -> "RadialGraph":
         return RadialGraph(self.n, scale * self.radius, self.perturbation, quad=self.quad)
+
+
+class BodyStack(_NodeForms):
+    """Bodies that share one dimension, rule and field degree, with their node values stacked.
+
+    The node attributes are named as on :class:`RadialGraph` and carry a
+    leading axis over the bodies, so the node-wise functions of this module
+    run once on the stack.  Values, gradients and Laplacians are each body's
+    own, computed on first use; the Hessians come from
+    :func:`sphere.hessian_many`.  Every slice is bit-identical to the body's
+    own array.
+    """
+
+    def __init__(self, graphs):
+        self.graphs = tuple(graphs)
+        first = self.graphs[0]
+        if any(g.n != first.n or g.quad is not first.quad for g in self.graphs):
+            raise ValueError("stacked bodies need one common dimension and rule")
+        self.n, self.quad = first.n, first.quad
+        self.h_nodes = np.stack([g.h_nodes for g in self.graphs])
+
+    def _stacked(self, name: str, *shape: int) -> np.ndarray:
+        # A body that has not cached the array yet computes it without caching
+        # it, so that the stack holds the only copy.
+        compute = getattr(RadialGraph, name).func
+        out = np.empty((len(self.graphs), self.quad.size, *shape))
+        for row, g in zip(out, self.graphs):
+            row[...] = g.__dict__[name] if name in g.__dict__ else compute(g)
+        return out
+
+    @cached_property
+    def grad_nodes(self) -> np.ndarray:
+        return self._stacked("grad_nodes", self.n)
+
+    @cached_property
+    def lap_nodes(self) -> np.ndarray:
+        return self._stacked("lap_nodes")
+
+    @cached_property
+    def hess_nodes(self) -> np.ndarray:
+        hess = sphere.hessian_many([g.perturbation for g in self.graphs], self.quad)
+        hess *= np.array([g.radius for g in self.graphs])[:, None, None, None]
+        return hess
 
 
 def curvature_terms(n, h, sq, lap, hess, xp=np):
@@ -151,6 +201,20 @@ def curvature_terms(n, h, sq, lap, hess, xp=np):
     return H, H * xp.exp(-0.5 * h**2) * (h ** (n - 2) * W)
 
 
+def _curvature_nodes(body):
+    """:func:`curvature_terms` at the nodes of a body or a :class:`BodyStack`."""
+    return curvature_terms(body.n, body.h_nodes, body.sq_grad_nodes, body.lap_nodes, body.hessian_form_nodes)
+
+
+def _integrals(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Quadrature sums along the last axis, one dot product per body.
+
+    Each body's sum is then the same whatever stack it sits in.
+    """
+    rows = values.reshape(-1, values.shape[-1])
+    return np.array([np.dot(weights, row) for row in rows]).reshape(values.shape[:-1])
+
+
 def mean_curvature(body: RadialGraph, points=None):
     """Mean curvature (sum of principal curvatures) at every node, or at unit ``points``.
 
@@ -158,13 +222,13 @@ def mean_curvature(body: RadialGraph, points=None):
     """
     n, r, u = body.n, body.radius, body.perturbation
     if points is None:
-        h, sq, lap, hess = body.h_nodes, body.sq_grad_nodes, body.lap_nodes, body.hessian_form_nodes
-    else:
-        h = r * (1.0 + sphere.synthesize(u, body.quad, points))
-        grad = r * sphere.field_gradient(u, body.quad, points)
-        sq = np.einsum("...i,...i->...", grad, grad)
-        lap = r * sphere.synthesize(sphere.laplace_beltrami(u), body.quad, points)
-        hess = r**3 * sphere.hessian_form(u, body.quad, points)
+        H, _ = _curvature_nodes(body)
+        return H
+    h = r * (1.0 + sphere.synthesize(u, body.quad, points))
+    grad = r * sphere.field_gradient(u, body.quad, points)
+    sq = np.einsum("...i,...i->...", grad, grad)
+    lap = r * sphere.synthesize(sphere.laplace_beltrami(u), body.quad, points)
+    hess = r**3 * sphere.hessian_form(u, body.quad, points)
     H, _ = curvature_terms(n, h, sq, lap, hess)
     return float(H) if np.ndim(H) == 0 else H
 
@@ -173,23 +237,30 @@ def mean_curvature(body: RadialGraph, points=None):
 mean_curvature_at_nodes = mean_curvature
 
 
+def _gaussian_volumes(body) -> np.ndarray:
+    vals = gaussian_radial_integral(body.n, body.h_nodes)
+    return _integrals(body.quad.weights, vals) / (2.0 * math.pi) ** (body.n / 2.0)
+
+
 def gaussian_volume(body: RadialGraph) -> float:
     """Gaussian measure of the body: spherical quadrature of the closed-form radial integral."""
-    vals = gaussian_radial_integral(body.n, body.h_nodes)
-    return float(np.dot(body.quad.weights, vals)) / (2.0 * math.pi) ** (body.n / 2.0)
+    return float(_gaussian_volumes(body))
 
 
 def curvature_energy_nd(body: RadialGraph) -> float:
     """Integral of mean curvature against the Gaussian boundary weight."""
-    _, density = curvature_terms(body.n, body.h_nodes, body.sq_grad_nodes, body.lap_nodes, body.hessian_form_nodes)
-    return float(np.dot(body.quad.weights, density))
+    _, density = _curvature_nodes(body)
+    return float(_integrals(body.quad.weights, density))
+
+
+def _flux_energies(body, H: np.ndarray) -> np.ndarray:
+    integrand = H * np.exp(-0.5 * body.h_nodes**2) * body.h_nodes ** (body.n - 1)
+    return _integrals(body.quad.weights, integrand)
 
 
 def flux_energy(body: RadialGraph) -> float:
     """Same integral with the radial flux factor <x, nu>/|x| = h / slant."""
-    H = mean_curvature(body)
-    integrand = H * np.exp(-0.5 * body.h_nodes**2) * body.h_nodes ** (body.n - 1)
-    return float(np.dot(body.quad.weights, integrand))
+    return float(_flux_energies(body, mean_curvature(body)))
 
 
 def inverse_square_flux(body: RadialGraph) -> float:
@@ -283,6 +354,45 @@ def _tangent_frames(nodes: np.ndarray) -> np.ndarray:
     return frames
 
 
+# Tangent frames depend only on the nodes, so each rule builds them once.
+_RULE_FRAMES = weakref.WeakKeyDictionary()
+
+
+def _rule_frames(quad: sphere.SphereQuadrature) -> np.ndarray:
+    frames = _RULE_FRAMES.get(quad)
+    if frames is None:
+        frames = _tangent_frames(quad.nodes)
+        frames.setflags(write=False)
+        _RULE_FRAMES[quad] = frames
+    return frames
+
+
+def _fundamental_minima(body) -> np.ndarray:
+    """:func:`second_fundamental_min` of a body, or of each body of a :class:`BodyStack`.
+
+    The frames are orthonormal, so the form is ``h^2 I + K`` with
+    ``K = tau (2 grad h grad h^T - h Hess h) tau^T``, built entry by entry.
+    On S^2 the smaller eigenvalue of each 2 x 2 ``K`` has a closed form.
+    """
+    # The Hessians first: their projection holds the largest arrays.
+    hess, h, g = body.hess_nodes, body.h_nodes, body.grad_nodes
+    tau = _rule_frames(body.quad)
+    k = body.n - 1
+    tg = [np.einsum("mi,...mi->...m", tau[:, a], g) for a in range(k)]
+    K = np.empty((*h.shape, k, k))
+    for a in range(k):
+        for b in range(a, k):
+            K[..., a, b] = K[..., b, a] = (
+                2.0 * tg[a] * tg[b] - h * np.einsum("mi,...mij,mj->...m", tau[:, a], hess, tau[:, b])
+            )
+    if k == 2:
+        a, b, c = K[..., 0, 0], K[..., 0, 1], K[..., 1, 1]
+        low = 0.5 * (a + c) - np.hypot(0.5 * (a - c), b)
+    else:
+        low = np.linalg.eigvalsh(K)[..., 0]
+    return np.min(h * h + low, axis=-1)
+
+
 def second_fundamental_min(body: RadialGraph) -> float:
     """Smallest eigenvalue of the (unnormalised) second fundamental form over all nodes.
 
@@ -291,11 +401,7 @@ def second_fundamental_min(body: RadialGraph) -> float:
     ``rho^2 + 2 rho'^2 - rho rho''``; it is ``r^2`` for the ball of radius r.
     Positive semidefiniteness at every node certifies convexity there.
     """
-    h, g = body.h_nodes, body.grad_nodes
-    M = (h * h)[:, None, None] * np.eye(body.n) + 2.0 * g[:, :, None] * g[:, None, :]
-    M -= h[:, None, None] * body.hess_nodes
-    tau = _tangent_frames(body.quad.nodes)
-    return float(np.min(np.linalg.eigvalsh(tau @ M @ tau.transpose(0, 2, 1))))
+    return float(_fundamental_minima(body))
 
 
 def _zonal_section_curve(body: RadialGraph) -> plane.PolarCurve:
@@ -313,15 +419,21 @@ def _zonal_section_curve(body: RadialGraph) -> plane.PolarCurve:
     return plane.PolarCurve.from_function(section, degree=max(u.degree, 4))
 
 
+def _convex(stack: BodyStack) -> np.ndarray:
+    """:func:`is_convex` of each body of the stack."""
+    if stack.n == 3:
+        return _fundamental_minima(stack) >= -_CONVEX_RTOL * np.max(stack.h_nodes, axis=-1) ** 2
+    curves = [_zonal_section_curve(g) for g in stack.graphs]
+    return plane._convex(*plane._stacked(curves, "rho", "drho", "ddrho"))
+
+
 def is_convex(body: RadialGraph) -> bool:
     """Convexity certificate: :func:`second_fundamental_min` >= ``-1e-8 max h^2`` for n = 3.
 
     Axisymmetric bodies in higher dimensions are convex exactly when their
     meridian section is, which is checked on its planar grid.
     """
-    if body.n == 3:
-        return second_fundamental_min(body) >= -_CONVEX_RTOL * float(np.max(body.h_nodes)) ** 2
-    return _zonal_section_curve(body).is_convex()
+    return bool(_convex(BodyStack([body]))[0])
 
 
 def ball_gaussian_volume(n: int, r) -> float:

@@ -41,6 +41,7 @@ __all__ = [
     "measure_second_variation",
     "threshold_scan",
     "calibration_check",
+    "calibration_check_many",
 ]
 
 EPSILON_FLOOR = 4e-4
@@ -358,29 +359,60 @@ def calibration_check(graph: bd.RadialGraph, M: float) -> CalibrationResult:
     ``r_E >= 2 sqrt(n-2)``.  Both inequalities are evaluated regardless of
     the gates so that exploratory runs can see how far they degrade.  Both
     compare with :func:`body.ball_energy`, since on a ball ``h / slant = 1``.
+    A batch of one for :func:`calibration_check_many`.
 
     Raises
     ------
     ConvexityError
         When the body's convexity certificate fails.
     """
-    n = graph.n
+    return calibration_check_many([graph], [M])[0]
+
+
+def calibration_check_many(graphs, bounds=None) -> list[CalibrationResult]:
+    """:func:`calibration_check` for each body, evaluated on stacked node values.
+
+    The bodies share one dimension, rule and field degree (a
+    :class:`body.BodyStack`); each result is bit-identical to the body's own.
+    ``bounds`` holds each body's curvature bound ``M``; None takes each
+    body's largest mean curvature over the nodes, computed once with the
+    energies.
+
+    Raises
+    ------
+    ConvexityError
+        When any body's convexity certificate fails.
+    """
+    if not graphs:
+        return []
+    n = graphs[0].n
     if n < 3:
         raise ValueError("calibration inequalities need dimension >= 3")
-    if not bd.is_convex(graph):
+    stack = bd.BodyStack(graphs)
+    if not np.all(bd._convex(stack)):
         raise ConvexityError("calibration inequalities need a convex body")
-    vol = bd.gaussian_volume(graph)
+    H, density = bd._curvature_nodes(stack)
+    if bounds is None:
+        bounds = np.max(H, axis=-1)
+    columns = (
+        bounds,
+        bd._gaussian_volumes(stack),
+        np.min(stack.h_nodes, axis=-1),
+        bd._integrals(stack.quad.weights, density),
+        bd._flux_energies(stack, H),
+    )
+    return [_calibration_result(n, *map(float, values)) for values in zip(*columns)]
+
+
+def _calibration_result(n: int, M: float, vol: float, r_in: float, energy: float, flux: float) -> CalibrationResult:
     gate_volume = vol >= max(psi(2.0 * M), psi(math.sqrt(n - 2)))
-    r_in = bd.inscribed_radius(graph)
     r = bd.ball_match_radius(n, vol)
     ball_energy = bd.ball_energy(n, r)
     quad_slack = 1e-9 * (1.0 + abs(ball_energy))
-    ineq1 = _report(bd.curvature_energy_nd(graph), ball_energy, quad_slack)
-    ineq3 = _report(bd.flux_energy(graph), ball_energy, quad_slack)
     return CalibrationResult(
         hypothesis_ok=bool(gate_volume),
-        ineq1=ineq1,
-        ineq3=ineq3,
+        ineq1=_report(energy, ball_energy, quad_slack),
+        ineq3=_report(flux, ball_energy, quad_slack),
         matched_radius=r,
         volume=vol,
         curvature_bound=M,

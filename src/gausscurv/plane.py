@@ -341,8 +341,12 @@ def _weighted_area(curve: PolarCurve, wp: WeightPair, center=None):
         # dropped; far away that term only cancels.  Near the boundary it keeps the
         # integrand smooth, so the form with the smaller error estimate is kept.
         values = -f_x * sweep
-        scale = float(np.max(np.abs(values))) or 1.0
-        far, far_err = (scale * v for v in _spectral_integral(values / scale))
+        scale = float(np.max(np.abs(values)))
+        if scale == 0.0:
+            # f(|x|) underflows on the whole boundary: 0 is the correctly rounded area.
+            far, far_err = 0.0, 0.0
+        else:
+            far, far_err = (scale * v for v in _spectral_integral(values / scale))
         if far_err < err:
             total, err = far, far_err
     if not err <= AREA_RTOL * abs(total):

@@ -49,6 +49,7 @@ __all__ = [
     "laplace_beltrami",
     "field_gradient",
     "hessian",
+    "hessian_many",
     "hessian_form",
 ]
 
@@ -203,7 +204,7 @@ class HarmonicField:
         return float(np.linalg.norm(self.coeffs))
 
     def grad_norm_l2(self) -> float:
-        lam = np.array([eigenvalue(self.n, k) for k in self.degrees])
+        lam = _eigenvalues(self.n, self.degree)
         return float(math.sqrt(np.sum(lam * self.coeffs**2)))
 
     def mean(self) -> float:
@@ -221,14 +222,26 @@ def _degree_index(n: int, L: int) -> np.ndarray:
     return ks
 
 
+@lru_cache(maxsize=None)
+def _eigenvalues(n: int, L: int) -> np.ndarray:
+    """:func:`eigenvalue` of each coefficient slot up to degree ``L``."""
+    ks = _degree_index(n, L)
+    lam = (ks * (ks + n - 2)).astype(float)
+    lam.setflags(write=False)
+    return lam
+
+
 class _Tables:
     """Basis values and tangential gradients on a fixed quadrature.
 
     Subclasses provide ``values_at(X)``, shape (basis, m), and
     ``gradients_at(X)``, shape (basis, m, n), for unit points ``X`` of shape
-    (m, n), and ``hessians_at(coeffs, X)``, the covariant Hessians (m, n, n)
-    of the field with those coefficients.  Node values are built with the
-    basis; the node-gradient table, the larger of the two, only on first use.
+    (m, n).  The covariant Hessians (m, n, n) of a field come in two steps:
+    ``hessian_parts(coeffs, X)``, linear in the coefficients, and
+    ``covariant(parts, X)``, node-wise, which takes any leading axes of
+    stacked fields and may overwrite ``parts``.  Node values are built with
+    the basis; the node-gradient table, the larger of the two, only on first
+    use.
     """
 
     def __init__(self, quad: SphereQuadrature):
@@ -339,11 +352,11 @@ class _FullBasis3D(_Tables):
             out[sin_rows] = (dP * sn)[:, :, None] * e_theta + (mQ * c)[:, :, None] * e_phi
         return out
 
-    def hessians_at(self, coeffs: np.ndarray, X: np.ndarray) -> np.ndarray:
+    def hessian_parts(self, coeffs: np.ndarray, X: np.ndarray) -> np.ndarray:
         # Each component of grad u is a spherical polynomial of degree L + 1, so
         # its projection at that degree is exact on a rule of degree 2L + 2.  The
         # gradients of the three projected fields are the rows of the Jacobian J
-        # of grad u, and P J P with P = I - x x^T is the covariant Hessian.
+        # of grad u, shape (m, 3, 3).
         q, L1 = self.quad, self.L + 1
         if L1 > MAX_DEGREE or q.degree < 2 * L1:
             raise QuadratureError(
@@ -353,9 +366,13 @@ class _FullBasis3D(_Tables):
         grad = np.tensordot(coeffs, self.Gn, axes=1)
         C = up.V @ (q.weights[:, None] * grad)
         G = up.Gn if X is q.nodes else up.gradients_at(X)
-        J = np.tensordot(C, G, axes=(0, 0)).transpose(1, 0, 2)
+        return np.tensordot(C, G, axes=(0, 0)).transpose(1, 0, 2)
+
+    @staticmethod
+    def covariant(J: np.ndarray, X: np.ndarray) -> np.ndarray:
+        # P J P with P = I - x x^T is the covariant Hessian; it is written over J.
         P = np.eye(3) - X[:, :, None] * X[:, None, :]
-        return P @ J @ P
+        return np.matmul(P @ J, P, out=J)
 
 
 class _ZonalBasis(_Tables):
@@ -397,13 +414,19 @@ class _ZonalBasis(_Tables):
         a = np.eye(X.shape[1])[0] - X[:, :1] * X
         return self._derivatives(X[:, 0], 1)[:, :, None] * a[None, :, :]
 
-    def hessians_at(self, coeffs: np.ndarray, X: np.ndarray) -> np.ndarray:
-        # Hess g(<x, e_1>) = g''(t) a a^T - t g'(t) P, with P = I - x x^T.
+    def hessian_parts(self, coeffs: np.ndarray, X: np.ndarray) -> np.ndarray:
+        # g'(t) and g''(t), shape (2, m).
         t = X[:, 0]
-        d1, d2 = (coeffs @ self._derivatives(t, j) for j in (1, 2))
+        return np.stack([coeffs @ self._derivatives(t, j) for j in (1, 2)])
+
+    @staticmethod
+    def covariant(parts: np.ndarray, X: np.ndarray) -> np.ndarray:
+        # Hess g(<x, e_1>) = g''(t) a a^T - t g'(t) P, with a = e_1 - t x and P = I - x x^T.
+        t = X[:, 0]
+        d1, d2 = parts[..., 0, :], parts[..., 1, :]
         a = np.eye(X.shape[1])[0] - X[:, :1] * X
         P = np.eye(X.shape[1]) - X[:, :, None] * X[:, None, :]
-        return d2[:, None, None] * a[:, :, None] * a[:, None, :] - (t * d1)[:, None, None] * P
+        return d2[..., None, None] * a[:, :, None] * a[:, None, :] - (t * d1)[..., None, None] * P
 
 
 def _basis(n: int, L: int, quad: SphereQuadrature):
@@ -460,7 +483,7 @@ def analyze(values, n: int, degree: int, quad: SphereQuadrature) -> HarmonicFiel
 
 def laplace_beltrami(field: HarmonicField) -> HarmonicField:
     """Apply the Laplace-Beltrami operator: coefficient k maps to -k(k+n-2)."""
-    lam = np.array([eigenvalue(field.n, k) for k in field.degrees])
+    lam = _eigenvalues(field.n, field.degree)
     return HarmonicField(
         n=field.n, degree=field.degree, coeffs=-lam * field.coeffs, parity=field.parity
     )
@@ -498,8 +521,22 @@ def hessian(field: HarmonicField, quad: SphereQuadrature | None = None, points=N
     b = _basis_for(field, quad)
     # At the nodes X is the rule's own array, which lets cached tables serve.
     X, single = _points(b.quad.nodes if points is None else points)
-    H = b.hessians_at(field.coeffs, X)
+    H = b.covariant(b.hessian_parts(field.coeffs, X), X)
     return H[0] if single else H
+
+
+def hessian_many(fields, quad: SphereQuadrature) -> np.ndarray:
+    """:func:`hessian` at the nodes for each field, shape (fields, nodes, n, n).
+
+    The fields share one dimension and degree.  The maps from coefficients
+    run field by field; the node-wise projection runs once on the stack, and
+    each slice is bit-identical to the field's own :func:`hessian`.
+    """
+    if len({(f.n, f.degree) for f in fields}) != 1:
+        raise ValueError("stacked fields need one common dimension and degree")
+    b = _basis_for(fields[0], quad)
+    X = b.quad.nodes
+    return b.covariant(np.stack([b.hessian_parts(f.coeffs, X) for f in fields]), X)
 
 
 def hessian_form(field: HarmonicField, quad: SphereQuadrature | None = None, points=None):

@@ -468,6 +468,15 @@ def loop_tangent_frames(nodes):
     return frames
 
 
+def eigvalsh_second_fundamental_min(body):
+    """Smallest eigenvalue of ``tau (h^2 I + 2 grad h grad h^T - h Hess h) tau^T`` over the nodes, by ``eigvalsh``."""
+    h, g = body.h_nodes, body.grad_nodes
+    M = (h * h)[:, None, None] * np.eye(body.n) + 2.0 * g[:, :, None] * g[:, None, :]
+    M -= h[:, None, None] * body.hess_nodes
+    tau = loop_tangent_frames(body.quad.nodes)
+    return float(np.min(np.linalg.eigvalsh(tau @ M @ tau.transpose(0, 2, 1))))
+
+
 def weingarten_second_fundamental_min(body):
     """Smallest eigenvalue of the second fundamental form on S^2 by the Weingarten map.
 

@@ -405,6 +405,50 @@ def test_calibration_builds_tables_one_degree_above_the_body():
     assert set(rule._bases) == {6, 7}
 
 
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_stacked_node_values_equal_each_bodys_own(n):
+    graphs = [cli.random_even_body(3, trial, n, 1.0 + trial % 3, 0.1) for trial in range(7)]
+    graphs[2].grad_nodes  # one body with a cached gradient, the rest without
+    stack = bd.BodyStack(graphs)
+    names = ("h_nodes", "grad_nodes", "lap_nodes", "hess_nodes", "sq_grad_nodes", "hessian_form_nodes")
+    for name in names:
+        for k, graph in enumerate(graphs):
+            assert np.array_equal(getattr(stack, name)[k], getattr(graph, name)), (name, k)
+    H, _ = bd._curvature_nodes(stack)
+    for k, graph in enumerate(graphs):
+        assert np.array_equal(H[k], bd.mean_curvature(graph))
+        assert bd._gaussian_volumes(stack)[k] == bd.gaussian_volume(graph)
+        assert bd._fundamental_minima(stack)[k] == bd.second_fundamental_min(graph)
+    assert list(bd._convex(stack)) == [bd.is_convex(graph) for graph in graphs]
+
+
+def test_stack_needs_one_rule():
+    a = cli.random_even_body(1, 0, 3, 3.0, 1e-2)
+    b = RadialGraph(3, 3.0, a.perturbation, quad=sphere.build_quadrature(3, 30))
+    with pytest.raises(ValueError, match="one common dimension and rule"):
+        bd.BodyStack([a, b])
+
+
+def test_second_fundamental_min_matches_eigvalsh_oracle():
+    # The closed-form 2 x 2 eigenvalue against eigvalsh on the full tangent-frame form.
+    for trial in range(50):
+        graph = cli.random_even_body(11, trial, 3, 1.0 + trial % 4, (1e-2, 0.1, 0.3)[trial % 3])
+        oracle = helpers.eigvalsh_second_fundamental_min(graph)
+        scale = float(np.max(graph.h_nodes)) ** 2
+        assert abs(bd.second_fundamental_min(graph) - oracle) <= 1e-14 * scale, trial
+    for n in (4, 6):
+        graph = cli.random_even_body(11, n, n, 1.5, 0.3)
+        oracle = helpers.eigvalsh_second_fundamental_min(graph)
+        assert bd.second_fundamental_min(graph) == pytest.approx(oracle, rel=1e-13)
+
+
+def test_tangent_frames_are_built_once_per_rule():
+    rule = sphere.build_quadrature(3, 24)
+    frames = bd._rule_frames(rule)
+    assert frames is bd._rule_frames(rule) and not frames.flags.writeable
+    np.testing.assert_array_equal(frames, bd._tangent_frames(rule.nodes))
+
+
 def test_tangent_frames_match_node_loop():
     for n in (3, 4):
         nodes = helpers.product_rule(n, 8).nodes

@@ -286,6 +286,33 @@ def test_chunked_batch_equals_trials_run_one_at_a_time(tmp_path, monkeypatch):
     assert chunked.entries == single.entries and chunked.summary == single.summary
 
 
+def _calibration_entries(tmp_path, trials, name):
+    argv = ["calibration", "--trials", str(trials), "--seed", "5", "--output", str(tmp_path / name)]
+    assert cli.main(argv) == 0
+    return json.loads((tmp_path / f"{name}.json").read_text())["entries"]
+
+
+def test_calibration_entries_do_not_depend_on_the_chunk(tmp_path):
+    # Trial 32 opens a partial chunk of one in the first run and a full chunk in the second.
+    short = _calibration_entries(tmp_path, 33, "short")
+    long = _calibration_entries(tmp_path, 64, "long")
+    assert [json.dumps(e, sort_keys=True) for e in short] == [json.dumps(e, sort_keys=True) for e in long[:33]]
+
+
+def test_calibration_failure_names_its_trial(tmp_path, capsys, monkeypatch):
+    real = cli.random_even_body
+
+    def generate(seed, trial, n, radius, amplitude, degree=6):
+        if trial == 40:
+            return cli.bd.RadialGraph(n, radius, sphere.HarmonicField.single_mode(n, 4, 0.5, degree=degree))
+        return real(seed, trial, n, radius, amplitude, degree)
+
+    monkeypatch.setattr(cli, "random_even_body", generate)
+    argv = ["calibration", "--trials", "100", "--seed", "8", "--output", str(tmp_path / "c")]
+    assert cli.main(argv) == 4
+    assert "trial 40 (seed 8): calibration inequalities need a convex body" in capsys.readouterr().err
+
+
 def test_stability_command(tmp_path):
     cfg = cli.parse_config(
         ["stability2d", "--h-min", "4", "--h-max", "16", "--output", str(tmp_path / "st")]

@@ -269,6 +269,27 @@ def test_calibration_ball_side_matches_quadrature_ball(n):
     assert res.ineq3.rhs == pytest.approx(bd.flux_energy(ball), rel=1e-13, abs=0.0)
 
 
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_stacked_calibration_equals_single_checks(n):
+    graphs = [cli.random_even_body(17, trial, n, 3.0, 1e-2) for trial in range(50)]
+    stacked = ex.calibration_check_many(graphs)
+    for graph, res in zip(graphs, stacked):
+        M = float(np.max(bd.mean_curvature(graph)))
+        assert res == ex.calibration_check(graph, M)
+        assert res.curvature_bound == M
+    bounds = [0.5 + 0.01 * k for k in range(50)]
+    for graph, M, res in zip(graphs, bounds, ex.calibration_check_many(graphs, bounds)):
+        assert res == ex.calibration_check(graph, M)
+
+
+def test_stacked_calibration_rejects_one_nonconvex_body():
+    graphs = [cli.random_even_body(17, trial, 3, 3.0, 1e-2) for trial in range(5)]
+    graphs[3] = RadialGraph(3, 3.0, HarmonicField.single_mode(3, 4, 0.5, degree=6))
+    with pytest.raises(ConvexityError):
+        ex.calibration_check_many(graphs)
+    assert ex.calibration_check_many([]) == []
+
+
 def test_calibration_rejects_nonconvex():
     rough = RadialGraph(3, 1.0, HarmonicField.single_mode(3, 4, 0.5))
     with pytest.raises(ConvexityError):

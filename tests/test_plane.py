@@ -198,6 +198,18 @@ def test_far_translated_area_matches_disk_oracle(name, dist):
     assert abs(area - oracle) <= err
 
 
+@pytest.mark.parametrize("name, dist", [("gaussian", 40.0), ("gaussian", 100.0), ("gaussian", 1e3), ("exponential", 760.0)])
+def test_area_where_the_weight_underflows_on_the_boundary_is_zero(name, dist):
+    # f(|x|) is 0 at every boundary node, so 0 is the correctly rounded area.
+    area, err = plane._weighted_area(PolarCurve.circle(1.0), cli.weight_preset(name), (dist, 0.0))
+    assert (area, err) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("dist, expected", [(38.0, 5.7758032822638056e-300), (39.0, 2.87398075e-316)])
+def test_gaussian_area_just_before_underflow_is_unchanged(dist, expected):
+    assert plane.weighted_area(PolarCurve.circle(1.0), GAUSSIAN, (dist, 0.0)) == expected
+
+
 def test_matched_radius_gaussian_closed_form():
     area = 2 * np.pi * (1 - math.exp(-0.5))
     assert plane.matched_radius(area, GAUSSIAN) == pytest.approx(1.0, rel=1e-14)

@@ -337,6 +337,27 @@ def random_unit_points(n, m, seed):
     return X / np.linalg.norm(X, axis=1)[:, None]
 
 
+@pytest.mark.parametrize("n", [3, 4, 8])
+def test_eigenvalue_table_is_cached_and_exact(n):
+    u = random_field(n, 6, seed=n)
+    lam = np.array([sphere.eigenvalue(n, k) for k in u.degrees])
+    assert np.array_equal(sphere.laplace_beltrami(u).coeffs, -lam * u.coeffs)
+    assert u.grad_norm_l2() == float(math.sqrt(np.sum(lam * u.coeffs**2)))
+    table = sphere._eigenvalues(n, 6)
+    assert table is sphere._eigenvalues(n, 6) and not table.flags.writeable
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_stacked_hessians_equal_single_hessians(n):
+    q = sphere.default_quadrature(n, 6)
+    fields = [random_field(n, 6, seed=s) for s in range(5)]
+    stacked = sphere.hessian_many(fields, q)
+    for u, H in zip(fields, stacked):
+        assert np.array_equal(H, sphere.hessian(u, q))
+    with pytest.raises(ValueError, match="common dimension and degree"):
+        sphere.hessian_many([fields[0], random_field(n, 4, seed=9)], q)
+
+
 @pytest.mark.parametrize("n", range(3, 9))
 @pytest.mark.parametrize("L", [1, 2, 5, 9, 16, 31])
 def test_hessian_trace_is_laplace_beltrami(n, L):
