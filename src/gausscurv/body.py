@@ -17,7 +17,6 @@ import weakref
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import gammainc, gammaincinv
 
 from . import plane, sphere
@@ -151,7 +150,7 @@ class BodyStack(_NodeForms):
     The node attributes are named as on :class:`RadialGraph` and carry a
     leading axis over the bodies, so the node-wise functions of this module
     run once on the stack.  Values, gradients and Laplacians are each body's
-    own, computed on first use; the Hessians come from
+    own cached arrays, stacked on first use; the Hessians come from
     :func:`sphere.hessian_many`.  Every slice is bit-identical to the body's
     own array.
     """
@@ -164,22 +163,13 @@ class BodyStack(_NodeForms):
         self.n, self.quad = first.n, first.quad
         self.h_nodes = np.stack([g.h_nodes for g in self.graphs])
 
-    def _stacked(self, name: str, *shape: int) -> np.ndarray:
-        # A body that has not cached the array yet computes it without caching
-        # it, so that the stack holds the only copy.
-        compute = getattr(RadialGraph, name).func
-        out = np.empty((len(self.graphs), self.quad.size, *shape))
-        for row, g in zip(out, self.graphs):
-            row[...] = g.__dict__[name] if name in g.__dict__ else compute(g)
-        return out
-
     @cached_property
     def grad_nodes(self) -> np.ndarray:
-        return self._stacked("grad_nodes", self.n)
+        return np.stack([g.grad_nodes for g in self.graphs])
 
     @cached_property
     def lap_nodes(self) -> np.ndarray:
-        return self._stacked("lap_nodes")
+        return np.stack([g.lap_nodes for g in self.graphs])
 
     @cached_property
     def hess_nodes(self) -> np.ndarray:
@@ -290,10 +280,19 @@ def inscribed_radius(body: RadialGraph) -> float:
 def volume_match(body: RadialGraph, target: float) -> RadialGraph:
     """Dilate the body so its Gaussian volume equals ``target``.
 
-    Dilation preserves the shape class and convexity; a safeguarded Newton
-    iteration (the volume derivative in the scale is available in closed
-    form) is polished to a relative 1e-13 in the volume, so small targets in
-    high dimension are matched as tightly as large ones.
+    Dilation preserves the shape class and convexity.  Newton's iteration
+    in the scale, started from the matched ball's radius over the mean of
+    ``h`` (the volume derivative is available in closed form), is polished
+    to a relative 1e-13 in the volume, so small targets in high dimension
+    are matched as tightly as large ones.
+
+    Raises
+    ------
+    QuadratureError
+        If a derivative is not positive, a step is not finite or exceeds
+        half the scale, or 60 steps do not converge.  None of these occurs
+        for n in {3, 4, 6, 8}, amplitudes up to 0.6 and targets from 1e-300
+        to 1 - 1e-15.
     """
     if not 0.0 < target < 1.0:
         raise ValueError("target Gaussian volume must lie in (0, 1)")
@@ -320,18 +319,7 @@ def volume_match(body: RadialGraph, target: float) -> RadialGraph:
         if not math.isfinite(step) or abs(step) > 0.5 * s:
             break
         s -= step
-    # Newton strayed: fall back to bracketed root finding.
-    lo, hi = s, s
-    while vol(lo) > target:
-        lo *= 0.5
-        if lo < 1e-12:
-            raise QuadratureError("volume matching could not bracket the dilation")
-    while vol(hi) < target:
-        hi *= 2.0
-        if hi > 1e12:
-            raise QuadratureError("volume matching could not bracket the dilation")
-    s = brentq(lambda t: vol(t) - target, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    return body.dilated(s)
+    raise QuadratureError(f"volume matching did not converge for target {target!r}")
 
 
 def _tangent_frames(nodes: np.ndarray) -> np.ndarray:

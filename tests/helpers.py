@@ -12,8 +12,11 @@ second fundamental form, and the meridian section of an axisymmetric body.
 Planar matched radii have the former scalar root finder as oracle; ball
 volumes and matched radii have the sphere-area form and a bracketed
 root finder as oracles for the chi_n distribution function and quantile;
-radial moments have adaptive quadrature.  The exact second variation has
-Richardson extrapolation of finite-amplitude matched energy gaps as oracle.
+radial moments have adaptive quadrature.  Volume matching has the former
+Newton iteration with its bracketed root-finding fallback as oracle, and the
+capped cylinder's closed forms have the former adaptive quadrature of its
+four pieces.  The exact second variation has Richardson extrapolation of
+finite-amplitude matched energy gaps as oracle.
 The recursive product rule, exact for every polynomial of its degree, is the
 oracle of the library's one rule per dimension.
 """
@@ -439,6 +442,46 @@ def brentq_ball_match_radius(n, target):
     )
 
 
+def brentq_volume_match_radius(body, target):
+    """Base radius of ``body`` dilated to Gaussian volume ``target``: Newton, then a bracket and brentq.
+
+    Returns the radius and whether Newton's iteration found it without the fallback.
+    """
+    import math
+
+    from scipy.optimize import brentq
+
+    from gausscurv.body import ball_match_radius, gaussian_radial_integral
+
+    n, h, w = body.n, body.h_nodes, body.quad.weights
+    norm = (2.0 * math.pi) ** (n / 2.0)
+
+    def vol(s):
+        return float(np.dot(w, gaussian_radial_integral(n, s * h))) / norm
+
+    def dvol(s):
+        return float(np.dot(w, h * (s * h) ** (n - 1) * np.exp(-0.5 * (s * h) ** 2))) / norm
+
+    s = ball_match_radius(n, target) / float(np.dot(w, h) / np.sum(w))
+    for _ in range(60):
+        g = vol(s) - target
+        if abs(g) <= 1e-13 * target:
+            return s * body.radius, True
+        d = dvol(s)
+        if d <= 0.0:
+            break
+        step = g / d
+        if not math.isfinite(step) or abs(step) > 0.5 * s:
+            break
+        s -= step
+    lo, hi = s, s
+    while vol(lo) > target:
+        lo *= 0.5
+    while vol(hi) < target:
+        hi *= 2.0
+    return brentq(lambda t: vol(t) - target, lo, hi, xtol=1e-15, rtol=8.9e-16) * body.radius, False
+
+
 def radial_inverse_square_flux_bulk(body):
     """Divergence-theorem side of the inverse-square flux by adaptive radial quadrature."""
     from gausscurv.weights import integrate_radial
@@ -546,3 +589,42 @@ def richardson_coefficient(n, r, k, epsilon=1e-3):
     q = [scaled_gap(epsilon / 2**j) for j in range(3)]
     lvl1, lvl2 = 2.0 * q[1] - q[0], 2.0 * q[2] - q[1]
     return (4.0 * lvl2 - lvl1) / 3.0
+
+
+# ---------------------------------------------------------------------------
+# capped cylinder oracle
+
+
+def quad_capped_cylinder(s, half_height):
+    """Gaussian volume, curvature energy and their error estimates by adaptive quadrature.
+
+    The lateral wall and one cap are integrated along the axis, the cap's
+    energy over its polar angle.  Only a relative tolerance is set: the
+    energy falls below 1e-13 at s = 8, under any useful absolute one.
+    """
+    import math
+
+    from scipy.integrate import quad
+
+    T = half_height
+
+    def integral(fn, a, b, points=None):
+        return quad(fn, a, b, epsabs=0.0, epsrel=1e-12, limit=300, points=points)
+
+    disk_mass = -math.expm1(-0.5 * s * s)
+    inv_root = 1.0 / math.sqrt(2.0 * math.pi)
+    lat_vol, lv_err = integral(lambda z: inv_root * math.exp(-0.5 * z * z) * disk_mass, -T, T, points=[0.0])
+    cap_vol, cv_err = integral(
+        lambda z: inv_root * math.exp(-0.5 * z * z) * -math.expm1(-0.5 * (s * s - (z - T) ** 2)), T, T + s
+    )
+    lat_en, le_err = integral(lambda z: 2.0 * math.pi * math.exp(-0.5 * (s * s + z * z)), -T, T, points=[0.0])
+    cap_en, ce_err = integral(
+        lambda phi: 4.0
+        * math.pi
+        * s
+        * math.sin(phi)
+        * math.exp(-0.5 * ((s * math.sin(phi)) ** 2 + (T + s * math.cos(phi)) ** 2)),
+        0.0,
+        0.5 * math.pi,
+    )
+    return lat_vol + 2.0 * cap_vol, lat_en + 2.0 * cap_en, lv_err + 2.0 * cv_err, le_err + 2.0 * ce_err

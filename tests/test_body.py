@@ -329,6 +329,38 @@ def test_volume_match_round_trip():
     assert bd.gaussian_volume(matched) == pytest.approx(target, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [3, 4, 6, 8])
+def test_volume_match_equals_newton_brentq_oracle(n):
+    # Where the oracle's Newton iteration strays and brentq takes over, volume_match raises.
+    # That happens only for strongly deformed bodies at targets next to 1: at seed 17,
+    # n = 8 trials 71 and 83 (max h / min h of 7.9 and 17) at 1 - 1e-15.
+    targets = (1e-300, 1e-40, 1e-5, 0.3, 0.9, 1.0 - 1e-15)
+    checked = strayed = 0
+    for trial in range(110):
+        try:
+            graph = cli.random_even_body(17, trial, n, (0.5, 1.0, 2.0, 4.0)[trial % 4], 0.6 * (trial + 1) / 110)
+        except ValueError:  # a few n = 8 fields reach -1 at a node at large amplitudes
+            continue
+        target = targets[trial % len(targets)]
+        radius, by_newton = helpers.brentq_volume_match_radius(graph, target)
+        if by_newton:
+            assert bd.volume_match(graph, target).radius == radius, trial
+        else:
+            with pytest.raises(QuadratureError, match="volume matching did not converge"):
+                bd.volume_match(graph, target)
+            strayed += 1
+        checked += 1
+    assert checked >= 100 and strayed == (2 if n == 8 else 0)
+
+
+def test_volume_match_raises_where_newton_strays(monkeypatch):
+    # Started far outside, the volume is flat in the scale: no fallback, an error.
+    graph = cli.random_even_body(17, 0, 3, 1.0, 0.1)
+    monkeypatch.setattr(bd, "ball_match_radius", lambda n, target: 1e3)
+    with pytest.raises(QuadratureError, match="volume matching did not converge"):
+        bd.volume_match(graph, 0.5)
+
+
 def test_volume_match_first_order_constraint():
     # The dilation shifts the mean of the effective perturbation by
     # -(n - 1 - r^2)/2 times its squared L2 norm, at leading order.

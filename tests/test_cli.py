@@ -130,6 +130,19 @@ def test_run_counterexample_single_radius(tmp_path):
     assert len(csv_text) == 2
 
 
+@pytest.mark.parametrize("cap_height", ["5000", "1e5"])
+def test_counterexample_at_large_cap_heights(tmp_path, cap_height):
+    # The capped volume is the closed form, the ball's own Gaussian volume here.
+    from gausscurv import body, experiments
+
+    rc = cli.main(["counterexample", "--r", "0.1", "--cap-height", cap_height, "--output", str(tmp_path / "ce")])
+    assert rc == 0
+    (entry,) = json.loads((tmp_path / "ce.json").read_text())["entries"]
+    assert entry["capped_volume"] == experiments.cylinder_volume(entry["s"])
+    assert entry["capped_volume"] == pytest.approx(body.ball_gaussian_volume(3, 0.1), rel=1e-14)
+    assert entry["passed"]
+
+
 def test_counterexample_scan_reports_failing_radius(tmp_path):
     # r = 1 lies past the counterexample's range, so its check fails and is reported.
     rc = cli.main(["counterexample", "--points", "2", "--r-max", "1", "--output", str(tmp_path / "ce")])

@@ -71,10 +71,13 @@ def test_counterexample_gap_values():
 
 
 def test_capped_cylinder_matches_infinite_limit():
-    s = 0.5
-    capped = ex.capped_cylinder(ex.CylinderSpec(s=s, half_height=40.0))
-    assert capped.volume == pytest.approx(ex.cylinder_volume(s), abs=1e-10)
-    assert capped.energy == pytest.approx(ex.cylinder_energy(s), abs=1e-8)
+    # From T = 40 on, erf(T / sqrt 2) rounds to 1 and the caps underflow: the infinite cylinder remains.
+    for s in (0.5, ex.matched_cylinder_radius(0.1)):
+        for T in (40.0, 5000.0, 1e5, 1e300):
+            capped = ex.capped_cylinder(ex.CylinderSpec(s=s, half_height=T))
+            assert capped.volume == ex.cylinder_volume(s), (s, T)
+            assert capped.energy == ex.cylinder_energy(s), (s, T)
+    assert capped.volume == pytest.approx(bd.ball_gaussian_volume(3, 0.1), rel=1e-14)
 
 
 def test_capped_cylinder_counterexample_persists():
@@ -92,11 +95,52 @@ def test_capped_cylinder_degenerate_capsule():
     assert np.isfinite(capsule.energy) and capsule.energy > 0.0
 
 
+@pytest.mark.parametrize("s", np.geomspace(7e-4, 8.0, 9))
+def test_capped_cylinder_closed_forms_match_quadrature_oracle(s):
+    # From the capsule T = s up to T = 1000, where the oracle still resolves the wall.
+    for T in (s, 1.01 * s, 2.0 * s, 1.0, 3.0, 10.0, 40.0, 1000.0):
+        if T < s:
+            continue
+        capped = ex.capped_cylinder(ex.CylinderSpec(s=s, half_height=T))
+        volume, energy, volume_err, energy_err = helpers.quad_capped_cylinder(s, T)
+        assert capped.volume == pytest.approx(volume, rel=1e-14, abs=0.0), T
+        assert capped.energy == pytest.approx(energy, rel=1e-14, abs=0.0), T
+        assert abs(capped.volume - volume) <= capped.volume_error + volume_err, T
+        assert abs(capped.energy - energy) <= capped.energy_error + energy_err, T
+
+
+@pytest.mark.parametrize("half_height", [None, math.inf])
+def test_uncapped_cylinder_is_the_infinite_cylinder(half_height):
+    for s in np.geomspace(7e-4, 8.0, 25):
+        capped = ex.capped_cylinder(ex.CylinderSpec(s=float(s), half_height=half_height))
+        assert capped.volume == ex.cylinder_volume(s)
+        assert capped.energy == ex.cylinder_energy(s)
+
+
+def test_no_module_imports_adaptive_quadrature():
+    import ast
+    from pathlib import Path
+
+    for path in Path(ex.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            assert not any(name.startswith("scipy.integrate") for name in names), path.name
+            assert path.name != "body.py" or not any(name.startswith("scipy.optimize") for name in names)
+
+
 def test_cylinder_spec_validation():
     with pytest.raises(ValueError):
         ex.CylinderSpec(s=-1.0)
     with pytest.raises(ValueError):
         ex.CylinderSpec(s=1.0, half_height=0.5)
+    with pytest.raises(ValueError):
+        ex.CylinderSpec(s=1.0, half_height=math.nan)
+    assert ex.CylinderSpec(s=1.0).half_height == ex.CylinderSpec(s=1.0, half_height=None).half_height == math.inf
 
 
 # ---------------------------------------------------------------------------
