@@ -49,16 +49,14 @@ EPSILON_CAP = 1e-2
 
 @dataclass(frozen=True)
 class CylinderSpec:
-    """A round cylinder of cross-section radius ``s``; ``half_height`` infinite (or None) means uncapped."""
+    """A round cylinder of cross-section radius ``s``; an infinite ``half_height`` means uncapped."""
 
     s: float
-    half_height: float | None = math.inf
+    half_height: float = math.inf
 
     def __post_init__(self):
         if self.s <= 0:
             raise ValueError("cross-section radius must be positive")
-        if self.half_height is None:
-            object.__setattr__(self, "half_height", math.inf)
         if not self.half_height >= self.s:
             raise ValueError("caps need half_height >= s")
 
@@ -97,8 +95,6 @@ def counterexample_gap(r: float) -> float:
 class CappedCylinder(NamedTuple):
     volume: float
     energy: float
-    volume_error: float
-    energy_error: float
 
 
 # Gauss-Legendre rule for the cap volume, mapped from [-1, 1] to y = s * _CAP_Y
@@ -108,7 +104,6 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(32)
 _CAP_Y = 0.5 * (1.0 + _GL_X)
 _CAP_GAP = 0.25 * (1.0 - _GL_X) * (3.0 + _GL_X)
 _CAP_W = 0.5 * _GL_W / math.sqrt(2.0 * math.pi)
-_ROUNDING = 32.0 * float(np.finfo(float).eps)
 
 
 def capped_cylinder(spec: CylinderSpec) -> CappedCylinder:
@@ -122,8 +117,7 @@ def capped_cylinder(spec: CylinderSpec) -> CappedCylinder:
     ``phi`` the normal density, has a closed form that cancels at small
     ``s``, so a fixed 32-point Gauss-Legendre rule sums its smooth integrand.
     An infinite half-height gives :func:`cylinder_volume` and
-    :func:`cylinder_energy` bit for bit.  The errors are rounding estimates,
-    32 machine epsilons times each total.
+    :func:`cylinder_energy` bit for bit.
     """
     s, T = spec.s, spec.half_height
     erf_T = math.erf(T / math.sqrt(2.0))
@@ -133,7 +127,7 @@ def capped_cylinder(spec: CylinderSpec) -> CappedCylinder:
     cap_energy = 4.0 * math.pi * s * math.exp(-0.5 * (s * s + T * T)) * (-math.expm1(-T * s) / (T * s))
     volume = cylinder_volume(s) * erf_T + 2.0 * cap_volume
     energy = cylinder_energy(s) * erf_T + 2.0 * cap_energy
-    return CappedCylinder(volume, energy, _ROUNDING * volume, _ROUNDING * energy)
+    return CappedCylinder(volume, energy)
 
 
 def quadratic_coefficient(n: int, r: float, k: int) -> float:

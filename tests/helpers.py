@@ -446,6 +446,8 @@ def brentq_volume_match_radius(body, target):
     """Base radius of ``body`` dilated to Gaussian volume ``target``: Newton, then a bracket and brentq.
 
     Returns the radius and whether Newton's iteration found it without the fallback.
+    Near target 1 many radii meet the 1e-13 stopping rule, so where the
+    fallback runs its radius is one of them, not the only one.
     """
     import math
 
@@ -596,7 +598,7 @@ def richardson_coefficient(n, r, k, epsilon=1e-3):
 
 
 def quad_capped_cylinder(s, half_height):
-    """Gaussian volume, curvature energy and their error estimates by adaptive quadrature.
+    """Gaussian volume and curvature energy by adaptive quadrature.
 
     The lateral wall and one cap are integrated along the axis, the cap's
     energy over its polar angle.  Only a relative tolerance is set: the
@@ -613,12 +615,12 @@ def quad_capped_cylinder(s, half_height):
 
     disk_mass = -math.expm1(-0.5 * s * s)
     inv_root = 1.0 / math.sqrt(2.0 * math.pi)
-    lat_vol, lv_err = integral(lambda z: inv_root * math.exp(-0.5 * z * z) * disk_mass, -T, T, points=[0.0])
-    cap_vol, cv_err = integral(
+    lat_vol, _ = integral(lambda z: inv_root * math.exp(-0.5 * z * z) * disk_mass, -T, T, points=[0.0])
+    cap_vol, _ = integral(
         lambda z: inv_root * math.exp(-0.5 * z * z) * -math.expm1(-0.5 * (s * s - (z - T) ** 2)), T, T + s
     )
-    lat_en, le_err = integral(lambda z: 2.0 * math.pi * math.exp(-0.5 * (s * s + z * z)), -T, T, points=[0.0])
-    cap_en, ce_err = integral(
+    lat_en, _ = integral(lambda z: 2.0 * math.pi * math.exp(-0.5 * (s * s + z * z)), -T, T, points=[0.0])
+    cap_en, _ = integral(
         lambda phi: 4.0
         * math.pi
         * s
@@ -627,4 +629,4 @@ def quad_capped_cylinder(s, half_height):
         0.0,
         0.5 * math.pi,
     )
-    return lat_vol + 2.0 * cap_vol, lat_en + 2.0 * cap_en, lv_err + 2.0 * cv_err, le_err + 2.0 * ce_err
+    return lat_vol + 2.0 * cap_vol, lat_en + 2.0 * cap_en

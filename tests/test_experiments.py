@@ -102,17 +102,14 @@ def test_capped_cylinder_closed_forms_match_quadrature_oracle(s):
         if T < s:
             continue
         capped = ex.capped_cylinder(ex.CylinderSpec(s=s, half_height=T))
-        volume, energy, volume_err, energy_err = helpers.quad_capped_cylinder(s, T)
+        volume, energy = helpers.quad_capped_cylinder(s, T)
         assert capped.volume == pytest.approx(volume, rel=1e-14, abs=0.0), T
         assert capped.energy == pytest.approx(energy, rel=1e-14, abs=0.0), T
-        assert abs(capped.volume - volume) <= capped.volume_error + volume_err, T
-        assert abs(capped.energy - energy) <= capped.energy_error + energy_err, T
 
 
-@pytest.mark.parametrize("half_height", [None, math.inf])
-def test_uncapped_cylinder_is_the_infinite_cylinder(half_height):
+def test_uncapped_cylinder_is_the_infinite_cylinder():
     for s in np.geomspace(7e-4, 8.0, 25):
-        capped = ex.capped_cylinder(ex.CylinderSpec(s=float(s), half_height=half_height))
+        capped = ex.capped_cylinder(ex.CylinderSpec(s=float(s), half_height=math.inf))
         assert capped.volume == ex.cylinder_volume(s)
         assert capped.energy == ex.cylinder_energy(s)
 
@@ -140,7 +137,7 @@ def test_cylinder_spec_validation():
         ex.CylinderSpec(s=1.0, half_height=0.5)
     with pytest.raises(ValueError):
         ex.CylinderSpec(s=1.0, half_height=math.nan)
-    assert ex.CylinderSpec(s=1.0).half_height == ex.CylinderSpec(s=1.0, half_height=None).half_height == math.inf
+    assert ex.CylinderSpec(s=1.0).half_height == math.inf
 
 
 # ---------------------------------------------------------------------------
