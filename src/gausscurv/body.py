@@ -17,7 +17,7 @@ import weakref
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammainc, gammaincinv
+from scipy.special import gammainc, gammaincc, gammaincinv
 
 from . import plane, sphere
 from .errors import QuadratureError
@@ -284,7 +284,10 @@ def volume_match(body: RadialGraph, target: float) -> RadialGraph:
     in the scale, started from the matched ball's radius over the mean of
     ``h`` (the volume derivative is available in closed form), is polished
     to a relative 1e-13 in the volume, so small targets in high dimension
-    are matched as tightly as large ones.  The volume increases with the
+    are matched as tightly as large ones.  Above 1/2 the residual is the
+    volume outside the body, from the upper incomplete gamma function,
+    against ``1 - target``, polished to a relative 1e-13 of it, so that
+    targets next to 1 admit one scale too.  The volume increases with the
     scale, so a step longer than half the scale is cut to half the scale in
     its own direction; strongly deformed bodies at targets next to 1 need
     this.
@@ -305,16 +308,28 @@ def volume_match(body: RadialGraph, target: float) -> RadialGraph:
     w = body.quad.weights
     norm = (2.0 * math.pi) ** (n / 2.0)
 
-    def vol(s):
-        return float(np.dot(w, gaussian_radial_integral(n, s * h))) / norm
+    if target <= 0.5:
+        tol = 1e-13 * target
+
+        def residual(s):
+            return float(np.dot(w, gaussian_radial_integral(n, s * h))) / norm - target
+
+    else:
+        # Near 1 the volume cannot resolve the target; its complement, the
+        # volume outside, can.  1 - target is exact here.
+        tol = 1e-13 * (1.0 - target)
+        outer = 2.0 ** (n / 2.0 - 1.0) * math.gamma(n / 2.0)
+
+        def residual(s):
+            return (1.0 - target) - float(np.dot(w, outer * gammaincc(n / 2.0, 0.5 * (s * h) ** 2))) / norm
 
     def dvol(s):
         return float(np.dot(w, h * (s * h) ** (n - 1) * np.exp(-0.5 * (s * h) ** 2))) / norm
 
     s = ball_match_radius(n, target) / float(np.dot(w, h) / np.sum(w))
     for _ in range(60):
-        g = vol(s) - target
-        if abs(g) <= 1e-13 * target:
+        g = residual(s)
+        if abs(g) <= tol:
             return body.dilated(s)
         d = dvol(s)
         if d <= 0.0:

@@ -505,6 +505,26 @@ _RUNNERS = {
 }
 
 
+def _write_report(fh, report: dict) -> None:
+    """Write ``report`` as JSON: one line per top-level key, one line per entry.
+
+    Every value is one ``json.dumps`` call with sorted keys, which runs the C
+    encoder (``json.dump`` to a file and any ``indent`` run the pure-Python
+    one); entries are written one at a time, so the text of the whole report
+    is never held at once.  ``wall_time_s`` thus sits on its own line.
+    """
+    fh.write("{")
+    for i, key in enumerate(sorted(report)):
+        fh.write(("\n" if i == 0 else ",\n") + json.dumps(key) + ": ")
+        if key == "entries" and report[key]:
+            for j, entry in enumerate(report[key]):
+                fh.write(("[\n" if j == 0 else ",\n") + json.dumps(entry, sort_keys=True))
+            fh.write("\n]")
+        else:
+            fh.write(json.dumps(report[key], sort_keys=True))
+    fh.write("\n}\n")
+
+
 def run(config: RunConfig) -> RunReport:
     """Execute one command, write the JSON (and CSV) outputs, return the report.
 
@@ -528,8 +548,7 @@ def run(config: RunConfig) -> RunReport:
         wall_time_s=time.perf_counter() - start,
     )
     with open(config.output + ".json", "w") as fh:
-        json.dump(report.to_dict(), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        _write_report(fh, report.to_dict())
     if rows:
         with open(config.output + ".csv", "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=["r", "predicted", "measured", "relative_error"])

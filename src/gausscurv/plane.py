@@ -18,17 +18,20 @@ gives the same area without the ``f(0)`` term that cancels far away.
 
 The centred-body functionals (weighted area, curvature energy, the
 normal-deficiency integrals and the inverse-weight integral) act on grids of
-shape ``(..., M)`` and reduce along the last axis, and matched radii are
-found for a whole array of areas at once.  One curve is the ``(M,)`` case;
-:func:`verify_two_sided_many` and :func:`boundary_inverse_weight_many` stack
-equally gridded curves along a leading batch axis, evaluate ``f``, ``f'``
-and the slant once per stack, and give each curve the report it gets alone,
-to the last bit.  The single-curve checks are batches of one.
+shape ``(..., M)`` and reduce along the last axis.  One curve is the
+``(M,)`` case; :func:`verify_two_sided_many` and
+:func:`boundary_inverse_weight_many` stack equally gridded curves along a
+leading batch axis, evaluate ``f``, ``f'`` and the slant once per stack,
+and give each curve the report it gets alone, to the last bit.  The
+single-curve checks are batches of one.
 
 The inequality machinery compares a convex or star-shaped body against the
 centred disk with the same weighted area: the curvature energy of the disk
 bounds that of the body from above, and the gap is squeezed between two
-boundary integrals of the normal deficiency.
+boundary integrals of the normal deficiency.  The disk of radius r has area
+``2 pi (f(0) - f(r))`` and energy ``2 pi f(r)``, so the matched disk's energy
+is ``2 pi f(0) - area`` and the checks need no radius; :func:`matched_radius`
+finds it where it is wanted.
 
 Distances to the centred disk ``D_r`` need no sampling for convex bodies:
 ``d_H(K, D_r) = max |h_K - r|`` over the support function ``h_K``, and the
@@ -372,8 +375,41 @@ def weighted_disk_area(wp: WeightPair, r: float) -> float:
     return 2.0 * np.pi * (_f_at(wp, 0.0) - _f_at(wp, r))
 
 
-# Matched radii of weights other than the Gaussian are searched for in [0, _R_MAX].
+# Matched disks of weights other than the Gaussian have radii in [0, _R_MAX].
 _R_MAX = 1e3
+
+
+def _matched_levels(area: np.ndarray, wp: WeightPair, f0: float) -> np.ndarray:
+    """Boundary weights ``f(0) - area / (2 pi)`` of the centred disks with the weighted areas ``area``.
+
+    Raises
+    ------
+    ValueError
+        If an area is not positive, or no centred disk has it: it reaches
+        the total Gaussian mass, or for other weights the disk would need a
+        radius beyond ``_R_MAX``.
+    """
+    bad = area[~(area > 0.0)]
+    if bad.size:
+        raise ValueError(f"weighted area must be positive, got {bad[0]}")
+    level = f0 - area / (2.0 * np.pi)
+    if wp.is_gaussian:
+        if np.any(level <= 0.0):
+            raise ValueError("weighted area exceeds the total Gaussian mass")
+    elif np.any(_f_at(wp, _R_MAX) >= level):
+        raise ValueError("weighted area is out of the attainable range")
+    return level
+
+
+def _matched_disk_energies(area: np.ndarray, wp: WeightPair, f0: float) -> np.ndarray:
+    """Curvature energies of the centred disks with the weighted areas ``area``.
+
+    The disk of radius r has area ``2 pi (f(0) - f(r))`` and energy
+    ``2 pi f(r)``, so its energy is ``2 pi f(0) - area``; no radius is
+    needed.  The domain is that of :func:`_matched_radii`.
+    """
+    _matched_levels(area, wp, f0)
+    return 2.0 * np.pi * f0 - area
 
 
 def _matched_radii(area: np.ndarray, wp: WeightPair) -> np.ndarray:
@@ -385,17 +421,9 @@ def _matched_radii(area: np.ndarray, wp: WeightPair) -> np.ndarray:
     areas at once, until each midpoint equals an endpoint; the upper
     endpoint, the first float where ``f`` reaches the level, is returned.
     """
-    bad = area[~(area > 0.0)]
-    if bad.size:
-        raise ValueError(f"weighted area must be positive, got {bad[0]}")
+    level = _matched_levels(area, wp, _f_at(wp, 0.0))
     if wp.is_gaussian:
-        arg = 1.0 - area / (2.0 * np.pi)
-        if np.any(arg <= 0.0):
-            raise ValueError("weighted area exceeds the total Gaussian mass")
-        return np.array([math.sqrt(-2.0 * math.log(a)) for a in arg])
-    level = _f_at(wp, 0.0) - area / (2.0 * np.pi)
-    if np.any(_f_at(wp, _R_MAX) >= level):
-        raise ValueError("weighted area is out of the attainable range")
+        return np.array([math.sqrt(-2.0 * math.log(a)) for a in level])
     # The bit patterns of non-negative floats are ordered as the floats are, so
     # bisecting them reaches adjacent floats in at most 63 halvings, keeping
     # f(lo) > level >= f(hi); a finished pair keeps its midpoint lo.
@@ -472,8 +500,8 @@ def alpha_beta(curve: PolarCurve, wp: WeightPair):
 def verify_two_sided(curve: PolarCurve, wp: WeightPair) -> TwoSided:
     """Check that the disk-versus-body energy gap sits between alpha and beta.
 
-    Requires a convex curve containing the origin; the matched disk radius is
-    derived from the weighted area of the curve.  A batch of one for
+    Requires a convex curve containing the origin; the matched disk's energy
+    is ``2 pi f(0)`` less the weighted area of the curve.  A batch of one for
     :func:`verify_two_sided_many`.
 
     Raises
@@ -501,8 +529,9 @@ def verify_two_sided_many(curves: Sequence[PolarCurve], wp: WeightPair) -> list[
     if not np.all(_convex(rho, drho, ddrho)):
         raise ConvexityError("two-sided bound needs a convex curve")
     f_rho = wp.f(rho)
-    area, area_err = _centred_area(_f_at(wp, 0.0), f_rho)
-    disk = 2.0 * np.pi * wp.f(_matched_radii(area, wp))
+    f0 = _f_at(wp, 0.0)
+    area, area_err = _centred_area(f0, f_rho)
+    disk = _matched_disk_energies(area, wp, f0)
     energy, e_err = _energy(rho, drho, ddrho, f_rho)
     gap = disk - energy
     alpha, beta, a_err, b_err = _alpha_beta(rho, drho, f_rho, wp.df(rho))
@@ -536,8 +565,9 @@ def boundary_inverse_weight_many(curves: Sequence[PolarCurve], wp: WeightPair) -
     if np.min(rho) < ORIGIN_CLEARANCE:
         raise ValueError("origin lies on the boundary within tolerance")
     f_rho = wp.f(rho)
-    area, area_err = _centred_area(_f_at(wp, 0.0), f_rho)
-    lhs = 2.0 * np.pi * wp.f(_matched_radii(area, wp))
+    f0 = _f_at(wp, 0.0)
+    area, area_err = _centred_area(f0, f_rho)
+    lhs = _matched_disk_energies(area, wp, f0)
     rhs, rhs_err = _spectral_integral(f_rho / rho * np.sqrt(rho**2 + drho**2))
     return [_report(*args) for args in zip(lhs, rhs, rhs_err + area_err)]
 

@@ -446,28 +446,38 @@ def brentq_volume_match_radius(body, target):
     """Base radius of ``body`` dilated to Gaussian volume ``target``: Newton, then a bracket and brentq.
 
     Returns the radius and whether Newton's iteration found it without the fallback.
-    Near target 1 many radii meet the 1e-13 stopping rule, so where the
-    fallback runs its radius is one of them, not the only one.
+    Above target 1/2 both solve for the complement, the Gaussian volume outside
+    the body against ``1 - target``, as the library does.
     """
     import math
 
     from scipy.optimize import brentq
+    from scipy.special import gammaincc
 
     from gausscurv.body import ball_match_radius, gaussian_radial_integral
 
     n, h, w = body.n, body.h_nodes, body.quad.weights
     norm = (2.0 * math.pi) ** (n / 2.0)
+    if target <= 0.5:
+        tol = 1e-13 * target
 
-    def vol(s):
-        return float(np.dot(w, gaussian_radial_integral(n, s * h))) / norm
+        def residual(s):
+            return float(np.dot(w, gaussian_radial_integral(n, s * h))) / norm - target
+
+    else:
+        tol = 1e-13 * (1.0 - target)
+        outer = 2.0 ** (n / 2.0 - 1.0) * math.gamma(n / 2.0)
+
+        def residual(s):
+            return (1.0 - target) - float(np.dot(w, outer * gammaincc(n / 2.0, 0.5 * (s * h) ** 2))) / norm
 
     def dvol(s):
         return float(np.dot(w, h * (s * h) ** (n - 1) * np.exp(-0.5 * (s * h) ** 2))) / norm
 
     s = ball_match_radius(n, target) / float(np.dot(w, h) / np.sum(w))
     for _ in range(60):
-        g = vol(s) - target
-        if abs(g) <= 1e-13 * target:
+        g = residual(s)
+        if abs(g) <= tol:
             return s * body.radius, True
         d = dvol(s)
         if d <= 0.0:
@@ -477,11 +487,11 @@ def brentq_volume_match_radius(body, target):
             break
         s -= step
     lo, hi = s, s
-    while vol(lo) > target:
+    while residual(lo) > 0.0:
         lo *= 0.5
-    while vol(hi) < target:
+    while residual(hi) < 0.0:
         hi *= 2.0
-    return brentq(lambda t: vol(t) - target, lo, hi, xtol=1e-15, rtol=8.9e-16) * body.radius, False
+    return brentq(residual, lo, hi, xtol=1e-15, rtol=8.9e-16) * body.radius, False
 
 
 def radial_inverse_square_flux_bulk(body):

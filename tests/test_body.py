@@ -364,6 +364,26 @@ def test_volume_match_cuts_long_newton_steps(target):
     assert helpers.radial_gaussian_volume(matched) == pytest.approx(target, rel=1e-13, abs=0.0)
 
 
+def test_volume_match_next_to_one_matches_the_complement():
+    # Seed 23, n = 6, trial 87 at 1 - 1e-15: the volume outside the matched body is 1 - target
+    # to 1e-13 relative, by mpmath's upper incomplete gamma function at each node.
+    mpmath = pytest.importorskip("mpmath")
+    target = 1.0 - 1e-15
+    graph = cli.random_even_body(23, 87, 6, 4.0, 0.6 * 88 / 150)
+    matched = bd.volume_match(graph, target)
+    n = mpmath.mpf(graph.n)
+    with mpmath.workdps(30):
+        outside = mpmath.fsum(
+            mpmath.mpf(float(w)) * 2 ** (n / 2 - 1) * mpmath.gammainc(n / 2, mpmath.mpf(float(h)) ** 2 / 2)
+            for w, h in zip(matched.quad.weights, matched.h_nodes)
+        ) / (2 * mpmath.pi) ** (n / 2)
+        assert abs(float(outside / (1 - mpmath.mpf(target)) - 1)) <= 1e-13
+    # The oracle's Newton strays here, and brentq on the complement takes over.
+    radius, by_newton = helpers.brentq_volume_match_radius(graph, target)
+    assert not by_newton
+    assert matched.radius == pytest.approx(radius, rel=1e-12, abs=0.0)
+
+
 def test_volume_match_raises_where_the_derivative_underflows(monkeypatch):
     # Started far outside, the volume is flat in the scale: no fallback, an error.
     graph = cli.random_even_body(17, 0, 3, 1.0, 0.1)

@@ -205,6 +205,39 @@ def test_report_determinism(tmp_path):
     assert strip(first) == strip(second)
 
 
+def _bit_equal(a, b):
+    """Equal values of equal types; floats compared by their bits."""
+    if type(a) is not type(b):
+        return isinstance(a, float) and isinstance(b, float) and a.hex() == b.hex()
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_bit_equal(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_bit_equal, a, b))
+    return a.hex() == b.hex() if isinstance(a, float) else a == b
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify2d", "--trials", "7", "--weight", "all"],
+    ["stability2d"],
+    ["moments"],
+    ["threshold-scan", "--n", "3", "--k", "2"],
+])
+def test_report_layout(tmp_path, argv):
+    report = cli.run(cli.parse_config(argv + ["--output", str(tmp_path / "a")]))
+    text = (tmp_path / "a.json").read_text()
+    assert _bit_equal(json.loads(text), report.to_dict())
+    # One line per top-level key, the entries one per line between brackets.
+    lines = text.splitlines()
+    count = len(report.entries)
+    assert lines[0] == "{" and lines[-1] == "}" and text.endswith("}\n")
+    assert lines[1].startswith('"config": {') and lines[2] == '"entries": ['
+    assert len(lines) == count + 7 and lines[count + 3] == "],"
+    for line, entry in zip(lines[3 : count + 3], report.entries):
+        assert _bit_equal(json.loads(line.removesuffix(",")), entry)
+    assert lines[count + 4].startswith('"summary": {')
+    assert lines[count + 5] == f'"wall_time_s": {report.wall_time_s!r}'
+
+
 def test_exit_status_on_failing_check(tmp_path, monkeypatch):
     # Force a failure by shrinking the slack far below quadrature error.
     monkeypatch.setattr(

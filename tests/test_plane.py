@@ -259,6 +259,55 @@ def test_bisected_radii_match_closed_form_inverses(name):
     np.testing.assert_allclose(radii, exact, rtol=5e-16, atol=0.0)
 
 
+def _random_matched_areas(wp, count=400, seed=11):
+    """Areas spread over the attainable range of ``wp``, up to a millionth short of its end."""
+    f0 = plane._f_at(wp, 0.0)
+    top = 2.0 * np.pi * (f0 - plane._f_at(wp, plane._R_MAX))
+    return np.random.default_rng(seed).uniform(0.0, 1.0 - 1e-6, count) * top, f0
+
+
+@pytest.mark.parametrize("name", cli.WEIGHT_PRESETS)
+def test_matched_disk_energy_closed_form_matches_mpmath(name):
+    mpmath = pytest.importorskip("mpmath")
+    wp = cli.weight_preset(name)
+    areas, f0 = _random_matched_areas(wp)
+    energies = plane._matched_disk_energies(areas, wp, f0)
+    with mpmath.workdps(40):
+        exact = np.array([float(2 * mpmath.pi * mpmath.mpf(f0) - mpmath.mpf(float(a))) for a in areas])
+    err = np.abs(energies - exact)
+    # Within one ulp of 2 pi f(0), the term the area is taken from (the rounding that
+    # the area's error estimate covers), and of the energy itself up to half the mass.
+    assert np.all(err <= np.spacing(2.0 * np.pi * f0))
+    half = areas <= np.pi * f0
+    assert np.all(err[half] <= np.spacing(exact[half])) and half.sum() > 100
+
+
+@pytest.mark.parametrize("name", cli.WEIGHT_PRESETS)
+def test_matched_disk_energy_equals_energy_at_matched_radius(name):
+    wp = cli.weight_preset(name)
+    areas, f0 = _random_matched_areas(wp)
+    energies = plane._matched_disk_energies(areas, wp, f0)
+    oracle = np.array([plane.disk_energy(wp, plane.matched_radius(a, wp)) for a in areas])
+    err = np.abs(energies - oracle)
+    # The radius is rounded, so f at it strays by |f'| times an ulp of the radius.
+    assert np.all(err <= 4.0 * np.spacing(2.0 * np.pi * f0))
+    half = areas <= np.pi * f0
+    assert np.all(err[half] <= 4.0 * np.spacing(energies[half]))
+
+
+def test_matched_disk_energy_keeps_the_matched_radius_domain():
+    for wp in (GAUSSIAN, inverse_quadratic()):
+        with pytest.raises(ValueError, match="must be positive"):
+            plane._matched_disk_energies(np.array([1.0, 0.0]), wp, plane._f_at(wp, 0.0))
+    # The Gaussian area of a radius-40 circle rounds to the whole mass 2 pi.
+    with pytest.raises(ValueError, match="total Gaussian mass"):
+        plane.boundary_inverse_weight(PolarCurve.circle(40.0), GAUSSIAN)
+    with pytest.raises(ValueError, match="total Gaussian mass"):
+        plane.verify_two_sided(PolarCurve.circle(40.0), GAUSSIAN)
+    with pytest.raises(ValueError, match="attainable range"):
+        plane.boundary_inverse_weight(PolarCurve.circle(1e4), inverse_quadratic())
+
+
 # ---------------------------------------------------------------------------
 # curvature energy
 
