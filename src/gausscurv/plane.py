@@ -30,8 +30,9 @@ centred disk with the same weighted area: the curvature energy of the disk
 bounds that of the body from above, and the gap is squeezed between two
 boundary integrals of the normal deficiency.  The disk of radius r has area
 ``2 pi (f(0) - f(r))`` and energy ``2 pi f(r)``, so the matched disk's energy
-is ``2 pi f(0) - area`` and the checks need no radius; :func:`matched_radius`
-finds it where it is wanted.
+is ``2 pi f(0) - area``, which for a centred body is ``int f(rho) dtheta``;
+the checks need no radius, and :func:`matched_radius` finds it where it is
+wanted.
 
 Distances to the centred disk ``D_r`` need no sampling for convex bodies:
 ``d_H(K, D_r) = max |h_K - r|`` over the support function ``h_K``, and the
@@ -401,15 +402,21 @@ def _matched_levels(area: np.ndarray, wp: WeightPair, f0: float) -> np.ndarray:
     return level
 
 
-def _matched_disk_energies(area: np.ndarray, wp: WeightPair, f0: float) -> np.ndarray:
-    """Curvature energies of the centred disks with the weighted areas ``area``.
+def _matched_disks(f_rho: np.ndarray, wp: WeightPair):
+    """Energies of the centred disks matching centred bodies, with the areas' error estimates.
 
-    The disk of radius r has area ``2 pi (f(0) - f(r))`` and energy
-    ``2 pi f(r)``, so its energy is ``2 pi f(0) - area``; no radius is
-    needed.  The domain is that of :func:`_matched_radii`.
+    ``f_rho`` holds the weight at each body's boundary radii.  The disk of
+    radius r has area ``2 pi (f(0) - f(r))`` and energy ``2 pi f(r)``, so
+    the disk matching the area ``int (f(0) - f(rho)) dtheta`` has energy
+    ``2 pi f(0) - area = int f(rho) dtheta``.  That integral is summed
+    directly: it needs no radius, and no subtraction cancels where
+    ``f(rho)`` is small beside ``f(0)``.  The domain is that of
+    :func:`_matched_radii`.
     """
+    f0 = _f_at(wp, 0.0)
+    area, area_err = _centred_area(f0, f_rho)
     _matched_levels(area, wp, f0)
-    return 2.0 * np.pi * f0 - area
+    return 2.0 * np.pi * np.mean(f_rho, axis=-1), area_err
 
 
 def _matched_radii(area: np.ndarray, wp: WeightPair) -> np.ndarray:
@@ -501,7 +508,8 @@ def verify_two_sided(curve: PolarCurve, wp: WeightPair) -> TwoSided:
     """Check that the disk-versus-body energy gap sits between alpha and beta.
 
     Requires a convex curve containing the origin; the matched disk's energy
-    is ``2 pi f(0)`` less the weighted area of the curve.  A batch of one for
+    is ``2 pi f(0)`` less the weighted area of the curve, the boundary
+    integral of ``f(rho)``.  A batch of one for
     :func:`verify_two_sided_many`.
 
     Raises
@@ -529,9 +537,7 @@ def verify_two_sided_many(curves: Sequence[PolarCurve], wp: WeightPair) -> list[
     if not np.all(_convex(rho, drho, ddrho)):
         raise ConvexityError("two-sided bound needs a convex curve")
     f_rho = wp.f(rho)
-    f0 = _f_at(wp, 0.0)
-    area, area_err = _centred_area(f0, f_rho)
-    disk = _matched_disk_energies(area, wp, f0)
+    disk, area_err = _matched_disks(f_rho, wp)
     energy, e_err = _energy(rho, drho, ddrho, f_rho)
     gap = disk - energy
     alpha, beta, a_err, b_err = _alpha_beta(rho, drho, f_rho, wp.df(rho))
@@ -565,9 +571,7 @@ def boundary_inverse_weight_many(curves: Sequence[PolarCurve], wp: WeightPair) -
     if np.min(rho) < ORIGIN_CLEARANCE:
         raise ValueError("origin lies on the boundary within tolerance")
     f_rho = wp.f(rho)
-    f0 = _f_at(wp, 0.0)
-    area, area_err = _centred_area(f0, f_rho)
-    lhs = _matched_disk_energies(area, wp, f0)
+    lhs, area_err = _matched_disks(f_rho, wp)
     rhs, rhs_err = _spectral_integral(f_rho / rho * np.sqrt(rho**2 + drho**2))
     return [_report(*args) for args in zip(lhs, rhs, rhs_err + area_err)]
 

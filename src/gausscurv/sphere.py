@@ -241,7 +241,7 @@ class _Tables:
     ``covariant(parts, X)``, node-wise, which takes any leading axes of
     stacked fields and may overwrite ``parts``.  Node values are built with
     the basis; the node-gradient table, the larger of the two, only on first
-    use, as are the zonal basis's derivative tables.
+    use.
     """
 
     def __init__(self, quad: SphereQuadrature):
@@ -393,7 +393,6 @@ class _ZonalBasis(_Tables):
         )
         self.norms = 1.0 / np.sqrt(sphere_area(n - 1) * np.exp(log_h))
         self.k = k
-        self._Dn = None
         super().__init__(quad)
 
     def _derivatives(self, t: np.ndarray, order: int) -> np.ndarray:
@@ -415,18 +414,10 @@ class _ZonalBasis(_Tables):
         a = np.eye(X.shape[1])[0] - X[:, :1] * X
         return self._derivatives(X[:, 0], 1)[:, :, None] * a[None, :, :]
 
-    @property
-    def Dn(self) -> tuple:
-        """First and second derivative tables at the rule's nodes, built on first use."""
-        if self._Dn is None:
-            t = self.quad.nodes[:, 0]
-            self._Dn = (self._derivatives(t, 1), self._derivatives(t, 2))
-        return self._Dn
-
     def hessian_parts(self, coeffs: np.ndarray, X: np.ndarray) -> np.ndarray:
         # g'(t) and g''(t), shape (2, m).
-        tables = self.Dn if X is self.quad.nodes else (self._derivatives(X[:, 0], j) for j in (1, 2))
-        return np.stack([coeffs @ D for D in tables])
+        t = X[:, 0]
+        return np.stack([coeffs @ self._derivatives(t, j) for j in (1, 2)])
 
     @staticmethod
     def covariant(parts: np.ndarray, X: np.ndarray) -> np.ndarray:

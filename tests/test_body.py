@@ -332,9 +332,10 @@ def test_volume_match_round_trip():
 @pytest.mark.parametrize("n", [3, 4, 6, 8])
 def test_volume_match_equals_newton_brentq_oracle(n):
     # Where the oracle's Newton iteration strays and brentq takes over, volume_match cuts the
-    # step to half the scale and still converges; near target 1 its radius may differ from
-    # brentq's, which meets the same stopping rule.  Only strongly deformed bodies at targets
-    # next to 1 stray: at seed 17, n = 8 trials 71 and 83 (max h / min h of 7.9 and 17) at 1 - 1e-15.
+    # step to half the scale and still converges; above target 1/2 both solve for the
+    # complement 1 - target, so the radii agree to rounding there too.  Only strongly deformed bodies at
+    # targets next to 1 stray: at seed 17, n = 8 trials 71 and 83 (max h / min h of 7.9 and 17)
+    # at 1 - 1e-15.
     targets = (1e-300, 1e-40, 1e-5, 0.3, 0.9, 1.0 - 1e-15)
     checked = strayed = 0
     for trial in range(110):

@@ -259,46 +259,58 @@ def test_bisected_radii_match_closed_form_inverses(name):
     np.testing.assert_allclose(radii, exact, rtol=5e-16, atol=0.0)
 
 
-def _random_matched_areas(wp, count=400, seed=11):
-    """Areas spread over the attainable range of ``wp``, up to a millionth short of its end."""
+def _random_boundary_weights(wp, count=400, size=64, seed=11):
+    """Weights ``f(rho)`` on the boundaries of random centred bodies of every attainable size.
+
+    Each body lies inside the disk where ``f`` falls to a level spread
+    log-uniformly from ``f(0)`` down to 1e-14 of it (or to ten times
+    ``f(_R_MAX)``), so that the far bodies have ``f(rho)`` tiny beside ``f(0)``.
+    """
+    rng = np.random.default_rng(seed)
     f0 = plane._f_at(wp, 0.0)
-    top = 2.0 * np.pi * (f0 - plane._f_at(wp, plane._R_MAX))
-    return np.random.default_rng(seed).uniform(0.0, 1.0 - 1e-6, count) * top, f0
+    low = max(1e-14 * f0, 10.0 * plane._f_at(wp, plane._R_MAX))
+    levels = f0 * (low / f0) ** rng.uniform(0.0, 1.0, count)
+    radii = np.array([plane.matched_radius(2.0 * np.pi * (f0 - level), wp) for level in levels])
+    return wp.f(radii[:, None] * (1.0 - 0.1 * rng.uniform(0.0, 1.0, (count, size)))), f0
 
 
 @pytest.mark.parametrize("name", cli.WEIGHT_PRESETS)
 def test_matched_disk_energy_closed_form_matches_mpmath(name):
     mpmath = pytest.importorskip("mpmath")
     wp = cli.weight_preset(name)
-    areas, f0 = _random_matched_areas(wp)
-    energies = plane._matched_disk_energies(areas, wp, f0)
-    with mpmath.workdps(40):
-        exact = np.array([float(2 * mpmath.pi * mpmath.mpf(f0) - mpmath.mpf(float(a))) for a in areas])
-    err = np.abs(energies - exact)
-    # Within one ulp of 2 pi f(0), the term the area is taken from (the rounding that
-    # the area's error estimate covers), and of the energy itself up to half the mass.
-    assert np.all(err <= np.spacing(2.0 * np.pi * f0))
-    half = areas <= np.pi * f0
-    assert np.all(err[half] <= np.spacing(exact[half])) and half.sum() > 100
+    f_rho, f0 = _random_boundary_weights(wp)
+    energies = plane._matched_disks(f_rho, wp)[0]
+    with mpmath.workdps(60):
+        # 2 pi f(0) - A, with A the rule's weighted area of the very weights the library sees.
+        pi, f0_mp = mpmath.pi, mpmath.mpf(f0)
+        exact = np.array(
+            [float(2 * pi * f0_mp - 2 * pi * mpmath.fsum(f0_mp - mpmath.mpf(v) for v in row) / len(row)) for row in f_rho]
+        )
+    assert np.all(np.abs(energies - exact) <= 4.0 * np.spacing(exact))
+    # Bodies whose boundary weight is four decades and more below f(0) are among them.
+    assert np.min(exact) < 1e-4 * f0
 
 
 @pytest.mark.parametrize("name", cli.WEIGHT_PRESETS)
 def test_matched_disk_energy_equals_energy_at_matched_radius(name):
     wp = cli.weight_preset(name)
-    areas, f0 = _random_matched_areas(wp)
-    energies = plane._matched_disk_energies(areas, wp, f0)
+    f_rho, f0 = _random_boundary_weights(wp)
+    energies = plane._matched_disks(f_rho, wp)[0]
+    areas = plane._centred_area(f0, f_rho)[0]
     oracle = np.array([plane.disk_energy(wp, plane.matched_radius(a, wp)) for a in areas])
     err = np.abs(energies - oracle)
-    # The radius is rounded, so f at it strays by |f'| times an ulp of the radius.
+    # The oracle carries the rounding of the area, an ulp or so of 2 pi f(0), and f at a
+    # rounded radius strays by |f'| times an ulp of that radius.
     assert np.all(err <= 4.0 * np.spacing(2.0 * np.pi * f0))
     half = areas <= np.pi * f0
-    assert np.all(err[half] <= 4.0 * np.spacing(energies[half]))
+    assert np.all(err[half] <= 4.0 * np.spacing(energies[half])) and half.sum() >= 5
 
 
 def test_matched_disk_energy_keeps_the_matched_radius_domain():
     for wp in (GAUSSIAN, inverse_quadratic()):
+        f0 = plane._f_at(wp, 0.0)
         with pytest.raises(ValueError, match="must be positive"):
-            plane._matched_disk_energies(np.array([1.0, 0.0]), wp, plane._f_at(wp, 0.0))
+            plane._matched_disks(np.array([[0.5 * f0] * 8, [f0] * 8]), wp)
     # The Gaussian area of a radius-40 circle rounds to the whole mass 2 pi.
     with pytest.raises(ValueError, match="total Gaussian mass"):
         plane.boundary_inverse_weight(PolarCurve.circle(40.0), GAUSSIAN)

@@ -347,20 +347,6 @@ def test_eigenvalue_table_is_cached_and_exact(n):
     assert table is sphere._eigenvalues(n, 6) and not table.flags.writeable
 
 
-@pytest.mark.parametrize("n", [4, 5, 8])
-@pytest.mark.parametrize("L", [0, 1, 6, 16])
-def test_zonal_node_derivative_tables_equal_evaluated_ones(n, L):
-    q = sphere.default_quadrature(n, L)
-    b = sphere._basis(n, L, q)
-    D1, D2 = b.Dn
-    assert b.Dn[0] is D1
-    t = q.nodes[:, 0]
-    assert np.array_equal(D1, b._derivatives(t, 1)) and np.array_equal(D2, b._derivatives(t, 2))
-    # The nodes read the tables; a copy of them is a set of arbitrary points.
-    u = random_field(n, L, seed=L)
-    assert np.array_equal(sphere.hessian(u, q), sphere.hessian(u, q, points=q.nodes.copy()))
-
-
 @pytest.mark.parametrize("n", [3, 4, 6])
 def test_stacked_hessians_equal_single_hessians(n):
     q = sphere.default_quadrature(n, 6)
