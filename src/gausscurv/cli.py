@@ -175,7 +175,9 @@ def generate_convex_polar(seed: int, amplitude: float, trial: int = 0, degree: i
     """Deterministic random convex curve near the unit circle.
 
     Coefficients decay like 1/k^3 and candidates are rejection-sampled on the
-    convexity certificate; at amplitude 0.1 well over half are accepted.
+    convexity certificate at every grid node.  Over seeds 1-5 and 1000
+    trials each, no candidate is rejected at amplitudes 0.1 and 0.2, and 54
+    are at 0.3.
 
     Raises
     ------

@@ -8,20 +8,28 @@ coefficients.  On a uniform grid, values and derivatives come from one
 zero-padded inverse real FFT; at arbitrary angles, from one Horner recurrence
 in ``z = e^{i theta}``.
 
-All integrals in the angle use the uniform rule on the cached grid, which is
-spectrally accurate for smooth periodic integrands.  Weighted areas are such
-sums too: ``phi(r) = (f(0) - f(r)) / r^2`` has ``div(x phi(|x|)) = w(|x|)``,
-so the area is the flux ``int phi(|x|) (x y' - y x') dtheta``, which for a
-centred body is ``int (f(0) - f(rho)) dtheta``.  With the origin outside a
-translated body the angle it sweeps closes to zero, so ``int -f(|x|) dphi``
-gives the same area without the ``f(0)`` term that cancels far away.
+Integrals in the angle use the uniform rule, which is spectrally accurate for
+smooth periodic integrands.  Weighted areas are such sums too:
+``phi(r) = (f(0) - f(r)) / r^2`` has ``div(x phi(|x|)) = w(|x|)``, so the area
+is the flux ``int phi(|x|) (x y' - y x') dtheta``, which for a centred body is
+``int (f(0) - f(rho)) dtheta``.  With the origin outside a translated body the
+angle it sweeps closes to zero, so ``int -f(|x|) dphi`` gives the same area
+without the ``f(0)`` term that cancels far away.
+
+The centred functionals sum over each curve's quadrature rule: every
+``rule_step``-th node of its grid, at least ``max(64, 16 degree)`` nodes, and
+the whole grid from degree 64 on.  Everything that samples the grid rather
+than integrating over it uses every node: the convexity certificate, the
+radius bounds and the clearance of the origin, and the support-function
+distance.  So do the sums about a translated centre, whose integrands the
+curve's degree does not bound.
 
 The centred-body functionals (weighted area, curvature energy, the
 normal-deficiency integrals and the inverse-weight integral) act on grids of
 shape ``(..., M)`` and reduce along the last axis.  One curve is the
 ``(M,)`` case; :func:`verify_two_sided_many` and
-:func:`boundary_inverse_weight_many` stack equally gridded curves along a
-leading batch axis, evaluate ``f``, ``f'`` and the slant once per stack,
+:func:`boundary_inverse_weight_many` stack curves of one grid and rule along
+a leading batch axis, evaluate ``f``, ``f'`` and the slant once per stack,
 and give each curve the report it gets alone, to the last bit.  The
 single-curve checks are batches of one.
 
@@ -78,6 +86,9 @@ __all__ = [
 DEFAULT_DEGREE = 64
 DEFAULT_GRID = 1024
 ORIGIN_CLEARANCE = 1e-6
+# A curve's quadrature rule has at least max(_RULE_MIN, _RULE_PER_DEGREE * degree) nodes.
+_RULE_MIN = 64
+_RULE_PER_DEGREE = 16
 # Largest relative error estimate a translated weighted area may return.
 AREA_RTOL = 1e-10
 # The convexity certificate may dip to -_CONVEX_RTOL max rho^2 from rounding.
@@ -117,7 +128,8 @@ class PolarCurve:
 
     Immutable after construction.  The coefficients are also held as one
     complex ``spectrum``; the uniform grid caches ``rho`` and its first two
-    spectral derivatives.
+    spectral derivatives.  The centred functionals sum over the quadrature
+    rule of every ``rule_step``-th grid node (see :func:`_rule_step`).
     """
 
     def __init__(self, cos_coeffs, sin_coeffs=None, grid_size: int = DEFAULT_GRID):
@@ -133,6 +145,7 @@ class PolarCurve:
         self.grid_size = int(grid_size)
         if self.grid_size < 4 * max(self.degree, 1):
             raise ValueError("grid too coarse for the stored degree")
+        self.rule_step = _rule_step(self.grid_size, self.degree)
         self.spectrum = np.concatenate([cos_c[:1], 0.5 * (cos_c[1:] - 1j * sin_c)])
         self.theta = 2.0 * np.pi * np.arange(self.grid_size) / self.grid_size
         self.rho, self.drho, self.ddrho = self._on_grid(self.grid_size, orders=3)
@@ -276,11 +289,35 @@ def _f_at(wp: WeightPair, r: float) -> float:
     return float(wp.f(np.array([r]))[0])
 
 
+def _rule_step(grid_size: int, degree: int) -> int:
+    """Stride of a curve's quadrature rule in its grid.
+
+    The largest power of two that divides ``grid_size`` and leaves at least
+    ``max(64, 16 degree)`` nodes: 256 of 1024 at degree 12, all of them from
+    degree 64 on.  :func:`_spectral_integral`'s tail estimate, part of every
+    ``quad_error``, grows where a rule is too coarse for its integrand.
+    """
+    nodes = max(_RULE_MIN, _RULE_PER_DEGREE * degree)
+    step = 1
+    while grid_size % (2 * step) == 0 and grid_size // (2 * step) >= nodes:
+        step *= 2
+    return step
+
+
 def _stacked(curves: Sequence[PolarCurve], *names: str):
     """The grid arrays ``names`` of the curves, each stacked to shape ``(len(curves), M)``."""
     if len({c.grid_size for c in curves}) != 1:
         raise ValueError("stacked curves need one common grid size")
     return [np.stack([getattr(c, name) for c in curves]) for name in names]
+
+
+def _on_rule(curves: Sequence[PolarCurve], *grids: np.ndarray):
+    """The curves' grid arrays ``grids``, stacked or single, reduced to their common quadrature rule."""
+    steps = {c.rule_step for c in curves}
+    if len(steps) != 1:
+        raise ValueError("stacked curves need one common quadrature rule")
+    step = steps.pop()
+    return [np.ascontiguousarray(g[..., ::step]) for g in grids]
 
 
 def _spectral_integral(values: np.ndarray):
@@ -329,7 +366,8 @@ def _centred_area(f0: float, f_rho):
 def _weighted_area(curve: PolarCurve, wp: WeightPair, center=None):
     f0 = _f_at(wp, 0.0)
     if center is None:
-        return _centred_area(f0, wp.f(curve.rho))
+        (rho,) = _on_rule([curve], curve.rho)
+        return _centred_area(f0, wp.f(rho))
     cos_t, sin_t = np.cos(curve.theta), np.sin(curve.theta)
     x, y = curve.rho * cos_t + center[0], curve.rho * sin_t + center[1]
     dx, dy = curve.drho * cos_t - curve.rho * sin_t, curve.drho * sin_t + curve.rho * cos_t
@@ -460,8 +498,10 @@ def _energy(rho, drho, ddrho, f_radii):
 
 
 def _curvature_energy(curve: PolarCurve, wp: WeightPair, center=None):
-    radii = curve.rho if center is None else _radii_about(curve, center)
-    return _energy(curve.rho, curve.drho, curve.ddrho, wp.f(radii))
+    if center is None:
+        rho, drho, ddrho = _on_rule([curve], curve.rho, curve.drho, curve.ddrho)
+        return _energy(rho, drho, ddrho, wp.f(rho))
+    return _energy(curve.rho, curve.drho, curve.ddrho, wp.f(_radii_about(curve, center)))
 
 
 def curvature_energy(curve: PolarCurve, wp: WeightPair, center=None) -> float:
@@ -500,7 +540,8 @@ def alpha_beta(curve: PolarCurve, wp: WeightPair):
     (upper bound).  The lower integrand is dominated by the upper one
     pointwise, their difference being deficiency times ``f(|x|)/|x|^2``.
     """
-    alpha, beta, _, _ = _alpha_beta(curve.rho, curve.drho, wp.f(curve.rho), wp.df(curve.rho))
+    rho, drho = _on_rule([curve], curve.rho, curve.drho)
+    alpha, beta, _, _ = _alpha_beta(rho, drho, wp.f(rho), wp.df(rho))
     return float(alpha), float(beta)
 
 
@@ -523,8 +564,9 @@ def verify_two_sided(curve: PolarCurve, wp: WeightPair) -> TwoSided:
 def verify_two_sided_many(curves: Sequence[PolarCurve], wp: WeightPair) -> list[TwoSided]:
     """:func:`verify_two_sided` for each curve, evaluated on the stacked grids.
 
-    Each report is bit-identical to the curve's own; the curves need one
-    common grid size.
+    Convexity is checked at every grid node and the sums run over the
+    quadrature rule.  Each report is bit-identical to the curve's own; the
+    curves need one common grid size and rule.
 
     Raises
     ------
@@ -536,6 +578,7 @@ def verify_two_sided_many(curves: Sequence[PolarCurve], wp: WeightPair) -> list[
     rho, drho, ddrho = _stacked(curves, "rho", "drho", "ddrho")
     if not np.all(_convex(rho, drho, ddrho)):
         raise ConvexityError("two-sided bound needs a convex curve")
+    rho, drho, ddrho = _on_rule(curves, rho, drho, ddrho)
     f_rho = wp.f(rho)
     disk, area_err = _matched_disks(f_rho, wp)
     energy, e_err = _energy(rho, drho, ddrho, f_rho)
@@ -562,14 +605,16 @@ def boundary_inverse_weight(curve: PolarCurve, wp: WeightPair) -> InequalityRepo
 def boundary_inverse_weight_many(curves: Sequence[PolarCurve], wp: WeightPair) -> list[InequalityReport]:
     """:func:`boundary_inverse_weight` for each curve, evaluated on the stacked grids.
 
-    Each report is bit-identical to the curve's own; the curves need one
-    common grid size.
+    The clearance of the origin is checked at every grid node and the sums
+    run over the quadrature rule.  Each report is bit-identical to the
+    curve's own; the curves need one common grid size and rule.
     """
     if not curves:
         return []
     rho, drho = _stacked(curves, "rho", "drho")
     if np.min(rho) < ORIGIN_CLEARANCE:
         raise ValueError("origin lies on the boundary within tolerance")
+    rho, drho = _on_rule(curves, rho, drho)
     f_rho = wp.f(rho)
     lhs, area_err = _matched_disks(f_rho, wp)
     rhs, rhs_err = _spectral_integral(f_rho / rho * np.sqrt(rho**2 + drho**2))

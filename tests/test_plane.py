@@ -187,13 +187,17 @@ def test_translated_area_matches_radial_quadrature(name):
             assert plane.weighted_area(curve, wp, center=center) == pytest.approx(oracle, rel=1e-13, abs=0.0)
 
 
-@pytest.mark.parametrize("name", cli.WEIGHT_PRESETS)
-@pytest.mark.parametrize("dist", [5.0, 8.5, 16.0])
-def test_far_translated_area_matches_disk_oracle(name, dist):
+@pytest.mark.parametrize(
+    "dist, name",
+    [(dist, name) for dist in (5.0, 8.5, 16.0) for name in cli.WEIGHT_PRESETS]
+    + [(12.0, "gaussian"), (25.0, "exponential"), (35.0, "exponential")],
+)
+def test_far_translated_area_matches_disk_oracle(dist, name):
     # The flux form's f(0) term cancels this far out; the Gaussian area at 16 is 5.6e-51.
+    mpmath = pytest.importorskip("mpmath")
     wp = cli.weight_preset(name)
     area, err = plane._weighted_area(PolarCurve.circle(1.0), wp, (dist, 0.0))
-    oracle = helpers.disk_weighted_area(wp, 1.0, dist)
+    oracle = helpers.mp_far_disk_weighted_area(mpmath, name, 1.0, dist)
     assert area == pytest.approx(oracle, rel=1e-12, abs=0.0)
     assert abs(area - oracle) <= err
 
@@ -470,7 +474,91 @@ def test_stacked_checks_reject_what_single_checks_reject():
         plane.verify_two_sided_many([PolarCurve.circle(1.0), wiggly], GAUSSIAN)
     with pytest.raises(ValueError, match="grid"):
         plane.boundary_inverse_weight_many([PolarCurve.circle(1.0), PolarCurve.circle(1.0, grid_size=2048)], GAUSSIAN)
+    with pytest.raises(ValueError, match="rule"):
+        plane.verify_two_sided_many([PolarCurve.circle(1.0), cli.generate_convex_polar(1, 0.1, 0)], GAUSSIAN)
     assert plane.verify_two_sided_many([], GAUSSIAN) == []
+
+
+# ---------------------------------------------------------------------------
+# the quadrature rule of the centred sums against the full grid
+
+
+@pytest.mark.parametrize(
+    "degree, grid_size, step",
+    [(0, 1024, 16), (2, 1024, 16), (4, 1024, 16), (12, 1024, 4), (13, 1024, 4), (16, 1024, 4),
+     (17, 1024, 2), (63, 1024, 1), (64, 1024, 1), (12, 4096, 16), (12, 1000, 4), (12, 1002, 2), (12, 999, 1)],
+)
+def test_rule_step_is_sized_to_the_degree(degree, grid_size, step):
+    curve = PolarCurve(np.eye(degree + 1)[0], np.zeros(degree), grid_size=grid_size)
+    assert curve.rule_step == step
+    assert grid_size // step >= max(64, 16 * degree) or step == 1
+
+
+def _full_grid_pairs(curves, check, wp):
+    """Each curve's report from ``check`` with that of the same curve at degree 64, whose rule is its whole grid."""
+    refined = [c.refined(degree=64) for c in curves]
+    assert {c.rule_step for c in curves} == {4} and {c.rule_step for c in refined} == {1}
+    pairs = []
+    for rep, oracle in zip(check(curves, wp), check(refined, wp)):
+        pairs.extend(zip(rep, oracle) if isinstance(rep, plane.TwoSided) else [(rep, oracle)])
+    return pairs
+
+
+@pytest.mark.parametrize("amplitude", [0.1, 0.2, 0.3])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_rule_reports_match_full_grid_oracle(seed, amplitude):
+    convex = [cli.generate_convex_polar(seed, amplitude, t) for t in range(64)]
+    star = [cli.generate_star_polar(seed, amplitude, t) for t in range(64)]
+    for name in cli.WEIGHT_PRESETS:
+        wp = cli.weight_preset(name)
+        pairs = _full_grid_pairs(convex, plane.verify_two_sided_many, wp)
+        pairs += _full_grid_pairs(star, plane.boundary_inverse_weight_many, wp)
+        for rep, oracle in pairs:
+            assert rep.passed == oracle.passed
+            assert abs(rep.lhs - oracle.lhs) <= rep.quad_error, (name, rep, oracle)
+            assert abs(rep.rhs - oracle.rhs) <= rep.quad_error, (name, rep, oracle)
+            # The tail estimate stays within twice the floor that plane._report puts under it.
+            assert rep.quad_error <= 2.0 * 1e-12 * (1.0 + abs(rep.lhs) + abs(rep.rhs)), (name, rep)
+
+
+def _rotated(curve, phi):
+    """``curve`` turned by the angle ``phi``: ``rho(theta - phi)``."""
+    k = np.arange(1, curve.degree + 1)
+    a, b = curve.cos_coeffs[1:], curve.sin_coeffs
+    cos_c = np.concatenate([curve.cos_coeffs[:1], a * np.cos(k * phi) - b * np.sin(k * phi)])
+    return PolarCurve(cos_c, a * np.sin(k * phi) + b * np.cos(k * phi))
+
+
+def test_convexity_gate_sees_every_grid_node():
+    # Draw 40 of seed 1, trial 14 at amplitude 0.3 is a rejected candidate whose
+    # certificate dips below the floor at three adjacent nodes; turned by 3/4 of a
+    # grid step, those are the nodes 677..679, between the rule's nodes 676 and 680.
+    rng = cli._trial_rng(1, 14)
+    for _ in range(40):
+        candidate = PolarCurve(*cli._random_polar_coeffs(rng, 0.3, 12, 3.0))
+    curve = _rotated(candidate, 0.75 * 2.0 * np.pi / candidate.grid_size)
+    step = curve.rule_step
+    floor = -plane._CONVEX_RTOL * curve.max_radius**2
+    low = np.flatnonzero(curve.convexity_certificate < floor)
+    assert step == 4 and low.tolist() == [677, 678, 679]
+    assert plane._convex(curve.rho[::step], curve.drho[::step], curve.ddrho[::step])
+    assert not curve.is_convex()
+    for name in cli.WEIGHT_PRESETS:
+        with pytest.raises(ConvexityError):
+            plane.verify_two_sided_many([cli.generate_convex_polar(1, 0.3, 0), curve], cli.weight_preset(name))
+
+
+def test_origin_clearance_gate_sees_every_grid_node():
+    # rho = a + b (1 - cos(theta - theta_2)) at degree 12: its minimum a lies on grid
+    # node 2, between the rule's nodes 0 and 4, where rho is a + b (1 - cos 2h) > clearance.
+    a, b, t2 = 0.5 * plane.ORIGIN_CLEARANCE, 0.5, 2.0 * 2.0 * np.pi / 1024
+    curve = PolarCurve(np.pad([a + b, -b * np.cos(t2)], (0, 11)), np.pad([-b * np.sin(t2)], (0, 11)))
+    step = curve.rule_step
+    assert step == 4 and np.argmin(curve.rho) == 2
+    assert 0.0 < curve.min_radius < plane.ORIGIN_CLEARANCE <= np.min(curve.rho[::step])
+    for name in cli.WEIGHT_PRESETS:
+        with pytest.raises(ValueError, match="origin lies on the boundary"):
+            plane.boundary_inverse_weight_many([cli.generate_star_polar(1, 0.3, 0), curve], cli.weight_preset(name))
 
 
 def test_disk_energy_dominates_for_translated_convex_bodies():
