@@ -2,12 +2,13 @@
 
 A body is stored as a base radius times a spectral perturbation,
 ``h(x) = r (1 + u(x))``, with boundary ``{x h(x) : x on the sphere}``.
-Mean curvature and the convexity certificate both read the covariant
+Mean curvature, and on S^2 the convexity certificate, read the covariant
 Hessian of ``h`` (:func:`sphere.hessian`), with its gradient and Laplacian,
-at the nodes or at any unit points; surface integrals use the area element
-``h^(n-2) sqrt(h^2 + |grad h|^2)`` and the quadrature carried by the body.
-Gaussian volumes integrate ``t^(n-1) exp(-t^2/2)`` radially in closed form,
-through the regularised incomplete gamma function.
+at the nodes or at any unit points.  For n >= 4 convexity is that of the meridian
+section, whose cosine coefficients are a fixed linear map of the field's coefficients.
+Surface integrals use the area element ``h^(n-2) sqrt(h^2 + |grad h|^2)`` and the
+quadrature carried by the body.  Gaussian volumes integrate ``t^(n-1) exp(-t^2/2)``
+radially in closed form, through the regularised incomplete gamma function.
 """
 
 from __future__ import annotations
@@ -114,12 +115,16 @@ class RadialGraph(_NodeForms):
             turned[:, 1:] = np.linalg.norm(X[:, 1:], axis=1, keepdims=True) / math.sqrt(n - 1)
             if np.max(np.abs(fn(turned) - vals)) > 1e-12 * np.max(np.abs(vals)):
                 raise ValueError(f"fields on S^{n - 1} are zonal; the callable depends on more than x_1")
-        h_field = sphere.analyze(vals, n, degree, quad)
+        return cls._from_h_field(sphere.analyze(vals, n, degree, quad), quad)
+
+    @classmethod
+    def _from_h_field(cls, h_field, quad=None):
+        """The body whose ``h`` is ``h_field``, with the mean radius split off."""
         radius = h_field.mean()
         coeffs = h_field.coeffs / radius
-        coeffs[0] -= math.sqrt(sphere.sphere_area(n))
-        u = sphere.HarmonicField(n=n, degree=degree, coeffs=coeffs)
-        return cls(n, radius, u, quad=quad)
+        coeffs[0] -= math.sqrt(sphere.sphere_area(h_field.n))
+        u = sphere.HarmonicField(n=h_field.n, degree=h_field.degree, coeffs=coeffs)
+        return cls(h_field.n, radius, u, quad=quad)
 
     @cached_property
     def h_nodes(self) -> np.ndarray:
@@ -158,9 +163,10 @@ class BodyStack(_NodeForms):
     def __init__(self, graphs):
         self.graphs = tuple(graphs)
         first = self.graphs[0]
-        if any(g.n != first.n or g.quad is not first.quad for g in self.graphs):
-            raise ValueError("stacked bodies need one common dimension and rule")
-        self.n, self.quad = first.n, first.quad
+        self.n, self.quad, self.degree = first.n, first.quad, first.perturbation.degree
+        if any(g.n != self.n or g.quad is not self.quad or g.perturbation.degree != self.degree for g in self.graphs):
+            raise ValueError("stacked bodies need one common dimension and rule, and one field degree")
+        self.radii = np.array([g.radius for g in self.graphs])
         self.h_nodes = np.stack([g.h_nodes for g in self.graphs])
 
     @cached_property
@@ -174,7 +180,7 @@ class BodyStack(_NodeForms):
     @cached_property
     def hess_nodes(self) -> np.ndarray:
         hess = sphere.hessian_many([g.perturbation for g in self.graphs], self.quad)
-        hess *= np.array([g.radius for g in self.graphs])[:, None, None, None]
+        hess *= self.radii[:, None, None, None]
         return hess
 
 
@@ -413,34 +419,36 @@ def second_fundamental_min(body: RadialGraph) -> float:
     return float(_fundamental_minima(body))
 
 
-def _zonal_section_curve(body: RadialGraph) -> plane.PolarCurve:
-    """Meridian section of an axisymmetric body as a planar polar curve."""
-    u = body.perturbation
+def _section_grids(stack: BodyStack) -> np.ndarray:
+    """``rho, rho', rho''`` of each body's meridian section on the planar grid, shape (3, bodies, grid).
 
-    def section(theta):
-        t = np.cos(theta)
-        pts = np.zeros((t.size, body.n))
-        pts[:, 0] = t
-        pts[:, 1] = np.sin(theta)
-        vals = sphere.synthesize(u, body.quad, points=pts)
-        return body.radius * (1.0 + vals)
-
-    return plane.PolarCurve.from_function(section, degree=max(u.degree, 4))
+    Its cosine coefficients are ``r (e_0 + coeffs @ S)``; a radius not positive on the grid raises ``ValueError``.
+    """
+    S = sphere._basis(stack.n, stack.degree, stack.quad).S
+    # A broadcast sum, not a matmul, whose blocking would make a body's row depend on its stack.
+    cos_c = np.sum(np.stack([g.perturbation.coeffs for g in stack.graphs])[:, :, None] * S, axis=1)
+    cos_c[:, 0] += 1.0
+    spectrum = stack.radii[:, None] * np.where(np.arange(stack.degree + 1) > 0, 0.5, 1.0) * cos_c
+    grids = plane._on_grid(spectrum, plane.DEFAULT_GRID, orders=3)
+    if np.min(grids[0]) <= 0.0:
+        raise ValueError("boundary radius must stay positive on the meridian section")
+    return grids
 
 
 def _convex(stack: BodyStack) -> np.ndarray:
     """:func:`is_convex` of each body of the stack."""
     if stack.n == 3:
         return _fundamental_minima(stack) >= -_CONVEX_RTOL * np.max(stack.h_nodes, axis=-1) ** 2
-    curves = [_zonal_section_curve(g) for g in stack.graphs]
-    return plane._convex(*plane._stacked(curves, "rho", "drho", "ddrho"))
+    return plane._convex(*_section_grids(stack))
 
 
 def is_convex(body: RadialGraph) -> bool:
     """Convexity certificate: :func:`second_fundamental_min` >= ``-1e-8 max h^2`` for n = 3.
 
     Axisymmetric bodies in higher dimensions are convex exactly when their
-    meridian section is, which is checked on its planar grid.
+    meridian section is.  Its cosine coefficients are a fixed linear map of
+    the field's; its planar certificate is checked on the planar grid, and a
+    radius not positive there raises ``ValueError``.
     """
     return bool(_convex(BodyStack([body]))[0])
 
@@ -476,10 +484,4 @@ def load_body(path) -> RadialGraph:
     with open(path) as fh:
         n, L, _parity = fh.readline().split()
         coeffs = np.array([float(tok) for tok in fh.readline().split()])
-    n, L = int(n), int(L)
-    h_field = sphere.HarmonicField(n=n, degree=L, coeffs=coeffs)
-    radius = h_field.mean()
-    u_coeffs = coeffs / radius
-    u_coeffs[0] -= math.sqrt(sphere.sphere_area(n))
-    u = sphere.HarmonicField(n=n, degree=L, coeffs=u_coeffs)
-    return RadialGraph(n, radius, u)
+    return RadialGraph._from_h_field(sphere.HarmonicField(n=int(n), degree=int(L), coeffs=coeffs))

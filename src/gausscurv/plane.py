@@ -148,7 +148,7 @@ class PolarCurve:
         self.rule_step = _rule_step(self.grid_size, self.degree)
         self.spectrum = np.concatenate([cos_c[:1], 0.5 * (cos_c[1:] - 1j * sin_c)])
         self.theta = 2.0 * np.pi * np.arange(self.grid_size) / self.grid_size
-        self.rho, self.drho, self.ddrho = self._on_grid(self.grid_size, orders=3)
+        self.rho, self.drho, self.ddrho = _on_grid(self.spectrum, self.grid_size, orders=3)
         if np.min(self.rho) <= 0.0:
             raise ValueError("radius must be positive: curve is not star-shaped about 0")
         for arr in (self.cos_coeffs, self.sin_coeffs, self.spectrum, self.theta, self.rho, self.drho, self.ddrho):
@@ -176,32 +176,10 @@ class PolarCurve:
 
         return cls.from_function(fn, degree=degree, grid_size=grid_size)
 
-    def _derivative_spectra(self, orders: int) -> np.ndarray:
-        """Spectra of ``rho, rho', ...`` (``orders`` of them), one row each."""
-        ik = 1j * np.arange(self.degree + 1)
-        rows = [self.spectrum]
-        for _ in range(1, orders):
-            rows.append(rows[-1] * ik)
-        return np.array(rows)
-
-    def _on_grid(self, size: int, orders: int = 1) -> np.ndarray:
-        """``rho`` and its first ``orders - 1`` derivatives on ``size`` uniform angles.
-
-        One zero-padded inverse real FFT; the result has shape (orders, size).
-
-        Raises
-        ------
-        ValueError
-            If ``size <= 2 * degree``: the grid would alias the stored modes.
-        """
-        if size <= 2 * self.degree:
-            raise ValueError(f"{size} samples alias a degree-{self.degree} curve")
-        return size * np.fft.irfft(self._derivative_spectra(orders), n=size)
-
     def _at(self, theta, order: int):
         """Derivative ``order`` of ``rho`` at arbitrary angles by Horner in ``e^{i theta}``."""
         theta = np.asarray(theta, dtype=float)
-        coeffs = self._derivative_spectra(order + 1)[order]
+        coeffs = self.spectrum * (1j * np.arange(self.degree + 1)) ** order
         z = np.exp(1j * theta)
         acc = np.full(theta.shape, coeffs[-1])
         for c in coeffs[-2::-1]:
@@ -284,6 +262,23 @@ class PolarCurve:
             return cls.from_text(fh.read())
 
 
+def _on_grid(spectrum: np.ndarray, size: int, orders: int = 1) -> np.ndarray:
+    """``rho`` and its first ``orders - 1`` derivatives on ``size`` uniform angles, shape ``(orders, ..., size)``.
+
+    One zero-padded inverse real FFT of spectra of shape ``(..., degree + 1)``, a
+    curve's or a stack of meridian sections'.  ``ValueError`` if ``size <= 2 * degree``,
+    where the grid would alias the stored modes.
+    """
+    degree = spectrum.shape[-1] - 1
+    if size <= 2 * degree:
+        raise ValueError(f"{size} samples alias a degree-{degree} curve")
+    ik = 1j * np.arange(degree + 1)
+    rows = [spectrum]
+    for _ in range(1, orders):
+        rows.append(rows[-1] * ik)
+    return size * np.fft.irfft(np.array(rows), n=size)
+
+
 def _f_at(wp: WeightPair, r: float) -> float:
     """The boundary weight at one radius (evaluators take arrays)."""
     return float(wp.f(np.array([r]))[0])
@@ -343,10 +338,8 @@ def _convex(rho, drho, ddrho):
 
 def curvature_at(curve: PolarCurve, theta):
     """Curvature of the boundary at angle(s) ``theta`` (positive on convex arcs)."""
-    rho = curve.rho_at(theta)
-    d1 = curve.drho_at(theta)
-    d2 = curve.ddrho_at(theta)
-    return (rho**2 + 2.0 * d1**2 - rho * d2) / (rho**2 + d1**2) ** 1.5
+    rho, d1 = curve.rho_at(theta), curve.drho_at(theta)
+    return _certificate(rho, d1, curve.ddrho_at(theta)) / (rho**2 + d1**2) ** 1.5
 
 
 def _radii_about(curve: PolarCurve, center):
@@ -636,7 +629,7 @@ def _segment_distances(points: np.ndarray, verts: np.ndarray, cand: np.ndarray) 
 
 
 def _boundary_samples(curve: PolarCurve, theta: np.ndarray) -> np.ndarray:
-    rho = curve._on_grid(theta.size)[0]
+    rho = _on_grid(curve.spectrum, theta.size)[0]
     return np.column_stack([rho * np.cos(theta), rho * np.sin(theta)])
 
 

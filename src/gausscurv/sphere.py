@@ -19,6 +19,7 @@ extension, hence always tangent.  The S^2 tables come from the normalised
 associated-Legendre recurrence, run also on P_l^m / sin(theta) so that the
 gradient formula stays regular at the poles.  Covariant Hessians differentiate
 the exactly projected gradient on S^2 and have a closed form for zonal fields.
+A zonal basis maps coefficients exactly to the field's cosine series on a meridian (``S``).
 
 Every evaluation takes ``points=None`` for the quadrature nodes, an (m, n)
 array of unit vectors for m results, or one (n,) unit vector for a single
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import eval_gegenbauer, gammaln, roots_jacobi
@@ -247,13 +248,10 @@ class _Tables:
     def __init__(self, quad: SphereQuadrature):
         self.quad = quad
         self.V = self.values_at(quad.nodes)
-        self._Gn = None
 
-    @property
+    @cached_property
     def Gn(self) -> np.ndarray:
-        if self._Gn is None:
-            self._Gn = self.gradients_at(self.quad.nodes)
-        return self._Gn
+        return self.gradients_at(self.quad.nodes)
 
     def analyze(self, values):
         return self.V @ (self.quad.weights * values)
@@ -394,6 +392,12 @@ class _ZonalBasis(_Tables):
         self.norms = 1.0 / np.sqrt(sphere_area(n - 1) * np.exp(log_h))
         self.k = k
         super().__init__(quad)
+        # Row k of S: the cosine coefficients of basis function k at (cos theta, sin theta, 0, ...), by DLMF
+        # 18.5.11: C_k^lam(cos theta) = sum_j c_j c_(k-j) cos((k - 2j) theta) with c_j = (lam)_j / j!.
+        c = np.cumprod(np.concatenate([[1.0], (lam + k[:-1]) / k[1:]]))
+        j, odd = np.divmod(k[:, None] - k, 2)  # column m is mode m: j = (k - m) / 2 and k - j = j + m
+        self.S = np.where((j >= 0) & (odd == 0), (2.0 - (k == 0)) * c[j] * c[j + k], 0.0) * self.norms[:, None]
+        self.S.setflags(write=False)
 
     def _derivatives(self, t: np.ndarray, order: int) -> np.ndarray:
         """Row k: d^j/dt^j C_k^lam(t) = 2^j lam...(lam+j-1) C_(k-j)^(lam+j), normalised."""

@@ -8,7 +8,8 @@ finite-difference stencils, and areas come from Monte Carlo sampling, from
 adaptive quadrature along rays, or from 1D integrals over circles.  Second
 derivatives on the sphere also have the library's former evaluation paths
 as oracles: the projection of |grad u|^2, the Weingarten assembly of the
-second fundamental form, and the meridian section of an axisymmetric body.
+second fundamental form, and the meridian section of an axisymmetric body
+sampled at the planar grid's angles.
 Planar matched radii have the former scalar root finder as oracle; ball
 volumes and matched radii have the sphere-area form and a bracketed
 root finder as oracles for the chi_n distribution function and quantile;
@@ -585,11 +586,13 @@ def weingarten_second_fundamental_min(body):
     return float(np.min(np.linalg.eigvalsh(0.5 * (form + np.swapaxes(form, 1, 2)))))
 
 
-def section_certificate(body, theta):
-    """``rho^2 + 2 rho'^2 - rho rho''`` of the meridian section of a zonal body at ``theta``.
+def section_curve(body):
+    """The meridian section of a zonal body as a planar curve, the library's former path.
 
     The section ``rho(theta) = h(cos theta, sin theta, 0, ...)`` is a
-    trigonometric polynomial of the field's degree, fitted as a planar curve.
+    trigonometric polynomial of the field's degree, sampled on the default
+    planar grid and fitted by FFT.  Raises ``ValueError`` where the sampled
+    radius is not positive.
     """
     from gausscurv import plane, sphere
 
@@ -598,7 +601,12 @@ def section_certificate(body, theta):
         pts[:, 0], pts[:, 1] = np.cos(th), np.sin(th)
         return body.radius * (1.0 + sphere.synthesize(body.perturbation, body.quad, points=pts))
 
-    curve = plane.PolarCurve.from_function(section, degree=max(body.perturbation.degree, 4))
+    return plane.PolarCurve.from_function(section, degree=max(body.perturbation.degree, 4))
+
+
+def section_certificate(body, theta):
+    """``rho^2 + 2 rho'^2 - rho rho''`` of :func:`section_curve` at ``theta``."""
+    curve = section_curve(body)
     rho, drho, ddrho = curve.rho_at(theta), curve.drho_at(theta), curve.ddrho_at(theta)
     return rho**2 + 2.0 * drho**2 - rho * ddrho
 

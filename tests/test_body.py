@@ -491,6 +491,14 @@ def test_stack_needs_one_rule():
     b = RadialGraph(3, 3.0, a.perturbation, quad=sphere.build_quadrature(3, 30))
     with pytest.raises(ValueError, match="one common dimension and rule"):
         bd.BodyStack([a, b])
+    for n in (3, 4):
+        # Same rule, fields of degrees 6 and 4.
+        a = cli.random_even_body(1, 0, n, 3.0, 1e-2)
+        b = RadialGraph(n, 3.0, cli.random_even_body(1, 1, n, 3.0, 1e-2, degree=4).perturbation, quad=a.quad)
+        with pytest.raises(ValueError, match="one field degree"):
+            bd.BodyStack([a, b])
+        with pytest.raises(ValueError, match="one field degree"):
+            experiments.calibration_check_many([a, b])
 
 
 def test_second_fundamental_min_matches_eigvalsh_oracle():
@@ -519,6 +527,50 @@ def test_tangent_frames_match_node_loop():
         frames = bd._tangent_frames(nodes)
         np.testing.assert_allclose(frames, helpers.loop_tangent_frames(nodes), rtol=0, atol=1e-15)
         np.testing.assert_allclose(np.einsum("mai,mi->ma", frames, nodes), 0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_section_grids_match_sampled_section(n):
+    graphs, curves = [], []
+    for trial in range(30):
+        graph = cli.random_even_body(5, trial, n, 1.0 + trial % 4, (1e-2, 0.1, 0.3)[trial % 3])
+        try:
+            curves.append(helpers.section_curve(graph))
+        except ValueError:
+            continue
+        graphs.append(graph)
+    grids = bd._section_grids(bd.BodyStack(graphs))
+    for k, curve in enumerate(curves):
+        scale = np.max(curve.rho)
+        for grid, oracle in zip(grids[:, k], (curve.rho, curve.drho, curve.ddrho)):
+            assert np.max(np.abs(grid - oracle)) <= 1e-13 * scale, k
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_zonal_convexity_decisions_match_sampled_section(n):
+    for amplitude in (1e-2, 0.1, 0.3):
+        graphs, expected = [], []
+        for trial in range(200):
+            graph = cli.random_even_body(13, trial, n, 1.0 + trial % 4, amplitude)
+            try:
+                expected.append(helpers.section_curve(graph).is_convex())
+            except ValueError:
+                # The sampled section dips to zero; so does the exact one.
+                with pytest.raises(ValueError, match="on the meridian section"):
+                    bd.is_convex(graph)
+                continue
+            graphs.append(graph)
+        assert len(graphs) >= 190, amplitude
+        decided = np.concatenate([bd._convex(bd.BodyStack(graphs[s : s + 32])) for s in range(0, len(graphs), 32)])
+        assert list(decided) == expected, amplitude
+
+
+def test_section_dipping_between_nodes_names_the_section():
+    # Positive at all 13 meridian nodes, not between them.
+    graph = cli.random_even_body(1, 2, 4, 2.0, 0.9)
+    assert np.min(graph.h_nodes) > 0.17
+    with pytest.raises(ValueError, match="boundary radius must stay positive on the meridian section"):
+        bd.is_convex(graph)
 
 
 def test_convexity_certificate_zonal_section():

@@ -117,6 +117,9 @@ def test_centred_area_closed_form_matches_radial_quadrature(name):
     for c in curves:
         oracle = helpers.ray_weighted_area(c, wp, (0.0, 0.0))
         assert plane.weighted_area(c, wp) == pytest.approx(oracle, rel=1e-13, abs=0.0)
+    for r in (0.05, 1.0, 2.5):
+        disk = plane.weighted_area(PolarCurve.circle(r), wp)
+        assert plane.weighted_disk_area(wp, r) == pytest.approx(disk, rel=1e-14, abs=0.0)
 
 
 # Unit circles centred at (-dist, 0): the origin is inside for dist < 1, and the

@@ -110,6 +110,20 @@ def test_zonal_normalised(n):
         assert q.weights @ vals**2 == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("n", range(4, 9))
+def test_meridian_map_matches_rfft_of_basis(n):
+    # The basis at 2L + 2 meridian angles resolves every cosine mode up to L.
+    for L in range(17):
+        basis = sphere._basis(n, L, sphere.default_quadrature(n, L))
+        theta = 2.0 * np.pi * np.arange(2 * L + 2) / (2 * L + 2)
+        X = np.zeros((theta.size, n))
+        X[:, 0], X[:, 1] = np.cos(theta), np.sin(theta)
+        spec = np.fft.rfft(basis.values_at(X), axis=1)[:, : L + 1] / theta.size
+        oracle = np.concatenate([spec[:, :1].real, 2.0 * spec[:, 1:].real], axis=1)
+        assert basis.S is basis.S and not basis.S.flags.writeable
+        np.testing.assert_allclose(basis.S, oracle, rtol=0.0, atol=2e-14 * np.max(np.abs(oracle)))
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_analysis_synthesis_round_trip(n):
     u = random_field(n, 10, seed=5)
