@@ -162,6 +162,8 @@ class BodyStack(_NodeForms):
 
     def __init__(self, graphs):
         self.graphs = tuple(graphs)
+        if not self.graphs:
+            raise ValueError("a stack needs at least one body")
         first = self.graphs[0]
         self.n, self.quad, self.degree = first.n, first.quad, first.perturbation.degree
         if any(g.n != self.n or g.quad is not self.quad or g.perturbation.degree != self.degree for g in self.graphs):

@@ -155,24 +155,34 @@ def _random_polar_coeffs(rng: np.random.Generator, amplitude: float, degree: int
     return cos_c, sin_c
 
 
-def _sample_polar(seed, amplitude, trial, degree, decay, accept, kind) -> plane.PolarCurve:
-    """Rejection-sample the trial's coefficient stream until ``accept(curve)``."""
+def _sample_polar(seed, amplitude, trials, decay, accept, kind, degree=12) -> plane.CurveStack:
+    """Rejection-sample the curves of ``trials`` as one :class:`plane.CurveStack`, round by round.
+
+    A trial redraws from its own stream until ``accept`` holds on its row, so a row is the curve
+    its trial gets alone; a trial's 1000th rejection raises ``GausscurvError``.
+    """
     if not 0.0 < amplitude <= 0.3:
         raise ValueError("amplitude must lie in (0, 0.3]")
-    rng = _trial_rng(seed, trial)
+    rngs = [_trial_rng(seed, trial) for trial in trials]
+    cos_c, sin_c = np.empty((len(rngs), degree + 1)), np.empty((len(rngs), degree))
+    pending = np.arange(len(rngs))
     for _ in range(1000):
-        cos_c, sin_c = _random_polar_coeffs(rng, amplitude, degree, decay)
-        try:
-            curve = plane.PolarCurve(cos_c, sin_c)
-        except ValueError:
-            continue
-        if accept(curve):
-            return curve
+        for row in pending:
+            cos_c[row], sin_c[row] = _random_polar_coeffs(rngs[row], amplitude, degree, decay)
+        candidates = plane.CurveStack(cos_c[pending], sin_c[pending])
+        pending = pending[~accept(candidates)]
+        if not pending.size:  # without redraws, the first round is the chunk
+            return candidates if len(candidates.rho) == len(rngs) else plane.CurveStack(cos_c, sin_c)
     raise GausscurvError(f"{kind} curve generator exceeded 1000 rejections")
 
 
+# Coefficient decay, test on every grid node (each implies a positive radius) and name of each planar generator.
+_CONVEX = (3.0, lambda stack: stack.convex, "convex")
+_STAR = (2.0, lambda stack: np.min(stack.rho, axis=-1) >= plane.ORIGIN_CLEARANCE, "star-shaped")
+
+
 def generate_convex_polar(seed: int, amplitude: float, trial: int = 0, degree: int = 12) -> plane.PolarCurve:
-    """Deterministic random convex curve near the unit circle.
+    """Deterministic random convex curve near the unit circle, drawn as a chunk of one.
 
     Coefficients decay like 1/k^3 and candidates are rejection-sampled on the
     convexity certificate at every grid node.  Over seeds 1-5 and 1000
@@ -184,20 +194,18 @@ def generate_convex_polar(seed: int, amplitude: float, trial: int = 0, degree: i
     GausscurvError
         After 1000 consecutive rejections.
     """
-    return _sample_polar(seed, amplitude, trial, degree, 3.0, plane.PolarCurve.is_convex, "convex")
+    stack = _sample_polar(seed, amplitude, range(trial, trial + 1), *_CONVEX, degree)
+    return plane.PolarCurve(stack.cos_coeffs[0], stack.sin_coeffs[0])
 
 
 def generate_star_polar(seed: int, amplitude: float, trial: int = 0, degree: int = 12) -> plane.PolarCurve:
-    """Deterministic random star-shaped (possibly non-convex) curve.
+    """Deterministic random star-shaped (possibly non-convex) curve, drawn as a chunk of one.
 
     Coefficients decay like 1/k^2, slowly enough that higher amplitudes
-    routinely produce non-convex boundaries; only positivity is enforced.
+    routinely produce non-convex boundaries; only the origin's clearance is enforced.
     """
-
-    def clear_of_origin(curve):
-        return curve.min_radius >= plane.ORIGIN_CLEARANCE
-
-    return _sample_polar(seed, amplitude, trial, degree, 2.0, clear_of_origin, "star-shaped")
+    stack = _sample_polar(seed, amplitude, range(trial, trial + 1), *_STAR, degree)
+    return plane.PolarCurve(stack.cos_coeffs[0], stack.sin_coeffs[0])
 
 
 def _report_dict(rep: plane.InequalityReport) -> dict:
@@ -247,19 +255,19 @@ def _weights_for(config: RunConfig):
     return [(name, weight_preset(name)) for name in names]
 
 
-def _run_planar_batch(config: RunConfig, generate, check):
+def _run_planar_batch(config: RunConfig, generator, check):
     """Shared trial loop of verify2d and bounds2d.
 
-    Each trial's curve is rejection-sampled from its own stream; the curves
-    of a chunk of trials are then checked together.  ``check(curves, wp)``
-    returns, per curve, the weight's report entry and the margins that must
-    clear ``-slack``.
+    A chunk of trials is drawn by :func:`_sample_polar` (``generator`` is
+    ``_CONVEX`` or ``_STAR``) and every weight checks that one stack.
+    ``check(stack, wp)`` returns, per curve, the weight's report entry and
+    the margins that must clear ``-slack``.
     """
     pairs = _weights_for(config)
 
     def chunk(trials: range) -> list:
-        curves = [generate(config.seed, config.amplitude, trial) for trial in trials]
-        checked = [check(curves, wp) for _, wp in pairs]
+        stack = _sample_polar(config.seed, config.amplitude, trials, *generator)
+        checked = [check(stack, wp) for _, wp in pairs]
         results = []
         for k, trial in enumerate(trials):
             entry = {"trial": trial, "weights": {}}
@@ -277,23 +285,23 @@ def _run_planar_batch(config: RunConfig, generate, check):
 
 
 def _run_verify2d(config: RunConfig):
-    def check(curves, wp):
+    def check(stack, wp):
         return [
             (
                 {"lower": _report_dict(two.lower), "upper": _report_dict(two.upper)},
                 (two.lower.margin, two.upper.margin),
             )
-            for two in plane.verify_two_sided_many(curves, wp)
+            for two in plane.verify_two_sided_many(stack, wp)
         ]
 
-    return _run_planar_batch(config, generate_convex_polar, check)
+    return _run_planar_batch(config, _CONVEX, check)
 
 
 def _run_bounds2d(config: RunConfig):
-    def check(curves, wp):
-        return [(_report_dict(rep), (rep.margin,)) for rep in plane.boundary_inverse_weight_many(curves, wp)]
+    def check(stack, wp):
+        return [(_report_dict(rep), (rep.margin,)) for rep in plane.boundary_inverse_weight_many(stack, wp)]
 
-    return _run_planar_batch(config, generate_star_polar, check)
+    return _run_planar_batch(config, _STAR, check)
 
 
 def _stability_families(h_values, r: float):

@@ -27,11 +27,11 @@ curve's degree does not bound.
 The centred-body functionals (weighted area, curvature energy, the
 normal-deficiency integrals and the inverse-weight integral) act on grids of
 shape ``(..., M)`` and reduce along the last axis.  One curve is the
-``(M,)`` case; :func:`verify_two_sided_many` and
-:func:`boundary_inverse_weight_many` stack curves of one grid and rule along
-a leading batch axis, evaluate ``f``, ``f'`` and the slant once per stack,
-and give each curve the report it gets alone, to the last bit.  The
-single-curve checks are batches of one.
+``(M,)`` case; a :class:`CurveStack` holds curves of one grid as rows of
+shape ``(curves, M)`` from one inverse FFT.  :func:`verify_two_sided_many`
+and :func:`boundary_inverse_weight_many` check a stack, evaluate ``f``,
+``f'`` and the slant once per stack, and give each curve the report it
+gets alone, to the last bit.  The single-curve checks are batches of one.
 
 The inequality machinery compares a convex or star-shaped body against the
 centred disk with the same weighted area: the curvature energy of the disk
@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -64,6 +65,7 @@ from .weights import WeightPair
 
 __all__ = [
     "PolarCurve",
+    "CurveStack",
     "InequalityReport",
     "TwoSided",
     "curvature_at",
@@ -133,26 +135,14 @@ class PolarCurve:
     """
 
     def __init__(self, cos_coeffs, sin_coeffs=None, grid_size: int = DEFAULT_GRID):
-        cos_c = np.atleast_1d(np.array(cos_coeffs, dtype=float))
-        if sin_coeffs is None:
-            sin_coeffs = np.zeros(max(cos_c.size - 1, 0))
-        sin_c = np.atleast_1d(np.array(sin_coeffs, dtype=float))
-        if sin_c.size != cos_c.size - 1:
-            raise ValueError("need one sine coefficient per positive frequency")
-        self.cos_coeffs = cos_c
-        self.sin_coeffs = sin_c
-        self.degree = cos_c.size - 1
-        self.grid_size = int(grid_size)
-        if self.grid_size < 4 * max(self.degree, 1):
-            raise ValueError("grid too coarse for the stored degree")
-        self.rule_step = _rule_step(self.grid_size, self.degree)
-        self.spectrum = np.concatenate([cos_c[:1], 0.5 * (cos_c[1:] - 1j * sin_c)])
+        row = CurveStack(cos_coeffs, sin_coeffs, grid_size)
+        (self.rho,), (self.drho,), (self.ddrho,) = row.rho, row.drho, row.ddrho  # ValueError unless one row
+        self.cos_coeffs, self.sin_coeffs, self.spectrum = row.cos_coeffs[0], row.sin_coeffs[0], row.spectrum[0]
+        self.degree, self.grid_size, self.rule_step = row.degree, row.grid_size, row.rule_step
         self.theta = 2.0 * np.pi * np.arange(self.grid_size) / self.grid_size
-        self.rho, self.drho, self.ddrho = _on_grid(self.spectrum, self.grid_size, orders=3)
+        self.theta.setflags(write=False)
         if np.min(self.rho) <= 0.0:
             raise ValueError("radius must be positive: curve is not star-shaped about 0")
-        for arr in (self.cos_coeffs, self.sin_coeffs, self.spectrum, self.theta, self.rho, self.drho, self.ddrho):
-            arr.setflags(write=False)
 
     @classmethod
     def from_function(cls, fn, degree: int = DEFAULT_DEGREE, grid_size: int = DEFAULT_GRID):
@@ -262,6 +252,57 @@ class PolarCurve:
             return cls.from_text(fh.read())
 
 
+class CurveStack:
+    """Planar curves of one degree and grid as rows, the twin of :class:`body.BodyStack`.
+
+    Coefficients, ``spectrum`` and grids have one row per curve, the grids
+    from one :func:`_on_grid` call; a :class:`PolarCurve` is a stack of one.
+    Rows need not be star-shaped (``convex`` and the clearance gate reject
+    them).  Immutable, so ``convex`` and ``on_rule`` are computed once.
+    """
+
+    def __init__(self, cos_coeffs, sin_coeffs=None, grid_size: int = DEFAULT_GRID):
+        cos_c = np.array(cos_coeffs, dtype=float, ndmin=2)
+        if not cos_c.size:
+            raise ValueError("a stack needs at least one curve")
+        self.degree, self.grid_size = cos_c.shape[-1] - 1, int(grid_size)
+        sin_c = np.zeros_like(cos_c[..., 1:]) if sin_coeffs is None else np.array(sin_coeffs, dtype=float, ndmin=2)
+        if sin_c.shape != cos_c[..., 1:].shape:
+            raise ValueError("need one sine coefficient per positive frequency")
+        if self.grid_size < 4 * max(self.degree, 1):
+            raise ValueError("grid too coarse for the stored degree")
+        self.cos_coeffs, self.sin_coeffs, self.rule_step = cos_c, sin_c, _rule_step(self.grid_size, self.degree)
+        self.spectrum = np.concatenate([cos_c[..., :1], 0.5 * (cos_c[..., 1:] - 1j * sin_c)], axis=-1)
+        self.rho, self.drho, self.ddrho = _on_grid(self.spectrum, self.grid_size, orders=3)
+        for arr in (cos_c, sin_c, self.spectrum, self.rho, self.drho, self.ddrho):
+            arr.setflags(write=False)
+
+    @classmethod
+    def of(cls, curves: Sequence[PolarCurve]) -> "CurveStack":
+        """Curves of one grid, padded to the highest degree; with different rules they stack, but ``on_rule`` raises."""
+        grids = {c.grid_size for c in curves}
+        if len(grids) > 1:
+            raise ValueError("stacked curves need one common grid size")
+        top = max((c.degree for c in curves), default=0)
+        cos_c = [np.pad(c.cos_coeffs, (0, top - c.degree)) for c in curves]
+        stack = cls(cos_c, [np.pad(c.sin_coeffs, (0, top - c.degree)) for c in curves], *grids)
+        if len({c.rule_step for c in curves}) > 1:
+            stack.rule_step = None
+        return stack
+
+    @cached_property
+    def convex(self) -> np.ndarray:
+        """Whether each curve is convex about 0: positive radius, certificate above its floor, at every node."""
+        return _convex(self.rho, self.drho, self.ddrho) & (np.min(self.rho, axis=-1) > 0.0)
+
+    @cached_property
+    def on_rule(self):
+        """``rho``, ``rho'`` and ``rho''`` on the quadrature rule; ``ValueError`` if the curves had different rules."""
+        if self.rule_step is None:
+            raise ValueError("stacked curves need one common quadrature rule")
+        return _on_rule(self.rule_step, self.rho, self.drho, self.ddrho)
+
+
 def _on_grid(spectrum: np.ndarray, size: int, orders: int = 1) -> np.ndarray:
     """``rho`` and its first ``orders - 1`` derivatives on ``size`` uniform angles, shape ``(orders, ..., size)``.
 
@@ -299,19 +340,8 @@ def _rule_step(grid_size: int, degree: int) -> int:
     return step
 
 
-def _stacked(curves: Sequence[PolarCurve], *names: str):
-    """The grid arrays ``names`` of the curves, each stacked to shape ``(len(curves), M)``."""
-    if len({c.grid_size for c in curves}) != 1:
-        raise ValueError("stacked curves need one common grid size")
-    return [np.stack([getattr(c, name) for c in curves]) for name in names]
-
-
-def _on_rule(curves: Sequence[PolarCurve], *grids: np.ndarray):
-    """The curves' grid arrays ``grids``, stacked or single, reduced to their common quadrature rule."""
-    steps = {c.rule_step for c in curves}
-    if len(steps) != 1:
-        raise ValueError("stacked curves need one common quadrature rule")
-    step = steps.pop()
+def _on_rule(step: int, *grids: np.ndarray):
+    """Grid arrays, single or stacked, reduced to the quadrature rule of stride ``step``."""
     return [np.ascontiguousarray(g[..., ::step]) for g in grids]
 
 
@@ -359,7 +389,7 @@ def _centred_area(f0: float, f_rho):
 def _weighted_area(curve: PolarCurve, wp: WeightPair, center=None):
     f0 = _f_at(wp, 0.0)
     if center is None:
-        (rho,) = _on_rule([curve], curve.rho)
+        (rho,) = _on_rule(curve.rule_step, curve.rho)
         return _centred_area(f0, wp.f(rho))
     cos_t, sin_t = np.cos(curve.theta), np.sin(curve.theta)
     x, y = curve.rho * cos_t + center[0], curve.rho * sin_t + center[1]
@@ -492,7 +522,7 @@ def _energy(rho, drho, ddrho, f_radii):
 
 def _curvature_energy(curve: PolarCurve, wp: WeightPair, center=None):
     if center is None:
-        rho, drho, ddrho = _on_rule([curve], curve.rho, curve.drho, curve.ddrho)
+        rho, drho, ddrho = _on_rule(curve.rule_step, curve.rho, curve.drho, curve.ddrho)
         return _energy(rho, drho, ddrho, wp.f(rho))
     return _energy(curve.rho, curve.drho, curve.ddrho, wp.f(_radii_about(curve, center)))
 
@@ -533,7 +563,7 @@ def alpha_beta(curve: PolarCurve, wp: WeightPair):
     (upper bound).  The lower integrand is dominated by the upper one
     pointwise, their difference being deficiency times ``f(|x|)/|x|^2``.
     """
-    rho, drho = _on_rule([curve], curve.rho, curve.drho)
+    rho, drho = _on_rule(curve.rule_step, curve.rho, curve.drho)
     alpha, beta, _, _ = _alpha_beta(rho, drho, wp.f(rho), wp.df(rho))
     return float(alpha), float(beta)
 
@@ -554,8 +584,8 @@ def verify_two_sided(curve: PolarCurve, wp: WeightPair) -> TwoSided:
     return verify_two_sided_many([curve], wp)[0]
 
 
-def verify_two_sided_many(curves: Sequence[PolarCurve], wp: WeightPair) -> list[TwoSided]:
-    """:func:`verify_two_sided` for each curve, evaluated on the stacked grids.
+def verify_two_sided_many(curves: CurveStack | Sequence[PolarCurve], wp: WeightPair) -> list[TwoSided]:
+    """:func:`verify_two_sided` for each curve of a :class:`CurveStack` or a sequence (through ``of``).
 
     Convexity is checked at every grid node and the sums run over the
     quadrature rule.  Each report is bit-identical to the curve's own; the
@@ -568,10 +598,10 @@ def verify_two_sided_many(curves: Sequence[PolarCurve], wp: WeightPair) -> list[
     """
     if not curves:
         return []
-    rho, drho, ddrho = _stacked(curves, "rho", "drho", "ddrho")
-    if not np.all(_convex(rho, drho, ddrho)):
+    stack = curves if isinstance(curves, CurveStack) else CurveStack.of(curves)
+    if not np.all(stack.convex):
         raise ConvexityError("two-sided bound needs a convex curve")
-    rho, drho, ddrho = _on_rule(curves, rho, drho, ddrho)
+    rho, drho, ddrho = stack.on_rule
     f_rho = wp.f(rho)
     disk, area_err = _matched_disks(f_rho, wp)
     energy, e_err = _energy(rho, drho, ddrho, f_rho)
@@ -595,8 +625,8 @@ def boundary_inverse_weight(curve: PolarCurve, wp: WeightPair) -> InequalityRepo
     return boundary_inverse_weight_many([curve], wp)[0]
 
 
-def boundary_inverse_weight_many(curves: Sequence[PolarCurve], wp: WeightPair) -> list[InequalityReport]:
-    """:func:`boundary_inverse_weight` for each curve, evaluated on the stacked grids.
+def boundary_inverse_weight_many(curves: CurveStack | Sequence[PolarCurve], wp: WeightPair) -> list[InequalityReport]:
+    """:func:`boundary_inverse_weight` for each curve of a :class:`CurveStack` or a sequence (through ``of``).
 
     The clearance of the origin is checked at every grid node and the sums
     run over the quadrature rule.  Each report is bit-identical to the
@@ -604,10 +634,10 @@ def boundary_inverse_weight_many(curves: Sequence[PolarCurve], wp: WeightPair) -
     """
     if not curves:
         return []
-    rho, drho = _stacked(curves, "rho", "drho")
-    if np.min(rho) < ORIGIN_CLEARANCE:
+    stack = curves if isinstance(curves, CurveStack) else CurveStack.of(curves)
+    if np.min(stack.rho) < ORIGIN_CLEARANCE:
         raise ValueError("origin lies on the boundary within tolerance")
-    rho, drho = _on_rule(curves, rho, drho)
+    rho, drho, _ = stack.on_rule
     f_rho = wp.f(rho)
     lhs, area_err = _matched_disks(f_rho, wp)
     rhs, rhs_err = _spectral_integral(f_rho / rho * np.sqrt(rho**2 + drho**2))

@@ -501,6 +501,12 @@ def test_stack_needs_one_rule():
             experiments.calibration_check_many([a, b])
 
 
+def test_empty_body_stack_raises():
+    with pytest.raises(ValueError, match="a stack needs at least one body"):
+        bd.BodyStack([])
+    assert experiments.calibration_check_many([]) == []
+
+
 def test_second_fundamental_min_matches_eigvalsh_oracle():
     # The closed-form 2 x 2 eigenvalue against eigvalsh on the full tangent-frame form.
     for trial in range(50):

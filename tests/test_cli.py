@@ -114,6 +114,28 @@ def test_star_generator_allows_nonconvex():
     assert found_nonconvex
 
 
+@pytest.mark.parametrize(
+    "params, single",
+    [(cli._CONVEX, cli.generate_convex_polar), (cli._STAR, cli.generate_star_polar)],
+    ids=["convex", "star"],
+)
+def test_stacked_sampler_equals_per_trial_stream(params, single):
+    # Seed 1, trial 14 redraws its convex curve 39 times at amplitude 0.3.
+    redrawn = 0
+    for seed in range(1, 6):
+        for amplitude in (0.1, 0.2, 0.3):
+            for start in (0, 32):
+                trials = range(start, start + 32)
+                stack = cli._sample_polar(seed, amplitude, trials, *params)
+                for row, trial in enumerate(trials):
+                    curve = single(seed, amplitude, trial)
+                    for name in ("cos_coeffs", "sin_coeffs", "rho", "drho", "ddrho"):
+                        np.testing.assert_array_equal(getattr(stack, name)[row], getattr(curve, name))
+                    first, _ = cli._random_polar_coeffs(cli._trial_rng(seed, trial), amplitude, 12, params[0])
+                    redrawn += not np.array_equal(first, curve.cos_coeffs)
+    assert redrawn >= 1 if params is cli._CONVEX else redrawn == 0
+
+
 # ---------------------------------------------------------------------------
 # run + report plumbing
 
@@ -270,14 +292,16 @@ def test_failing_trial_is_identified(monkeypatch):
         cli._map_trials(one, 8, seed=42)
 
 
-def _patched_generator(monkeypatch, faults):
-    """Make ``generate_convex_polar`` return or raise ``faults[trial]()`` at the given trials."""
-    real = cli.generate_convex_polar
+def _patched_sampler(monkeypatch, faults):
+    """Make the chunk sampler give trial ``t`` the curve ``faults[t]()``, or raise from it."""
+    real = cli._sample_polar
 
-    def generate(seed, amplitude, trial=0, degree=12):
-        return faults[trial]() if trial in faults else real(seed, amplitude, trial, degree)
+    def sample(seed, amplitude, trials, *args):
+        stack = real(seed, amplitude, trials, *args)
+        rows = zip(trials, stack.cos_coeffs, stack.sin_coeffs)
+        return plane.CurveStack.of([faults[t]() if t in faults else plane.PolarCurve(c, s) for t, c, s in rows])
 
-    monkeypatch.setattr(cli, "generate_convex_polar", generate)
+    monkeypatch.setattr(cli, "_sample_polar", sample)
 
 
 def _generator_failure():
@@ -295,7 +319,7 @@ def _verify2d_failure(tmp_path, capsys):
 
 
 def test_generator_failure_names_its_trial(tmp_path, capsys, monkeypatch):
-    _patched_generator(monkeypatch, {37: _generator_failure})
+    _patched_sampler(monkeypatch, {37: _generator_failure})
     assert "trial 37 (seed 42): convex curve generator" in _verify2d_failure(tmp_path, capsys)
 
 
@@ -307,29 +331,27 @@ def test_generator_failure_names_its_trial(tmp_path, capsys, monkeypatch):
     ],
 )
 def test_first_failing_trial_of_a_chunk_is_named(tmp_path, capsys, monkeypatch, faults, message):
-    _patched_generator(monkeypatch, faults)
+    _patched_sampler(monkeypatch, faults)
     assert message in _verify2d_failure(tmp_path, capsys)
 
 
 def test_unattainable_matched_area_in_a_chunk_is_configuration_error(tmp_path, capsys, monkeypatch):
     # A circle of radius 1e4 has more inverse-quadratic area than any disk of radius <= 1e3.
-    real = cli.generate_star_polar
-    monkeypatch.setattr(
-        cli,
-        "generate_star_polar",
-        lambda seed, amplitude, trial=0: plane.PolarCurve.circle(1e4) if trial == 40 else real(seed, amplitude, trial),
-    )
+    _patched_sampler(monkeypatch, {40: lambda: plane.PolarCurve.circle(1e4)})
     argv = ["bounds2d", "--trials", "100", "--weight", "inverse-quadratic", "--output", str(tmp_path / "b")]
     assert cli.main(argv) == 3
     assert "attainable range" in capsys.readouterr().err
 
 
 def test_chunked_batch_equals_trials_run_one_at_a_time(tmp_path, monkeypatch):
-    args = ["bounds2d", "--trials", "40", "--weight", "all", "--amplitude", "0.2"]
-    chunked = cli.run(cli.parse_config(args + ["--output", str(tmp_path / "a")]))
-    monkeypatch.setattr(cli, "_CHUNK", 1)
-    single = cli.run(cli.parse_config(args + ["--output", str(tmp_path / "b")]))
-    assert chunked.entries == single.entries and chunked.summary == single.summary
+    # At amplitude 0.3, seed 42 redraws the convex curve of trial 18.
+    for command, amplitude in (("bounds2d", "0.2"), ("verify2d", "0.3")):
+        args = [command, "--trials", "40", "--weight", "all", "--amplitude", amplitude]
+        monkeypatch.setattr(cli, "_CHUNK", 32)
+        chunked = cli.run(cli.parse_config(args + ["--output", str(tmp_path / "a")]))
+        monkeypatch.setattr(cli, "_CHUNK", 1)
+        single = cli.run(cli.parse_config(args + ["--output", str(tmp_path / "b")]))
+        assert chunked.entries == single.entries and chunked.summary == single.summary
 
 
 def _calibration_entries(tmp_path, trials, name):

@@ -482,6 +482,40 @@ def test_stacked_checks_reject_what_single_checks_reject():
     assert plane.verify_two_sided_many([], GAUSSIAN) == []
 
 
+def test_curve_stack_rows_equal_each_curves_own():
+    curves = [cli.generate_star_polar(4, 0.3, t) for t in range(40)]
+    built = plane.CurveStack([c.cos_coeffs for c in curves], [c.sin_coeffs for c in curves])
+    for stack in (built, plane.CurveStack.of(curves)):
+        assert len(stack.rho) == 40 and (stack.degree, stack.grid_size, stack.rule_step) == (12, 1024, 4)
+        for name in ("cos_coeffs", "sin_coeffs", "rho", "drho", "ddrho"):
+            np.testing.assert_array_equal(getattr(stack, name), np.stack([getattr(c, name) for c in curves]))
+        assert stack.convex.tolist() == [c.is_convex() for c in curves]
+        assert 0 < stack.convex.sum() < 40
+        for name in cli.WEIGHT_PRESETS:
+            wp = cli.weight_preset(name)
+            assert plane.boundary_inverse_weight_many(stack, wp) == plane.boundary_inverse_weight_many(curves, wp)
+
+
+def test_curve_stack_row_off_the_origin_fails_both_gates():
+    # 0.2 + cos(theta) is negative near theta = pi, so it is no star-shaped curve about 0.
+    with pytest.raises(ValueError, match="radius must be positive"):
+        PolarCurve([0.2, 1.0], [0.0])
+    stack = plane.CurveStack([[1.0, 0.0], [0.2, 1.0]], [[0.0], [0.0]])
+    assert stack.convex.tolist() == [True, False]
+    with pytest.raises(ConvexityError):
+        plane.verify_two_sided_many(stack, GAUSSIAN)
+    with pytest.raises(ValueError, match="origin lies on the boundary"):
+        plane.boundary_inverse_weight_many(stack, GAUSSIAN)
+
+
+def test_empty_curve_stacks_raise_and_empty_checks_return_nothing():
+    for build in (lambda: plane.CurveStack([]), lambda: plane.CurveStack.of([])):
+        with pytest.raises(ValueError, match="a stack needs at least one curve"):
+            build()
+    assert plane.verify_two_sided_many([], GAUSSIAN) == []
+    assert plane.boundary_inverse_weight_many([], GAUSSIAN) == []
+
+
 # ---------------------------------------------------------------------------
 # the quadrature rule of the centred sums against the full grid
 
