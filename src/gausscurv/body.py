@@ -2,10 +2,11 @@
 
 A body is stored as a base radius times a spectral perturbation,
 ``h(x) = r (1 + u(x))``, with boundary ``{x h(x) : x on the sphere}``.
-Mean curvature, and on S^2 the convexity certificate, read the covariant
-Hessian of ``h`` (:func:`sphere.hessian`), with its gradient and Laplacian,
-at the nodes or at any unit points.  For n >= 4 convexity is that of the meridian
-section, whose cosine coefficients are a fixed linear map of the field's coefficients.
+Mean curvature and the second fundamental form (on S^2 in the basis's frame
+``(e_theta, e_phi)``) read the covariant Hessian of ``h`` (:func:`sphere.hessian`),
+with its gradient and Laplacian, at the nodes or at any unit points.  For n >= 4
+convexity is that of the meridian section, whose cosine coefficients are a fixed
+linear map of the field's coefficients.
 Surface integrals use the area element ``h^(n-2) sqrt(h^2 + |grad h|^2)`` and the
 quadrature carried by the body.  Gaussian volumes integrate ``t^(n-1) exp(-t^2/2)``
 radially in closed form, through the regularised incomplete gamma function.
@@ -14,7 +15,6 @@ radially in closed form, through the regularised incomplete gamma function.
 from __future__ import annotations
 
 import math
-import weakref
 from functools import cached_property
 
 import numpy as np
@@ -351,72 +351,36 @@ def volume_match(body: RadialGraph, target: float) -> RadialGraph:
     raise QuadratureError(f"volume matching did not converge for target {target!r}")
 
 
-def _tangent_frames(nodes: np.ndarray) -> np.ndarray:
-    """Orthonormal bases of the tangent spaces, shape (m, n-1, n).
-
-    At each node the axis most aligned with it is dropped and the other axes,
-    in order, are Gram-Schmidt orthonormalised against the node and each other.
-    """
-    m, n = nodes.shape
-    drop = np.argmax(np.abs(nodes), axis=1)
-    slots = np.arange(n - 1)
-    axes = slots[None, :] + (slots[None, :] >= drop[:, None])
-    frames = np.zeros((m, n - 1, n))
-    frames[np.arange(m)[:, None], slots[None, :], axes] = 1.0
-    for a in range(n - 1):
-        v = frames[:, a]
-        for u in (nodes, *(frames[:, b] for b in range(a))):
-            v -= np.einsum("mi,mi->m", v, u)[:, None] * u
-        v /= np.linalg.norm(v, axis=1)[:, None]
-    return frames
-
-
-# Tangent frames depend only on the nodes, so each rule builds them once.
-_RULE_FRAMES = weakref.WeakKeyDictionary()
-
-
-def _rule_frames(quad: sphere.SphereQuadrature) -> np.ndarray:
-    frames = _RULE_FRAMES.get(quad)
-    if frames is None:
-        frames = _tangent_frames(quad.nodes)
-        frames.setflags(write=False)
-        _RULE_FRAMES[quad] = frames
-    return frames
-
-
 def _fundamental_minima(body) -> np.ndarray:
     """:func:`second_fundamental_min` of a body, or of each body of a :class:`BodyStack`.
 
-    The frames are orthonormal, so the form is ``h^2 I + K`` with
-    ``K = tau (2 grad h grad h^T - h Hess h) tau^T``, built entry by entry.
-    On S^2 the smaller eigenvalue of each 2 x 2 ``K`` has a closed form.
+    On S^2 the form is ``h^2 I + K`` in the frame ``(e_theta, e_phi)``, and the
+    smaller eigenvalue of each 2 x 2 ``K`` has a closed form.  For n >= 4 the
+    normal ``x`` is an eigenvector of the full form, as ``grad h`` and ``Hess h``
+    are tangent; ``c x x^T``, with ``c`` the form's Frobenius norm, which bounds
+    its spectral norm, lifts it above the tangent eigenvalues.
     """
-    # The Hessians first: their projection holds the largest arrays.
     hess, h, g = body.hess_nodes, body.h_nodes, body.grad_nodes
-    tau = _rule_frames(body.quad)
-    k = body.n - 1
-    tg = [np.einsum("mi,...mi->...m", tau[:, a], g) for a in range(k)]
-    K = np.empty((*h.shape, k, k))
-    for a in range(k):
-        for b in range(a, k):
-            K[..., a, b] = K[..., b, a] = (
-                2.0 * tg[a] * tg[b] - h * np.einsum("mi,...mij,mj->...m", tau[:, a], hess, tau[:, b])
-            )
-    if k == 2:
-        a, b, c = K[..., 0, 0], K[..., 0, 1], K[..., 1, 1]
-        low = 0.5 * (a + c) - np.hypot(0.5 * (a - c), b)
-    else:
-        low = np.linalg.eigvalsh(K)[..., 0]
-    return np.min(h * h + low, axis=-1)
+    X = body.quad.nodes
+    if body.n == 3:
+        e = sphere._polar_frame(X)
+        eg = [np.einsum("mi,...mi->...m", f, g) for f in e]
+        pairs = ((0, 0), (0, 1), (1, 1))
+        a, b, c = (2.0 * eg[i] * eg[j] - h * np.einsum("mi,...mij,mj->...m", e[i], hess, e[j]) for i, j in pairs)
+        return np.min(h * h + 0.5 * (a + c) - np.hypot(0.5 * (a - c), b), axis=-1)
+    form = (h * h)[..., None, None] * np.eye(body.n) + 2.0 * g[..., :, None] * g[..., None, :]
+    form -= h[..., None, None] * hess
+    form += np.linalg.norm(form, axis=(-2, -1))[..., None, None] * (X[:, :, None] * X[:, None, :])
+    return np.min(np.linalg.eigvalsh(form)[..., 0], axis=-1)
 
 
 def second_fundamental_min(body: RadialGraph) -> float:
     """Smallest eigenvalue of the (unnormalised) second fundamental form over all nodes.
 
-    At each node it is the form ``tau (h^2 I + 2 grad h grad h^T - h Hess h) tau^T``
-    on an orthonormal tangent frame ``tau``, the analogue of the planar
-    ``rho^2 + 2 rho'^2 - rho rho''``; it is ``r^2`` for the ball of radius r.
-    Positive semidefiniteness at every node certifies convexity there.
+    At each node it is the form ``h^2 I + 2 grad h grad h^T - h Hess h`` on the
+    tangent space, the analogue of the planar ``rho^2 + 2 rho'^2 - rho rho''``;
+    it is ``r^2`` for the ball of radius r.  Any rule serves, on S^2 one with nodes
+    at the poles too.  Positive semidefiniteness at a node certifies convexity there.
     """
     return float(_fundamental_minima(body))
 

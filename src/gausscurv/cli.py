@@ -116,8 +116,8 @@ class RunConfig:
             raise ConfigError("need 0 < r-min < r-max")
         if self.points < 1:
             raise ConfigError("points must be at least 1")
-        if not 1 <= self.h_min < self.h_max:
-            raise ConfigError("need 1 <= h-min < h-max")
+        if not 2 <= self.h_min < self.h_max:
+            raise ConfigError("need 2 <= h-min < h-max: the h = 1 bump r(1 + cos 2 theta) touches the origin")
         if not self.output:
             self.output = f"report-{self.command}"
         return self

@@ -304,6 +304,18 @@ def _polar_angles(X: np.ndarray):
     return t, np.sqrt(np.maximum(1.0 - t * t, 0.0)), np.arctan2(X[:, 1], X[:, 0])
 
 
+def _polar_frame(X: np.ndarray):
+    """The orthonormal tangent frame ``(e_theta, e_phi)`` at unit points of S^2, each (m, 3).
+
+    Gradients and the second fundamental form are both read in it.  At a pole
+    phi = atan2(0, 0) = 0 fixes the frame; every term is finite there.
+    """
+    t, s, phi = _polar_angles(X)
+    e_theta = np.column_stack([t * np.cos(phi), t * np.sin(phi), -s])
+    e_phi = np.column_stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)])
+    return e_theta, e_phi
+
+
 class _FullBasis3D(_Tables):
     """Real spherical harmonics on S^2, polar axis x_3.
 
@@ -335,9 +347,7 @@ class _FullBasis3D(_Tables):
     def gradients_at(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(X)
         t, s, phi = _polar_angles(X)
-        # At a pole phi = atan2(0, 0) = 0 fixes the frame; every term is finite there.
-        e_theta = np.column_stack([t * np.cos(phi), t * np.sin(phi), -s])
-        e_phi = np.column_stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)])
+        e_theta, e_phi = _polar_frame(X)
         out = np.empty(((self.L + 1) ** 2, X.shape[0], 3))
         for m, _, dP, mQ in _legendre_slabs(self.L, t, s):
             if m == 0:

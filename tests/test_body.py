@@ -520,19 +520,44 @@ def test_second_fundamental_min_matches_eigvalsh_oracle():
         assert bd.second_fundamental_min(graph) == pytest.approx(oracle, rel=1e-13)
 
 
-def test_tangent_frames_are_built_once_per_rule():
-    rule = sphere.build_quadrature(3, 24)
-    frames = bd._rule_frames(rule)
-    assert frames is bd._rule_frames(rule) and not frames.flags.writeable
-    np.testing.assert_array_equal(frames, bd._tangent_frames(rule.nodes))
+def test_second_fundamental_min_at_the_poles_of_s2():
+    # (e_theta, e_phi) at x = +-e_3 rests on phi = atan2(0, 0); weight-0 poles add nodes but no mass.
+    base = sphere.default_quadrature(3, 6)
+    poled = sphere.SphereQuadrature(
+        n=3,
+        degree=base.degree,
+        nodes=np.vstack([base.nodes, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]]),
+        weights=np.concatenate([base.weights, [0.0, 0.0]]),
+    )
+    for trial in range(30):
+        drawn = cli.random_even_body(17, trial, 3, 1.0 + trial % 4, (1e-2, 0.1, 0.3)[trial % 3])
+        graph = RadialGraph(3, drawn.radius, drawn.perturbation, quad=poled)
+        oracle = helpers.eigvalsh_second_fundamental_min(graph)
+        scale = float(np.max(graph.h_nodes)) ** 2
+        assert abs(bd.second_fundamental_min(graph) - oracle) <= 1e-14 * scale, trial
 
 
-def test_tangent_frames_match_node_loop():
-    for n in (3, 4):
-        nodes = helpers.product_rule(n, 8).nodes
-        frames = bd._tangent_frames(nodes)
-        np.testing.assert_allclose(frames, helpers.loop_tangent_frames(nodes), rtol=0, atol=1e-15)
-        np.testing.assert_allclose(np.einsum("mai,mi->ma", frames, nodes), 0.0, atol=1e-15)
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_second_fundamental_min_off_the_meridian(n):
+    # A product rule puts nodes all over S^(n-1), not only on the meridian the library's rule uses.
+    rule = helpers.product_rule(n, 8)
+    for trial in range(3):
+        drawn = cli.random_even_body(19, trial, n, 1.0 + trial % 3, (1e-2, 0.1, 0.3)[trial % 3], degree=4)
+        graph = RadialGraph(n, drawn.radius, drawn.perturbation, quad=rule)
+        oracle = helpers.eigvalsh_second_fundamental_min(graph)
+        assert bd.second_fundamental_min(graph) == pytest.approx(oracle, rel=1e-13), trial
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_second_fundamental_min_lifts_the_normal_out(n):
+    # At the maxima +-e_1 of h the tangent form h^2 I - h Hess h exceeds h^2, the form's value on the normal.
+    poles = np.zeros((2, n))
+    poles[:, 0] = (1.0, -1.0)
+    rule = sphere.SphereQuadrature(n=n, degree=1, nodes=poles, weights=np.full(2, sphere.sphere_area(n) / 2))
+    graph = RadialGraph(n, 1.5, HarmonicField.single_mode(n, 2, 0.2), quad=rule)
+    value = bd.second_fundamental_min(graph)
+    assert value == pytest.approx(helpers.eigvalsh_second_fundamental_min(graph), rel=1e-13)
+    assert value > 1.01 * float(np.max(graph.h_nodes)) ** 2
 
 
 @pytest.mark.parametrize("n", range(4, 9))

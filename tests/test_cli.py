@@ -413,6 +413,16 @@ def test_stability_report_names_nonconvex_members(tmp_path, h_min, bumps):
     assert nonconvex == {"ellipse": [], "fourier-bump": bumps}
 
 
+@pytest.mark.parametrize("bounds", [["--h-min", "1"], ["--h-min", "0"], ["--h-min", "8", "--h-max", "8"]])
+def test_stability_h_range_is_configuration_error(tmp_path, capsys, bounds):
+    # The h = 1 bump r(1 + cos 2 theta) touches the origin, so the range starts at 2.
+    assert cli.main(["stability2d", *bounds, "--output", str(tmp_path / "st")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("gausscurv: configuration error: need 2 <= h-min < h-max")
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "st.json").exists()
+
+
 def test_stability_underflowing_weight_is_numerical_failure(tmp_path, capsys):
     assert cli.main(["stability2d", "--r", "50", "--output", str(tmp_path / "st")]) == 4
     assert "Traceback" not in capsys.readouterr().err
