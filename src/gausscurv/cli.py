@@ -60,6 +60,8 @@ def weight_preset(name: str):
 
 
 WEIGHT_PRESETS = ("gaussian", "inverse-quadratic", "exponential")
+# stability2d holds two curves' grids per h at once, about 360 MB of peak RSS at this bound.
+H_MAX = 4096
 
 
 @dataclass
@@ -118,6 +120,11 @@ class RunConfig:
             raise ConfigError("points must be at least 1")
         if not 2 <= self.h_min < self.h_max:
             raise ConfigError("need 2 <= h-min < h-max: the h = 1 bump r(1 + cos 2 theta) touches the origin")
+        if self.h_max > H_MAX:
+            raise ConfigError(
+                f"h-max must be at most {H_MAX}: stability2d holds every member's grids in memory at once, "
+                "about 360 MB at the bound"
+            )
         if not self.output:
             self.output = f"report-{self.command}"
         return self

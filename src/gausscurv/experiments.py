@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import body as bd
 from . import sphere
@@ -284,18 +283,46 @@ def measure_second_variation(n: int, r: float, k: int, epsilon: float = 1e-3) ->
     )
 
 
+def _illinois(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    """Root of ``f`` in ``[lo, hi]`` by regula falsi that halves the stale endpoint's value.
+
+    ``f_lo`` and ``f_hi`` are ``f`` at the ends and must differ in sign.  It
+    stops when ``f`` vanishes or a step moves less than ``1e-15 + 4 eps |x|``.
+    """
+    tol = 4.0 * np.finfo(float).eps
+    x, stale = math.nan, 0
+    for _ in range(64):
+        x_old, x = x, (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        fx = f(x)
+        if fx == 0.0 or abs(x - x_old) <= 1e-15 + tol * abs(x):
+            return x
+        if (fx > 0.0) == (f_lo > 0.0):
+            lo, f_lo = x, fx
+            if stale == 1:
+                f_hi *= 0.5
+            stale = 1
+        else:
+            hi, f_hi = x, fx
+            if stale == -1:
+                f_lo *= 0.5
+            stale = -1
+    raise QuadratureError("threshold root did not converge")
+
+
 def threshold_scan(n: int, k: int) -> float:
     """Locate the squared radius where the exact quadratic coefficient changes sign.
 
-    ``brentq`` finds the root of the coefficient divided by the ball's
-    ``r^(n-2) exp(-r^2/2)``, which leaves a function close to linear in
-    ``r^2``, on ``[(n-2)/4, n-2]``.  Since ``k (k + n - 2) >= 2n``, every even
-    mode's :func:`algebraic_threshold` lies above ``(n-2)/2`` in that bracket.
+    The coefficient divided by the ball's ``r^(n-2) exp(-r^2/2)`` is linear
+    in ``r^2`` up to rounding, so the Illinois method (regula falsi that
+    halves the stale endpoint's value) meets its root in two steps inside
+    ``[(n-2)/4, n-2]``.  Since ``k (k + n - 2) >= 2n``, every even mode's
+    :func:`algebraic_threshold` lies above ``(n-2)/2`` in that bracket.
 
     Raises
     ------
     QuadratureError
-        If the bracket does not straddle a sign change.
+        If the bracket does not straddle a sign change, or the root search
+        does not converge.
     """
     if k < 2 or k % 2:
         raise ValueError("mode must be even and at least 2")
@@ -307,9 +334,10 @@ def threshold_scan(n: int, k: int) -> float:
         return _quadratic_term(n, r, u, quad_rule) / (r ** (n - 2) * math.exp(-0.5 * r_sq))
 
     lo, hi = 0.25 * (n - 2), float(n - 2)
-    if not scaled(lo) > 0.0 > scaled(hi):
+    f_lo, f_hi = scaled(lo), scaled(hi)
+    if not f_lo > 0.0 > f_hi:
         raise QuadratureError("threshold bracket does not change sign")
-    return brentq(scaled, lo, hi, xtol=1e-15)
+    return _illinois(scaled, lo, hi, f_lo, f_hi)
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,9 @@ Distances to the centred disk ``D_r`` need no sampling for convex bodies:
 support value at the outward normal of the boundary point at angle theta is
 ``rho^2 / sqrt(rho^2 + rho'^2)``, so the distance is one maximum over the
 grid.  Curves that fail the grid convexity certificate, and pairs of general
-star-shaped curves, use the sampled :func:`hausdorff_distance`.
+star-shaped curves, use the sampled :func:`hausdorff_distance`: exact
+point-to-segment distances found by a bounded search over an angular window
+of each sample's ray, with no k-d tree.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ConvexityError, QuadratureError
 from .weights import WeightPair
@@ -663,19 +664,35 @@ def _boundary_samples(curve: PolarCurve, theta: np.ndarray) -> np.ndarray:
     return np.column_stack([rho * np.cos(theta), rho * np.sin(theta)])
 
 
+# Samples whose nearest segments are searched together by _directed_hausdorff.
+_HAUSDORFF_BATCH = 8
+
+
 def _directed_hausdorff(source: PolarCurve, target: PolarCurve, samples: int) -> float:
     theta = 2.0 * np.pi * np.arange(samples) / samples
     pts = _boundary_samples(source, theta)
     inside = np.hypot(pts[:, 0], pts[:, 1]) <= target.rho_at(np.arctan2(pts[:, 1], pts[:, 0]))
     if np.all(inside):
         return 0.0
-    pts = pts[~inside]
+    idx = np.flatnonzero(~inside)
+    pts = pts[idx]
     verts = _boundary_samples(target, theta)
-    tree = cKDTree(verts)
-    _, idx = tree.query(pts, k=4)
-    # Segments on either side of each nearest vertex; duplicates are harmless.
-    cand = np.concatenate([idx - 1, idx], axis=1) % samples
-    return float(np.max(_segment_distances(pts, verts, cand)))
+    # Segment j runs from vertex j to j + 1, so it spans the angles [theta_j, theta_j+1].  The
+    # segments on either side of a point's ray and their neighbours bound its distance from above.
+    upper = _segment_distances(pts, verts, idx[:, None] + np.arange(-2, 2))
+    ratio = upper / np.hypot(pts[:, 0], pts[:, 1])
+    half = np.where(ratio < 1.0, np.arcsin(np.minimum(ratio, 1.0)), np.pi)
+    reach = np.ceil(half * samples / (2.0 * np.pi)).astype(int) + 1
+    order = np.argsort(-upper, kind="stable")
+    best = 0.0
+    for start in range(0, order.size, _HAUSDORFF_BATCH):
+        batch = order[start : start + _HAUSDORFF_BATCH]
+        if upper[batch[0]] <= best:
+            break
+        width = min(2 * int(reach[batch].max()), samples)
+        cand = (idx[batch] - reach[batch])[:, None] + np.arange(width)
+        best = max(best, float(np.max(_segment_distances(pts[batch], verts, cand))))
+    return best
 
 
 def hausdorff_distance(c1: PolarCurve, c2: PolarCurve, samples: int = 4096) -> float:
@@ -684,6 +701,14 @@ def hausdorff_distance(c1: PolarCurve, c2: PolarCurve, samples: int = 4096) -> f
     The farthest point of one region from the other lies on its boundary
     (distance to a star-shaped set is non-decreasing along rays), so dense
     boundary sampling with exact point-to-segment distances is enough.
+
+    The search is exact and bounded.  A sample ``p`` outside the other region
+    is at most ``u_p`` from it, its distance to the segments on either side
+    of its ray and their neighbours, so its nearest boundary point lies
+    within ``asin(u_p / |p|)`` of that ray (anywhere if ``u_p >= |p|``) and
+    only the segments in that window are searched.  Samples are visited in
+    decreasing ``u_p``, eight at a time, until the next ``u_p`` is no larger
+    than the largest distance found.
 
     Raises
     ------

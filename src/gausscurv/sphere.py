@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
+import scipy.linalg  # noqa: F401  roots_jacobi imports it on its first call; load it with the package
 from scipy.special import eval_gegenbauer, gammaln, roots_jacobi
 
 from .errors import QuadratureError

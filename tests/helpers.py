@@ -17,7 +17,9 @@ radial moments have adaptive quadrature.  Volume matching has the former
 Newton iteration with its bracketed root-finding fallback as oracle, and the
 capped cylinder's closed forms have the former adaptive quadrature of its
 four pieces.  The exact second variation has Richardson extrapolation of
-finite-amplitude matched energy gaps as oracle.
+finite-amplitude matched energy gaps as oracle, and its threshold root the
+former ``brentq`` search.  The sampled Hausdorff distance has its former
+k-d-tree candidate search as oracle.
 The recursive product rule, exact for every polynomial of its degree, is the
 oracle of the library's one rule per dimension.
 """
@@ -236,6 +238,58 @@ def support_distance(c1, c2, samples=8192):
     h1 = np.max(p1 @ dirs.T, axis=0)
     h2 = np.max(p2 @ dirs.T, axis=0)
     return float(np.max(np.abs(h1 - h2)))
+
+
+def kdtree_hausdorff(c1, c2, samples=4096):
+    """Sampled Hausdorff distance, segments found through a k-d tree: the library's former path.
+
+    Each boundary sample outside the other region is measured to the
+    segments on either side of its 4 nearest vertices of the other sampled
+    boundary, with the library's own point-to-segment distances.
+    """
+    from scipy.spatial import cKDTree
+
+    from gausscurv import plane
+
+    def directed(source, target):
+        theta = TWO_PI * np.arange(samples) / samples
+        pts = plane._boundary_samples(source, theta)
+        inside = np.hypot(pts[:, 0], pts[:, 1]) <= target.rho_at(np.arctan2(pts[:, 1], pts[:, 0]))
+        if np.all(inside):
+            return 0.0
+        pts = pts[~inside]
+        verts = plane._boundary_samples(target, theta)
+        _, idx = cKDTree(verts).query(pts, k=4)
+        cand = np.concatenate([idx - 1, idx], axis=1) % samples
+        return float(np.max(plane._segment_distances(pts, verts, cand)))
+
+    return max(directed(c1, c2), directed(c2, c1))
+
+
+def hausdorff_pairs():
+    """Curve pairs on which the sampled Hausdorff distance is compared with :func:`kdtree_hausdorff`.
+
+    The stability families at h = 2..64 against the unit circle, 60 random
+    star pairs at amplitude 0.3, rough degree-40 curves against each other
+    and the circle, and a radius-0.05 circle against a star.
+    """
+    from gausscurv import cli, plane
+
+    hs = range(2, 65)
+    circle = plane.PolarCurve.circle(1.0)
+    pairs = [(c, circle) for family in cli._stability_families(hs, 1.0).values() for c in family]
+    stars = [cli.generate_star_polar(7, 0.3, trial) for trial in range(120)]
+    pairs += list(zip(stars[::2], stars[1::2]))
+    rng = np.random.default_rng(40)
+    rough = []
+    for _ in range(6):
+        k = np.arange(1, 41)
+        cos_c = np.concatenate([[1.0], 0.25 * rng.standard_normal(40) / k])
+        sin_c = 0.25 * rng.standard_normal(40) / k
+        rough.append(plane.PolarCurve(cos_c, sin_c))
+    pairs += [(a, b) for a, b in zip(rough, rough[1:])] + [(c, circle) for c in rough]
+    pairs.append((plane.PolarCurve.circle(0.05), stars[0]))
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -618,6 +672,28 @@ def quad_radial_moment(power, r):
     val, err = quad(lambda t: t**power * np.exp(-0.5 * r * r * t * t), 0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=200)
     assert val > 0.0 and err <= 1e-11 * val, (power, r, val, err)
     return val
+
+
+def brentq_threshold(n, k):
+    """``threshold_scan``'s root by ``brentq`` on the same scaled coefficient and bracket: the former path.
+
+    Returns the root and the number of evaluations, the two bracket ends included.
+    """
+    import math
+
+    from scipy.optimize import brentq
+
+    from gausscurv import experiments as ex
+
+    quad_rule = ex._experiment_quadrature(n, k)
+    u = ex._mode_field(n, k, 1.0)
+
+    def scaled(r_sq):
+        r = math.sqrt(r_sq)
+        return ex._quadratic_term(n, r, u, quad_rule) / (r ** (n - 2) * math.exp(-0.5 * r_sq))
+
+    root, result = brentq(scaled, 0.25 * (n - 2), float(n - 2), xtol=1e-15, full_output=True)
+    return root, result.function_calls
 
 
 def richardson_coefficient(n, r, k, epsilon=1e-3):

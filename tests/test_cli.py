@@ -2,6 +2,8 @@ import importlib
 import importlib.util
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -423,6 +425,15 @@ def test_stability_h_range_is_configuration_error(tmp_path, capsys, bounds):
     assert not (tmp_path / "st.json").exists()
 
 
+def test_stability_h_max_bound_is_configuration_error(tmp_path, capsys):
+    # Every member's grids are held at once, so the range is capped before memory runs out.
+    assert cli.main(["stability2d", "--h-max", str(cli.H_MAX + 1), "--output", str(tmp_path / "st")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"gausscurv: configuration error: h-max must be at most {cli.H_MAX}")
+    assert "memory" in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "st.json").exists()
+
+
 def test_stability_underflowing_weight_is_numerical_failure(tmp_path, capsys):
     assert cli.main(["stability2d", "--r", "50", "--output", str(tmp_path / "st")]) == 4
     assert "Traceback" not in capsys.readouterr().err
@@ -599,3 +610,36 @@ def test_benchmark_traced_names_resolve(monkeypatch):
     for qual in design.TRACED:
         module, attr = qual.split(".")
         assert callable(getattr(importlib.import_module(f"gausscurv.{module}"), attr, None)), qual
+
+
+# ---------------------------------------------------------------------------
+# import footprint
+
+
+_IMPORT_FOOTPRINT = """
+import json, sys
+from gausscurv import cli
+loaded = set(sys.modules)
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+print(json.dumps({"at_import": sorted(loaded), "at_run": sorted(set(sys.modules) - loaded)}))
+"""
+
+
+def test_cli_loads_only_scipy_special_and_linalg(tmp_path):
+    # A fresh interpreter: the test session itself has loaded scipy.optimize and others.
+    argvs = [
+        ["threshold-scan", "--n", "3", "--k", "2", "--output", str(tmp_path / "ts")],
+        ["calibration", "--n", "3", "--trials", "4", "--output", str(tmp_path / "cal")],
+        ["stability2d", "--h-max", "8", "--output", str(tmp_path / "st")],
+    ]
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"} | {"PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORT_FOOTPRINT, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    modules = json.loads(out.splitlines()[-1])
+    subpackages = {m.split(".")[1] for m in modules["at_import"] if m.startswith("scipy.")}
+    assert {p for p in subpackages if not p.startswith("_") and p != "version"} == {"special", "linalg"}
+    assert modules["at_run"] == []

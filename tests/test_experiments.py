@@ -8,7 +8,7 @@ import helpers
 from gausscurv import body as bd
 from gausscurv import cli, experiments as ex, sphere
 from gausscurv.body import RadialGraph
-from gausscurv.errors import ConvexityError
+from gausscurv.errors import ConvexityError, QuadratureError
 from gausscurv.sphere import HarmonicField
 
 # Frozen from the closed forms evaluated through an independent erf route.
@@ -126,8 +126,8 @@ def test_no_module_imports_adaptive_quadrature():
                 names = [alias.name for alias in node.names]
             else:
                 continue
-            assert not any(name.startswith("scipy.integrate") for name in names), path.name
-            assert path.name != "body.py" or not any(name.startswith("scipy.optimize") for name in names)
+            forbidden = ("scipy.integrate", "scipy.optimize", "scipy.spatial")
+            assert not any(name.startswith(forbidden) for name in names), (path.name, names)
 
 
 def test_cylinder_spec_validation():
@@ -241,6 +241,37 @@ def test_threshold_scan_matches_algebraic_root(n):
     # High modes too, where finite differences in eps drown the coefficient in rounding noise.
     for k in (8, 14, 16):
         assert ex.threshold_scan(n, k) == pytest.approx(ex.algebraic_threshold(n, k), abs=1e-10), k
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_threshold_scan_matches_brentq_oracle(n, monkeypatch):
+    original = ex._quadratic_term
+    for k in range(2, 17, 2):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(ex, "_quadratic_term", counting)
+        root = ex.threshold_scan(n, k)
+        monkeypatch.setattr(ex, "_quadratic_term", original)
+        expected, brentq_calls = helpers.brentq_threshold(n, k)
+        assert abs(root - expected) <= 2e-15, k
+        assert len(calls) <= brentq_calls, k
+
+
+def test_threshold_scan_raises_when_root_search_does_not_converge(monkeypatch):
+    original = ex._quadratic_term
+    calls = []
+
+    def bracket_then_nan(*args):
+        calls.append(args)
+        return original(*args) if len(calls) <= 2 else math.nan
+
+    monkeypatch.setattr(ex, "_quadratic_term", bracket_then_nan)
+    with pytest.raises(QuadratureError, match="did not converge"):
+        ex.threshold_scan(3, 2)
 
 
 @pytest.mark.parametrize("n", [4, 5])

@@ -670,9 +670,16 @@ def test_hausdorff_support_function_oracle():
     assert d == pytest.approx(helpers.support_distance(e, c), abs=1e-4)
 
 
+def test_hausdorff_equals_kdtree_oracle():
+    # The bounded window search finds each sample's nearest segment, where the former path
+    # searched the segments beside its 4 nearest vertices: the same distances, bit for bit.
+    for i, (c1, c2) in enumerate(helpers.hausdorff_pairs()):
+        assert plane.hausdorff_distance(c1, c2) == helpers.kdtree_hausdorff(c1, c2), i
+
+
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
 def test_support_distance_matches_sampled_hausdorff(r):
-    # The sampled k-d-tree distance is the oracle for the grid support form.
+    # The sampled distance is the oracle for the grid support form.
     hs = range(5, 198, 3)
     for name, family in cli._stability_families(hs, r).items():
         for h, curve in zip(hs, family):
