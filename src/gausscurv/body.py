@@ -69,10 +69,13 @@ class RadialGraph(_NodeForms):
     Instances are immutable by convention: node caches are filled lazily but
     nothing observable ever changes, so bodies are safe to share.
 
+    Raises ``ValueError`` unless ``h`` is positive at every node of ``quad``
+    and, for n >= 4, on the meridian section at every planar grid node.
+
     Parameters
     ----------
     n : ambient dimension, 3..8.
-    radius : base radius ``r`` (positive).
+    radius : base radius ``r`` (positive and finite).
     perturbation : :class:`sphere.HarmonicField` ``u``; None stores a ball as the zero field.
     quad : quadrature used for all node values and surface integrals; the
         default has enough degree headroom for nonlinear products of ``u``.
@@ -80,8 +83,8 @@ class RadialGraph(_NodeForms):
 
     def __init__(self, n, radius, perturbation=None, quad=None):
         # The field validates the dimension, the zero field included.
-        if radius <= 0:
-            raise ValueError(f"base radius must be positive, got {radius}")
+        if not 0.0 < radius < math.inf:
+            raise ValueError(f"base radius must be positive and finite, got {radius}")
         if perturbation is None:
             perturbation = sphere.HarmonicField.zero(n, 0)
         if perturbation.n != n:
@@ -92,8 +95,12 @@ class RadialGraph(_NodeForms):
         if quad is None:
             quad = sphere.default_quadrature(n, max(perturbation.degree, 4))
         self.quad = quad
-        if np.min(self.h_nodes) <= 0.0:
+        if not np.min(self.h_nodes) > 0.0:
             raise ValueError("boundary radius must stay positive at every node")
+        if self.n >= 4:
+            section = _section_spectra(self.n, quad, self.radius, perturbation.coeffs)
+            if not np.min(plane._on_grid(section, plane.DEFAULT_GRID)) > 0.0:
+                raise ValueError("boundary radius must stay positive on the meridian section")
 
     @classmethod
     def from_function(cls, n, fn, degree=16, quad=None):
@@ -385,20 +392,25 @@ def second_fundamental_min(body: RadialGraph) -> float:
     return float(_fundamental_minima(body))
 
 
+def _section_spectra(n: int, quad, radii, coeffs: np.ndarray) -> np.ndarray:
+    """Planar spectra of meridian sections, from cosine coefficients ``r (e_0 + coeffs @ S)``.
+
+    Zonal ``coeffs`` of shape ``(..., degree + 1)``, one body's or a stack's, with matching ``radii``."""
+    degree = coeffs.shape[-1] - 1
+    S = sphere._basis(n, degree, quad).S
+    # A broadcast sum, not a matmul, whose blocking would make a body's row depend on its stack.
+    cos_c = np.sum(coeffs[..., :, None] * S, axis=-2)
+    cos_c[..., 0] += 1.0
+    return np.asarray(radii)[..., None] * np.where(np.arange(degree + 1) > 0, 0.5, 1.0) * cos_c
+
+
 def _section_grids(stack: BodyStack) -> np.ndarray:
     """``rho, rho', rho''`` of each body's meridian section on the planar grid, shape (3, bodies, grid).
 
-    Its cosine coefficients are ``r (e_0 + coeffs @ S)``; a radius not positive on the grid raises ``ValueError``.
+    Every body's section radius is positive there: :class:`RadialGraph` checks it.
     """
-    S = sphere._basis(stack.n, stack.degree, stack.quad).S
-    # A broadcast sum, not a matmul, whose blocking would make a body's row depend on its stack.
-    cos_c = np.sum(np.stack([g.perturbation.coeffs for g in stack.graphs])[:, :, None] * S, axis=1)
-    cos_c[:, 0] += 1.0
-    spectrum = stack.radii[:, None] * np.where(np.arange(stack.degree + 1) > 0, 0.5, 1.0) * cos_c
-    grids = plane._on_grid(spectrum, plane.DEFAULT_GRID, orders=3)
-    if np.min(grids[0]) <= 0.0:
-        raise ValueError("boundary radius must stay positive on the meridian section")
-    return grids
+    coeffs = np.stack([g.perturbation.coeffs for g in stack.graphs])
+    return plane._on_grid(_section_spectra(stack.n, stack.quad, stack.radii, coeffs), plane.DEFAULT_GRID, orders=3)
 
 
 def _convex(stack: BodyStack) -> np.ndarray:
@@ -413,8 +425,8 @@ def is_convex(body: RadialGraph) -> bool:
 
     Axisymmetric bodies in higher dimensions are convex exactly when their
     meridian section is.  Its cosine coefficients are a fixed linear map of
-    the field's; its planar certificate is checked on the planar grid, and a
-    radius not positive there raises ``ValueError``.
+    the field's; its planar certificate is checked on the planar grid, where
+    :class:`RadialGraph` has already checked its radius.
     """
     return bool(_convex(BodyStack([body]))[0])
 

@@ -154,7 +154,7 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _random_polar_coeffs(rng: np.random.Generator, amplitude: float, degree: int, decay: float = 3.0):
+def _random_polar_coeffs(rng: np.random.Generator, amplitude: float, degree: int, decay: float):
     k = np.arange(1, degree + 1)
     scale = amplitude / k.astype(float) ** decay
     cos_c = np.concatenate([[1.0], rng.uniform(-1.0, 1.0, degree) * scale])
@@ -162,7 +162,7 @@ def _random_polar_coeffs(rng: np.random.Generator, amplitude: float, degree: int
     return cos_c, sin_c
 
 
-def _sample_polar(seed, amplitude, trials, decay, accept, kind, degree=12) -> plane.CurveStack:
+def _sample_polar(seed, amplitude, trials, decay, accept, kind) -> plane.CurveStack:
     """Rejection-sample the curves of ``trials`` as one :class:`plane.CurveStack`, round by round.
 
     A trial redraws from its own stream until ``accept`` holds on its row, so a row is the curve
@@ -171,11 +171,11 @@ def _sample_polar(seed, amplitude, trials, decay, accept, kind, degree=12) -> pl
     if not 0.0 < amplitude <= 0.3:
         raise ValueError("amplitude must lie in (0, 0.3]")
     rngs = [_trial_rng(seed, trial) for trial in trials]
-    cos_c, sin_c = np.empty((len(rngs), degree + 1)), np.empty((len(rngs), degree))
+    cos_c, sin_c = np.empty((len(rngs), _POLAR_DEGREE + 1)), np.empty((len(rngs), _POLAR_DEGREE))
     pending = np.arange(len(rngs))
     for _ in range(1000):
         for row in pending:
-            cos_c[row], sin_c[row] = _random_polar_coeffs(rngs[row], amplitude, degree, decay)
+            cos_c[row], sin_c[row] = _random_polar_coeffs(rngs[row], amplitude, _POLAR_DEGREE, decay)
         candidates = plane.CurveStack(cos_c[pending], sin_c[pending])
         pending = pending[~accept(candidates)]
         if not pending.size:  # without redraws, the first round is the chunk
@@ -183,12 +183,14 @@ def _sample_polar(seed, amplitude, trials, decay, accept, kind, degree=12) -> pl
     raise GausscurvError(f"{kind} curve generator exceeded 1000 rejections")
 
 
-# Coefficient decay, test on every grid node (each implies a positive radius) and name of each planar generator.
+# Degree of the random planar curves; coefficient decay, test on every grid node (each implies a
+# positive radius) and name of each planar generator.
+_POLAR_DEGREE = 12
 _CONVEX = (3.0, lambda stack: stack.convex, "convex")
 _STAR = (2.0, lambda stack: np.min(stack.rho, axis=-1) >= plane.ORIGIN_CLEARANCE, "star-shaped")
 
 
-def generate_convex_polar(seed: int, amplitude: float, trial: int = 0, degree: int = 12) -> plane.PolarCurve:
+def generate_convex_polar(seed: int, amplitude: float, trial: int = 0) -> plane.PolarCurve:
     """Deterministic random convex curve near the unit circle, drawn as a chunk of one.
 
     Coefficients decay like 1/k^3 and candidates are rejection-sampled on the
@@ -201,17 +203,17 @@ def generate_convex_polar(seed: int, amplitude: float, trial: int = 0, degree: i
     GausscurvError
         After 1000 consecutive rejections.
     """
-    stack = _sample_polar(seed, amplitude, range(trial, trial + 1), *_CONVEX, degree)
+    stack = _sample_polar(seed, amplitude, range(trial, trial + 1), *_CONVEX)
     return plane.PolarCurve(stack.cos_coeffs[0], stack.sin_coeffs[0])
 
 
-def generate_star_polar(seed: int, amplitude: float, trial: int = 0, degree: int = 12) -> plane.PolarCurve:
+def generate_star_polar(seed: int, amplitude: float, trial: int = 0) -> plane.PolarCurve:
     """Deterministic random star-shaped (possibly non-convex) curve, drawn as a chunk of one.
 
     Coefficients decay like 1/k^2, slowly enough that higher amplitudes
     routinely produce non-convex boundaries; only the origin's clearance is enforced.
     """
-    stack = _sample_polar(seed, amplitude, range(trial, trial + 1), *_STAR, degree)
+    stack = _sample_polar(seed, amplitude, range(trial, trial + 1), *_STAR)
     return plane.PolarCurve(stack.cos_coeffs[0], stack.sin_coeffs[0])
 
 

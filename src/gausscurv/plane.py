@@ -26,12 +26,13 @@ curve's degree does not bound.
 
 The centred-body functionals (weighted area, curvature energy, the
 normal-deficiency integrals and the inverse-weight integral) act on grids of
-shape ``(..., M)`` and reduce along the last axis.  One curve is the
-``(M,)`` case; a :class:`CurveStack` holds curves of one grid as rows of
-shape ``(curves, M)`` from one inverse FFT.  :func:`verify_two_sided_many`
-and :func:`boundary_inverse_weight_many` check a stack, evaluate ``f``,
-``f'`` and the slant once per stack, and give each curve the report it
-gets alone, to the last bit.  The single-curve checks are batches of one.
+shape ``(..., M)`` and reduce along the last axis.  A :class:`CurveStack`
+holds curves of one degree and grid as rows of shape ``(curves, M)`` from
+one inverse FFT, and a :class:`PolarCurve` is the stack of one, with grids
+of shape ``(M,)``.  :func:`verify_two_sided_many` and
+:func:`boundary_inverse_weight_many` take a stack, evaluate ``f``, ``f'``
+and the slant once per stack, and give each row the report it gets alone
+as a curve, to the last bit.  The single-curve checks pass the curve itself.
 
 The inequality machinery compares a convex or star-shaped body against the
 centred disk with the same weighted area: the curvature energy of the disk
@@ -126,24 +127,62 @@ class TwoSided(NamedTuple):
     upper: InequalityReport
 
 
-class PolarCurve:
-    """A star-shaped planar boundary ``rho(theta)`` as a trigonometric polynomial.
+class CurveStack:
+    """Planar curves of one degree and grid, the twin of :class:`body.BodyStack`.
 
-    Immutable after construction.  The coefficients are also held as one
-    complex ``spectrum``; the uniform grid caches ``rho`` and its first two
-    spectral derivatives.  The centred functionals sum over the quadrature
-    rule of every ``rule_step``-th grid node (see :func:`_rule_step`).
+    Coefficients of shape ``(..., degree + 1)`` give the ``spectrum`` and the
+    grids, of shape ``(..., grid_size)``, from one :func:`_on_grid` call: a
+    2-D stack holds one curve per row, and a :class:`PolarCurve` is the stack
+    of one whose arrays have no row axis.  Rows need not be star-shaped
+    (``convex`` and the clearance gate reject them).  Immutable, so
+    ``convex`` and ``on_rule`` are computed once.
     """
 
     def __init__(self, cos_coeffs, sin_coeffs=None, grid_size: int = DEFAULT_GRID):
-        row = CurveStack(cos_coeffs, sin_coeffs, grid_size)
-        (self.rho,), (self.drho,), (self.ddrho,) = row.rho, row.drho, row.ddrho  # ValueError unless one row
-        self.cos_coeffs, self.sin_coeffs, self.spectrum = row.cos_coeffs[0], row.sin_coeffs[0], row.spectrum[0]
-        self.degree, self.grid_size, self.rule_step = row.degree, row.grid_size, row.rule_step
+        cos_c = np.array(cos_coeffs, dtype=float, ndmin=1)
+        if not cos_c.size:
+            raise ValueError("a stack needs at least one curve")
+        self.degree, self.grid_size = cos_c.shape[-1] - 1, int(grid_size)
+        sin_c = np.zeros_like(cos_c[..., 1:]) if sin_coeffs is None else np.array(sin_coeffs, dtype=float, ndmin=1)
+        if sin_c.shape != cos_c[..., 1:].shape:
+            raise ValueError("need one sine coefficient per positive frequency")
+        if self.grid_size < 4 * max(self.degree, 1):
+            raise ValueError("grid too coarse for the stored degree")
+        self.cos_coeffs, self.sin_coeffs, self.rule_step = cos_c, sin_c, _rule_step(self.grid_size, self.degree)
+        self.spectrum = np.concatenate([cos_c[..., :1], 0.5 * (cos_c[..., 1:] - 1j * sin_c)], axis=-1)
+        self.rho, self.drho, self.ddrho = _on_grid(self.spectrum, self.grid_size, orders=3)
+        for arr in (cos_c, sin_c, self.spectrum, self.rho, self.drho, self.ddrho):
+            arr.setflags(write=False)
+
+    @cached_property
+    def convex(self) -> np.ndarray:
+        """Whether each curve is convex about 0: positive radius, certificate above its floor, at every node."""
+        return _convex(self.rho, self.drho, self.ddrho) & (np.min(self.rho, axis=-1) > 0.0)
+
+    @cached_property
+    def on_rule(self):
+        """``rho``, ``rho'`` and ``rho''`` on the quadrature rule, every ``rule_step``-th grid node."""
+        return [np.ascontiguousarray(g[..., :: self.rule_step]) for g in (self.rho, self.drho, self.ddrho)]
+
+
+class PolarCurve(CurveStack):
+    """A star-shaped planar boundary ``rho(theta)`` as a trigonometric polynomial: a stack of one.
+
+    Its coefficients are one row, so ``spectrum`` and the grids of ``rho``
+    and its first two spectral derivatives have no row axis, and the stacked
+    checks read them as they are.  The radius must be positive at every grid
+    node.  The centred functionals sum over :attr:`on_rule` (see
+    :func:`_rule_step`).
+    """
+
+    def __init__(self, cos_coeffs, sin_coeffs=None, grid_size: int = DEFAULT_GRID):
+        if np.ndim(cos_coeffs) != 1:
+            raise ValueError("a curve's cosine coefficients form one row")
+        super().__init__(cos_coeffs, sin_coeffs, grid_size)
+        if not np.min(self.rho) > 0.0:
+            raise ValueError("radius must be positive: curve is not star-shaped about 0")
         self.theta = 2.0 * np.pi * np.arange(self.grid_size) / self.grid_size
         self.theta.setflags(write=False)
-        if np.min(self.rho) <= 0.0:
-            raise ValueError("radius must be positive: curve is not star-shaped about 0")
 
     @classmethod
     def from_function(cls, fn, degree: int = DEFAULT_DEGREE, grid_size: int = DEFAULT_GRID):
@@ -200,7 +239,8 @@ class PolarCurve:
         return _certificate(self.rho, self.drho, self.ddrho)
 
     def is_convex(self) -> bool:
-        return bool(_convex(self.rho, self.drho, self.ddrho))
+        """The cached :attr:`convex` gate: the certificate clears its floor at every grid node."""
+        return bool(self.convex)
 
     @property
     def min_radius(self) -> float:
@@ -253,57 +293,6 @@ class PolarCurve:
             return cls.from_text(fh.read())
 
 
-class CurveStack:
-    """Planar curves of one degree and grid as rows, the twin of :class:`body.BodyStack`.
-
-    Coefficients, ``spectrum`` and grids have one row per curve, the grids
-    from one :func:`_on_grid` call; a :class:`PolarCurve` is a stack of one.
-    Rows need not be star-shaped (``convex`` and the clearance gate reject
-    them).  Immutable, so ``convex`` and ``on_rule`` are computed once.
-    """
-
-    def __init__(self, cos_coeffs, sin_coeffs=None, grid_size: int = DEFAULT_GRID):
-        cos_c = np.array(cos_coeffs, dtype=float, ndmin=2)
-        if not cos_c.size:
-            raise ValueError("a stack needs at least one curve")
-        self.degree, self.grid_size = cos_c.shape[-1] - 1, int(grid_size)
-        sin_c = np.zeros_like(cos_c[..., 1:]) if sin_coeffs is None else np.array(sin_coeffs, dtype=float, ndmin=2)
-        if sin_c.shape != cos_c[..., 1:].shape:
-            raise ValueError("need one sine coefficient per positive frequency")
-        if self.grid_size < 4 * max(self.degree, 1):
-            raise ValueError("grid too coarse for the stored degree")
-        self.cos_coeffs, self.sin_coeffs, self.rule_step = cos_c, sin_c, _rule_step(self.grid_size, self.degree)
-        self.spectrum = np.concatenate([cos_c[..., :1], 0.5 * (cos_c[..., 1:] - 1j * sin_c)], axis=-1)
-        self.rho, self.drho, self.ddrho = _on_grid(self.spectrum, self.grid_size, orders=3)
-        for arr in (cos_c, sin_c, self.spectrum, self.rho, self.drho, self.ddrho):
-            arr.setflags(write=False)
-
-    @classmethod
-    def of(cls, curves: Sequence[PolarCurve]) -> "CurveStack":
-        """Curves of one grid, padded to the highest degree; with different rules they stack, but ``on_rule`` raises."""
-        grids = {c.grid_size for c in curves}
-        if len(grids) > 1:
-            raise ValueError("stacked curves need one common grid size")
-        top = max((c.degree for c in curves), default=0)
-        cos_c = [np.pad(c.cos_coeffs, (0, top - c.degree)) for c in curves]
-        stack = cls(cos_c, [np.pad(c.sin_coeffs, (0, top - c.degree)) for c in curves], *grids)
-        if len({c.rule_step for c in curves}) > 1:
-            stack.rule_step = None
-        return stack
-
-    @cached_property
-    def convex(self) -> np.ndarray:
-        """Whether each curve is convex about 0: positive radius, certificate above its floor, at every node."""
-        return _convex(self.rho, self.drho, self.ddrho) & (np.min(self.rho, axis=-1) > 0.0)
-
-    @cached_property
-    def on_rule(self):
-        """``rho``, ``rho'`` and ``rho''`` on the quadrature rule; ``ValueError`` if the curves had different rules."""
-        if self.rule_step is None:
-            raise ValueError("stacked curves need one common quadrature rule")
-        return _on_rule(self.rule_step, self.rho, self.drho, self.ddrho)
-
-
 def _on_grid(spectrum: np.ndarray, size: int, orders: int = 1) -> np.ndarray:
     """``rho`` and its first ``orders - 1`` derivatives on ``size`` uniform angles, shape ``(orders, ..., size)``.
 
@@ -339,11 +328,6 @@ def _rule_step(grid_size: int, degree: int) -> int:
     while grid_size % (2 * step) == 0 and grid_size // (2 * step) >= nodes:
         step *= 2
     return step
-
-
-def _on_rule(step: int, *grids: np.ndarray):
-    """Grid arrays, single or stacked, reduced to the quadrature rule of stride ``step``."""
-    return [np.ascontiguousarray(g[..., ::step]) for g in grids]
 
 
 def _spectral_integral(values: np.ndarray):
@@ -390,8 +374,7 @@ def _centred_area(f0: float, f_rho):
 def _weighted_area(curve: PolarCurve, wp: WeightPair, center=None):
     f0 = _f_at(wp, 0.0)
     if center is None:
-        (rho,) = _on_rule(curve.rule_step, curve.rho)
-        return _centred_area(f0, wp.f(rho))
+        return _centred_area(f0, wp.f(curve.on_rule[0]))
     cos_t, sin_t = np.cos(curve.theta), np.sin(curve.theta)
     x, y = curve.rho * cos_t + center[0], curve.rho * sin_t + center[1]
     dx, dy = curve.drho * cos_t - curve.rho * sin_t, curve.drho * sin_t + curve.rho * cos_t
@@ -523,7 +506,7 @@ def _energy(rho, drho, ddrho, f_radii):
 
 def _curvature_energy(curve: PolarCurve, wp: WeightPair, center=None):
     if center is None:
-        rho, drho, ddrho = _on_rule(curve.rule_step, curve.rho, curve.drho, curve.ddrho)
+        rho, drho, ddrho = curve.on_rule
         return _energy(rho, drho, ddrho, wp.f(rho))
     return _energy(curve.rho, curve.drho, curve.ddrho, wp.f(_radii_about(curve, center)))
 
@@ -564,7 +547,7 @@ def alpha_beta(curve: PolarCurve, wp: WeightPair):
     (upper bound).  The lower integrand is dominated by the upper one
     pointwise, their difference being deficiency times ``f(|x|)/|x|^2``.
     """
-    rho, drho = _on_rule(curve.rule_step, curve.rho, curve.drho)
+    rho, drho, _ = curve.on_rule
     alpha, beta, _, _ = _alpha_beta(rho, drho, wp.f(rho), wp.df(rho))
     return float(alpha), float(beta)
 
@@ -574,32 +557,29 @@ def verify_two_sided(curve: PolarCurve, wp: WeightPair) -> TwoSided:
 
     Requires a convex curve containing the origin; the matched disk's energy
     is ``2 pi f(0)`` less the weighted area of the curve, the boundary
-    integral of ``f(rho)``.  A batch of one for
-    :func:`verify_two_sided_many`.
+    integral of ``f(rho)``.  The curve is a stack of one, so this is
+    :func:`verify_two_sided_many` on the curve itself.
 
     Raises
     ------
     ConvexityError
         If the convexity certificate fails at any grid angle.
     """
-    return verify_two_sided_many([curve], wp)[0]
+    return verify_two_sided_many(curve, wp)[0]
 
 
-def verify_two_sided_many(curves: CurveStack | Sequence[PolarCurve], wp: WeightPair) -> list[TwoSided]:
-    """:func:`verify_two_sided` for each curve of a :class:`CurveStack` or a sequence (through ``of``).
+def verify_two_sided_many(stack: CurveStack, wp: WeightPair) -> list[TwoSided]:
+    """:func:`verify_two_sided` for each curve of a :class:`CurveStack`, one report per row.
 
     Convexity is checked at every grid node and the sums run over the
-    quadrature rule.  Each report is bit-identical to the curve's own; the
-    curves need one common grid size and rule.
+    quadrature rule.  Each row's reports are bit-identical to those of the
+    row as a :class:`PolarCurve`.
 
     Raises
     ------
     ConvexityError
         If any curve's convexity certificate fails at any grid angle.
     """
-    if not curves:
-        return []
-    stack = curves if isinstance(curves, CurveStack) else CurveStack.of(curves)
     if not np.all(stack.convex):
         raise ConvexityError("two-sided bound needs a convex curve")
     rho, drho, ddrho = stack.on_rule
@@ -609,10 +589,9 @@ def verify_two_sided_many(curves: CurveStack | Sequence[PolarCurve], wp: WeightP
     gap = disk - energy
     alpha, beta, a_err, b_err = _alpha_beta(rho, drho, f_rho, wp.df(rho))
     gap_err = e_err + area_err
-    return [
-        TwoSided(lower=_report(*lower), upper=_report(*upper))
-        for lower, upper in zip(zip(alpha, gap, a_err + gap_err), zip(gap, beta, b_err + gap_err))
-    ]
+    lower = zip(*map(np.atleast_1d, (alpha, gap, a_err + gap_err)))
+    upper = zip(*map(np.atleast_1d, (gap, beta, b_err + gap_err)))
+    return [TwoSided(lower=_report(*lo), upper=_report(*up)) for lo, up in zip(lower, upper)]
 
 
 def boundary_inverse_weight(curve: PolarCurve, wp: WeightPair) -> InequalityReport:
@@ -620,29 +599,27 @@ def boundary_inverse_weight(curve: PolarCurve, wp: WeightPair) -> InequalityRepo
 
     Holds for any star-shaped curve with the origin strictly inside, convex
     or not; curves hugging the origin closer than the clearance are rejected
-    because the inequality genuinely degenerates there.  A batch of one for
-    :func:`boundary_inverse_weight_many`.
+    because the inequality genuinely degenerates there.  The curve is a
+    stack of one, so this is :func:`boundary_inverse_weight_many` on the
+    curve itself.
     """
-    return boundary_inverse_weight_many([curve], wp)[0]
+    return boundary_inverse_weight_many(curve, wp)[0]
 
 
-def boundary_inverse_weight_many(curves: CurveStack | Sequence[PolarCurve], wp: WeightPair) -> list[InequalityReport]:
-    """:func:`boundary_inverse_weight` for each curve of a :class:`CurveStack` or a sequence (through ``of``).
+def boundary_inverse_weight_many(stack: CurveStack, wp: WeightPair) -> list[InequalityReport]:
+    """:func:`boundary_inverse_weight` for each curve of a :class:`CurveStack`, one report per row.
 
     The clearance of the origin is checked at every grid node and the sums
-    run over the quadrature rule.  Each report is bit-identical to the
-    curve's own; the curves need one common grid size and rule.
+    run over the quadrature rule.  Each row's report is bit-identical to
+    that of the row as a :class:`PolarCurve`.
     """
-    if not curves:
-        return []
-    stack = curves if isinstance(curves, CurveStack) else CurveStack.of(curves)
-    if np.min(stack.rho) < ORIGIN_CLEARANCE:
+    if not np.min(stack.rho) >= ORIGIN_CLEARANCE:
         raise ValueError("origin lies on the boundary within tolerance")
     rho, drho, _ = stack.on_rule
     f_rho = wp.f(rho)
     lhs, area_err = _matched_disks(f_rho, wp)
     rhs, rhs_err = _spectral_integral(f_rho / rho * np.sqrt(rho**2 + drho**2))
-    return [_report(*args) for args in zip(lhs, rhs, rhs_err + area_err)]
+    return [_report(*args) for args in zip(*map(np.atleast_1d, (lhs, rhs, rhs_err + area_err)))]
 
 
 def _segment_distances(points: np.ndarray, verts: np.ndarray, cand: np.ndarray) -> np.ndarray:

@@ -177,6 +177,8 @@ class HarmonicField:
             raise ValueError(
                 f"expected {basis_size(self.n, self.degree)} coefficients, got {c.shape}"
             )
+        if not np.all(np.isfinite(c)):
+            raise ValueError("field coefficients must be finite")
         c = c.copy()
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)

@@ -22,6 +22,8 @@ former ``brentq`` search.  The sampled Hausdorff distance has its former
 k-d-tree candidate search as oracle.
 The recursive product rule, exact for every polynomial of its degree, is the
 oracle of the library's one rule per dimension.
+``stack`` is no oracle: it puts curves as rows of one ``plane.CurveStack``
+for the stacked checks.
 """
 
 from functools import lru_cache
@@ -33,6 +35,15 @@ TWO_PI = 2.0 * np.pi
 
 # ---------------------------------------------------------------------------
 # planar curve oracles
+
+
+def stack(curves):
+    """The curves as rows of one ``plane.CurveStack`` on the default grid, padded to the largest degree."""
+    from gausscurv import plane
+
+    top = max(c.degree for c in curves)
+    cos_c = [np.pad(c.cos_coeffs, (0, top - c.degree)) for c in curves]
+    return plane.CurveStack(cos_c, [np.pad(c.sin_coeffs, (0, top - c.degree)) for c in curves])
 
 
 def dense_polar(curve, theta, order=0):

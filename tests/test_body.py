@@ -1,4 +1,5 @@
 import math
+import types
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ from scipy.integrate import IntegrationWarning, quad
 import helpers
 import mesh_oracle
 from gausscurv import body as bd
-from gausscurv import cli, experiments, sphere
+from gausscurv import cli, experiments, plane, sphere
 from gausscurv.body import RadialGraph
 from gausscurv.errors import QuadratureError
 from gausscurv.sphere import HarmonicField
@@ -335,13 +336,14 @@ def test_volume_match_equals_newton_brentq_oracle(n):
     # step to half the scale and still converges; above target 1/2 both solve for the
     # complement 1 - target, so the radii agree to rounding there too.  Only strongly deformed bodies at
     # targets next to 1 stray: at seed 17, n = 8 trials 71 and 83 (max h / min h of 7.9 and 17)
-    # at 1 - 1e-15.
+    # did at 1 - 1e-15, but their meridian sections dip below zero, so they are no bodies;
+    # test_volume_match_cuts_long_newton_steps has one that strays.
     targets = (1e-300, 1e-40, 1e-5, 0.3, 0.9, 1.0 - 1e-15)
     checked = strayed = 0
     for trial in range(110):
         try:
             graph = cli.random_even_body(17, trial, n, (0.5, 1.0, 2.0, 4.0)[trial % 4], 0.6 * (trial + 1) / 110)
-        except ValueError:  # a few n = 8 fields reach -1 at a node at large amplitudes
+        except ValueError:  # at large amplitudes a few n >= 6 sections dip below zero, one n = 8 node too
             continue
         target = targets[trial % len(targets)]
         radius, by_newton = helpers.brentq_volume_match_radius(graph, target)
@@ -352,25 +354,25 @@ def test_volume_match_equals_newton_brentq_oracle(n):
             assert helpers.radial_gaussian_volume(matched) == pytest.approx(target, rel=1e-13, abs=0.0), trial
             strayed += 1
         checked += 1
-    assert checked >= 100 and strayed == (2 if n == 8 else 0)
+    assert checked >= 100 and strayed == 0
 
 
 @pytest.mark.parametrize("target", [0.999, 1.0 - 1e-9, 1.0 - 1e-15])
 def test_volume_match_cuts_long_newton_steps(target):
-    # Seed 23, n = 6, trial 87 (amplitude 0.352, max h / min h of 4.8): Newton's first step
+    # Seed 29, n = 5, trial 147 (amplitude 0.592, max h / min h of 5.3): Newton's first step
     # exceeds half the scale at each of these targets, where the oracle falls back to brentq.
-    graph = cli.random_even_body(23, 87, 6, 4.0, 0.6 * 88 / 150)
+    graph = cli.random_even_body(29, 147, 5, 4.0, 0.6 * 148 / 150)
     assert not helpers.brentq_volume_match_radius(graph, target)[1]
     matched = bd.volume_match(graph, target)
     assert helpers.radial_gaussian_volume(matched) == pytest.approx(target, rel=1e-13, abs=0.0)
 
 
 def test_volume_match_next_to_one_matches_the_complement():
-    # Seed 23, n = 6, trial 87 at 1 - 1e-15: the volume outside the matched body is 1 - target
+    # Seed 29, n = 5, trial 147 at 1 - 1e-15: the volume outside the matched body is 1 - target
     # to 1e-13 relative, by mpmath's upper incomplete gamma function at each node.
     mpmath = pytest.importorskip("mpmath")
     target = 1.0 - 1e-15
-    graph = cli.random_even_body(23, 87, 6, 4.0, 0.6 * 88 / 150)
+    graph = cli.random_even_body(29, 147, 5, 4.0, 0.6 * 148 / 150)
     matched = bd.volume_match(graph, target)
     n = mpmath.mpf(graph.n)
     with mpmath.workdps(30):
@@ -564,8 +566,8 @@ def test_second_fundamental_min_lifts_the_normal_out(n):
 def test_section_grids_match_sampled_section(n):
     graphs, curves = [], []
     for trial in range(30):
-        graph = cli.random_even_body(5, trial, n, 1.0 + trial % 4, (1e-2, 0.1, 0.3)[trial % 3])
         try:
+            graph = cli.random_even_body(5, trial, n, 1.0 + trial % 4, (1e-2, 0.1, 0.3)[trial % 3])
             curves.append(helpers.section_curve(graph))
         except ValueError:
             continue
@@ -577,31 +579,49 @@ def test_section_grids_match_sampled_section(n):
             assert np.max(np.abs(grid - oracle)) <= 1e-13 * scale, k
 
 
+def _drawn_even_body(monkeypatch, *args):
+    """What ``cli.random_even_body(*args)`` draws, before :class:`RadialGraph` checks it.
+
+    Holds the attributes that :func:`helpers.section_curve` reads, on the default rule.
+    """
+
+    def unchecked(n, radius, u):
+        return types.SimpleNamespace(n=n, radius=radius, perturbation=u, quad=None)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(bd, "RadialGraph", unchecked)
+        return cli.random_even_body(*args)
+
+
 @pytest.mark.parametrize("n", range(4, 9))
-def test_zonal_convexity_decisions_match_sampled_section(n):
+def test_zonal_convexity_decisions_match_sampled_section(n, monkeypatch):
     for amplitude in (1e-2, 0.1, 0.3):
         graphs, expected = [], []
         for trial in range(200):
-            graph = cli.random_even_body(13, trial, n, 1.0 + trial % 4, amplitude)
+            args = (13, trial, n, 1.0 + trial % 4, amplitude)
             try:
-                expected.append(helpers.section_curve(graph).is_convex())
-            except ValueError:
-                # The sampled section dips to zero; so does the exact one.
-                with pytest.raises(ValueError, match="on the meridian section"):
-                    bd.is_convex(graph)
+                graph = cli.random_even_body(*args)
+            except ValueError as exc:
+                # The exact section dips to zero; so does the sampled one.
+                assert "on the meridian section" in str(exc)
+                with pytest.raises(ValueError, match="radius must be positive"):
+                    helpers.section_curve(_drawn_even_body(monkeypatch, *args))
                 continue
+            expected.append(helpers.section_curve(graph).is_convex())
             graphs.append(graph)
         assert len(graphs) >= 190, amplitude
         decided = np.concatenate([bd._convex(bd.BodyStack(graphs[s : s + 32])) for s in range(0, len(graphs), 32)])
         assert list(decided) == expected, amplitude
 
 
-def test_section_dipping_between_nodes_names_the_section():
-    # Positive at all 13 meridian nodes, not between them.
-    graph = cli.random_even_body(1, 2, 4, 2.0, 0.9)
-    assert np.min(graph.h_nodes) > 0.17
-    with pytest.raises(ValueError, match="boundary radius must stay positive on the meridian section"):
-        bd.is_convex(graph)
+def test_section_dipping_between_nodes_names_the_section(monkeypatch):
+    # Positive at all 13 meridian nodes, not between them; the second body is h(+-e_1) = -0.077
+    # with every node above 1.30.
+    for args, low in (((1, 2, 4, 2.0, 0.9), 0.17), ((13, 43, 7, 4.0, 0.3), 1.30)):
+        drawn = _drawn_even_body(monkeypatch, *args)
+        assert np.min(drawn.radius * (1.0 + sphere.synthesize(drawn.perturbation))) > low
+        with pytest.raises(ValueError, match="boundary radius must stay positive on the meridian section"):
+            cli.random_even_body(*args)
 
 
 def test_convexity_certificate_zonal_section():
@@ -649,6 +669,42 @@ def test_body_text_round_trip(tmp_path):
     assert loaded.n == 3
     assert loaded.radius == pytest.approx(graph.radius, rel=1e-14)
     assert bd.gaussian_volume(loaded) == pytest.approx(bd.gaussian_volume(graph), abs=1e-13)
+
+
+def _loaded_body(tmp_path, text):
+    path = tmp_path / "body.txt"
+    path.write_text(text)
+    return bd.load_body(path)
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda tmp_path: plane.PolarCurve([1.0, _NAN], [0.0]), "radius must be positive"),
+        (lambda tmp_path: plane.PolarCurve.from_text("1\n1.0 nan\n0.0\n"), "radius must be positive"),
+        (lambda tmp_path: RadialGraph(3, _NAN), "base radius must be positive and finite"),
+        (lambda tmp_path: RadialGraph(3, math.inf), "base radius must be positive and finite"),
+        (
+            lambda tmp_path: RadialGraph(3, 1.0, HarmonicField(n=3, degree=2, coeffs=[0.0, _NAN] + [0.0] * 7)),
+            "coefficients must be finite",
+        ),
+        (lambda tmp_path: _loaded_body(tmp_path, "3 2 even\n3.5 nan 0 0 0 0 0 0 0\n"), "coefficients must be finite"),
+        (
+            lambda tmp_path: plane.boundary_inverse_weight_many(
+                plane.CurveStack([[1.0, 0.0], [_NAN, 0.0]], [[0.0], [0.0]]), cli.weight_preset("gaussian")
+            ),
+            "origin lies on the boundary",
+        ),
+    ],
+    ids=["curve", "curve-text", "radius-nan", "radius-inf", "field", "body-text", "stack-row"],
+)
+def test_non_finite_inputs_raise(build, message, tmp_path):
+    # Each positivity gate compares as "not x > 0", which NaN fails too.
+    with pytest.raises(ValueError, match=message):
+        build(tmp_path)
 
 
 def test_rejects_degenerate_bodies():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import helpers
 from gausscurv import cli, plane, sphere
 from gausscurv.errors import ConfigError, GausscurvError
 
@@ -101,7 +102,7 @@ def test_generator_acceptance_rate():
     total = 200
     for trial in range(total):
         rng = cli._trial_rng(123, trial)
-        cos_c, sin_c = cli._random_polar_coeffs(rng, 0.1, 12)
+        cos_c, sin_c = cli._random_polar_coeffs(rng, 0.1, 12, 3.0)
         if plane.PolarCurve(cos_c, sin_c).is_convex():
             accepted += 1
     assert accepted / total >= 0.5
@@ -301,7 +302,7 @@ def _patched_sampler(monkeypatch, faults):
     def sample(seed, amplitude, trials, *args):
         stack = real(seed, amplitude, trials, *args)
         rows = zip(trials, stack.cos_coeffs, stack.sin_coeffs)
-        return plane.CurveStack.of([faults[t]() if t in faults else plane.PolarCurve(c, s) for t, c, s in rows])
+        return helpers.stack([faults[t]() if t in faults else plane.PolarCurve(c, s) for t, c, s in rows])
 
     monkeypatch.setattr(cli, "_sample_polar", sample)
 

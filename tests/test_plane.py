@@ -466,34 +466,31 @@ def test_two_sided_rejects_nonconvex():
 def test_stacked_reports_equal_single_reports(name):
     wp = cli.weight_preset(name)
     convex = [cli.generate_convex_polar(6, 0.1, t) for t in range(50)]
-    assert plane.verify_two_sided_many(convex, wp) == [plane.verify_two_sided(c, wp) for c in convex]
+    assert plane.verify_two_sided_many(helpers.stack(convex), wp) == [plane.verify_two_sided(c, wp) for c in convex]
     star = [cli.generate_star_polar(6, 0.2, t) for t in range(50)]
-    assert plane.boundary_inverse_weight_many(star, wp) == [plane.boundary_inverse_weight(c, wp) for c in star]
+    assert plane.boundary_inverse_weight_many(helpers.stack(star), wp) == [
+        plane.boundary_inverse_weight(c, wp) for c in star
+    ]
 
 
 def test_stacked_checks_reject_what_single_checks_reject():
     wiggly = PolarCurve.from_function(lambda t: 1.0 + 0.2 * np.cos(8 * t))
     with pytest.raises(ConvexityError):
-        plane.verify_two_sided_many([PolarCurve.circle(1.0), wiggly], GAUSSIAN)
-    with pytest.raises(ValueError, match="grid"):
-        plane.boundary_inverse_weight_many([PolarCurve.circle(1.0), PolarCurve.circle(1.0, grid_size=2048)], GAUSSIAN)
-    with pytest.raises(ValueError, match="rule"):
-        plane.verify_two_sided_many([PolarCurve.circle(1.0), cli.generate_convex_polar(1, 0.1, 0)], GAUSSIAN)
-    assert plane.verify_two_sided_many([], GAUSSIAN) == []
+        plane.verify_two_sided_many(helpers.stack([PolarCurve.circle(1.0), wiggly]), GAUSSIAN)
 
 
 def test_curve_stack_rows_equal_each_curves_own():
     curves = [cli.generate_star_polar(4, 0.3, t) for t in range(40)]
-    built = plane.CurveStack([c.cos_coeffs for c in curves], [c.sin_coeffs for c in curves])
-    for stack in (built, plane.CurveStack.of(curves)):
-        assert len(stack.rho) == 40 and (stack.degree, stack.grid_size, stack.rule_step) == (12, 1024, 4)
-        for name in ("cos_coeffs", "sin_coeffs", "rho", "drho", "ddrho"):
-            np.testing.assert_array_equal(getattr(stack, name), np.stack([getattr(c, name) for c in curves]))
-        assert stack.convex.tolist() == [c.is_convex() for c in curves]
-        assert 0 < stack.convex.sum() < 40
-        for name in cli.WEIGHT_PRESETS:
-            wp = cli.weight_preset(name)
-            assert plane.boundary_inverse_weight_many(stack, wp) == plane.boundary_inverse_weight_many(curves, wp)
+    stack = helpers.stack(curves)
+    assert len(stack.rho) == 40 and (stack.degree, stack.grid_size, stack.rule_step) == (12, 1024, 4)
+    for name in ("cos_coeffs", "sin_coeffs", "rho", "drho", "ddrho"):
+        np.testing.assert_array_equal(getattr(stack, name), np.stack([getattr(c, name) for c in curves]))
+    assert stack.convex.tolist() == [c.is_convex() for c in curves]
+    assert 0 < stack.convex.sum() < 40
+    for name in cli.WEIGHT_PRESETS:
+        wp = cli.weight_preset(name)
+        singles = [plane.boundary_inverse_weight(c, wp) for c in curves]
+        assert plane.boundary_inverse_weight_many(stack, wp) == singles
 
 
 def test_curve_stack_row_off_the_origin_fails_both_gates():
@@ -508,12 +505,31 @@ def test_curve_stack_row_off_the_origin_fails_both_gates():
         plane.boundary_inverse_weight_many(stack, GAUSSIAN)
 
 
-def test_empty_curve_stacks_raise_and_empty_checks_return_nothing():
-    for build in (lambda: plane.CurveStack([]), lambda: plane.CurveStack.of([])):
-        with pytest.raises(ValueError, match="a stack needs at least one curve"):
-            build()
-    assert plane.verify_two_sided_many([], GAUSSIAN) == []
-    assert plane.boundary_inverse_weight_many([], GAUSSIAN) == []
+def test_empty_curve_stack_raises():
+    with pytest.raises(ValueError, match="a stack needs at least one curve"):
+        plane.CurveStack([])
+
+
+def test_polar_curve_is_a_stack_of_one():
+    curve = cli.generate_star_polar(3, 0.3, 0)
+    assert isinstance(curve, plane.CurveStack)
+    assert curve.rho.shape == (1024,) and curve.on_rule[0].shape == (256,) and curve.convex.shape == ()
+    for cos_c, sin_c in (([[1.0, 0.1]], [[0.0]]), (1.0, [])):
+        with pytest.raises(ValueError, match="one row"):
+            PolarCurve(cos_c, sin_c)
+
+
+def test_single_checks_read_the_curves_own_grids(monkeypatch):
+    convex, star = cli.generate_convex_polar(2, 0.2, 0), cli.generate_star_polar(2, 0.2, 0)
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grids were evaluated again")
+
+    monkeypatch.setattr(plane, "_on_grid", no_grid)
+    for name in cli.WEIGHT_PRESETS:
+        wp = cli.weight_preset(name)
+        assert plane.verify_two_sided(convex, wp).upper.passed
+        assert plane.boundary_inverse_weight(star, wp).passed
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +552,7 @@ def _full_grid_pairs(curves, check, wp):
     refined = [c.refined(degree=64) for c in curves]
     assert {c.rule_step for c in curves} == {4} and {c.rule_step for c in refined} == {1}
     pairs = []
-    for rep, oracle in zip(check(curves, wp), check(refined, wp)):
+    for rep, oracle in zip(check(helpers.stack(curves), wp), check(helpers.stack(refined), wp)):
         pairs.extend(zip(rep, oracle) if isinstance(rep, plane.TwoSided) else [(rep, oracle)])
     return pairs
 
@@ -580,9 +596,10 @@ def test_convexity_gate_sees_every_grid_node():
     assert step == 4 and low.tolist() == [677, 678, 679]
     assert plane._convex(curve.rho[::step], curve.drho[::step], curve.ddrho[::step])
     assert not curve.is_convex()
+    pair = helpers.stack([cli.generate_convex_polar(1, 0.3, 0), curve])
     for name in cli.WEIGHT_PRESETS:
         with pytest.raises(ConvexityError):
-            plane.verify_two_sided_many([cli.generate_convex_polar(1, 0.3, 0), curve], cli.weight_preset(name))
+            plane.verify_two_sided_many(pair, cli.weight_preset(name))
 
 
 def test_origin_clearance_gate_sees_every_grid_node():
@@ -593,9 +610,10 @@ def test_origin_clearance_gate_sees_every_grid_node():
     step = curve.rule_step
     assert step == 4 and np.argmin(curve.rho) == 2
     assert 0.0 < curve.min_radius < plane.ORIGIN_CLEARANCE <= np.min(curve.rho[::step])
+    pair = helpers.stack([cli.generate_star_polar(1, 0.3, 0), curve])
     for name in cli.WEIGHT_PRESETS:
         with pytest.raises(ValueError, match="origin lies on the boundary"):
-            plane.boundary_inverse_weight_many([cli.generate_star_polar(1, 0.3, 0), curve], cli.weight_preset(name))
+            plane.boundary_inverse_weight_many(pair, cli.weight_preset(name))
 
 
 def test_disk_energy_dominates_for_translated_convex_bodies():
