@@ -45,7 +45,6 @@ from .plane import (
     PolarCurve,
     alpha_beta,
     boundary_inverse_weight,
-    boundary_inverse_weight_many,
     curvature_at,
     curvature_energy,
     hausdorff_distance,
@@ -54,7 +53,6 @@ from .plane import (
     normal_deficiency,
     stability_ratio,
     verify_two_sided,
-    verify_two_sided_many,
     weighted_area,
 )
 from .sphere import (

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import math
 import sys
@@ -154,32 +155,40 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _random_polar_coeffs(rng: np.random.Generator, amplitude: float, degree: int, decay: float):
-    k = np.arange(1, degree + 1)
-    scale = amplitude / k.astype(float) ** decay
-    cos_c = np.concatenate([[1.0], rng.uniform(-1.0, 1.0, degree) * scale])
-    sin_c = rng.uniform(-1.0, 1.0, degree) * scale
-    return cos_c, sin_c
-
-
 def _sample_polar(seed, amplitude, trials, decay, accept, kind) -> plane.CurveStack:
     """Rejection-sample the curves of ``trials`` as one :class:`plane.CurveStack`, round by round.
 
-    A trial redraws from its own stream until ``accept`` holds on its row, so a row is the curve
-    its trial gets alone; a trial's 1000th rejection raises ``GausscurvError``.
+    A candidate is ``2 degree`` uniform draws in [-1, 1] from its trial's :func:`_trial_rng`
+    stream, cosine then sine coefficients, scaled by ``amplitude / k^decay``.  One Philox is
+    re-keyed to each pending trial's stream: a fresh state, or the state saved after the trial's
+    last candidate, so a trial that fails ``accept`` redraws where it left off and a row is the
+    curve its trial gets alone.  A trial's 1000th rejection raises ``GausscurvError``.
     """
     if not 0.0 < amplitude <= 0.3:
         raise ValueError("amplitude must lie in (0, 0.3]")
-    rngs = [_trial_rng(seed, trial) for trial in trials]
-    cos_c, sin_c = np.empty((len(rngs), _POLAR_DEGREE + 1)), np.empty((len(rngs), _POLAR_DEGREE))
-    pending = np.arange(len(rngs))
+    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    draw, fresh = np.random.Generator(bits).uniform, bits.state
+    # Each trial's stream before its first draw; re-keying skips the SeedSequence Philox(key=...) builds.
+    states = [{**fresh, "state": {**fresh["state"], "key": np.array([seed, t], dtype=np.uint64)}} for t in trials]
+    # A row holds the cosine coefficients of degrees 0..D, the first 1, then the sine coefficients.
+    cut = _POLAR_DEGREE + 1
+    decayed = amplitude / np.arange(1.0, cut) ** decay
+    scale = np.concatenate([[1.0], decayed, decayed])
+    coeffs = np.ones((len(states), scale.size))
+    pending = np.arange(len(states))
     for _ in range(1000):
-        for row in pending:
-            cos_c[row], sin_c[row] = _random_polar_coeffs(rngs[row], amplitude, _POLAR_DEGREE, decay)
-        candidates = plane.CurveStack(cos_c[pending], sin_c[pending])
+        for row in pending.tolist():
+            bits.state = states[row]
+            coeffs[row, 1:] = draw(-1.0, 1.0, 2 * _POLAR_DEGREE)
+            states[row] = bits.state
+        coeffs[pending] *= scale
+        rows = coeffs[pending]
+        candidates = plane.CurveStack(rows[:, :cut], rows[:, cut:])
         pending = pending[~accept(candidates)]
         if not pending.size:  # without redraws, the first round is the chunk
-            return candidates if len(candidates.rho) == len(rngs) else plane.CurveStack(cos_c, sin_c)
+            if len(candidates.rho) == len(states):
+                return candidates
+            return plane.CurveStack(coeffs[:, :cut], coeffs[:, cut:])
     raise GausscurvError(f"{kind} curve generator exceeded 1000 rejections")
 
 
@@ -217,14 +226,13 @@ def generate_star_polar(seed: int, amplitude: float, trial: int = 0) -> plane.Po
     return plane.PolarCurve(stack.cos_coeffs[0], stack.sin_coeffs[0])
 
 
-def _report_dict(rep: plane.InequalityReport) -> dict:
-    return {
-        "lhs": rep.lhs,
-        "rhs": rep.rhs,
-        "margin": rep.margin,
-        "quad_error": rep.quad_error,
-        "passed": rep.passed,
-    }
+_REPORT_FIELDS = ("lhs", "rhs", "margin", "quad_error", "passed")
+
+
+def _report_rows(rep: plane.InequalityReport) -> list[dict]:
+    """The JSON entries of a report, one per row: one for a body's report, one per curve for a stack's."""
+    columns = [np.atleast_1d(getattr(rep, name)).tolist() for name in _REPORT_FIELDS]
+    return [dict(zip(_REPORT_FIELDS, row)) for row in zip(*columns)]
 
 
 def _map_trials(fn, count: int, seed: int | None = None, start: int = 0):
@@ -233,7 +241,7 @@ def _map_trials(fn, count: int, seed: int | None = None, start: int = 0):
     for i in range(start, count):
         try:
             entries.append(fn(i))
-        except GausscurvError as exc:
+        except (GausscurvError, ValueError) as exc:
             raise type(exc)(f"trial {i} (seed {seed}): {exc}") from exc
     return entries
 
@@ -269,46 +277,43 @@ def _run_planar_batch(config: RunConfig, generator, check):
 
     A chunk of trials is drawn by :func:`_sample_polar` (``generator`` is
     ``_CONVEX`` or ``_STAR``) and every weight checks that one stack.
-    ``check(stack, wp)`` returns, per curve, the weight's report entry and
-    the margins that must clear ``-slack``.
+    ``check(stack, wp)`` returns the weight's report entry for each curve
+    and the margin columns that must clear ``-slack``.
     """
     pairs = _weights_for(config)
 
     def chunk(trials: range) -> list:
         stack = _sample_polar(config.seed, config.amplitude, trials, *generator)
-        checked = [check(stack, wp) for _, wp in pairs]
-        results = []
-        for k, trial in enumerate(trials):
-            entry = {"trial": trial, "weights": {}}
-            margins = []
-            for (name, _), per_curve in zip(pairs, checked):
-                entry["weights"][name], trial_margins = per_curve[k]
-                margins.extend(trial_margins)
-            entry["passed"] = all(m >= -config.slack for m in margins)
-            results.append((entry, margins))
-        return results
+        entries = [{"trial": trial, "weights": {}} for trial in trials]
+        margins = []
+        for name, wp in pairs:
+            values, columns = check(stack, wp)
+            for entry, value in zip(entries, values):
+                entry["weights"][name] = value
+            margins.extend(columns)
+        margins = np.array(margins)
+        for entry, ok in zip(entries, np.all(margins >= -config.slack, axis=0).tolist()):
+            entry["passed"] = ok
+        return list(zip(entries, np.min(margins, axis=0).tolist()))
 
     results = _map_chunks(chunk, config.trials, config.seed)
-    worst = min(m for _, margins in results for m in margins)
+    worst = min(margin for _, margin in results)
     return [entry for entry, _ in results], {"worst_margin": worst}, None
 
 
 def _run_verify2d(config: RunConfig):
     def check(stack, wp):
-        return [
-            (
-                {"lower": _report_dict(two.lower), "upper": _report_dict(two.upper)},
-                (two.lower.margin, two.upper.margin),
-            )
-            for two in plane.verify_two_sided_many(stack, wp)
-        ]
+        two = plane.verify_two_sided(stack, wp)
+        rows = zip(_report_rows(two.lower), _report_rows(two.upper))
+        return [{"lower": lower, "upper": upper} for lower, upper in rows], (two.lower.margin, two.upper.margin)
 
     return _run_planar_batch(config, _CONVEX, check)
 
 
 def _run_bounds2d(config: RunConfig):
     def check(stack, wp):
-        return [(_report_dict(rep), (rep.margin,)) for rep in plane.boundary_inverse_weight_many(stack, wp)]
+        rep = plane.boundary_inverse_weight(stack, wp)
+        return _report_rows(rep), (rep.margin,)
 
     return _run_planar_batch(config, _STAR, check)
 
@@ -474,8 +479,8 @@ def _run_calibration(config: RunConfig):
             "gate_inscribed_used": res.gate_inscribed_used,
             "volume": res.volume,
             "matched_radius": res.matched_radius,
-            "ineq1": _report_dict(res.ineq1),
-            "ineq3": _report_dict(res.ineq3),
+            "ineq1": _report_rows(res.ineq1)[0],
+            "ineq3": _report_rows(res.ineq3)[0],
             "passed": ok,
         }
 
@@ -551,29 +556,35 @@ def run(config: RunConfig) -> RunReport:
     comes from the entries, and a CSV is written exactly when there are rows.
     """
     config.validate()
-    start = time.perf_counter()
-    entries, extra, rows = _RUNNERS[config.command](config)
-    summary = {
-        "passed": sum(e["passed"] for e in entries),
-        "total": len(entries),
-        "worst_margin": None,
-        "max_relative_error": None,
-        **extra,
-    }
-    report = RunReport(
-        config=config.to_dict(),
-        entries=entries,
-        summary=summary,
-        wall_time_s=time.perf_counter() - start,
-    )
-    with open(config.output + ".json", "w") as fh:
-        _write_report(fh, report.to_dict())
-    if rows:
-        with open(config.output + ".csv", "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["r", "predicted", "measured", "relative_error"])
-            writer.writeheader()
-            writer.writerows(rows)
-    return report
+    # The objects alive now, the package's and numpy's among them, outlive the run.  Frozen, they
+    # are not scanned again by a full collection during it; unfreezing hands them back.
+    gc.freeze()
+    try:
+        start = time.perf_counter()
+        entries, extra, rows = _RUNNERS[config.command](config)
+        summary = {
+            "passed": sum(e["passed"] for e in entries),
+            "total": len(entries),
+            "worst_margin": None,
+            "max_relative_error": None,
+            **extra,
+        }
+        report = RunReport(
+            config=config.to_dict(),
+            entries=entries,
+            summary=summary,
+            wall_time_s=time.perf_counter() - start,
+        )
+        with open(config.output + ".json", "w") as fh:
+            _write_report(fh, report.to_dict())
+        if rows:
+            with open(config.output + ".csv", "w", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=["r", "predicted", "measured", "relative_error"])
+                writer.writeheader()
+                writer.writerows(rows)
+        return report
+    finally:
+        gc.unfreeze()
 
 
 def _build_parser() -> argparse.ArgumentParser:

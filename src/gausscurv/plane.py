@@ -29,10 +29,10 @@ normal-deficiency integrals and the inverse-weight integral) act on grids of
 shape ``(..., M)`` and reduce along the last axis.  A :class:`CurveStack`
 holds curves of one degree and grid as rows of shape ``(curves, M)`` from
 one inverse FFT, and a :class:`PolarCurve` is the stack of one, with grids
-of shape ``(M,)``.  :func:`verify_two_sided_many` and
-:func:`boundary_inverse_weight_many` take a stack, evaluate ``f``, ``f'``
-and the slant once per stack, and give each row the report it gets alone
-as a curve, to the last bit.  The single-curve checks pass the curve itself.
+of shape ``(M,)``.  :func:`verify_two_sided` and :func:`boundary_inverse_weight`
+take any stack, evaluate ``f``, ``f'`` and the slant once, and return one
+report whose fields have the stack's row shape: floats for a curve, one
+element per curve for a 2-D stack, each the curve's own value to the last bit.
 
 The inequality machinery compares a convex or star-shaped body against the
 centred disk with the same weighted area: the curvature energy of the disk
@@ -79,9 +79,7 @@ __all__ = [
     "normal_deficiency",
     "alpha_beta",
     "verify_two_sided",
-    "verify_two_sided_many",
     "boundary_inverse_weight",
-    "boundary_inverse_weight_many",
     "hausdorff_distance",
     "lemma_gradient_bound",
     "stability_ratio",
@@ -101,25 +99,34 @@ _CONVEX_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class InequalityReport:
-    """One verified inequality instance: ``lhs <= rhs`` up to quadrature slack."""
+    """Verified inequality instances: ``lhs <= rhs`` up to quadrature slack.
 
-    lhs: float
-    rhs: float
-    quad_error: float
+    The fields have the row shape of what was checked: Python floats for one
+    curve or body, so that ``passed`` is a Python bool, and read-only 1-D
+    arrays with one element per curve for a 2-D :class:`CurveStack`.
+    """
+
+    lhs: float | np.ndarray
+    rhs: float | np.ndarray
+    quad_error: float | np.ndarray
 
     @property
-    def margin(self) -> float:
+    def margin(self):
         return self.rhs - self.lhs
 
     @property
-    def passed(self) -> bool:
+    def passed(self):
         return self.margin >= -self.quad_error
 
 
-def _report(lhs: float, rhs: float, quad_error: float) -> InequalityReport:
-    """A report of Python floats, so that ``passed`` is a Python bool for numpy inputs too."""
-    floor = 1e-12 * (1.0 + abs(lhs) + abs(rhs))
-    return InequalityReport(lhs=float(lhs), rhs=float(rhs), quad_error=float(max(quad_error, floor)))
+def _report(lhs, rhs, quad_error) -> InequalityReport:
+    """A report with a relative floor under ``quad_error``, of Python floats where the inputs are 0-d."""
+    quad_error = np.maximum(quad_error, 1e-12 * (1.0 + np.abs(lhs) + np.abs(rhs)))
+    if quad_error.ndim == 0:
+        return InequalityReport(lhs=float(lhs), rhs=float(rhs), quad_error=float(quad_error))
+    for column in (lhs, rhs, quad_error):
+        column.setflags(write=False)
+    return InequalityReport(lhs=lhs, rhs=rhs, quad_error=quad_error)
 
 
 class TwoSided(NamedTuple):
@@ -552,74 +559,49 @@ def alpha_beta(curve: PolarCurve, wp: WeightPair):
     return float(alpha), float(beta)
 
 
-def verify_two_sided(curve: PolarCurve, wp: WeightPair) -> TwoSided:
-    """Check that the disk-versus-body energy gap sits between alpha and beta.
+def verify_two_sided(curves: CurveStack, wp: WeightPair) -> TwoSided:
+    """Check that the disk-versus-body energy gap sits between alpha and beta, for each curve of a stack.
 
-    Requires a convex curve containing the origin; the matched disk's energy
+    Requires convex curves containing the origin; the matched disk's energy
     is ``2 pi f(0)`` less the weighted area of the curve, the boundary
-    integral of ``f(rho)``.  The curve is a stack of one, so this is
-    :func:`verify_two_sided_many` on the curve itself.
-
-    Raises
-    ------
-    ConvexityError
-        If the convexity certificate fails at any grid angle.
-    """
-    return verify_two_sided_many(curve, wp)[0]
-
-
-def verify_two_sided_many(stack: CurveStack, wp: WeightPair) -> list[TwoSided]:
-    """:func:`verify_two_sided` for each curve of a :class:`CurveStack`, one report per row.
-
-    Convexity is checked at every grid node and the sums run over the
-    quadrature rule.  Each row's reports are bit-identical to those of the
-    row as a :class:`PolarCurve`.
+    integral of ``f(rho)``.  Convexity is checked at every grid node and the
+    sums run over the quadrature rule.  A :class:`PolarCurve` gets a report
+    of floats; a 2-D stack gets columns, each row bit-identical to the
+    report of that row as a curve.
 
     Raises
     ------
     ConvexityError
         If any curve's convexity certificate fails at any grid angle.
     """
-    if not np.all(stack.convex):
+    if not np.all(curves.convex):
         raise ConvexityError("two-sided bound needs a convex curve")
-    rho, drho, ddrho = stack.on_rule
+    rho, drho, ddrho = curves.on_rule
     f_rho = wp.f(rho)
     disk, area_err = _matched_disks(f_rho, wp)
     energy, e_err = _energy(rho, drho, ddrho, f_rho)
     gap = disk - energy
     alpha, beta, a_err, b_err = _alpha_beta(rho, drho, f_rho, wp.df(rho))
     gap_err = e_err + area_err
-    lower = zip(*map(np.atleast_1d, (alpha, gap, a_err + gap_err)))
-    upper = zip(*map(np.atleast_1d, (gap, beta, b_err + gap_err)))
-    return [TwoSided(lower=_report(*lo), upper=_report(*up)) for lo, up in zip(lower, upper)]
+    return TwoSided(lower=_report(alpha, gap, a_err + gap_err), upper=_report(gap, beta, b_err + gap_err))
 
 
-def boundary_inverse_weight(curve: PolarCurve, wp: WeightPair) -> InequalityReport:
-    """Check the boundary integral of ``f(|x|)/|x|`` against the matched disk.
+def boundary_inverse_weight(curves: CurveStack, wp: WeightPair) -> InequalityReport:
+    """Check the boundary integral of ``f(|x|)/|x|`` against the matched disk, for each curve of a stack.
 
     Holds for any star-shaped curve with the origin strictly inside, convex
-    or not; curves hugging the origin closer than the clearance are rejected
-    because the inequality genuinely degenerates there.  The curve is a
-    stack of one, so this is :func:`boundary_inverse_weight_many` on the
-    curve itself.
+    or not; curves hugging the origin closer than the clearance, at any
+    grid node, are rejected because the inequality genuinely degenerates
+    there.  The sums run over the quadrature rule, and the report has the
+    stack's row shape as in :func:`verify_two_sided`.
     """
-    return boundary_inverse_weight_many(curve, wp)[0]
-
-
-def boundary_inverse_weight_many(stack: CurveStack, wp: WeightPair) -> list[InequalityReport]:
-    """:func:`boundary_inverse_weight` for each curve of a :class:`CurveStack`, one report per row.
-
-    The clearance of the origin is checked at every grid node and the sums
-    run over the quadrature rule.  Each row's report is bit-identical to
-    that of the row as a :class:`PolarCurve`.
-    """
-    if not np.min(stack.rho) >= ORIGIN_CLEARANCE:
+    if not np.min(curves.rho) >= ORIGIN_CLEARANCE:
         raise ValueError("origin lies on the boundary within tolerance")
-    rho, drho, _ = stack.on_rule
+    rho, drho, _ = curves.on_rule
     f_rho = wp.f(rho)
     lhs, area_err = _matched_disks(f_rho, wp)
     rhs, rhs_err = _spectral_integral(f_rho / rho * np.sqrt(rho**2 + drho**2))
-    return [_report(*args) for args in zip(*map(np.atleast_1d, (lhs, rhs, rhs_err + area_err)))]
+    return _report(lhs, rhs, rhs_err + area_err)
 
 
 def _segment_distances(points: np.ndarray, verts: np.ndarray, cand: np.ndarray) -> np.ndarray:

@@ -22,8 +22,11 @@ former ``brentq`` search.  The sampled Hausdorff distance has its former
 k-d-tree candidate search as oracle.
 The recursive product rule, exact for every polynomial of its degree, is the
 oracle of the library's one rule per dimension.
-``stack`` is no oracle: it puts curves as rows of one ``plane.CurveStack``
-for the stacked checks.
+The random planar curves have the former per-trial draw as oracle: two
+calls of ``uniform(-1, 1, degree)`` on the trial's own generator.
+``stack`` and ``rows`` are no oracles: one puts curves as rows of one
+``plane.CurveStack`` for the stacked checks, the other splits a stack's
+report of columns into one report of floats per curve.
 """
 
 from functools import lru_cache
@@ -44,6 +47,25 @@ def stack(curves):
     top = max(c.degree for c in curves)
     cos_c = [np.pad(c.cos_coeffs, (0, top - c.degree)) for c in curves]
     return plane.CurveStack(cos_c, [np.pad(c.sin_coeffs, (0, top - c.degree)) for c in curves])
+
+
+def rows(report):
+    """A stacked check's report of columns as one report of Python floats per curve."""
+    from gausscurv import plane
+
+    if isinstance(report, plane.TwoSided):
+        return [plane.TwoSided(*pair) for pair in zip(rows(report.lower), rows(report.upper))]
+    columns = [np.asarray(c).tolist() for c in (report.lhs, report.rhs, report.quad_error)]
+    return [plane.InequalityReport(*row) for row in zip(*columns)]
+
+
+def random_polar_coeffs(rng, amplitude, degree, decay):
+    """A random planar candidate as the generators drew it trial by trial: cosines, then sines."""
+    k = np.arange(1, degree + 1)
+    scale = amplitude / k.astype(float) ** decay
+    cos_c = np.concatenate([[1.0], rng.uniform(-1.0, 1.0, degree) * scale])
+    sin_c = rng.uniform(-1.0, 1.0, degree) * scale
+    return cos_c, sin_c
 
 
 def dense_polar(curve, theta, order=0):

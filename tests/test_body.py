@@ -693,7 +693,7 @@ _NAN = float("nan")
         ),
         (lambda tmp_path: _loaded_body(tmp_path, "3 2 even\n3.5 nan 0 0 0 0 0 0 0\n"), "coefficients must be finite"),
         (
-            lambda tmp_path: plane.boundary_inverse_weight_many(
+            lambda tmp_path: plane.boundary_inverse_weight(
                 plane.CurveStack([[1.0, 0.0], [_NAN, 0.0]], [[0.0], [0.0]]), cli.weight_preset("gaussian")
             ),
             "origin lies on the boundary",

@@ -1,3 +1,4 @@
+import gc
 import importlib
 import importlib.util
 import json
@@ -102,7 +103,7 @@ def test_generator_acceptance_rate():
     total = 200
     for trial in range(total):
         rng = cli._trial_rng(123, trial)
-        cos_c, sin_c = cli._random_polar_coeffs(rng, 0.1, 12, 3.0)
+        cos_c, sin_c = helpers.random_polar_coeffs(rng, 0.1, 12, 3.0)
         if plane.PolarCurve(cos_c, sin_c).is_convex():
             accepted += 1
     assert accepted / total >= 0.5
@@ -117,13 +118,24 @@ def test_star_generator_allows_nonconvex():
     assert found_nonconvex
 
 
+def _redraws(seed, amplitude, trial, decay, curve):
+    """How many candidates the oracle's stream rejects before it reaches ``curve``'s coefficients."""
+    rng = cli._trial_rng(seed, trial)
+    for count in range(1000):
+        cos_c, sin_c = helpers.random_polar_coeffs(rng, amplitude, 12, decay)
+        if np.array_equal(cos_c, curve.cos_coeffs) and np.array_equal(sin_c, curve.sin_coeffs):
+            return count
+    raise AssertionError("the curve is not on its trial's stream")
+
+
 @pytest.mark.parametrize(
     "params, single",
     [(cli._CONVEX, cli.generate_convex_polar), (cli._STAR, cli.generate_star_polar)],
     ids=["convex", "star"],
 )
 def test_stacked_sampler_equals_per_trial_stream(params, single):
-    # Seed 1, trial 14 redraws its convex curve 39 times at amplitude 0.3.
+    # At amplitude 0.3, convex seed 2 trials 15, 34 and 51, seed 3 trial 0 and seed 4 trial 14
+    # redraw once; every other convex trial here, and every star-shaped one, is accepted at once.
     redrawn = 0
     for seed in range(1, 6):
         for amplitude in (0.1, 0.2, 0.3):
@@ -134,9 +146,19 @@ def test_stacked_sampler_equals_per_trial_stream(params, single):
                     curve = single(seed, amplitude, trial)
                     for name in ("cos_coeffs", "sin_coeffs", "rho", "drho", "ddrho"):
                         np.testing.assert_array_equal(getattr(stack, name)[row], getattr(curve, name))
-                    first, _ = cli._random_polar_coeffs(cli._trial_rng(seed, trial), amplitude, 12, params[0])
-                    redrawn += not np.array_equal(first, curve.cos_coeffs)
-    assert redrawn >= 1 if params is cli._CONVEX else redrawn == 0
+                    redrawn += _redraws(seed, amplitude, trial, params[0], curve)
+    assert redrawn == (5 if params is cli._CONVEX else 0)
+
+
+def test_stacked_sampler_resumes_a_trial_stream_after_two_redraws():
+    # Convex seed 2, trial 385 at amplitude 0.3 takes its third candidate; its neighbours take their first.
+    trials = range(384, 387)
+    stack = cli._sample_polar(2, 0.3, trials, *cli._CONVEX)
+    for row, trial in enumerate(trials):
+        curve = cli.generate_convex_polar(2, 0.3, trial)
+        np.testing.assert_array_equal(stack.cos_coeffs[row], curve.cos_coeffs)
+        np.testing.assert_array_equal(stack.sin_coeffs[row], curve.sin_coeffs)
+        assert _redraws(2, 0.3, trial, 3.0, curve) == (2 if trial == 385 else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +404,38 @@ def test_calibration_failure_names_its_trial(tmp_path, capsys, monkeypatch):
     argv = ["calibration", "--trials", "100", "--seed", "8", "--output", str(tmp_path / "c")]
     assert cli.main(argv) == 4
     assert "trial 40 (seed 8): calibration inequalities need a convex body" in capsys.readouterr().err
+
+
+def test_value_error_in_a_trial_names_its_trial(tmp_path, capsys):
+    # The ball of radius 1e3 holds all the Gaussian volume in floating point, so no ball matches it.
+    argv = ["calibration", "--trials", "2", "--r", "1e3", "--output", str(tmp_path / "c")]
+    assert cli.main(argv) == 3
+    assert "trial 0 (seed 42): target Gaussian volume must lie in (0, 1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_run_restores_the_collector(tmp_path, monkeypatch, enabled):
+    from gausscurv.errors import QuadratureError
+
+    frozen_inside = []
+
+    def boom(cfg):
+        frozen_inside.append(gc.get_freeze_count())
+        raise QuadratureError("synthetic blow-up")
+
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert gc.get_freeze_count() == 0
+        cli.run(cli.parse_config(["moments", "--n", "2", "--r", "1", "--output", str(tmp_path / "m")]))
+        assert gc.get_freeze_count() == 0 and gc.isenabled() is enabled
+        monkeypatch.setattr(cli, "_RUNNERS", dict(cli._RUNNERS, moments=boom))
+        with pytest.raises(QuadratureError):
+            cli.run(cli.parse_config(["moments", "--output", str(tmp_path / "x")]))
+        assert gc.get_freeze_count() == 0 and gc.isenabled() is enabled
+        assert frozen_inside[0] > 0
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_stability_command(tmp_path):

@@ -466,17 +466,24 @@ def test_two_sided_rejects_nonconvex():
 def test_stacked_reports_equal_single_reports(name):
     wp = cli.weight_preset(name)
     convex = [cli.generate_convex_polar(6, 0.1, t) for t in range(50)]
-    assert plane.verify_two_sided_many(helpers.stack(convex), wp) == [plane.verify_two_sided(c, wp) for c in convex]
+    two = plane.verify_two_sided(helpers.stack(convex), wp)
+    assert helpers.rows(two) == [plane.verify_two_sided(c, wp) for c in convex]
     star = [cli.generate_star_polar(6, 0.2, t) for t in range(50)]
-    assert plane.boundary_inverse_weight_many(helpers.stack(star), wp) == [
-        plane.boundary_inverse_weight(c, wp) for c in star
-    ]
+    rep = plane.boundary_inverse_weight(helpers.stack(star), wp)
+    assert helpers.rows(rep) == [plane.boundary_inverse_weight(c, wp) for c in star]
+    for columns in (two.lower, two.upper, rep):
+        for column in (columns.lhs, columns.rhs, columns.quad_error):
+            assert column.shape == (50,) and not column.flags.writeable
+        assert columns.passed.dtype == bool and columns.passed.shape == (50,)
+        singles = helpers.rows(columns)
+        assert columns.margin.tolist() == [r.margin for r in singles]
+        assert columns.passed.tolist() == [r.passed for r in singles]
 
 
 def test_stacked_checks_reject_what_single_checks_reject():
     wiggly = PolarCurve.from_function(lambda t: 1.0 + 0.2 * np.cos(8 * t))
     with pytest.raises(ConvexityError):
-        plane.verify_two_sided_many(helpers.stack([PolarCurve.circle(1.0), wiggly]), GAUSSIAN)
+        plane.verify_two_sided(helpers.stack([PolarCurve.circle(1.0), wiggly]), GAUSSIAN)
 
 
 def test_curve_stack_rows_equal_each_curves_own():
@@ -490,7 +497,7 @@ def test_curve_stack_rows_equal_each_curves_own():
     for name in cli.WEIGHT_PRESETS:
         wp = cli.weight_preset(name)
         singles = [plane.boundary_inverse_weight(c, wp) for c in curves]
-        assert plane.boundary_inverse_weight_many(stack, wp) == singles
+        assert helpers.rows(plane.boundary_inverse_weight(stack, wp)) == singles
 
 
 def test_curve_stack_row_off_the_origin_fails_both_gates():
@@ -500,9 +507,9 @@ def test_curve_stack_row_off_the_origin_fails_both_gates():
     stack = plane.CurveStack([[1.0, 0.0], [0.2, 1.0]], [[0.0], [0.0]])
     assert stack.convex.tolist() == [True, False]
     with pytest.raises(ConvexityError):
-        plane.verify_two_sided_many(stack, GAUSSIAN)
+        plane.verify_two_sided(stack, GAUSSIAN)
     with pytest.raises(ValueError, match="origin lies on the boundary"):
-        plane.boundary_inverse_weight_many(stack, GAUSSIAN)
+        plane.boundary_inverse_weight(stack, GAUSSIAN)
 
 
 def test_empty_curve_stack_raises():
@@ -552,7 +559,8 @@ def _full_grid_pairs(curves, check, wp):
     refined = [c.refined(degree=64) for c in curves]
     assert {c.rule_step for c in curves} == {4} and {c.rule_step for c in refined} == {1}
     pairs = []
-    for rep, oracle in zip(check(helpers.stack(curves), wp), check(helpers.stack(refined), wp)):
+    reports = (helpers.rows(check(helpers.stack(stacked), wp)) for stacked in (curves, refined))
+    for rep, oracle in zip(*reports):
         pairs.extend(zip(rep, oracle) if isinstance(rep, plane.TwoSided) else [(rep, oracle)])
     return pairs
 
@@ -564,8 +572,8 @@ def test_rule_reports_match_full_grid_oracle(seed, amplitude):
     star = [cli.generate_star_polar(seed, amplitude, t) for t in range(64)]
     for name in cli.WEIGHT_PRESETS:
         wp = cli.weight_preset(name)
-        pairs = _full_grid_pairs(convex, plane.verify_two_sided_many, wp)
-        pairs += _full_grid_pairs(star, plane.boundary_inverse_weight_many, wp)
+        pairs = _full_grid_pairs(convex, plane.verify_two_sided, wp)
+        pairs += _full_grid_pairs(star, plane.boundary_inverse_weight, wp)
         for rep, oracle in pairs:
             assert rep.passed == oracle.passed
             assert abs(rep.lhs - oracle.lhs) <= rep.quad_error, (name, rep, oracle)
@@ -583,12 +591,12 @@ def _rotated(curve, phi):
 
 
 def test_convexity_gate_sees_every_grid_node():
-    # Draw 40 of seed 1, trial 14 at amplitude 0.3 is a rejected candidate whose
+    # The 40th candidate on the stream of seed 1, trial 14 at amplitude 0.3 is one whose
     # certificate dips below the floor at three adjacent nodes; turned by 3/4 of a
     # grid step, those are the nodes 677..679, between the rule's nodes 676 and 680.
     rng = cli._trial_rng(1, 14)
     for _ in range(40):
-        candidate = PolarCurve(*cli._random_polar_coeffs(rng, 0.3, 12, 3.0))
+        candidate = PolarCurve(*helpers.random_polar_coeffs(rng, 0.3, 12, 3.0))
     curve = _rotated(candidate, 0.75 * 2.0 * np.pi / candidate.grid_size)
     step = curve.rule_step
     floor = -plane._CONVEX_RTOL * curve.max_radius**2
@@ -599,7 +607,7 @@ def test_convexity_gate_sees_every_grid_node():
     pair = helpers.stack([cli.generate_convex_polar(1, 0.3, 0), curve])
     for name in cli.WEIGHT_PRESETS:
         with pytest.raises(ConvexityError):
-            plane.verify_two_sided_many(pair, cli.weight_preset(name))
+            plane.verify_two_sided(pair, cli.weight_preset(name))
 
 
 def test_origin_clearance_gate_sees_every_grid_node():
@@ -613,7 +621,7 @@ def test_origin_clearance_gate_sees_every_grid_node():
     pair = helpers.stack([cli.generate_star_polar(1, 0.3, 0), curve])
     for name in cli.WEIGHT_PRESETS:
         with pytest.raises(ValueError, match="origin lies on the boundary"):
-            plane.boundary_inverse_weight_many(pair, cli.weight_preset(name))
+            plane.boundary_inverse_weight(pair, cli.weight_preset(name))
 
 
 def test_disk_energy_dominates_for_translated_convex_bodies():
