@@ -9,7 +9,8 @@ convexity is that of the meridian section, whose cosine coefficients are a fixed
 linear map of the field's coefficients.
 Surface integrals use the area element ``h^(n-2) sqrt(h^2 + |grad h|^2)`` and the
 quadrature carried by the body.  Gaussian volumes integrate ``t^(n-1) exp(-t^2/2)``
-radially in closed form, through the regularised incomplete gamma function.
+radially in closed form, through the regularised incomplete gamma functions of
+:mod:`gausscurv.special`, and matched balls invert them there.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ import math
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, gammaincinv
-
 from . import plane, sphere
 from .errors import QuadratureError
+from .special import gammainc, gammaincc, gammaincinv
 from .weights import gaussian_radial_integral
 
 __all__ = [

@@ -13,12 +13,14 @@ import argparse
 import csv
 import gc
 import json
+import locale  # noqa: F401  argparse's gettext loads it on the first parse; load it with the package
 import math
 import sys
 import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy loads it lazily; load it with the package, not inside a run
 
 from . import body as bd
 from . import experiments as ex
@@ -212,8 +214,7 @@ def generate_convex_polar(seed: int, amplitude: float, trial: int = 0) -> plane.
     GausscurvError
         After 1000 consecutive rejections.
     """
-    stack = _sample_polar(seed, amplitude, range(trial, trial + 1), *_CONVEX)
-    return plane.PolarCurve(stack.cos_coeffs[0], stack.sin_coeffs[0])
+    return plane.PolarCurve.from_row(_sample_polar(seed, amplitude, range(trial, trial + 1), *_CONVEX), 0)
 
 
 def generate_star_polar(seed: int, amplitude: float, trial: int = 0) -> plane.PolarCurve:
@@ -222,8 +223,7 @@ def generate_star_polar(seed: int, amplitude: float, trial: int = 0) -> plane.Po
     Coefficients decay like 1/k^2, slowly enough that higher amplitudes
     routinely produce non-convex boundaries; only the origin's clearance is enforced.
     """
-    stack = _sample_polar(seed, amplitude, range(trial, trial + 1), *_STAR)
-    return plane.PolarCurve(stack.cos_coeffs[0], stack.sin_coeffs[0])
+    return plane.PolarCurve.from_row(_sample_polar(seed, amplitude, range(trial, trial + 1), *_STAR), 0)
 
 
 _REPORT_FIELDS = ("lhs", "rhs", "margin", "quad_error", "passed")

@@ -21,6 +21,7 @@ from . import body as bd
 from . import sphere
 from .errors import ConvexityError, QuadratureError
 from .plane import InequalityReport, _report
+from .special import gauss_jacobi
 from .weights import psi
 
 __all__ = [
@@ -99,7 +100,7 @@ class CappedCylinder(NamedTuple):
 # Gauss-Legendre rule for the cap volume, mapped from [-1, 1] to y = s * _CAP_Y
 # on [0, s]: _CAP_GAP is (s^2 - y^2) / s^2 and _CAP_W folds in dy / ds and the
 # normal density's 1 / sqrt(2 pi).
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(32)
+_GL_X, _GL_W = gauss_jacobi(32, 0.0)
 _CAP_Y = 0.5 * (1.0 + _GL_X)
 _CAP_GAP = 0.25 * (1.0 - _GL_X) * (3.0 + _GL_X)
 _CAP_W = 0.5 * _GL_W / math.sqrt(2.0 * math.pi)

@@ -56,11 +56,12 @@ of each sample's ray, with no k-d tree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
+import numpy.fft  # noqa: F401  numpy loads it lazily; load it with the package, not inside a run
 
 from .errors import ConvexityError, QuadratureError
 from .weights import WeightPair
@@ -103,12 +104,18 @@ class InequalityReport:
 
     The fields have the row shape of what was checked: Python floats for one
     curve or body, so that ``passed`` is a Python bool, and read-only 1-D
-    arrays with one element per curve for a 2-D :class:`CurveStack`.
+    arrays with one element per curve for a 2-D :class:`CurveStack`.  Two
+    reports are equal when every field is, column by column.
     """
 
     lhs: float | np.ndarray
     rhs: float | np.ndarray
     quad_error: float | np.ndarray
+
+    def __eq__(self, other):
+        if not isinstance(other, InequalityReport):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
     @property
     def margin(self):
@@ -186,6 +193,19 @@ class PolarCurve(CurveStack):
         if np.ndim(cos_coeffs) != 1:
             raise ValueError("a curve's cosine coefficients form one row")
         super().__init__(cos_coeffs, sin_coeffs, grid_size)
+        self._finish()
+
+    @classmethod
+    def from_row(cls, stack: CurveStack, row: int) -> "PolarCurve":
+        """Row ``row`` of a 2-D stack as a curve whose arrays are that row's: no grid is synthesised again."""
+        curve = cls.__new__(cls)
+        curve.__dict__.update((name, getattr(stack, name)) for name in ("degree", "grid_size", "rule_step"))
+        arrays = ("cos_coeffs", "sin_coeffs", "spectrum", "rho", "drho", "ddrho")
+        curve.__dict__.update((name, getattr(stack, name)[row]) for name in arrays)
+        curve._finish()
+        return curve
+
+    def _finish(self):
         if not np.min(self.rho) > 0.0:
             raise ValueError("radius must be positive: curve is not star-shaped about 0")
         self.theta = 2.0 * np.pi * np.arange(self.grid_size) / self.grid_size

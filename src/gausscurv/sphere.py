@@ -2,7 +2,8 @@
 
 There is one rule per dimension, ``build_quadrature(n, degree)``.  On the
 circle it is uniform angles.  For n >= 3 it has ``degree // 2 + 1``
-Gauss-Jacobi nodes of the weight (1-t^2)^((n-3)/2) in the polar cosine t.  On
+Gauss-Jacobi nodes of the weight (1-t^2)^((n-3)/2) in the polar cosine t
+(:func:`special.gauss_jacobi`).  On
 S^2 these are Gauss-Legendre nodes, times uniform azimuth about the polar axis
 x_3, and the rule integrates every polynomial of ``degree`` exactly.  For
 n >= 4 every field is zonal, and the rule is the meridian rule: one node per t
@@ -14,7 +15,8 @@ Scalar fields are stored spectrally.  For n = 3 the basis is the full set of
 real L2-normalised spherical harmonics up to a degree cap; for other
 dimensions it is the zonal (axisymmetric in x_1) Gegenbauer family, which
 realises every Laplace-Beltrami eigenvalue and is all the higher-dimensional
-experiments need.  Gradients are gradients of the degree-0 homogeneous
+experiments need; its tables come from the three-term recurrence
+(:func:`special.gegenbauer`).  Gradients are gradients of the degree-0 homogeneous
 extension, hence always tangent.  The S^2 tables come from the normalised
 associated-Legendre recurrence, run also on P_l^m / sin(theta) so that the
 gradient formula stays regular at the poles.  Covariant Hessians differentiate
@@ -33,10 +35,9 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.linalg  # noqa: F401  roots_jacobi imports it on its first call; load it with the package
-from scipy.special import eval_gegenbauer, gammaln, roots_jacobi
 
 from .errors import QuadratureError
+from .special import gauss_jacobi, gegenbauer
 
 __all__ = [
     "SphereQuadrature",
@@ -108,7 +109,7 @@ def build_quadrature(n: int, degree: int) -> SphereQuadrature:
         nodes, wts = _circle_rule(degree)
     else:
         alpha = (n - 3) / 2.0
-        t, wt = roots_jacobi(degree // 2 + 1, alpha, alpha)
+        t, wt = gauss_jacobi(degree // 2 + 1, alpha)
         s = np.sqrt(1.0 - t**2)
         if n == 3:
             # Polar axis x_3: matches the usual real-harmonic conventions.
@@ -264,7 +265,7 @@ def _legendre_slabs(L: int, t: np.ndarray, s: np.ndarray):
     """Yield ``(m, P, dP, mQ)`` for m = 0..L, each of shape (L + 1 - m, points).
 
     Row ``l - m`` holds the L2-normalised associated Legendre function
-    P_l^m(t) (Condon-Shortley phase, as in ``scipy.special.lpmv``), its
+    P_l^m(t) (with the Condon-Shortley phase), its
     derivative in the polar angle, and m P_l^m / sin(theta) (None for m = 0).
     For m >= 1 the recurrence runs on Q_l^m = P_l^m / sin(theta), which obeys
     the same three-term recurrence in l and is finite at the poles, so
@@ -387,7 +388,8 @@ class _FullBasis3D(_Tables):
 
 
 class _ZonalBasis(_Tables):
-    """L2-normalised Gegenbauer polynomials in t = <x, e_1> on S^(n-1)."""
+    """L2-normalised Gegenbauer polynomials in t = <x, e_1> on S^(n-1), with their first two
+    derivatives tabled once at the nodes."""
 
     def __init__(self, n: int, L: int, quad: SphereQuadrature):
         self.L = L
@@ -397,13 +399,11 @@ class _ZonalBasis(_Tables):
         log_h = (
             math.log(math.pi)
             + (1.0 - 2.0 * lam) * math.log(2.0)
-            + gammaln(k + 2.0 * lam)
-            - gammaln(k + 1.0)
+            + np.array([math.lgamma(j + 2.0 * lam) - math.lgamma(j + 1.0) for j in range(L + 1)])
             - np.log(k + lam)
-            - 2.0 * gammaln(lam)
+            - 2.0 * math.lgamma(lam)
         )
         self.norms = 1.0 / np.sqrt(sphere_area(n - 1) * np.exp(log_h))
-        self.k = k
         super().__init__(quad)
         # Row k of S: the cosine coefficients of basis function k at (cos theta, sin theta, 0, ...), by DLMF
         # 18.5.11: C_k^lam(cos theta) = sum_j c_j c_(k-j) cos((k - 2j) theta) with c_j = (lam)_j / j!.
@@ -412,29 +412,35 @@ class _ZonalBasis(_Tables):
         self.S = np.where((j >= 0) & (odd == 0), (2.0 - (k == 0)) * c[j] * c[j + k], 0.0) * self.norms[:, None]
         self.S.setflags(write=False)
 
-    def _derivatives(self, t: np.ndarray, order: int) -> np.ndarray:
-        """Row k: d^j/dt^j C_k^lam(t) = 2^j lam...(lam+j-1) C_(k-j)^(lam+j), normalised."""
-        out = np.zeros((self.L + 1, t.size))
-        if self.L >= order:
-            scale = math.prod(2.0 * (self.lam + j) for j in range(order))
-            out[order:] = (scale * self.norms[order:, None]) * eval_gegenbauer(
-                self.k[: self.L + 1 - order, None], self.lam + order, t[None, :]
-            )
+    def _derivatives(self, t: np.ndarray) -> np.ndarray:
+        """Rows k of d^j/dt^j C_k^lam(t) = 2^j lam...(lam+j-1) C_(k-j)^(lam+j), normalised, for
+        j = 0, 1, 2: shape (3, L + 1, t.size), from one recurrence for the three families."""
+        C = gegenbauer(self.L, self.lam + np.arange(3.0), t)
+        out = np.zeros_like(C)
+        for j in range(3):
+            scale = math.prod(2.0 * (self.lam + i) for i in range(j))
+            out[j, j:] = scale * self.norms[j:, None] * C[j, : self.L + 1 - j]
         return out
 
+    @cached_property
+    def _node_table(self) -> np.ndarray:
+        return self._derivatives(self.quad.nodes[:, 0])
+
+    def _table(self, X: np.ndarray) -> np.ndarray:
+        return self._node_table if X is self.quad.nodes else self._derivatives(X[:, 0])
+
     def values_at(self, X: np.ndarray) -> np.ndarray:
-        return self._derivatives(np.atleast_2d(X)[:, 0], 0)
+        return self._table(np.atleast_2d(X))[0]
 
     def gradients_at(self, X: np.ndarray) -> np.ndarray:
         # grad g(<x, e_1>) = g'(t) a, with a = e_1 - t x.
         X = np.atleast_2d(X)
         a = np.eye(X.shape[1])[0] - X[:, :1] * X
-        return self._derivatives(X[:, 0], 1)[:, :, None] * a[None, :, :]
+        return self._table(X)[1][:, :, None] * a[None, :, :]
 
     def hessian_parts(self, coeffs: np.ndarray, X: np.ndarray) -> np.ndarray:
         # g'(t) and g''(t), shape (2, m).
-        t = X[:, 0]
-        return np.stack([coeffs @ self._derivatives(t, j) for j in (1, 2)])
+        return coeffs @ self._table(X)[1:]
 
     @staticmethod
     def covariant(parts: np.ndarray, X: np.ndarray) -> np.ndarray:

@@ -10,7 +10,8 @@ weight ``f(r) = exp(-r^2/2)`` is the special case where ``w = f``.
 
 The module also provides the standard normal half-space volume ``psi``, the
 closed form of ``int_0^h t^(n-1) exp(-t^2/2) dt`` and the radial moment
-integrals built on it for the higher-dimensional expansions.  The library's
+integrals built on it for the higher-dimensional expansions, all from
+``math.erfc`` and the incomplete gamma functions of :mod:`gausscurv.special`.  The library's
 other radial integrals have closed forms or flux forms; the vectorised
 adaptive Gauss-Legendre integrator :func:`integrate_radial` is the reference
 the test suite checks them against, and no library code calls it.
@@ -20,12 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import erfc, gammainc, hyp1f1
 
 from .errors import AdmissibilityError, QuadratureError
+from .special import gammainc, gauss_jacobi, kummer_sum
 
 __all__ = [
     "WeightPair",
@@ -140,7 +142,7 @@ def psi(s: float) -> float:
     Evaluated through the complementary error function; accurate to about
     1e-16 relative, well within the 1e-14 contract.
     """
-    return 0.5 * erfc(-s / math.sqrt(2.0))
+    return 0.5 * math.erfc(-s / math.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -176,12 +178,13 @@ def _moment(power: int, r: float) -> float:
     From r = 1 on it is ``gaussian_radial_integral(m, r) / r^m`` with
     ``m = power + 1``; writing ``r = f 2^e``, ``f`` in [1/2, 1), it divides by
     ``f^m`` and shifts by ``2^(-e m)``, so no power of ``r`` overflows.  Below
-    r = 1, where the incomplete gamma function loses up to 2e-14 relative, it
-    is Kummer's ``1F1(m/2; m/2 + 1; -r^2/2) / m``.
+    r = 1 it is Kummer's ``1F1(m/2; m/2 + 1; -x) / m = e^-x 1F1(1; m/2 + 1; x) / m``,
+    x = r^2 / 2, a series of positive terms.
     """
     m = power + 1
     if r < 1.0:
-        return float(hyp1f1(0.5 * m, 0.5 * m + 1.0, -0.5 * r * r)) / m
+        x = 0.5 * r * r
+        return math.exp(-x) * float(kummer_sum(0.5 * m, x)) / m
     frac, exp2 = math.frexp(r)
     with np.errstate(over="ignore"):  # r^2 / 2 = inf still gives P = 1 exactly
         total = float(gaussian_radial_integral(m, r))
@@ -237,9 +240,8 @@ def radial_moments(n: int, r: float) -> RadialMoments:
     return RadialMoments(n=n, r=r, a_n=a, b_n=b, c_n=c)
 
 
-# Gauss-Legendre node/weight pairs reused by the panel integrator.
-_GL_LO = np.polynomial.legendre.leggauss(16)
-_GL_HI = np.polynomial.legendre.leggauss(32)
+# The panel integrator's Gauss-Legendre rules, built on first use.
+_gauss_legendre = lru_cache(maxsize=None)(gauss_jacobi)
 
 
 def _panel_eval(fn, upper, nodes, wts, a, b):
@@ -279,8 +281,8 @@ def integrate_radial(fn, upper, rtol: float = RADIAL_RTOL, max_depth: int = 12):
         total = np.zeros_like(flat)
         err = np.zeros_like(flat)
         for a, b in panels:
-            lo = _panel_eval(fn, flat, *_GL_LO, a, b)
-            hi = _panel_eval(fn, flat, *_GL_HI, a, b)
+            lo = _panel_eval(fn, flat, *_gauss_legendre(16, 0.0), a, b)
+            hi = _panel_eval(fn, flat, *_gauss_legendre(32, 0.0), a, b)
             total += hi
             err += np.abs(hi - lo)
         scale = np.maximum(np.abs(total), 1e-300)

@@ -455,11 +455,10 @@ def _chain_rule(n, degree):
         m = max(degree + 1, 4)
         theta = TWO_PI * np.arange(m) / m
         return np.column_stack([np.cos(theta), np.sin(theta)]), np.full(m, TWO_PI / m)
-    from scipy.special import roots_jacobi
+    from gausscurv.special import gauss_jacobi
 
     m = degree // 2 + 1
-    alpha = (n - 3) / 2.0
-    t, wt = roots_jacobi(m, alpha, alpha)
+    t, wt = gauss_jacobi(m, (n - 3) / 2.0)
     sub_nodes, sub_w = _chain_rule(n - 1, degree)
     s = np.sqrt(1.0 - t**2)
     nodes = np.empty((m * sub_nodes.shape[0], n))
@@ -571,9 +570,9 @@ def brentq_volume_match_radius(body, target):
     import math
 
     from scipy.optimize import brentq
-    from scipy.special import gammaincc
 
     from gausscurv.body import ball_match_radius, gaussian_radial_integral
+    from gausscurv.special import gammaincc
 
     n, h, w = body.n, body.h_nodes, body.quad.weights
     norm = (2.0 * math.pi) ** (n / 2.0)

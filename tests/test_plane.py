@@ -500,6 +500,17 @@ def test_curve_stack_rows_equal_each_curves_own():
         assert helpers.rows(plane.boundary_inverse_weight(stack, wp)) == singles
 
 
+def test_stacked_reports_compare_column_by_column():
+    curves = [cli.generate_convex_polar(5, 0.1, t) for t in range(3)]
+    wp = cli.weight_preset("exponential")
+    report = plane.boundary_inverse_weight(helpers.stack(curves), wp)
+    assert report == plane.boundary_inverse_weight(helpers.stack(curves), wp)
+    assert report != plane.boundary_inverse_weight(helpers.stack(curves[:2] + curves[:1]), wp)
+    both = plane.verify_two_sided(helpers.stack(curves), wp)
+    assert both == plane.verify_two_sided(helpers.stack(curves), wp)
+    assert both != plane.verify_two_sided(helpers.stack(curves[::-1]), wp)
+
+
 def test_curve_stack_row_off_the_origin_fails_both_gates():
     # 0.2 + cos(theta) is negative near theta = pi, so it is no star-shaped curve about 0.
     with pytest.raises(ValueError, match="radius must be positive"):
