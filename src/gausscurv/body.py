@@ -95,12 +95,7 @@ class RadialGraph(_NodeForms):
         if quad is None:
             quad = sphere.default_quadrature(n, max(perturbation.degree, 4))
         self.quad = quad
-        if not np.min(self.h_nodes) > 0.0:
-            raise ValueError("boundary radius must stay positive at every node")
-        if self.n >= 4:
-            section = _section_spectra(self.n, quad, self.radius, perturbation.coeffs)
-            if not np.min(plane._on_grid(section, plane.DEFAULT_GRID)) > 0.0:
-                raise ValueError("boundary radius must stay positive on the meridian section")
+        _radius_gates(self.n, quad, self.radius, perturbation.coeffs, self.h_nodes)
 
     @classmethod
     def from_function(cls, n, fn, degree=16, quad=None):
@@ -156,39 +151,79 @@ class RadialGraph(_NodeForms):
         return RadialGraph(self.n, scale * self.radius, self.perturbation, quad=self.quad)
 
 
-class BodyStack(_NodeForms):
-    """Bodies that share one dimension, rule and field degree, with their node values stacked.
+def _radius_gates(n, quad, radii, coeffs, h_nodes) -> None:
+    """Raise ``ValueError`` unless ``h`` (one body's, or each stacked row's) is positive at every node
+    and, for n >= 4, on the meridian section at every planar grid node."""
+    if not np.min(h_nodes) > 0.0:
+        raise ValueError("boundary radius must stay positive at every node")
+    if n >= 4:
+        section = _section_spectra(n, quad, radii, coeffs)
+        if not np.min(plane._on_grid(section, plane.DEFAULT_GRID)) > 0.0:
+            raise ValueError("boundary radius must stay positive on the meridian section")
 
-    The node attributes are named as on :class:`RadialGraph` and carry a
-    leading axis over the bodies, so the node-wise functions of this module
-    run once on the stack.  Values, gradients and Laplacians are each body's
-    own cached arrays, stacked on first use; the Hessians come from
-    :func:`sphere.hessian_many`.  Every slice is bit-identical to the body's
-    own array.
+
+def _row_products(coeffs, table) -> np.ndarray:
+    """Each row of ``coeffs`` dotted with ``table`` over its first axis, one ``np.dot`` per row."""
+    flat = table.reshape(len(table), -1)
+    return np.stack([np.dot(row, flat) for row in coeffs]).reshape(len(coeffs), *table.shape[1:])
+
+
+class BodyStack(_NodeForms):
+    """Bodies that share one dimension, rule and field degree, as rows of base radius and coefficients.
+
+    :meth:`from_rows` builds no field or body, and raises :class:`RadialGraph`'s
+    ``ValueError`` s; ``BodyStack(graphs)`` stacks the graphs' rows.  The node
+    attributes are named as on :class:`RadialGraph`, with a leading axis over the
+    bodies, so the node-wise functions of this module run once on the stack.  They
+    are each row's ``np.dot`` with the rule's basis tables, bit-identical to the body's own.
     """
 
     def __init__(self, graphs):
-        self.graphs = tuple(graphs)
-        if not self.graphs:
+        graphs = tuple(graphs)
+        if not graphs:
             raise ValueError("a stack needs at least one body")
-        first = self.graphs[0]
-        self.n, self.quad, self.degree = first.n, first.quad, first.perturbation.degree
-        if any(g.n != self.n or g.quad is not self.quad or g.perturbation.degree != self.degree for g in self.graphs):
+        n, quad, degree = graphs[0].n, graphs[0].quad, graphs[0].perturbation.degree
+        if any(g.n != n or g.quad is not quad or g.perturbation.degree != degree for g in graphs):
             raise ValueError("stacked bodies need one common dimension and rule, and one field degree")
-        self.radii = np.array([g.radius for g in self.graphs])
-        self.h_nodes = np.stack([g.h_nodes for g in self.graphs])
+        self._set_rows(n, [g.radius for g in graphs], [g.perturbation.coeffs for g in graphs], quad)
+
+    @classmethod
+    def from_rows(cls, n, radii, coeffs) -> "BodyStack":
+        """The bodies ``h = radii[k] (1 + u_k)``, ``u_k`` of coefficients ``coeffs[k]``, on the default
+        rule of :class:`RadialGraph`; ``radii`` may be one radius for every row."""
+        stack = cls.__new__(cls)
+        stack._set_rows(n, radii, coeffs, None)
+        return stack
+
+    def _set_rows(self, n, radii, coeffs, quad):
+        coeffs = np.array(coeffs, dtype=float, ndmin=2)
+        size = coeffs.shape[-1]
+        self.n, self.degree = int(n), math.isqrt(size) - 1 if n == 3 else size - 1
+        shaped = coeffs.ndim == 2 and coeffs.size and size == sphere.basis_size(n, self.degree)
+        if not (3 <= n <= sphere.MAX_DIMENSION and shaped):
+            raise ValueError(f"a stack needs rows of basis coefficients on S^2..S^7, not {coeffs.shape} on S^{n - 1}")
+        self.radii = np.broadcast_to(np.asarray(radii, dtype=float), len(coeffs)).copy()
+        if not (np.all(np.isfinite(coeffs)) and np.all((0.0 < self.radii) & (self.radii < math.inf))):
+            raise ValueError("base radii must be positive and finite, and coefficients finite")
+        coeffs.setflags(write=False)
+        self.coeffs = coeffs
+        self.quad = quad if quad is not None else sphere.default_quadrature(n, max(self.degree, 4))
+        self._tables = sphere._basis(self.n, self.degree, self.quad)
+        self.h_nodes = self.radii[:, None] * (1.0 + _row_products(coeffs, self._tables.V))
+        _radius_gates(self.n, self.quad, self.radii, coeffs, self.h_nodes)
 
     @cached_property
     def grad_nodes(self) -> np.ndarray:
-        return np.stack([g.grad_nodes for g in self.graphs])
+        return self.radii[:, None, None] * _row_products(self.coeffs, self._tables.Gn)
 
     @cached_property
     def lap_nodes(self) -> np.ndarray:
-        return np.stack([g.lap_nodes for g in self.graphs])
+        lap = -sphere._eigenvalues(self.n, self.degree) * self.coeffs
+        return self.radii[:, None] * _row_products(lap, self._tables.V)
 
     @cached_property
     def hess_nodes(self) -> np.ndarray:
-        hess = sphere.hessian_many([g.perturbation for g in self.graphs], self.quad)
+        hess = sphere.hessian_many(self.coeffs, self.quad, self.degree)
         hess *= self.radii[:, None, None, None]
         return hess
 
@@ -407,10 +442,9 @@ def _section_spectra(n: int, quad, radii, coeffs: np.ndarray) -> np.ndarray:
 def _section_grids(stack: BodyStack) -> np.ndarray:
     """``rho, rho', rho''`` of each body's meridian section on the planar grid, shape (3, bodies, grid).
 
-    Every body's section radius is positive there: :class:`RadialGraph` checks it.
+    Every body's section radius is positive there: the stack checks it.
     """
-    coeffs = np.stack([g.perturbation.coeffs for g in stack.graphs])
-    return plane._on_grid(_section_spectra(stack.n, stack.quad, stack.radii, coeffs), plane.DEFAULT_GRID, orders=3)
+    return plane._on_grid(_section_spectra(stack.n, stack.quad, stack.radii, stack.coeffs), plane.DEFAULT_GRID, orders=3)
 
 
 def _convex(stack: BodyStack) -> np.ndarray:

@@ -151,27 +151,27 @@ class RunReport:
         return dict(vars(self))
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    # Counter-based keying: every trial owns an independent Philox stream.
-    key = np.array([seed, trial], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _trial_streams(seed: int, trials):
+    """One Philox, a generator on it, and the state of each trial's own stream, keyed by ``(seed, trial)``,
+    before its first draw: setting ``bits.state`` re-keys the Philox without a SeedSequence build."""
+    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    fresh = bits.state
+    states = [{**fresh, "state": {**fresh["state"], "key": np.array([seed, t], dtype=np.uint64)}} for t in trials]
+    return bits, np.random.Generator(bits), states
 
 
 def _sample_polar(seed, amplitude, trials, decay, accept, kind) -> plane.CurveStack:
     """Rejection-sample the curves of ``trials`` as one :class:`plane.CurveStack`, round by round.
 
-    A candidate is ``2 degree`` uniform draws in [-1, 1] from its trial's :func:`_trial_rng`
-    stream, cosine then sine coefficients, scaled by ``amplitude / k^decay``.  One Philox is
-    re-keyed to each pending trial's stream: a fresh state, or the state saved after the trial's
+    A candidate is ``2 degree`` uniform draws in [-1, 1] from its trial's stream, cosine then sine
+    coefficients, scaled by ``amplitude / k^decay``.  One Philox is re-keyed to each pending
+    trial's stream (:func:`_trial_streams`): a fresh state, or the state saved after the trial's
     last candidate, so a trial that fails ``accept`` redraws where it left off and a row is the
     curve its trial gets alone.  A trial's 1000th rejection raises ``GausscurvError``.
     """
     if not 0.0 < amplitude <= 0.3:
         raise ValueError("amplitude must lie in (0, 0.3]")
-    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    draw, fresh = np.random.Generator(bits).uniform, bits.state
-    # Each trial's stream before its first draw; re-keying skips the SeedSequence Philox(key=...) builds.
-    states = [{**fresh, "state": {**fresh["state"], "key": np.array([seed, t], dtype=np.uint64)}} for t in trials]
+    bits, generator, states = _trial_streams(seed, trials)
     # A row holds the cosine coefficients of degrees 0..D, the first 1, then the sine coefficients.
     cut = _POLAR_DEGREE + 1
     decayed = amplitude / np.arange(1.0, cut) ** decay
@@ -181,7 +181,7 @@ def _sample_polar(seed, amplitude, trials, decay, accept, kind) -> plane.CurveSt
     for _ in range(1000):
         for row in pending.tolist():
             bits.state = states[row]
-            coeffs[row, 1:] = draw(-1.0, 1.0, 2 * _POLAR_DEGREE)
+            coeffs[row, 1:] = generator.uniform(-1.0, 1.0, 2 * _POLAR_DEGREE)
             states[row] = bits.state
         coeffs[pending] *= scale
         rows = coeffs[pending]
@@ -443,22 +443,29 @@ def _run_threshold_scan(config: RunConfig):
     return entries, {"max_relative_error": err}, rows
 
 
+def _sample_even(seed: int, trials, n: int, amplitude: float, degree: int = 6) -> np.ndarray:
+    """The perturbation coefficients of :func:`random_even_body` for ``trials``, one row per trial.
+
+    From each trial's stream (:func:`_trial_streams`), the slots of the even degrees k = 2, 4, ...
+    get standard normal draws over k^3 in basis order, and the row is scaled to the norm ``amplitude``.
+    """
+    bits, generator, states = _trial_streams(seed, trials)
+    k = sphere._degree_index(n, degree)
+    even = (k >= 2) & (k % 2 == 0)
+    cubes = k[even] ** 3
+    rows = np.zeros((len(states), k.size))
+    for row, state in zip(rows, states):
+        bits.state = state
+        row[even] = generator.normal(size=cubes.size) / cubes
+        row *= amplitude / np.linalg.norm(row)
+    return rows
+
+
 def random_even_body(seed: int, trial: int, n: int, radius: float, amplitude: float, degree: int = 6) -> bd.RadialGraph:
-    """Seeded even (origin-symmetric) perturbation of the ball of given radius."""
-    rng = _trial_rng(seed, trial)
-    if n == 3:
-        coeffs = np.zeros(sphere.basis_size(n, degree))
-        for k in range(2, degree + 1, 2):
-            block = slice(k * k, (k + 1) * (k + 1))
-            coeffs[block] = rng.normal(size=2 * k + 1) / k**3
-    else:
-        coeffs = np.zeros(degree + 1)
-        for k in range(2, degree + 1, 2):
-            coeffs[k] = rng.normal() / k**3
-    norm = np.linalg.norm(coeffs)
-    coeffs *= amplitude / norm
-    u = sphere.HarmonicField(n=n, degree=degree, coeffs=coeffs)
-    return bd.RadialGraph(n, radius, u)
+    """Seeded even (origin-symmetric) perturbation of the ball of given radius, drawn as a chunk of
+    one by :func:`_sample_even`; raises ``ValueError`` as :class:`body.RadialGraph` does."""
+    coeffs = _sample_even(seed, range(trial, trial + 1), n, amplitude, degree)[0]
+    return bd.RadialGraph(n, radius, sphere.HarmonicField(n=n, degree=degree, coeffs=coeffs))
 
 
 def _run_calibration(config: RunConfig):
@@ -486,8 +493,8 @@ def _run_calibration(config: RunConfig):
 
     def chunk(trials: range) -> list:
         # Each body's curvature bound M is its largest mean curvature over the nodes.
-        graphs = [random_even_body(config.seed, trial, config.n, r, amp) for trial in trials]
-        return [entry(trial, res) for trial, res in zip(trials, ex.calibration_check_many(graphs))]
+        stack = bd.BodyStack.from_rows(config.n, r, _sample_even(config.seed, trials, config.n, amp))
+        return [entry(trial, res) for trial, res in zip(trials, ex.calibration_check_many(stack))]
 
     entries = _map_chunks(chunk, config.trials, config.seed)
     margins = [e[k]["margin"] for e in entries for k in ("ineq1", "ineq3")]

@@ -376,26 +376,22 @@ def calibration_check(graph: bd.RadialGraph, M: float) -> CalibrationResult:
     return calibration_check_many([graph], [M])[0]
 
 
-def calibration_check_many(graphs, bounds=None) -> list[CalibrationResult]:
-    """:func:`calibration_check` for each body, evaluated on stacked node values.
+def calibration_check_many(stack, bounds=None) -> list[CalibrationResult]:
+    """:func:`calibration_check` for each body of a :class:`body.BodyStack`.
 
-    The bodies share one dimension, rule and field degree (a
-    :class:`body.BodyStack`); each result is bit-identical to the body's own.
-    ``bounds`` holds each body's curvature bound ``M``; None takes each
-    body's largest mean curvature over the nodes, computed once with the
-    energies.
+    A sequence of graphs, which share one dimension, rule and field degree, is
+    stacked first.  Every check runs once on the stack's node arrays, and each
+    result is bit-identical to the body's own.  ``bounds`` holds each body's
+    curvature bound ``M``; None takes each body's largest mean curvature over
+    the nodes, computed once with the energies.
 
     Raises
     ------
     ConvexityError
         When any body's convexity certificate fails.
     """
-    if not graphs:
-        return []
-    n = graphs[0].n
-    if n < 3:
-        raise ValueError("calibration inequalities need dimension >= 3")
-    stack = bd.BodyStack(graphs)
+    if not isinstance(stack, bd.BodyStack):
+        return calibration_check_many(bd.BodyStack(stack), bounds) if stack else []
     if not np.all(bd._convex(stack)):
         raise ConvexityError("calibration inequalities need a convex body")
     H, density = bd._curvature_nodes(stack)
@@ -408,7 +404,7 @@ def calibration_check_many(graphs, bounds=None) -> list[CalibrationResult]:
         bd._integrals(stack.quad.weights, density),
         bd._flux_energies(stack, H),
     )
-    return [_calibration_result(n, *map(float, values)) for values in zip(*columns)]
+    return [_calibration_result(stack.n, *map(float, values)) for values in zip(*columns)]
 
 
 def _calibration_result(n: int, M: float, vol: float, r_in: float, energy: float, flux: float) -> CalibrationResult:

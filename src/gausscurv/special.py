@@ -67,7 +67,7 @@ def _regularized(a: float, x, upper: bool):
         hi, j = np.minimum(x[~below], 1e4), int(a)  # Q underflows there; keeps inf * 0 out
         q = hi ** (a - j) * np.exp(-hi) / math.gamma(a - j + 1.0) * _partial_sum(a - j, hi, j) if j else 0.0
         if a != j:
-            q = q + np.array([math.erfc(v) for v in np.sqrt(hi).tolist()])
+            q = q + np.fromiter(map(math.erfc, np.sqrt(hi).tolist()), float, hi.size)
         out[~below] = q if upper else 1.0 - q
     return out[()]
 

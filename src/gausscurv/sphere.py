@@ -375,10 +375,10 @@ class _FullBasis3D(_Tables):
                 f"the Hessian of a degree-{self.L} field needs a rule of degree {2 * L1}, got {q.degree}"
             )
         up = _basis(3, L1, q)
-        grad = np.tensordot(coeffs, self.Gn, axes=1)
+        grad = np.dot(coeffs, self.Gn.reshape(coeffs.size, -1)).reshape(-1, 3)
         C = up.V @ (q.weights[:, None] * grad)
         G = up.Gn if X is q.nodes else up.gradients_at(X)
-        return np.tensordot(C, G, axes=(0, 0)).transpose(1, 0, 2)
+        return np.dot(C.T, G.reshape(len(C), -1)).reshape(3, -1, 3).transpose(1, 0, 2)
 
     @staticmethod
     def covariant(J: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -548,18 +548,19 @@ def hessian(field: HarmonicField, quad: SphereQuadrature | None = None, points=N
     return H[0] if single else H
 
 
-def hessian_many(fields, quad: SphereQuadrature) -> np.ndarray:
-    """:func:`hessian` at the nodes for each field, shape (fields, nodes, n, n).
+def hessian_many(coeffs, quad: SphereQuadrature, degree: int) -> np.ndarray:
+    """:func:`hessian` at the nodes for each row of ``coeffs``, shape (rows, nodes, n, n).
 
-    The fields share one dimension and degree.  The maps from coefficients
-    run field by field; the node-wise projection runs once on the stack, and
-    each slice is bit-identical to the field's own :func:`hessian`.
+    A row holds the coefficients of a degree-``degree`` field on the sphere of
+    ``quad``.  The maps from coefficients run row by row; the node-wise
+    projection runs once on the stack, and each slice is bit-identical to the
+    field's own :func:`hessian`.
     """
-    if len({(f.n, f.degree) for f in fields}) != 1:
-        raise ValueError("stacked fields need one common dimension and degree")
-    b = _basis_for(fields[0], quad)
-    X = b.quad.nodes
-    return b.covariant(np.stack([b.hessian_parts(f.coeffs, X) for f in fields]), X)
+    b = _basis(quad.n, degree, quad)
+    if np.shape(coeffs)[1:] != (basis_size(quad.n, degree),):
+        raise ValueError(f"rows of degree-{degree} fields need {basis_size(quad.n, degree)} coefficients each")
+    X = quad.nodes
+    return b.covariant(np.stack([b.hessian_parts(c, X) for c in coeffs]), X)
 
 
 def hessian_form(field: HarmonicField, quad: SphereQuadrature | None = None, points=None):

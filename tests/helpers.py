@@ -23,7 +23,8 @@ k-d-tree candidate search as oracle.
 The recursive product rule, exact for every polynomial of its degree, is the
 oracle of the library's one rule per dimension.
 The random planar curves have the former per-trial draw as oracle: two
-calls of ``uniform(-1, 1, degree)`` on the trial's own generator.
+calls of ``uniform(-1, 1, degree)`` on the trial's own generator.  The random
+even bodies have theirs too: one ``normal`` call per even degree.
 ``stack`` and ``rows`` are no oracles: one puts curves as rows of one
 ``plane.CurveStack`` for the stacked checks, the other splits a stack's
 report of columns into one report of floats per curve.
@@ -59,6 +60,11 @@ def rows(report):
     return [plane.InequalityReport(*row) for row in zip(*columns)]
 
 
+def trial_rng(seed, trial):
+    """The trial's own generator, as the CLI once built it per trial: a Philox keyed by ``(seed, trial)``."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)))
+
+
 def random_polar_coeffs(rng, amplitude, degree, decay):
     """A random planar candidate as the generators drew it trial by trial: cosines, then sines."""
     k = np.arange(1, degree + 1)
@@ -66,6 +72,22 @@ def random_polar_coeffs(rng, amplitude, degree, decay):
     cos_c = np.concatenate([[1.0], rng.uniform(-1.0, 1.0, degree) * scale])
     sin_c = rng.uniform(-1.0, 1.0, degree) * scale
     return cos_c, sin_c
+
+
+def random_even_coeffs(rng, n, amplitude, degree=6):
+    """A random even perturbation's coefficients as the CLI drew them body by body, block by block."""
+    if n == 3:
+        coeffs = np.zeros((degree + 1) ** 2)
+        for k in range(2, degree + 1, 2):
+            block = slice(k * k, (k + 1) * (k + 1))
+            coeffs[block] = rng.normal(size=2 * k + 1) / k**3
+    else:
+        coeffs = np.zeros(degree + 1)
+        for k in range(2, degree + 1, 2):
+            coeffs[k] = rng.normal() / k**3
+    norm = np.linalg.norm(coeffs)
+    coeffs *= amplitude / norm
+    return coeffs
 
 
 def dense_polar(curve, theta, order=0):

@@ -471,21 +471,77 @@ def test_calibration_builds_tables_one_degree_above_the_body():
     assert set(rule._bases) == {6, 7}
 
 
+def _row_stacks(graphs):
+    """The stacks of ``graphs``: of the graphs, of their rows, and of each row alone."""
+    radii = [g.radius for g in graphs]
+    rows = np.stack([g.perturbation.coeffs for g in graphs])
+    alone = [bd.BodyStack.from_rows(g.n, r, row) for g, r, row in zip(graphs, radii, rows)]
+    return {"graphs": bd.BodyStack(graphs), "rows": bd.BodyStack.from_rows(graphs[0].n, radii, rows), "alone": alone}
+
+
 @pytest.mark.parametrize("n", [3, 4, 6])
 def test_stacked_node_values_equal_each_bodys_own(n):
     graphs = [cli.random_even_body(3, trial, n, 1.0 + trial % 3, 0.1) for trial in range(7)]
     graphs[2].grad_nodes  # one body with a cached gradient, the rest without
-    stack = bd.BodyStack(graphs)
+    stacks = _row_stacks(graphs)
     names = ("h_nodes", "grad_nodes", "lap_nodes", "hess_nodes", "sq_grad_nodes", "hessian_form_nodes")
-    for name in names:
+    for kind, stack in stacks.items():
         for k, graph in enumerate(graphs):
-            assert np.array_equal(getattr(stack, name)[k], getattr(graph, name)), (name, k)
-    H, _ = bd._curvature_nodes(stack)
-    for k, graph in enumerate(graphs):
-        assert np.array_equal(H[k], bd.mean_curvature(graph))
-        assert bd._gaussian_volumes(stack)[k] == bd.gaussian_volume(graph)
-        assert bd._fundamental_minima(stack)[k] == bd.second_fundamental_min(graph)
-    assert list(bd._convex(stack)) == [bd.is_convex(graph) for graph in graphs]
+            # A stack of one row for each body, or the body's row of the whole stack.
+            row, at = (stack[k], 0) if kind == "alone" else (stack, k)
+            assert row.quad is graph.quad and row.degree == graph.perturbation.degree
+            for name in names:
+                assert np.array_equal(getattr(row, name)[at], getattr(graph, name)), (kind, name, k)
+            H, _ = bd._curvature_nodes(row)
+            assert np.array_equal(H[at], bd.mean_curvature(graph)), (kind, k)
+            assert bd._gaussian_volumes(row)[at] == bd.gaussian_volume(graph), (kind, k)
+            assert bd._fundamental_minima(row)[at] == bd.second_fundamental_min(graph), (kind, k)
+            assert bd._convex(row)[at] == bd.is_convex(graph), (kind, k)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_sampler_rows_are_the_bodies_coefficients(n):
+    # Trials 30..34 straddle the boundary between the first two chunks of 32.
+    trials = range(30, 35)
+    rows = cli._sample_even(7, trials, n, 0.1)
+    for row, trial in zip(rows, trials):
+        coeffs = cli.random_even_body(7, trial, n, 2.0, 0.1).perturbation.coeffs
+        assert np.array_equal(row, coeffs), trial
+        # The former body-by-body draw from the trial's own Philox.
+        assert np.array_equal(row, helpers.random_even_coeffs(helpers.trial_rng(7, trial), n, 0.1)), trial
+    assert np.array_equal(cli._sample_even(7, range(32, 34), n, 0.1), rows[2:4])
+
+
+def test_row_stack_keeps_the_radius_gates():
+    # Trial 43 is the pole repro of test_section_dipping_between_nodes_names_the_section: positive
+    # at every meridian node, its section dips below zero between them.
+    rows = cli._sample_even(13, range(40, 46), 7, 0.3)
+    bd.BodyStack.from_rows(7, 4.0, np.delete(rows, 3, axis=0))
+    for stacked in (rows, rows[3:4]):
+        with pytest.raises(ValueError, match="boundary radius must stay positive on the meridian section"):
+            bd.BodyStack.from_rows(7, 4.0, stacked)
+    # An S^2 row whose mean coefficient makes u = -2: h = -r at every node.
+    rows = cli._sample_even(1, range(5), 3, 0.1)
+    rows[2, 0] = -2.0 * math.sqrt(sphere.sphere_area(3))
+    for stacked in (rows, rows[2:3]):
+        with pytest.raises(ValueError, match="boundary radius must stay positive at every node"):
+            bd.BodyStack.from_rows(3, 2.0, stacked)
+    with pytest.raises(ValueError, match="boundary radius must stay positive at every node"):
+        RadialGraph(3, 2.0, HarmonicField(n=3, degree=6, coeffs=rows[2]))
+
+
+def test_row_stack_rejects_what_no_body_could_be():
+    rows = cli._sample_even(1, range(3), 3, 0.1)
+    for radii in (0.0, -1.0, math.inf, [1.0, math.nan, 1.0]):
+        with pytest.raises(ValueError, match="base radii must be positive and finite"):
+            bd.BodyStack.from_rows(3, radii, rows)
+    bad = rows.copy()
+    bad[1, 4] = math.inf
+    with pytest.raises(ValueError, match="coefficients finite"):
+        bd.BodyStack.from_rows(3, 1.0, bad)
+    for n, shaped in ((2, rows), (9, rows), (3, rows[:0]), (3, rows[:, :0]), (3, rows[None]), (3, rows[:, :-1])):
+        with pytest.raises(ValueError, match="a stack needs rows of basis coefficients"):
+            bd.BodyStack.from_rows(n, 1.0, shaped)
 
 
 def test_stack_needs_one_rule():

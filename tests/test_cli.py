@@ -102,7 +102,7 @@ def test_generator_acceptance_rate():
     accepted = 0
     total = 200
     for trial in range(total):
-        rng = cli._trial_rng(123, trial)
+        rng = helpers.trial_rng(123, trial)
         cos_c, sin_c = helpers.random_polar_coeffs(rng, 0.1, 12, 3.0)
         if plane.PolarCurve(cos_c, sin_c).is_convex():
             accepted += 1
@@ -120,7 +120,7 @@ def test_star_generator_allows_nonconvex():
 
 def _redraws(seed, amplitude, trial, decay, curve):
     """How many candidates the oracle's stream rejects before it reaches ``curve``'s coefficients."""
-    rng = cli._trial_rng(seed, trial)
+    rng = helpers.trial_rng(seed, trial)
     for count in range(1000):
         cos_c, sin_c = helpers.random_polar_coeffs(rng, amplitude, 12, decay)
         if np.array_equal(cos_c, curve.cos_coeffs) and np.array_equal(sin_c, curve.sin_coeffs):
@@ -413,18 +413,40 @@ def test_calibration_entries_do_not_depend_on_the_chunk(tmp_path):
     assert [json.dumps(e, sort_keys=True) for e in short] == [json.dumps(e, sort_keys=True) for e in long[:33]]
 
 
+def _replacing_rows(monkeypatch, rows):
+    """Patch the calibration sampler so that each trial in ``rows`` draws the row given for it."""
+    real = cli._sample_even
+
+    def sample(seed, trials, n, amplitude, degree=6):
+        drawn = real(seed, trials, n, amplitude, degree)
+        for row, trial in zip(drawn, trials):
+            if trial in rows:
+                row[:] = rows[trial]
+        return drawn
+
+    monkeypatch.setattr(cli, "_sample_even", sample)
+
+
 def test_calibration_failure_names_its_trial(tmp_path, capsys, monkeypatch):
-    real = cli.random_even_body
-
-    def generate(seed, trial, n, radius, amplitude, degree=6):
-        if trial == 40:
-            return cli.bd.RadialGraph(n, radius, sphere.HarmonicField.single_mode(n, 4, 0.5, degree=degree))
-        return real(seed, trial, n, radius, amplitude, degree)
-
-    monkeypatch.setattr(cli, "random_even_body", generate)
+    _replacing_rows(monkeypatch, {40: sphere.HarmonicField.single_mode(3, 4, 0.5, degree=6).coeffs})
     argv = ["calibration", "--trials", "100", "--seed", "8", "--output", str(tmp_path / "c")]
     assert cli.main(argv) == 4
     assert "trial 40 (seed 8): calibration inequalities need a convex body" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_calibration_radius_gate_names_the_first_failing_trial(tmp_path, capsys, monkeypatch, n):
+    # A row whose mean coefficient makes u = -2, so h = -r at every node, for trials 37 and 50 of one chunk.
+    dent = np.zeros(sphere.basis_size(n, 6))
+    dent[0] = -2.0 * math.sqrt(sphere.sphere_area(n))
+    _replacing_rows(monkeypatch, {37: dent, 50: dent})
+    calls = []
+    real_map_trials = cli._map_trials
+    monkeypatch.setattr(cli, "_map_trials", lambda *args: calls.append(args[1:]) or real_map_trials(*args))
+    argv = ["calibration", "--n", str(n), "--r", "4", "--trials", "64", "--seed", "8", "--output", str(tmp_path / "c")]
+    assert cli.main(argv) == 3
+    assert "trial 37 (seed 8): boundary radius must stay positive at every node" in capsys.readouterr().err
+    assert calls == [(64, 8, 32)]  # the chunk of trials 32..63 fell back to one trial at a time
 
 
 def test_value_error_in_a_trial_names_its_trial(tmp_path, capsys):

@@ -605,7 +605,7 @@ def test_convexity_gate_sees_every_grid_node():
     # The 40th candidate on the stream of seed 1, trial 14 at amplitude 0.3 is one whose
     # certificate dips below the floor at three adjacent nodes; turned by 3/4 of a
     # grid step, those are the nodes 677..679, between the rule's nodes 676 and 680.
-    rng = cli._trial_rng(1, 14)
+    rng = helpers.trial_rng(1, 14)
     for _ in range(40):
         candidate = PolarCurve(*helpers.random_polar_coeffs(rng, 0.3, 12, 3.0))
     curve = _rotated(candidate, 0.75 * 2.0 * np.pi / candidate.grid_size)

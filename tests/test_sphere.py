@@ -365,11 +365,16 @@ def test_eigenvalue_table_is_cached_and_exact(n):
 def test_stacked_hessians_equal_single_hessians(n):
     q = sphere.default_quadrature(n, 6)
     fields = [random_field(n, 6, seed=s) for s in range(5)]
-    stacked = sphere.hessian_many(fields, q)
+    rows = np.stack([u.coeffs for u in fields])
+    stacked = sphere.hessian_many(rows, q, 6)
     for u, H in zip(fields, stacked):
         assert np.array_equal(H, sphere.hessian(u, q))
-    with pytest.raises(ValueError, match="common dimension and degree"):
-        sphere.hessian_many([fields[0], random_field(n, 4, seed=9)], q)
+    for k in range(len(fields)):
+        assert np.array_equal(sphere.hessian_many(rows[k : k + 1], q, 6)[0], stacked[k])
+    # Rows of degree-6 fields read as degree 4, or cut short.
+    for bad, degree in ((rows, 4), (rows[:, :-1], 6)):
+        with pytest.raises(ValueError, match=f"rows of degree-{degree} fields need"):
+            sphere.hessian_many(bad, q, degree)
 
 
 @pytest.mark.parametrize("n", range(3, 9))
