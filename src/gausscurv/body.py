@@ -1,10 +1,13 @@
 """Star-shaped bodies in R^n as radial graphs over the unit sphere.
 
 A body is stored as a base radius times a spectral perturbation,
-``h(x) = r (1 + u(x))``, with boundary ``{x h(x) : x on the sphere}``.
+``h(x) = r (1 + u(x))``, with boundary ``{x h(x) : x on the sphere}``.  There is
+one body type, :class:`BodyStack`: rows of radii and coefficients, whose node
+arrays are each row's products with the rule's basis tables.  A
+:class:`RadialGraph` is the stack of one, and each function below takes either.
 Mean curvature and the second fundamental form (on S^2 in the basis's frame
-``(e_theta, e_phi)``) read the covariant Hessian of ``h`` (:func:`sphere.hessian`),
-with its gradient and Laplacian, at the nodes or at any unit points.  For n >= 4
+``(e_theta, e_phi)``) read the covariant Hessian of ``h``, with its gradient and
+Laplacian, at the nodes, or for one body at any unit points.  For n >= 4
 convexity is that of the meridian section, whose cosine coefficients are a fixed
 linear map of the field's coefficients.
 Surface integrals use the area element ``h^(n-2) sqrt(h^2 + |grad h|^2)`` and the
@@ -49,9 +52,64 @@ __all__ = [
 _CONVEX_RTOL = 1e-8
 
 
-class _NodeForms:
-    """``|grad h|^2`` and ``Hess h(grad h, grad h)`` from ``grad_nodes`` and
-    ``hess_nodes``, for one body or a stack of bodies."""
+class BodyStack:
+    """Bodies ``h = r (1 + u)`` of one dimension, rule (by default the field degree's) and field degree.
+
+    ``coeffs`` of shape ``(rows, basis)`` hold one field ``u`` per body, and
+    ``radii`` broadcast to one radius per row; 1-D ``coeffs`` give one body
+    whose node arrays have no row axis.  Node arrays are one ``np.dot`` per row
+    with the rule's basis tables, so a body's values are the same in every
+    stack; those beyond ``h`` fill lazily, and nothing observable changes, so
+    stacks are safe to share.  Raises ``ValueError`` unless each ``h`` is
+    positive at every node and, for n >= 4, on the meridian section at every
+    planar grid node.
+    """
+
+    def __init__(self, n, radii, coeffs, quad=None):
+        coeffs = np.array(coeffs, dtype=float)
+        size = coeffs.shape[-1] if coeffs.ndim else 0
+        self.n, self.degree = int(n), math.isqrt(size) - 1 if n == 3 else size - 1
+        shaped = coeffs.ndim in (1, 2) and coeffs.size and size == sphere.basis_size(n, self.degree)
+        if not (3 <= n <= sphere.MAX_DIMENSION and shaped):
+            raise ValueError(f"a stack needs rows of basis coefficients on S^2..S^7, not {coeffs.shape} on S^{n - 1}")
+        radii = np.asarray(radii, dtype=float)
+        if radii.shape != coeffs.shape[:-1]:
+            radii = np.broadcast_to(radii, coeffs.shape[:-1]).copy()
+        lo, hi = (float(radii),) * 2 if radii.ndim == 0 else (radii.min(), radii.max())
+        if not (0.0 < lo and hi < math.inf and np.isfinite(coeffs).all()):
+            raise ValueError("base radii must be positive and finite, and coefficients finite")
+        coeffs.setflags(write=False)
+        self.radii, self.coeffs = radii, coeffs
+        self.quad = quad if quad is not None else sphere.default_quadrature(n, max(self.degree, 4))
+        self._tables = sphere._basis(self.n, self.degree, self.quad)
+        self.h_nodes = radii[..., None] * (1.0 + _row_products(coeffs, self._tables.V))
+        if not self.h_nodes.min() > 0.0:
+            raise ValueError("boundary radius must stay positive at every node")
+        if n >= 4 and not plane._on_grid(_section_spectra(self), plane.DEFAULT_GRID).min() > 0.0:
+            raise ValueError("boundary radius must stay positive on the meridian section")
+
+    @cached_property
+    def _grad_u(self) -> np.ndarray:
+        """The fields' tangential gradients at the nodes, before the radii scale them."""
+        return _row_products(self.coeffs, self._tables.Gn)
+
+    @cached_property
+    def grad_nodes(self) -> np.ndarray:
+        return self.radii[..., None, None] * self._grad_u
+
+    @cached_property
+    def lap_nodes(self) -> np.ndarray:
+        lap = -sphere._eigenvalues(self.n, self.degree) * self.coeffs
+        return self.radii[..., None] * _row_products(lap, self._tables.V)
+
+    @cached_property
+    def hess_nodes(self) -> np.ndarray:
+        """Covariant Hessians of ``h`` at the nodes, shape (..., nodes, n, n); S^2 projects ``_grad_u``."""
+        b, X = self._tables, self.quad.nodes
+        rows = zip(self.coeffs.reshape(-1, self.coeffs.shape[-1]), self._grad_u.reshape(-1, *X.shape))
+        hess = b.covariant(np.stack([b.hessian_parts(c, X, g) for c, g in rows]), X)
+        hess *= self.radii.reshape(-1, 1, 1, 1)
+        return hess.reshape(self.h_nodes.shape + hess.shape[-2:])
 
     @cached_property
     def sq_grad_nodes(self) -> np.ndarray:
@@ -62,15 +120,28 @@ class _NodeForms:
         """Hess h(grad h, grad h) at the nodes."""
         return np.einsum("...i,...ij,...j->...", self.grad_nodes, self.hess_nodes, self.grad_nodes)
 
+    @cached_property
+    def _curvature(self):
+        """:func:`curvature_terms` at the nodes, read-only: mean curvature and the energy density."""
+        terms = curvature_terms(self.n, self.h_nodes, self.sq_grad_nodes, self.lap_nodes, self.hessian_form_nodes)
+        for values in terms:
+            values.setflags(write=False)
+        return terms
 
-class RadialGraph(_NodeForms):
-    """A star-shaped body with boundary ``{x h(x)}`` where ``h = r (1 + u)``.
 
-    Instances are immutable by convention: node caches are filled lazily but
-    nothing observable ever changes, so bodies are safe to share.
+def _row_products(coeffs, table) -> np.ndarray:
+    """``coeffs`` dotted with ``table`` over its first axis: one ``np.dot`` for one row, and one per row of a stack."""
+    flat = table.reshape(len(table), -1)
+    if coeffs.ndim == 1:
+        return np.dot(coeffs, flat).reshape(table.shape[1:])
+    return np.stack([np.dot(row, flat) for row in coeffs]).reshape(len(coeffs), *table.shape[1:])
 
-    Raises ``ValueError`` unless ``h`` is positive at every node of ``quad``
-    and, for n >= 4, on the meridian section at every planar grid node.
+
+class RadialGraph(BodyStack):
+    """A star-shaped body with boundary ``{x h(x)}`` where ``h = r (1 + u)``: a stack of one.
+
+    Its coefficients are the row ``perturbation.coeffs``, so its node arrays have no row axis,
+    and the functions of this module return Python floats and bools for it.
 
     Parameters
     ----------
@@ -89,13 +160,9 @@ class RadialGraph(_NodeForms):
             perturbation = sphere.HarmonicField.zero(n, 0)
         if perturbation.n != n:
             raise ValueError("perturbation dimension does not match the body")
-        self.n = int(n)
         self.radius = float(radius)
         self.perturbation = perturbation
-        if quad is None:
-            quad = sphere.default_quadrature(n, max(perturbation.degree, 4))
-        self.quad = quad
-        _radius_gates(self.n, quad, self.radius, perturbation.coeffs, self.h_nodes)
+        super().__init__(n, self.radius, perturbation.coeffs, quad)
 
     @classmethod
     def from_function(cls, n, fn, degree=16, quad=None):
@@ -128,104 +195,8 @@ class RadialGraph(_NodeForms):
         u = sphere.HarmonicField(n=h_field.n, degree=h_field.degree, coeffs=coeffs)
         return cls(h_field.n, radius, u, quad=quad)
 
-    @cached_property
-    def h_nodes(self) -> np.ndarray:
-        u = sphere.synthesize(self.perturbation, self.quad)
-        return self.radius * (1.0 + u)
-
-    @cached_property
-    def grad_nodes(self) -> np.ndarray:
-        return self.radius * sphere.field_gradient(self.perturbation, self.quad)
-
-    @cached_property
-    def lap_nodes(self) -> np.ndarray:
-        lap_u = sphere.laplace_beltrami(self.perturbation)
-        return self.radius * sphere.synthesize(lap_u, self.quad)
-
-    @cached_property
-    def hess_nodes(self) -> np.ndarray:
-        """Covariant Hessian of ``h`` at the nodes, shape (nodes, n, n)."""
-        return self.radius * sphere.hessian(self.perturbation, self.quad)
-
     def dilated(self, scale: float) -> "RadialGraph":
         return RadialGraph(self.n, scale * self.radius, self.perturbation, quad=self.quad)
-
-
-def _radius_gates(n, quad, radii, coeffs, h_nodes) -> None:
-    """Raise ``ValueError`` unless ``h`` (one body's, or each stacked row's) is positive at every node
-    and, for n >= 4, on the meridian section at every planar grid node."""
-    if not np.min(h_nodes) > 0.0:
-        raise ValueError("boundary radius must stay positive at every node")
-    if n >= 4:
-        section = _section_spectra(n, quad, radii, coeffs)
-        if not np.min(plane._on_grid(section, plane.DEFAULT_GRID)) > 0.0:
-            raise ValueError("boundary radius must stay positive on the meridian section")
-
-
-def _row_products(coeffs, table) -> np.ndarray:
-    """Each row of ``coeffs`` dotted with ``table`` over its first axis, one ``np.dot`` per row."""
-    flat = table.reshape(len(table), -1)
-    return np.stack([np.dot(row, flat) for row in coeffs]).reshape(len(coeffs), *table.shape[1:])
-
-
-class BodyStack(_NodeForms):
-    """Bodies that share one dimension, rule and field degree, as rows of base radius and coefficients.
-
-    :meth:`from_rows` builds no field or body, and raises :class:`RadialGraph`'s
-    ``ValueError`` s; ``BodyStack(graphs)`` stacks the graphs' rows.  The node
-    attributes are named as on :class:`RadialGraph`, with a leading axis over the
-    bodies, so the node-wise functions of this module run once on the stack.  They
-    are each row's ``np.dot`` with the rule's basis tables, bit-identical to the body's own.
-    """
-
-    def __init__(self, graphs):
-        graphs = tuple(graphs)
-        if not graphs:
-            raise ValueError("a stack needs at least one body")
-        n, quad, degree = graphs[0].n, graphs[0].quad, graphs[0].perturbation.degree
-        if any(g.n != n or g.quad is not quad or g.perturbation.degree != degree for g in graphs):
-            raise ValueError("stacked bodies need one common dimension and rule, and one field degree")
-        self._set_rows(n, [g.radius for g in graphs], [g.perturbation.coeffs for g in graphs], quad)
-
-    @classmethod
-    def from_rows(cls, n, radii, coeffs) -> "BodyStack":
-        """The bodies ``h = radii[k] (1 + u_k)``, ``u_k`` of coefficients ``coeffs[k]``, on the default
-        rule of :class:`RadialGraph`; ``radii`` may be one radius for every row."""
-        stack = cls.__new__(cls)
-        stack._set_rows(n, radii, coeffs, None)
-        return stack
-
-    def _set_rows(self, n, radii, coeffs, quad):
-        coeffs = np.array(coeffs, dtype=float, ndmin=2)
-        size = coeffs.shape[-1]
-        self.n, self.degree = int(n), math.isqrt(size) - 1 if n == 3 else size - 1
-        shaped = coeffs.ndim == 2 and coeffs.size and size == sphere.basis_size(n, self.degree)
-        if not (3 <= n <= sphere.MAX_DIMENSION and shaped):
-            raise ValueError(f"a stack needs rows of basis coefficients on S^2..S^7, not {coeffs.shape} on S^{n - 1}")
-        self.radii = np.broadcast_to(np.asarray(radii, dtype=float), len(coeffs)).copy()
-        if not (np.all(np.isfinite(coeffs)) and np.all((0.0 < self.radii) & (self.radii < math.inf))):
-            raise ValueError("base radii must be positive and finite, and coefficients finite")
-        coeffs.setflags(write=False)
-        self.coeffs = coeffs
-        self.quad = quad if quad is not None else sphere.default_quadrature(n, max(self.degree, 4))
-        self._tables = sphere._basis(self.n, self.degree, self.quad)
-        self.h_nodes = self.radii[:, None] * (1.0 + _row_products(coeffs, self._tables.V))
-        _radius_gates(self.n, self.quad, self.radii, coeffs, self.h_nodes)
-
-    @cached_property
-    def grad_nodes(self) -> np.ndarray:
-        return self.radii[:, None, None] * _row_products(self.coeffs, self._tables.Gn)
-
-    @cached_property
-    def lap_nodes(self) -> np.ndarray:
-        lap = -sphere._eigenvalues(self.n, self.degree) * self.coeffs
-        return self.radii[:, None] * _row_products(lap, self._tables.V)
-
-    @cached_property
-    def hess_nodes(self) -> np.ndarray:
-        hess = sphere.hessian_many(self.coeffs, self.quad, self.degree)
-        hess *= self.radii[:, None, None, None]
-        return hess
 
 
 def curvature_terms(n, h, sq, lap, hess, xp=np):
@@ -241,11 +212,6 @@ def curvature_terms(n, h, sq, lap, hess, xp=np):
     return H, H * xp.exp(-0.5 * h**2) * (h ** (n - 2) * W)
 
 
-def _curvature_nodes(body):
-    """:func:`curvature_terms` at the nodes of a body or a :class:`BodyStack`."""
-    return curvature_terms(body.n, body.h_nodes, body.sq_grad_nodes, body.lap_nodes, body.hessian_form_nodes)
-
-
 def _integrals(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Quadrature sums along the last axis, one dot product per body.
 
@@ -255,15 +221,23 @@ def _integrals(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.array([np.dot(weights, row) for row in rows]).reshape(values.shape[:-1])
 
 
-def mean_curvature(body: RadialGraph, points=None):
-    """Mean curvature (sum of principal curvatures) at every node, or at unit ``points``.
+def _per_body(values: np.ndarray):
+    """One value per body: a Python float or bool for a :class:`RadialGraph`, a stack's column as it is."""
+    return values.item() if values.ndim == 0 else values
 
-    ``points`` of shape (m, n) gives m values, a single (n,) vector one float.
+
+def mean_curvature(body: BodyStack, points=None):
+    """Mean curvature (sum of principal curvatures) at every node, or at unit ``points`` of one body.
+
+    The node values are the body's cached, read-only array.  ``points`` of shape (m, n) gives m
+    values, a single (n,) vector one float; a 2-D stack with ``points`` raises ``ValueError``.
     """
-    n, r, u = body.n, body.radius, body.perturbation
     if points is None:
-        H, _ = _curvature_nodes(body)
-        return H
+        return body._curvature[0]
+    if body.coeffs.ndim != 1:
+        raise ValueError("mean curvature at points needs one body, not a stack")
+    n, r = body.n, float(body.radii)
+    u = sphere.HarmonicField(n=n, degree=body.degree, coeffs=body.coeffs)
     h = r * (1.0 + sphere.synthesize(u, body.quad, points))
     grad = r * sphere.field_gradient(u, body.quad, points)
     sq = np.einsum("...i,...i->...", grad, grad)
@@ -277,54 +251,45 @@ def mean_curvature(body: RadialGraph, points=None):
 mean_curvature_at_nodes = mean_curvature
 
 
-def _gaussian_volumes(body) -> np.ndarray:
+def gaussian_volume(body: BodyStack):
+    """Gaussian measure of each body: spherical quadrature of the closed-form radial integral."""
     vals = gaussian_radial_integral(body.n, body.h_nodes)
-    return _integrals(body.quad.weights, vals) / (2.0 * math.pi) ** (body.n / 2.0)
+    return _per_body(_integrals(body.quad.weights, vals) / (2.0 * math.pi) ** (body.n / 2.0))
 
 
-def gaussian_volume(body: RadialGraph) -> float:
-    """Gaussian measure of the body: spherical quadrature of the closed-form radial integral."""
-    return float(_gaussian_volumes(body))
-
-
-def curvature_energy_nd(body: RadialGraph) -> float:
+def curvature_energy_nd(body: BodyStack):
     """Integral of mean curvature against the Gaussian boundary weight."""
-    _, density = _curvature_nodes(body)
-    return float(_integrals(body.quad.weights, density))
+    return _per_body(_integrals(body.quad.weights, body._curvature[1]))
 
 
-def _flux_energies(body, H: np.ndarray) -> np.ndarray:
-    integrand = H * np.exp(-0.5 * body.h_nodes**2) * body.h_nodes ** (body.n - 1)
-    return _integrals(body.quad.weights, integrand)
-
-
-def flux_energy(body: RadialGraph) -> float:
+def flux_energy(body: BodyStack):
     """Same integral with the radial flux factor <x, nu>/|x| = h / slant."""
-    return float(_flux_energies(body, mean_curvature(body)))
+    integrand = mean_curvature(body) * np.exp(-0.5 * body.h_nodes**2) * body.h_nodes ** (body.n - 1)
+    return _per_body(_integrals(body.quad.weights, integrand))
 
 
-def inverse_square_flux(body: RadialGraph) -> float:
+def inverse_square_flux(body: BodyStack):
     """Boundary flux of x/|x|^2 against the Gaussian weight.
 
     The flux factor and the area element collapse to ``h^(n-2) exp(-h^2/2)``,
     so for a ball this equals the curvature energy divided by n - 1.
     """
     integrand = body.h_nodes ** (body.n - 2) * np.exp(-0.5 * body.h_nodes**2)
-    return float(np.dot(body.quad.weights, integrand))
+    return _per_body(_integrals(body.quad.weights, integrand))
 
 
-def inverse_square_flux_bulk(body: RadialGraph) -> float:
+def inverse_square_flux_bulk(body: BodyStack):
     """Divergence-theorem twin of :func:`inverse_square_flux` via a bulk integral."""
     n = body.n
     # The radial integrand t^(n-3) exp(-t^2/2) is the dimension n - 2 case.
     vals = gaussian_radial_integral(n - 2, body.h_nodes)
-    bulk = (n - 2) * float(np.dot(body.quad.weights, vals))
-    return bulk - (2.0 * math.pi) ** (n / 2.0) * gaussian_volume(body)
+    bulk = (n - 2) * _integrals(body.quad.weights, vals)
+    return _per_body(bulk - (2.0 * math.pi) ** (n / 2.0) * gaussian_volume(body))
 
 
-def inscribed_radius(body: RadialGraph) -> float:
+def inscribed_radius(body: BodyStack):
     """Largest ball around the origin inside the body: min of ``h`` over nodes."""
-    return float(np.min(body.h_nodes))
+    return _per_body(np.min(body.h_nodes, axis=-1))
 
 
 def volume_match(body: RadialGraph, target: float) -> RadialGraph:
@@ -393,8 +358,13 @@ def volume_match(body: RadialGraph, target: float) -> RadialGraph:
     raise QuadratureError(f"volume matching did not converge for target {target!r}")
 
 
-def _fundamental_minima(body) -> np.ndarray:
-    """:func:`second_fundamental_min` of a body, or of each body of a :class:`BodyStack`.
+def second_fundamental_min(body: BodyStack):
+    """Smallest eigenvalue of the (unnormalised) second fundamental form over all nodes.
+
+    At each node it is the form ``h^2 I + 2 grad h grad h^T - h Hess h`` on the
+    tangent space, the analogue of the planar ``rho^2 + 2 rho'^2 - rho rho''``;
+    it is ``r^2`` for the ball of radius r.  Any rule serves, on S^2 one with nodes
+    at the poles too.  Positive semidefiniteness at a node certifies convexity there.
 
     On S^2 the form is ``h^2 I + K`` in the frame ``(e_theta, e_phi)``, and the
     smaller eigenvalue of each 2 x 2 ``K`` has a closed form.  For n >= 4 the
@@ -409,60 +379,46 @@ def _fundamental_minima(body) -> np.ndarray:
         eg = [np.einsum("mi,...mi->...m", f, g) for f in e]
         pairs = ((0, 0), (0, 1), (1, 1))
         a, b, c = (2.0 * eg[i] * eg[j] - h * np.einsum("mi,...mij,mj->...m", e[i], hess, e[j]) for i, j in pairs)
-        return np.min(h * h + 0.5 * (a + c) - np.hypot(0.5 * (a - c), b), axis=-1)
+        return _per_body(np.min(h * h + 0.5 * (a + c) - np.hypot(0.5 * (a - c), b), axis=-1))
     form = (h * h)[..., None, None] * np.eye(body.n) + 2.0 * g[..., :, None] * g[..., None, :]
     form -= h[..., None, None] * hess
     form += np.linalg.norm(form, axis=(-2, -1))[..., None, None] * (X[:, :, None] * X[:, None, :])
-    return np.min(np.linalg.eigvalsh(form)[..., 0], axis=-1)
+    return _per_body(np.min(np.linalg.eigvalsh(form)[..., 0], axis=-1))
 
 
-def second_fundamental_min(body: RadialGraph) -> float:
-    """Smallest eigenvalue of the (unnormalised) second fundamental form over all nodes.
+def _section_spectra(body: BodyStack) -> np.ndarray:
+    """Planar spectra of the meridian sections, from cosine coefficients ``r (e_0 + coeffs @ S)``.
 
-    At each node it is the form ``h^2 I + 2 grad h grad h^T - h Hess h`` on the
-    tangent space, the analogue of the planar ``rho^2 + 2 rho'^2 - rho rho''``;
-    it is ``r^2`` for the ball of radius r.  Any rule serves, on S^2 one with nodes
-    at the poles too.  Positive semidefiniteness at a node certifies convexity there.
-    """
-    return float(_fundamental_minima(body))
-
-
-def _section_spectra(n: int, quad, radii, coeffs: np.ndarray) -> np.ndarray:
-    """Planar spectra of meridian sections, from cosine coefficients ``r (e_0 + coeffs @ S)``.
-
-    Zonal ``coeffs`` of shape ``(..., degree + 1)``, one body's or a stack's, with matching ``radii``."""
-    degree = coeffs.shape[-1] - 1
-    S = sphere._basis(n, degree, quad).S
+    One spectrum for a body, one row per body for a stack, of zonal fields."""
+    S = body._tables.S
     # A broadcast sum, not a matmul, whose blocking would make a body's row depend on its stack.
-    cos_c = np.sum(coeffs[..., :, None] * S, axis=-2)
+    cos_c = np.sum(body.coeffs[..., :, None] * S, axis=-2)
     cos_c[..., 0] += 1.0
-    return np.asarray(radii)[..., None] * np.where(np.arange(degree + 1) > 0, 0.5, 1.0) * cos_c
+    return body.radii[..., None] * np.where(np.arange(body.degree + 1) > 0, 0.5, 1.0) * cos_c
 
 
-def _section_grids(stack: BodyStack) -> np.ndarray:
-    """``rho, rho', rho''`` of each body's meridian section on the planar grid, shape (3, bodies, grid).
+def _section_grids(body: BodyStack) -> np.ndarray:
+    """``rho, rho', rho''`` of the meridian sections on the planar grid, shape (3, ..., grid).
 
-    Every body's section radius is positive there: the stack checks it.
+    Every section radius is positive there: the stack checks it.
     """
-    return plane._on_grid(_section_spectra(stack.n, stack.quad, stack.radii, stack.coeffs), plane.DEFAULT_GRID, orders=3)
+    return plane._on_grid(_section_spectra(body), plane.DEFAULT_GRID, orders=3)
 
 
-def _convex(stack: BodyStack) -> np.ndarray:
-    """:func:`is_convex` of each body of the stack."""
-    if stack.n == 3:
-        return _fundamental_minima(stack) >= -_CONVEX_RTOL * np.max(stack.h_nodes, axis=-1) ** 2
-    return plane._convex(*_section_grids(stack))
-
-
-def is_convex(body: RadialGraph) -> bool:
+def is_convex(body: BodyStack):
     """Convexity certificate: :func:`second_fundamental_min` >= ``-1e-8 max h^2`` for n = 3.
 
     Axisymmetric bodies in higher dimensions are convex exactly when their
     meridian section is.  Its cosine coefficients are a fixed linear map of
     the field's; its planar certificate is checked on the planar grid, where
-    :class:`RadialGraph` has already checked its radius.
+    :class:`BodyStack` has already checked its radius.  A bool for a body,
+    one per body for a stack.
     """
-    return bool(_convex(BodyStack([body]))[0])
+    if body.n == 3:
+        convex = second_fundamental_min(body) >= -_CONVEX_RTOL * np.max(body.h_nodes, axis=-1) ** 2
+    else:
+        convex = plane._convex(*_section_grids(body))
+    return _per_body(convex)
 
 
 def ball_gaussian_volume(n: int, r) -> float:

@@ -493,7 +493,7 @@ def _run_calibration(config: RunConfig):
 
     def chunk(trials: range) -> list:
         # Each body's curvature bound M is its largest mean curvature over the nodes.
-        stack = bd.BodyStack.from_rows(config.n, r, _sample_even(config.seed, trials, config.n, amp))
+        stack = bd.BodyStack(config.n, r, _sample_even(config.seed, trials, config.n, amp))
         return [entry(trial, res) for trial, res in zip(trials, ex.calibration_check_many(stack))]
 
     entries = _map_chunks(chunk, config.trials, config.seed)

@@ -21,7 +21,7 @@ from . import body as bd
 from . import sphere
 from .errors import ConvexityError, QuadratureError
 from .plane import InequalityReport, _report
-from .special import gauss_jacobi
+from .special import gauss_jacobi, kummer_sum
 from .weights import psi
 
 __all__ = [
@@ -76,9 +76,17 @@ def cylinder_energy(s: float) -> float:
 
 
 def matched_cylinder_radius(r: float) -> float:
-    """Cross-section radius ``s(r)`` with the Gaussian volume of the ball ``B_r``."""
+    """Cross-section radius ``s(r)`` with the Gaussian volume ``v`` of the ball ``B_r``: ``s^2 = -2 log(1 - v)``.
+
+    Below r = 1e-5, ``v = r^3 c < 3e-16`` with ``c = e^-x 1F1(1; 5/2; x) / (3/2 sqrt(2 pi))``, x = r^2 / 2
+    (DLMF 8.7.1), so ``s = r^(3/2) sqrt(2 c (1 + v / 2))``: ``v``, subnormal below r = 1e-103, only corrects 1.
+    """
     if r <= 0:
         raise ValueError("ball radius must be positive")
+    if r < 1e-5:
+        x = 0.5 * r * r
+        c = math.exp(-x) * float(kummer_sum(1.5, x)) / (1.5 * math.sqrt(2.0 * math.pi))
+        return r * math.sqrt(r) * math.sqrt(2.0 * c * (1.0 + 0.5 * c * r**3))
     vol = bd.ball_gaussian_volume(3, r)
     if vol >= 1.0:
         # The matching volume saturates double precision near one.
@@ -366,45 +374,35 @@ def calibration_check(graph: bd.RadialGraph, M: float) -> CalibrationResult:
     ``r_E >= 2 sqrt(n-2)``.  Both inequalities are evaluated regardless of
     the gates so that exploratory runs can see how far they degrade.  Both
     compare with :func:`body.ball_energy`, since on a ball ``h / slant = 1``.
-    A batch of one for :func:`calibration_check_many`.
+    The graph is a stack of one, checked by :func:`calibration_check_many`.
 
     Raises
     ------
     ConvexityError
         When the body's convexity certificate fails.
     """
-    return calibration_check_many([graph], [M])[0]
+    return calibration_check_many(graph, M)[0]
 
 
-def calibration_check_many(stack, bounds=None) -> list[CalibrationResult]:
-    """:func:`calibration_check` for each body of a :class:`body.BodyStack`.
+def calibration_check_many(stack: bd.BodyStack, bounds=None) -> list[CalibrationResult]:
+    """:func:`calibration_check` for each body of a :class:`body.BodyStack`: one result per row, one for a graph.
 
-    A sequence of graphs, which share one dimension, rule and field degree, is
-    stacked first.  Every check runs once on the stack's node arrays, and each
-    result is bit-identical to the body's own.  ``bounds`` holds each body's
-    curvature bound ``M``; None takes each body's largest mean curvature over
-    the nodes, computed once with the energies.
+    Every check runs once on the stack's node arrays, and each result is
+    bit-identical to the body's own.  ``bounds`` holds each body's curvature
+    bound ``M``; None takes each body's largest mean curvature over the nodes.
 
     Raises
     ------
     ConvexityError
         When any body's convexity certificate fails.
     """
-    if not isinstance(stack, bd.BodyStack):
-        return calibration_check_many(bd.BodyStack(stack), bounds) if stack else []
-    if not np.all(bd._convex(stack)):
+    if not np.all(bd.is_convex(stack)):
         raise ConvexityError("calibration inequalities need a convex body")
-    H, density = bd._curvature_nodes(stack)
     if bounds is None:
-        bounds = np.max(H, axis=-1)
-    columns = (
-        bounds,
-        bd._gaussian_volumes(stack),
-        np.min(stack.h_nodes, axis=-1),
-        bd._integrals(stack.quad.weights, density),
-        bd._flux_energies(stack, H),
-    )
-    return [_calibration_result(stack.n, *map(float, values)) for values in zip(*columns)]
+        bounds = np.max(bd.mean_curvature(stack), axis=-1)
+    quantities = (bd.gaussian_volume, bd.inscribed_radius, bd.curvature_energy_nd, bd.flux_energy)
+    columns = np.column_stack([bounds, *(quantity(stack) for quantity in quantities)])
+    return [_calibration_result(stack.n, *map(float, values)) for values in columns]
 
 
 def _calibration_result(n: int, M: float, vol: float, r_in: float, energy: float, flux: float) -> CalibrationResult:

@@ -52,7 +52,6 @@ __all__ = [
     "laplace_beltrami",
     "field_gradient",
     "hessian",
-    "hessian_many",
     "hessian_form",
 ]
 
@@ -242,7 +241,8 @@ class _Tables:
     Subclasses provide ``values_at(X)``, shape (basis, m), and
     ``gradients_at(X)``, shape (basis, m, n), for unit points ``X`` of shape
     (m, n).  The covariant Hessians (m, n, n) of a field come in two steps:
-    ``hessian_parts(coeffs, X)``, linear in the coefficients, and
+    ``hessian_parts(coeffs, X, grad=None)``, linear in the coefficients (on
+    S^2 it reads the field's node gradient ``grad`` when given), and
     ``covariant(parts, X)``, node-wise, which takes any leading axes of
     stacked fields and may overwrite ``parts``.  Node values are built with
     the basis; the node-gradient table, the larger of the two, only on first
@@ -364,18 +364,19 @@ class _FullBasis3D(_Tables):
             out[sin_rows] = (dP * sn)[:, :, None] * e_theta + (mQ * c)[:, :, None] * e_phi
         return out
 
-    def hessian_parts(self, coeffs: np.ndarray, X: np.ndarray) -> np.ndarray:
+    def hessian_parts(self, coeffs: np.ndarray, X: np.ndarray, grad=None) -> np.ndarray:
         # Each component of grad u is a spherical polynomial of degree L + 1, so
         # its projection at that degree is exact on a rule of degree 2L + 2.  The
         # gradients of the three projected fields are the rows of the Jacobian J
-        # of grad u, shape (m, 3, 3).
+        # of grad u, shape (m, 3, 3).  A caller may pass grad u at the nodes.
         q, L1 = self.quad, self.L + 1
         if L1 > MAX_DEGREE or q.degree < 2 * L1:
             raise QuadratureError(
                 f"the Hessian of a degree-{self.L} field needs a rule of degree {2 * L1}, got {q.degree}"
             )
         up = _basis(3, L1, q)
-        grad = np.dot(coeffs, self.Gn.reshape(coeffs.size, -1)).reshape(-1, 3)
+        if grad is None:
+            grad = np.dot(coeffs, self.Gn.reshape(coeffs.size, -1)).reshape(-1, 3)
         C = up.V @ (q.weights[:, None] * grad)
         G = up.Gn if X is q.nodes else up.gradients_at(X)
         return np.dot(C.T, G.reshape(len(C), -1)).reshape(3, -1, 3).transpose(1, 0, 2)
@@ -438,8 +439,8 @@ class _ZonalBasis(_Tables):
         a = np.eye(X.shape[1])[0] - X[:, :1] * X
         return self._table(X)[1][:, :, None] * a[None, :, :]
 
-    def hessian_parts(self, coeffs: np.ndarray, X: np.ndarray) -> np.ndarray:
-        # g'(t) and g''(t), shape (2, m).
+    def hessian_parts(self, coeffs: np.ndarray, X: np.ndarray, grad=None) -> np.ndarray:
+        # g'(t) and g''(t), shape (2, m); the closed form needs no gradient.
         return coeffs @ self._table(X)[1:]
 
     @staticmethod
@@ -546,21 +547,6 @@ def hessian(field: HarmonicField, quad: SphereQuadrature | None = None, points=N
     X, single = _points(b.quad.nodes if points is None else points)
     H = b.covariant(b.hessian_parts(field.coeffs, X), X)
     return H[0] if single else H
-
-
-def hessian_many(coeffs, quad: SphereQuadrature, degree: int) -> np.ndarray:
-    """:func:`hessian` at the nodes for each row of ``coeffs``, shape (rows, nodes, n, n).
-
-    A row holds the coefficients of a degree-``degree`` field on the sphere of
-    ``quad``.  The maps from coefficients run row by row; the node-wise
-    projection runs once on the stack, and each slice is bit-identical to the
-    field's own :func:`hessian`.
-    """
-    b = _basis(quad.n, degree, quad)
-    if np.shape(coeffs)[1:] != (basis_size(quad.n, degree),):
-        raise ValueError(f"rows of degree-{degree} fields need {basis_size(quad.n, degree)} coefficients each")
-    X = quad.nodes
-    return b.covariant(np.stack([b.hessian_parts(c, X) for c in coeffs]), X)
 
 
 def hessian_form(field: HarmonicField, quad: SphereQuadrature | None = None, points=None):

@@ -25,9 +25,15 @@ oracle of the library's one rule per dimension.
 The random planar curves have the former per-trial draw as oracle: two
 calls of ``uniform(-1, 1, degree)`` on the trial's own generator.  The random
 even bodies have theirs too: one ``normal`` call per even degree.
-``stack`` and ``rows`` are no oracles: one puts curves as rows of one
-``plane.CurveStack`` for the stacked checks, the other splits a stack's
-report of columns into one report of floats per curve.
+Body node values (of a ``body.RadialGraph`` or of each row of a
+``body.BodyStack``) have the per-field ``sphere`` functions as oracle:
+``r (1 + synthesize(u))``, ``r field_gradient(u)``,
+``r synthesize(laplace_beltrami(u))`` and ``r hessian(u)``, which
+:func:`per_field_node_values` evaluates.
+``stack``, ``rows`` and ``body_stack`` are no oracles: the first puts curves
+as rows of one ``plane.CurveStack`` for the stacked checks, the second splits
+a stack's report of columns into one report of floats per curve, and the
+third puts bodies as rows of one ``body.BodyStack``.
 """
 
 from functools import lru_cache
@@ -504,6 +510,30 @@ def product_rule(n, degree):
         nodes = nodes[:, [1, 2, 0]]
     nodes /= np.linalg.norm(nodes, axis=1)[:, None]
     return SphereQuadrature(n=n, degree=degree, nodes=nodes, weights=wts)
+
+
+def body_stack(graphs):
+    """The bodies as rows of one ``body.BodyStack`` on their common rule; they share one field degree."""
+    from gausscurv import body
+
+    quad = graphs[0].quad
+    assert all(g.quad is quad for g in graphs), "stacked bodies share one rule"
+    coeffs = np.stack([g.perturbation.coeffs for g in graphs])
+    return body.BodyStack(graphs[0].n, [g.radius for g in graphs], coeffs, quad=quad)
+
+
+def per_field_node_values(graph):
+    """``h``, ``grad h``, the Laplacian and the covariant Hessian of ``h`` at the body's nodes,
+    from its field through the per-field ``sphere`` functions."""
+    from gausscurv import sphere
+
+    r, u, q = graph.radius, graph.perturbation, graph.quad
+    return {
+        "h_nodes": r * (1.0 + sphere.synthesize(u, q)),
+        "grad_nodes": r * sphere.field_gradient(u, q),
+        "lap_nodes": r * sphere.synthesize(sphere.laplace_beltrami(u), q),
+        "hess_nodes": r * sphere.hessian(u, q),
+    }
 
 
 # ---------------------------------------------------------------------------

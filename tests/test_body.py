@@ -471,32 +471,68 @@ def test_calibration_builds_tables_one_degree_above_the_body():
     assert set(rule._bases) == {6, 7}
 
 
-def _row_stacks(graphs):
-    """The stacks of ``graphs``: of the graphs, of their rows, and of each row alone."""
-    radii = [g.radius for g in graphs]
-    rows = np.stack([g.perturbation.coeffs for g in graphs])
-    alone = [bd.BodyStack.from_rows(g.n, r, row) for g, r, row in zip(graphs, radii, rows)]
-    return {"graphs": bd.BodyStack(graphs), "rows": bd.BodyStack.from_rows(graphs[0].n, radii, rows), "alone": alone}
+def _poled_rule():
+    """The default S^2 rule for degree-6 fields with weight-0 nodes at the poles +-e_3 added."""
+    base = sphere.default_quadrature(3, 6)
+    return sphere.SphereQuadrature(
+        n=3,
+        degree=base.degree,
+        nodes=np.vstack([base.nodes, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]]),
+        weights=np.concatenate([base.weights, [0.0, 0.0]]),
+    )
 
 
-@pytest.mark.parametrize("n", [3, 4, 6])
-def test_stacked_node_values_equal_each_bodys_own(n):
-    graphs = [cli.random_even_body(3, trial, n, 1.0 + trial % 3, 0.1) for trial in range(7)]
+@pytest.mark.parametrize("n, poled", [(3, False), (4, False), (6, False), (3, True)], ids=["3", "4", "6", "poled"])
+def test_stacked_node_values_equal_each_bodys_own(n, poled):
+    quad = _poled_rule() if poled else None
+    drawn = [cli.random_even_body(3, trial, n, 1.0 + trial % 3, 0.1) for trial in range(7)]
+    graphs = [RadialGraph(n, g.radius, g.perturbation, quad=quad) for g in drawn]
     graphs[2].grad_nodes  # one body with a cached gradient, the rest without
-    stacks = _row_stacks(graphs)
-    names = ("h_nodes", "grad_nodes", "lap_nodes", "hess_nodes", "sq_grad_nodes", "hessian_form_nodes")
-    for kind, stack in stacks.items():
-        for k, graph in enumerate(graphs):
-            # A stack of one row for each body, or the body's row of the whole stack.
-            row, at = (stack[k], 0) if kind == "alone" else (stack, k)
-            assert row.quad is graph.quad and row.degree == graph.perturbation.degree
-            for name in names:
-                assert np.array_equal(getattr(row, name)[at], getattr(graph, name)), (kind, name, k)
-            H, _ = bd._curvature_nodes(row)
-            assert np.array_equal(H[at], bd.mean_curvature(graph)), (kind, k)
-            assert bd._gaussian_volumes(row)[at] == bd.gaussian_volume(graph), (kind, k)
-            assert bd._fundamental_minima(row)[at] == bd.second_fundamental_min(graph), (kind, k)
-            assert bd._convex(row)[at] == bd.is_convex(graph), (kind, k)
+    stack = helpers.body_stack(graphs)
+    columns = {
+        bd.gaussian_volume: bd.gaussian_volume(stack),
+        bd.second_fundamental_min: bd.second_fundamental_min(stack),
+        bd.is_convex: bd.is_convex(stack),
+        bd.curvature_energy_nd: bd.curvature_energy_nd(stack),
+        bd.flux_energy: bd.flux_energy(stack),
+        bd.inscribed_radius: bd.inscribed_radius(stack),
+    }
+    H = bd.mean_curvature(stack)
+    for k, graph in enumerate(graphs):
+        assert stack.quad is graph.quad and stack.degree == graph.perturbation.degree
+        # The per-field sphere functions are the oracle of the body's arrays and of its row of the stack.
+        for name, oracle in helpers.per_field_node_values(graph).items():
+            assert np.array_equal(getattr(graph, name), oracle), (name, k)
+            assert np.array_equal(getattr(stack, name)[k], oracle), (name, k)
+        g, hess = graph.grad_nodes, graph.hess_nodes
+        assert np.array_equal(stack.sq_grad_nodes[k], np.einsum("mi,mi->m", g, g)), k
+        assert np.array_equal(stack.hessian_form_nodes[k], np.einsum("mi,mij,mj->m", g, hess, g)), k
+        assert np.array_equal(H[k], bd.mean_curvature(graph)), k
+        for quantity, column in columns.items():
+            assert column[k] == quantity(graph), (quantity.__name__, k)
+
+
+def test_radial_graph_is_a_stack_of_one():
+    graphs = [cli.random_even_body(5, trial, 3, 2.0, 0.1) for trial in range(3)]
+    stack = helpers.body_stack(graphs)
+    graph = graphs[0]
+    assert isinstance(graph, bd.BodyStack)
+    m = graph.quad.size
+    assert graph.coeffs.shape == graph.perturbation.coeffs.shape and graph.radii.shape == ()
+    shapes = {"h_nodes": (m,), "grad_nodes": (m, 3), "lap_nodes": (m,), "hess_nodes": (m, 3, 3)}
+    shapes.update(sq_grad_nodes=(m,), hessian_form_nodes=(m,))
+    for name, shape in shapes.items():
+        assert getattr(graph, name).shape == shape, name
+        assert getattr(stack, name).shape == (3, *shape), name
+    assert bd.mean_curvature(graph).shape == (m,) and bd.mean_curvature(stack).shape == (3, m)
+    one_row = bd.BodyStack(3, graph.radius, graph.perturbation.coeffs, quad=graph.quad)
+    for quantity in (bd.gaussian_volume, bd.curvature_energy_nd, bd.flux_energy, bd.inscribed_radius,
+                     bd.inverse_square_flux, bd.inverse_square_flux_bulk, bd.second_fundamental_min):
+        assert type(quantity(graph)) is float and type(quantity(one_row)) is float, quantity.__name__
+        assert quantity(stack).shape == (3,), quantity.__name__
+    assert type(bd.is_convex(graph)) is bool and bd.is_convex(stack).dtype == bool
+    with pytest.raises(ValueError, match="needs one body"):
+        bd.mean_curvature(stack, graph.quad.nodes[:2])
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -516,16 +552,16 @@ def test_row_stack_keeps_the_radius_gates():
     # Trial 43 is the pole repro of test_section_dipping_between_nodes_names_the_section: positive
     # at every meridian node, its section dips below zero between them.
     rows = cli._sample_even(13, range(40, 46), 7, 0.3)
-    bd.BodyStack.from_rows(7, 4.0, np.delete(rows, 3, axis=0))
-    for stacked in (rows, rows[3:4]):
+    bd.BodyStack(7, 4.0, np.delete(rows, 3, axis=0))
+    for stacked in (rows, rows[3:4], rows[3]):
         with pytest.raises(ValueError, match="boundary radius must stay positive on the meridian section"):
-            bd.BodyStack.from_rows(7, 4.0, stacked)
+            bd.BodyStack(7, 4.0, stacked)
     # An S^2 row whose mean coefficient makes u = -2: h = -r at every node.
     rows = cli._sample_even(1, range(5), 3, 0.1)
     rows[2, 0] = -2.0 * math.sqrt(sphere.sphere_area(3))
-    for stacked in (rows, rows[2:3]):
+    for stacked in (rows, rows[2:3], rows[2]):
         with pytest.raises(ValueError, match="boundary radius must stay positive at every node"):
-            bd.BodyStack.from_rows(3, 2.0, stacked)
+            bd.BodyStack(3, 2.0, stacked)
     with pytest.raises(ValueError, match="boundary radius must stay positive at every node"):
         RadialGraph(3, 2.0, HarmonicField(n=3, degree=6, coeffs=rows[2]))
 
@@ -534,35 +570,14 @@ def test_row_stack_rejects_what_no_body_could_be():
     rows = cli._sample_even(1, range(3), 3, 0.1)
     for radii in (0.0, -1.0, math.inf, [1.0, math.nan, 1.0]):
         with pytest.raises(ValueError, match="base radii must be positive and finite"):
-            bd.BodyStack.from_rows(3, radii, rows)
+            bd.BodyStack(3, radii, rows)
     bad = rows.copy()
     bad[1, 4] = math.inf
     with pytest.raises(ValueError, match="coefficients finite"):
-        bd.BodyStack.from_rows(3, 1.0, bad)
+        bd.BodyStack(3, 1.0, bad)
     for n, shaped in ((2, rows), (9, rows), (3, rows[:0]), (3, rows[:, :0]), (3, rows[None]), (3, rows[:, :-1])):
         with pytest.raises(ValueError, match="a stack needs rows of basis coefficients"):
-            bd.BodyStack.from_rows(n, 1.0, shaped)
-
-
-def test_stack_needs_one_rule():
-    a = cli.random_even_body(1, 0, 3, 3.0, 1e-2)
-    b = RadialGraph(3, 3.0, a.perturbation, quad=sphere.build_quadrature(3, 30))
-    with pytest.raises(ValueError, match="one common dimension and rule"):
-        bd.BodyStack([a, b])
-    for n in (3, 4):
-        # Same rule, fields of degrees 6 and 4.
-        a = cli.random_even_body(1, 0, n, 3.0, 1e-2)
-        b = RadialGraph(n, 3.0, cli.random_even_body(1, 1, n, 3.0, 1e-2, degree=4).perturbation, quad=a.quad)
-        with pytest.raises(ValueError, match="one field degree"):
-            bd.BodyStack([a, b])
-        with pytest.raises(ValueError, match="one field degree"):
-            experiments.calibration_check_many([a, b])
-
-
-def test_empty_body_stack_raises():
-    with pytest.raises(ValueError, match="a stack needs at least one body"):
-        bd.BodyStack([])
-    assert experiments.calibration_check_many([]) == []
+            bd.BodyStack(n, 1.0, shaped)
 
 
 def test_second_fundamental_min_matches_eigvalsh_oracle():
@@ -580,13 +595,7 @@ def test_second_fundamental_min_matches_eigvalsh_oracle():
 
 def test_second_fundamental_min_at_the_poles_of_s2():
     # (e_theta, e_phi) at x = +-e_3 rests on phi = atan2(0, 0); weight-0 poles add nodes but no mass.
-    base = sphere.default_quadrature(3, 6)
-    poled = sphere.SphereQuadrature(
-        n=3,
-        degree=base.degree,
-        nodes=np.vstack([base.nodes, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]]),
-        weights=np.concatenate([base.weights, [0.0, 0.0]]),
-    )
+    poled = _poled_rule()
     for trial in range(30):
         drawn = cli.random_even_body(17, trial, 3, 1.0 + trial % 4, (1e-2, 0.1, 0.3)[trial % 3])
         graph = RadialGraph(3, drawn.radius, drawn.perturbation, quad=poled)
@@ -628,7 +637,7 @@ def test_section_grids_match_sampled_section(n):
         except ValueError:
             continue
         graphs.append(graph)
-    grids = bd._section_grids(bd.BodyStack(graphs))
+    grids = bd._section_grids(helpers.body_stack(graphs))
     for k, curve in enumerate(curves):
         scale = np.max(curve.rho)
         for grid, oracle in zip(grids[:, k], (curve.rho, curve.drho, curve.ddrho)):
@@ -666,7 +675,7 @@ def test_zonal_convexity_decisions_match_sampled_section(n, monkeypatch):
             expected.append(helpers.section_curve(graph).is_convex())
             graphs.append(graph)
         assert len(graphs) >= 190, amplitude
-        decided = np.concatenate([bd._convex(bd.BodyStack(graphs[s : s + 32])) for s in range(0, len(graphs), 32)])
+        decided = np.concatenate([bd.is_convex(helpers.body_stack(graphs[s : s + 32])) for s in range(0, len(graphs), 32)])
         assert list(decided) == expected, amplitude
 
 

@@ -63,6 +63,17 @@ def test_matched_cylinder_radius():
     assert ex.cylinder_volume(s) == pytest.approx(bd.ball_gaussian_volume(3, 0.37), abs=1e-12)
 
 
+def test_matched_cylinder_radius_below_subnormal_volumes():
+    # The ball's volume is subnormal below r = 1e-103 and 0 below about 1e-108; s is not.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for r in (1e-50, 1e-105, 1e-200):
+            x = mpmath.mpf(r) ** 2 / 2
+            oracle = mpmath.sqrt(-2 * mpmath.log1p(-mpmath.gammainc(1.5, 0, x, regularized=True)))
+            assert ex.matched_cylinder_radius(r) == pytest.approx(float(oracle), rel=1e-15, abs=0.0), r
+    assert ex.counterexample_gap(1e-110) == pytest.approx((2.0 * math.pi) ** 1.5, rel=1e-15)
+
+
 def test_counterexample_gap_values():
     assert ex.counterexample_gap(0.1) == pytest.approx(GAP_AT_01, abs=1e-10)
     assert ex.counterexample_gap(0.5) > 0.0
@@ -344,13 +355,13 @@ def test_calibration_ball_side_matches_quadrature_ball(n):
 @pytest.mark.parametrize("n", [3, 4, 6])
 def test_stacked_calibration_equals_single_checks(n):
     graphs = [cli.random_even_body(17, trial, n, 3.0, 1e-2) for trial in range(50)]
-    stacked = ex.calibration_check_many(graphs)
+    stacked = ex.calibration_check_many(helpers.body_stack(graphs))
     for graph, res in zip(graphs, stacked):
         M = float(np.max(bd.mean_curvature(graph)))
         assert res == ex.calibration_check(graph, M)
         assert res.curvature_bound == M
     bounds = [0.5 + 0.01 * k for k in range(50)]
-    for graph, M, res in zip(graphs, bounds, ex.calibration_check_many(graphs, bounds)):
+    for graph, M, res in zip(graphs, bounds, ex.calibration_check_many(helpers.body_stack(graphs), bounds)):
         assert res == ex.calibration_check(graph, M)
 
 
@@ -358,8 +369,7 @@ def test_stacked_calibration_rejects_one_nonconvex_body():
     graphs = [cli.random_even_body(17, trial, 3, 3.0, 1e-2) for trial in range(5)]
     graphs[3] = RadialGraph(3, 3.0, HarmonicField.single_mode(3, 4, 0.5, degree=6))
     with pytest.raises(ConvexityError):
-        ex.calibration_check_many(graphs)
-    assert ex.calibration_check_many([]) == []
+        ex.calibration_check_many(helpers.body_stack(graphs))
 
 
 def test_calibration_rejects_nonconvex():

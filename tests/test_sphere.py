@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
+from gausscurv import body as bd
 from gausscurv import sphere
 from gausscurv.errors import QuadratureError
 from gausscurv.sphere import HarmonicField, build_quadrature, sphere_area
@@ -364,17 +365,15 @@ def test_eigenvalue_table_is_cached_and_exact(n):
 @pytest.mark.parametrize("n", [3, 4, 6])
 def test_stacked_hessians_equal_single_hessians(n):
     q = sphere.default_quadrature(n, 6)
-    fields = [random_field(n, 6, seed=s) for s in range(5)]
-    rows = np.stack([u.coeffs for u in fields])
-    stacked = sphere.hessian_many(rows, q, 6)
-    for u, H in zip(fields, stacked):
-        assert np.array_equal(H, sphere.hessian(u, q))
-    for k in range(len(fields)):
-        assert np.array_equal(sphere.hessian_many(rows[k : k + 1], q, 6)[0], stacked[k])
-    # Rows of degree-6 fields read as degree 4, or cut short.
-    for bad, degree in ((rows, 4), (rows[:, :-1], 6)):
-        with pytest.raises(ValueError, match=f"rows of degree-{degree} fields need"):
-            sphere.hessian_many(bad, q, degree)
+    rows = np.stack([random_field(n, 6, seed=s).coeffs for s in range(5)])
+    # Fields of mean 4 + mean(u), so that h = 1 + u is a body's radius.
+    rows[:, 0] += 4.0 * math.sqrt(sphere_area(n))
+    stacked = bd.BodyStack(n, 1.0, rows, quad=q).hess_nodes
+    for k, row in enumerate(rows):
+        H = sphere.hessian(HarmonicField(n=n, degree=6, coeffs=row), q)
+        assert np.array_equal(stacked[k], H), k
+        assert np.array_equal(bd.BodyStack(n, 1.0, rows[k : k + 1], quad=q).hess_nodes[0], H), k
+        assert np.array_equal(bd.BodyStack(n, 1.0, row, quad=q).hess_nodes, H), k
 
 
 @pytest.mark.parametrize("n", range(3, 9))
