@@ -5,11 +5,14 @@ A body is stored as a base radius times a spectral perturbation,
 one body type, :class:`BodyStack`: rows of radii and coefficients, whose node
 arrays are each row's products with the rule's basis tables.  A
 :class:`RadialGraph` is the stack of one, and each function below takes either.
-Mean curvature and the second fundamental form (on S^2 in the basis's frame
-``(e_theta, e_phi)``) read the covariant Hessian of ``h``, with its gradient and
-Laplacian, at the nodes, or for one body at any unit points.  For n >= 4
-convexity is that of the meridian section, whose cosine coefficients are a fixed
-linear map of the field's coefficients.
+Mean curvature and the second fundamental form read the covariant Hessian of
+``h``, with its gradient and Laplacian, at the nodes, or for one body at any unit
+points.  On S^2 the node gradient and Hessian are formed in the basis's frame
+``(e_theta, e_phi)`` only: the gradient from the frame gradient table ``Fn``, the
+Hessian entries ``H_tt, H_tp, H_pp`` from the frame gradients of the projected
+components of ``grad h``.  For n >= 4 they are ambient arrays, and convexity is that
+of the meridian section, whose cosine coefficients are a fixed linear map of the
+field's coefficients.
 Surface integrals use the area element ``h^(n-2) sqrt(h^2 + |grad h|^2)`` and the
 quadrature carried by the body.  Gaussian volumes integrate ``t^(n-1) exp(-t^2/2)``
 radially in closed form, through the regularised incomplete gamma functions of
@@ -112,12 +115,32 @@ class BodyStack:
         return hess.reshape(self.h_nodes.shape + hess.shape[-2:])
 
     @cached_property
+    def _frame_grad(self) -> np.ndarray:
+        """On S^2, ``grad h`` at the nodes along ``(e_theta, e_phi)``: rows ``g_t, g_p``, shape (..., 2, nodes)."""
+        return self.radii[..., None, None] * _row_products(self.coeffs, self._tables.Fn)
+
+    @cached_property
+    def _frame_hess(self) -> np.ndarray:
+        """On S^2, ``Hess h`` at the nodes in the frame: rows ``H_tt, H_tp, H_pp``, shape (..., 3, nodes).
+
+        One ``frame_hessian`` call per body, so that a stack's row is the body's own."""
+        grads = self._frame_grad.reshape(-1, 2, self.quad.size)
+        hess = np.array([self._tables.frame_hessian(grad) for grad in grads])
+        return hess.reshape(self._frame_grad.shape[:-2] + hess.shape[-2:])
+
+    @cached_property
     def sq_grad_nodes(self) -> np.ndarray:
+        if self.n == 3:
+            g_t, g_p = np.moveaxis(self._frame_grad, -2, 0)
+            return g_t * g_t + g_p * g_p
         return np.einsum("...i,...i->...", self.grad_nodes, self.grad_nodes)
 
     @cached_property
     def hessian_form_nodes(self) -> np.ndarray:
         """Hess h(grad h, grad h) at the nodes."""
+        if self.n == 3:
+            (g_t, g_p), (tt, tp, pp) = np.moveaxis(self._frame_grad, -2, 0), np.moveaxis(self._frame_hess, -2, 0)
+            return g_t * g_t * tt + 2.0 * g_t * g_p * tp + g_p * g_p * pp
         return np.einsum("...i,...ij,...j->...", self.grad_nodes, self.hess_nodes, self.grad_nodes)
 
     @cached_property
@@ -372,14 +395,12 @@ def second_fundamental_min(body: BodyStack):
     are tangent; ``c x x^T``, with ``c`` the form's Frobenius norm, which bounds
     its spectral norm, lifts it above the tangent eigenvalues.
     """
-    hess, h, g = body.hess_nodes, body.h_nodes, body.grad_nodes
-    X = body.quad.nodes
+    h = body.h_nodes
     if body.n == 3:
-        e = sphere._polar_frame(X)
-        eg = [np.einsum("mi,...mi->...m", f, g) for f in e]
-        pairs = ((0, 0), (0, 1), (1, 1))
-        a, b, c = (2.0 * eg[i] * eg[j] - h * np.einsum("mi,...mij,mj->...m", e[i], hess, e[j]) for i, j in pairs)
+        (g_t, g_p), (tt, tp, pp) = np.moveaxis(body._frame_grad, -2, 0), np.moveaxis(body._frame_hess, -2, 0)
+        a, b, c = 2.0 * g_t * g_t - h * tt, 2.0 * g_t * g_p - h * tp, 2.0 * g_p * g_p - h * pp
         return _per_body(np.min(h * h + 0.5 * (a + c) - np.hypot(0.5 * (a - c), b), axis=-1))
+    hess, g, X = body.hess_nodes, body.grad_nodes, body.quad.nodes
     form = (h * h)[..., None, None] * np.eye(body.n) + 2.0 * g[..., :, None] * g[..., None, :]
     form -= h[..., None, None] * hess
     form += np.linalg.norm(form, axis=(-2, -1))[..., None, None] * (X[:, :, None] * X[:, None, :])

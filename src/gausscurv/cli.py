@@ -231,6 +231,8 @@ _REPORT_FIELDS = ("lhs", "rhs", "margin", "quad_error", "passed")
 
 def _report_rows(rep: plane.InequalityReport) -> list[dict]:
     """The JSON entries of a report, one per row: one for a body's report, one per curve for a stack's."""
+    if isinstance(rep.lhs, float):
+        return [{name: getattr(rep, name) for name in _REPORT_FIELDS}]
     columns = [np.atleast_1d(getattr(rep, name)).tolist() for name in _REPORT_FIELDS]
     return [dict(zip(_REPORT_FIELDS, row)) for row in zip(*columns)]
 
@@ -361,8 +363,9 @@ def _run_counterexample(config: RunConfig):
     for r in r_values:
         gap = ex.counterexample_gap(r)
         s = ex.matched_cylinder_radius(r)
-        capped = ex.capped_cylinder(ex.CylinderSpec(s=s, half_height=config.cap_height))
-        r_prime = bd.ball_match_radius(3, capped.volume)
+        spec = ex.CylinderSpec(s=s, half_height=config.cap_height)
+        capped = ex.capped_cylinder(spec)
+        r_prime = ex.capped_matched_radius(spec)
         capped_gap = capped.energy - bd.ball_energy(3, r_prime)
         ok = gap > 1.0 and capped_gap > 0.0
         entries.append(

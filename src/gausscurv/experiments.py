@@ -34,6 +34,7 @@ __all__ = [
     "counterexample_gap",
     "capped_cylinder",
     "CappedCylinder",
+    "capped_matched_radius",
     "quadratic_coefficient",
     "algebraic_threshold",
     "statement_threshold",
@@ -84,14 +85,19 @@ def matched_cylinder_radius(r: float) -> float:
     if r <= 0:
         raise ValueError("ball radius must be positive")
     if r < 1e-5:
-        x = 0.5 * r * r
-        c = math.exp(-x) * float(kummer_sum(1.5, x)) / (1.5 * math.sqrt(2.0 * math.pi))
+        c = _ball_volume_factor(r)
         return r * math.sqrt(r) * math.sqrt(2.0 * c * (1.0 + 0.5 * c * r**3))
     vol = bd.ball_gaussian_volume(3, r)
     if vol >= 1.0:
         # The matching volume saturates double precision near one.
         raise ValueError(f"ball radius {r} leaves no solvable cylinder radius")
     return math.sqrt(-2.0 * math.log1p(-vol))
+
+
+def _ball_volume_factor(r: float) -> float:
+    """``c = v / r^3`` for the Gaussian volume ``v`` of the ball ``B_r`` in R^3, for ``r^2 / 2 <= 3/2``."""
+    x = 0.5 * r * r
+    return math.exp(-x) * float(kummer_sum(1.5, x)) / (1.5 * math.sqrt(2.0 * math.pi))
 
 
 def counterexample_gap(r: float) -> float:
@@ -132,10 +138,36 @@ def capped_cylinder(spec: CylinderSpec) -> CappedCylinder:
     y = T + s * _CAP_Y
     with np.errstate(over="ignore"):  # y * y overflows past T = 1e154; its exponential is 0 either way
         cap_volume = s * float(np.dot(_CAP_W, np.exp(-0.5 * y * y) * -np.expm1(-0.5 * s * s * _CAP_GAP)))
-    cap_energy = 4.0 * math.pi * s * math.exp(-0.5 * (s * s + T * T)) * (-math.expm1(-T * s) / (T * s))
+    ts = T * s
+    flat = -math.expm1(-ts) / ts if ts > 0.0 else 1.0  # its limit where T s underflows, as for T = 1e-150, s = 1e-300
+    cap_energy = 4.0 * math.pi * s * math.exp(-0.5 * (s * s + T * T)) * flat
     volume = cylinder_volume(s) * erf_T + 2.0 * cap_volume
     energy = cylinder_energy(s) * erf_T + 2.0 * cap_energy
     return CappedCylinder(volume, energy)
+
+
+def capped_matched_radius(spec: CylinderSpec) -> float:
+    """Radius of the centred ball with the Gaussian volume of the capped cylinder ``spec``.
+
+    From s = 1e-5 on it is :func:`body.ball_match_radius` of :func:`capped_cylinder`'s volume.
+    Below, the volume is formed scaled, ``V = s^2 W``, as it is subnormal from s = 1e-154 on
+    and 0 below about s = 1e-162.  The series ``-expm1(-a) = a - a^2/2 + ...`` of the wall and
+    of each cap node gives ``W = (1/2 - s^2/8) erf_T + 2 s sum_i w_i phi(y_i) g_i (1/2 - s^2 g_i/8)``,
+    with ``g_i`` the node's ``(s^2 - y^2) / s^2``; the next terms are below 5e-22 relative.  The
+    ball's volume ``v = r^3 c(r)`` (:func:`matched_cylinder_radius`) then inverts to
+    ``r = cbrt(s)^2 cbrt(W / c)``, with ``c`` taken at the previous ``r``, from ``r = 0``, three times.
+    """
+    s, T = spec.s, spec.half_height
+    if s >= 1e-5:
+        return bd.ball_match_radius(3, capped_cylinder(spec).volume)
+    y = T + s * _CAP_Y
+    with np.errstate(over="ignore"):  # as in capped_cylinder
+        caps = s * float(np.dot(_CAP_W, np.exp(-0.5 * y * y) * _CAP_GAP * (0.5 - 0.125 * s * s * _CAP_GAP)))
+    scaled = (0.5 - 0.125 * s * s) * math.erf(T / math.sqrt(2.0)) + 2.0 * caps
+    r = 0.0
+    for _ in range(3):
+        r = float(np.cbrt(s)) ** 2 * float(np.cbrt(scaled / _ball_volume_factor(r)))
+    return r
 
 
 def quadratic_coefficient(n: int, r: float, k: int) -> float:
@@ -248,13 +280,18 @@ def _quadratic_term(n: int, r: float, u: sphere.HarmonicField, quad_rule) -> flo
     """
     mean = quad_rule.weights / np.sum(quad_rule.weights)
     vals = sphere.synthesize(u, quad_rule)
-    grad = sphere.field_gradient(u, quad_rule)
+    if n == 3:
+        g_t, g_p = np.tensordot(u.coeffs, sphere._basis(n, u.degree, quad_rule).Fn, axes=1)
+        sq_grad = g_t * g_t + g_p * g_p
+    else:
+        grad = sphere.field_gradient(u, quad_rule)
+        sq_grad = np.einsum("mi,mi->m", grad, grad)
     lap = sphere.synthesize(sphere.laplace_beltrami(u), quad_rule)
     s1 = -float(mean @ vals)
     s2 = -0.5 * ((n - 1) / r - r) * r * float(mean @ (s1 + vals) ** 2) + s1 * s1  # s1^2 = -s1 mean(u)
     zero = np.zeros_like(vals)
     h = _Jet(np.full_like(vals, r), r * (s1 + vals), r * (s2 + s1 * vals))
-    sq = _Jet(zero, zero, r * r * np.einsum("mi,mi->m", grad, grad))
+    sq = _Jet(zero, zero, r * r * sq_grad)
     _, density = bd.curvature_terms(n, h, sq, _Jet(zero, r * lap, r * s1 * lap), 0.0, xp=_Jet)
     return float(np.dot(quad_rule.weights, density.c[2]))
 

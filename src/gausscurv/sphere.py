@@ -244,9 +244,12 @@ class _Tables:
     ``hessian_parts(coeffs, X, grad=None)``, linear in the coefficients (on
     S^2 it reads the field's node gradient ``grad`` when given), and
     ``covariant(parts, X)``, node-wise, which takes any leading axes of
-    stacked fields and may overwrite ``parts``.  Node values are built with
-    the basis; the node-gradient table, the larger of the two, only on first
-    use.
+    stacked fields and may overwrite ``parts``.  On S^2 bodies read neither:
+    the frame gradient table ``Fn``, shape (basis, 2, m), holds each basis
+    gradient along ``(e_theta, e_phi)``, and ``frame_hessian`` gives a field's
+    Hessian entries in that frame from its frame gradient.  Node values are
+    built with the basis; the node-gradient tables, each larger, only on
+    first use.
     """
 
     def __init__(self, quad: SphereQuadrature):
@@ -348,38 +351,74 @@ class _FullBasis3D(_Tables):
             out[sin_rows] = math.sqrt(2.0) * P * np.sin(m * phi)
         return out
 
-    def gradients_at(self, X: np.ndarray) -> np.ndarray:
+    def frame_gradients_at(self, X: np.ndarray) -> np.ndarray:
+        """The basis gradients' components along ``(e_theta, e_phi)``, shape (basis, 2, m)."""
         X = np.atleast_2d(X)
         t, s, phi = _polar_angles(X)
-        e_theta, e_phi = _polar_frame(X)
-        out = np.empty(((self.L + 1) ** 2, X.shape[0], 3))
+        out = np.zeros(((self.L + 1) ** 2, 2, X.shape[0]))
         for m, _, dP, mQ in _legendre_slabs(self.L, t, s):
             if m == 0:
-                out[self._rows(0)] = dP[:, :, None] * e_theta
+                out[self._rows(0), 0] = dP
                 continue
             cos_rows, sin_rows = self._rows(m)
             c = math.sqrt(2.0) * np.cos(m * phi)
             sn = math.sqrt(2.0) * np.sin(m * phi)
-            out[cos_rows] = (dP * c)[:, :, None] * e_theta - (mQ * sn)[:, :, None] * e_phi
-            out[sin_rows] = (dP * sn)[:, :, None] * e_theta + (mQ * c)[:, :, None] * e_phi
+            out[cos_rows, 0], out[cos_rows, 1] = dP * c, -(mQ * sn)
+            out[sin_rows, 0], out[sin_rows, 1] = dP * sn, mQ * c
         return out
 
-    def hessian_parts(self, coeffs: np.ndarray, X: np.ndarray, grad=None) -> np.ndarray:
+    @cached_property
+    def Fn(self) -> np.ndarray:
+        return self.frame_gradients_at(self.quad.nodes)
+
+    @cached_property
+    def _frame(self) -> np.ndarray:
+        """``(e_theta, e_phi)`` at the nodes as rows of components, shape (2, 3, nodes)."""
+        return np.ascontiguousarray(np.transpose(_polar_frame(self.quad.nodes), (0, 2, 1)))
+
+    def gradients_at(self, X: np.ndarray) -> np.ndarray:
+        X = np.atleast_2d(X)
+        F = self.Fn if X is self.quad.nodes else self.frame_gradients_at(X)
+        e_theta, e_phi = _polar_frame(X)
+        return F[:, 0, :, None] * e_theta + F[:, 1, :, None] * e_phi
+
+    def _gradient_basis(self) -> _FullBasis3D:
         # Each component of grad u is a spherical polynomial of degree L + 1, so
-        # its projection at that degree is exact on a rule of degree 2L + 2.  The
-        # gradients of the three projected fields are the rows of the Jacobian J
-        # of grad u, shape (m, 3, 3).  A caller may pass grad u at the nodes.
+        # its projection at that degree is exact on a rule of degree 2L + 2.
         q, L1 = self.quad, self.L + 1
         if L1 > MAX_DEGREE or q.degree < 2 * L1:
             raise QuadratureError(
                 f"the Hessian of a degree-{self.L} field needs a rule of degree {2 * L1}, got {q.degree}"
             )
-        up = _basis(3, L1, q)
+        return _basis(3, L1, q)
+
+    def hessian_parts(self, coeffs: np.ndarray, X: np.ndarray, grad=None) -> np.ndarray:
+        # The gradients of the three projected components of grad u are the rows
+        # of its Jacobian J, shape (m, 3, 3).  A caller may pass grad u at the nodes.
+        q, up = self.quad, self._gradient_basis()
         if grad is None:
             grad = np.dot(coeffs, self.Gn.reshape(coeffs.size, -1)).reshape(-1, 3)
         C = up.V @ (q.weights[:, None] * grad)
         G = up.Gn if X is q.nodes else up.gradients_at(X)
         return np.dot(C.T, G.reshape(len(C), -1)).reshape(3, -1, 3).transpose(1, 0, 2)
+
+    def frame_hessian(self, grad: np.ndarray) -> np.ndarray:
+        """The covariant Hessian of a field in the frame at the nodes: rows ``H_tt, H_tp, H_pp``, shape (3, nodes).
+
+        ``grad`` holds the field's frame gradient at the nodes, shape (2, nodes).  The
+        ambient components of ``grad u`` are projected at degree L + 1 as in
+        :meth:`hessian_parts`, and row i of ``D`` holds the frame gradient of component i,
+        so ``D[i, b] = (J e_b)_i``.  Each ``e_a`` is tangent, so ``e_a^T J e_b`` is the
+        covariant Hessian's entry without a projection.
+        """
+        up, E = self._gradient_basis(), self._frame
+        ambient = grad[0] * E[0] + grad[1] * E[1]
+        C = (self.quad.weights * ambient) @ up.V.T
+        D = np.dot(C, up.Fn.reshape(len(up.Fn), -1)).reshape(3, 2, -1)
+        out = np.empty((3, D.shape[-1]))
+        out[:2] = np.sum(E[0][:, None] * D, axis=0)
+        out[2] = E[1][0] * D[0, 1] + E[1][1] * D[1, 1]  # e_phi has no x_3 component
+        return out
 
     @staticmethod
     def covariant(J: np.ndarray, X: np.ndarray) -> np.ndarray:

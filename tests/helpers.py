@@ -33,7 +33,8 @@ Body node values (of a ``body.RadialGraph`` or of each row of a
 ``stack``, ``rows`` and ``body_stack`` are no oracles: the first puts curves
 as rows of one ``plane.CurveStack`` for the stacked checks, the second splits
 a stack's report of columns into one report of floats per curve, and the
-third puts bodies as rows of one ``body.BodyStack``.
+third puts bodies as rows of one ``body.BodyStack``.  Nor is ``reports_match``: it
+holds a CLI report against a committed golden one under the tolerance contract.
 """
 
 from functools import lru_cache
@@ -839,3 +840,76 @@ def quad_capped_cylinder(s, half_height):
         0.5 * math.pi,
     )
     return lat_vol + 2.0 * cap_vol, lat_en + 2.0 * cap_en
+
+
+# ---------------------------------------------------------------------------
+# report tolerance contract
+
+# Between versions a primary value may move by 1e-13 relative and a margin by 1e-13 (|lhs| + |rhs|);
+# an error field (``*_error``, ``residual_*``) measured against a closed form sits at rounding noise,
+# so it may move by 1e-14 absolute on top of that.  Everything else is identical.
+REPORT_RTOL = 1e-13
+REPORT_ERROR_ATOL = 1e-14
+
+
+def _lhs_rhs_pairs(value):
+    """Every dict under ``value`` with ``lhs`` and ``rhs`` keys: the reports whose margins they scale."""
+    if isinstance(value, dict):
+        if "lhs" in value and "rhs" in value:
+            yield value
+        for item in value.values():
+            yield from _lhs_rhs_pairs(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _lhs_rhs_pairs(item)
+
+
+def reports_match(golden, report):
+    """The differences of a CLI ``report`` from ``golden`` beyond the tolerance contract, as strings.
+
+    No difference means a match.  Keys, types, ``passed`` flags, counts, strings and the
+    configuration (apart from ``output``) must be identical, and ``wall_time_s`` is skipped.
+    A float may move by ``REPORT_RTOL`` of the golden value; a ``margin`` by ``REPORT_RTOL``
+    times ``|lhs| + |rhs|`` of its own report, the summary's ``worst_margin`` by the largest
+    of those (when the report has margins); and an error field by ``REPORT_ERROR_ATOL`` more.
+    """
+    problems = []
+    scales = [abs(pair["lhs"]) + abs(pair["rhs"]) for pair in _lhs_rhs_pairs(golden["entries"])]
+
+    def tolerance(key, value, parent):
+        if key == "margin":
+            return REPORT_RTOL * (abs(parent["lhs"]) + abs(parent["rhs"]))
+        if key == "worst_margin" and scales:
+            return REPORT_RTOL * max(scales)
+        if key.endswith("_error") or key.startswith("residual_") or key == "worst_margin":
+            return REPORT_ERROR_ATOL + REPORT_RTOL * abs(value)
+        return REPORT_RTOL * abs(value)
+
+    def walk(path, key, a, b, parent):
+        if type(a) is not type(b):
+            problems.append(f"{path}: {type(b).__name__} where the golden report has {type(a).__name__}")
+        elif isinstance(a, dict):
+            if a.keys() != b.keys():
+                problems.append(f"{path}: keys {sorted(b)} where the golden report has {sorted(a)}")
+                return
+            for k in a:
+                walk(f"{path}.{k}", k, a[k], b[k], a)
+        elif isinstance(a, list):
+            if len(a) != len(b):
+                problems.append(f"{path}: {len(b)} items where the golden report has {len(a)}")
+                return
+            for i, (x, y) in enumerate(zip(a, b)):
+                walk(f"{path}[{i}]", key, x, y, parent)
+        elif isinstance(a, float):
+            both_nan = a != a and b != b
+            if not (a == b or both_nan or abs(a - b) <= tolerance(key, a, parent)):
+                problems.append(f"{path}: {b!r} where the golden report has {a!r}")
+        elif a != b:
+            problems.append(f"{path}: {b!r} where the golden report has {a!r}")
+
+    def comparable(rep):
+        config = {k: v for k, v in rep["config"].items() if k != "output"}
+        return {**{k: v for k, v in rep.items() if k != "wall_time_s"}, "config": config}
+
+    walk("report", "", comparable(golden), comparable(report), None)
+    return problems

@@ -273,6 +273,50 @@ def test_report_determinism(tmp_path):
     assert strip(first) == strip(second)
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in GOLDEN.glob("*.json")))
+def test_report_matches_golden(tmp_path, name):
+    # Each committed report, run again from its own configuration, matches under the tolerance contract.
+    golden = json.loads((GOLDEN / f"{name}.json").read_text())
+    argv = [golden["config"]["command"], "--output", str(tmp_path / name)]
+    for key, value in golden["config"].items():
+        if key not in ("command", "output") and value is not None:
+            argv += ["--" + key.replace("_", "-"), str(value)]
+    summary = golden["summary"]
+    assert cli.main(argv) == (0 if summary["passed"] == summary["total"] else 1)
+    problems = helpers.reports_match(golden, json.loads((tmp_path / f"{name}.json").read_text()))
+    assert not problems, problems[:5]
+
+
+def test_reports_match_holds_its_bounds():
+    golden = json.loads((GOLDEN / "calibration-n3.json").read_text())
+    assert helpers.reports_match(golden, golden) == []
+    ineq = golden["entries"][3]["ineq1"]
+    bound = helpers.REPORT_RTOL * (abs(ineq["lhs"]) + abs(ineq["rhs"]))
+
+    def moved(**changes):
+        report = json.loads(json.dumps(golden))
+        report["entries"][3]["ineq1"].update(changes)
+        return helpers.reports_match(golden, report)
+
+    assert moved(margin=ineq["margin"] + 0.5 * bound) == []
+    assert moved(margin=ineq["margin"] + 2.0 * bound) != []
+    assert moved(lhs=ineq["lhs"] * (1.0 + 0.5 * helpers.REPORT_RTOL)) == []
+    assert moved(lhs=ineq["lhs"] * (1.0 + 2.0 * helpers.REPORT_RTOL)) != []
+    assert moved(quad_error=ineq["quad_error"] + 0.5 * helpers.REPORT_ERROR_ATOL) == []
+    assert moved(passed=not ineq["passed"]) != []
+    assert moved(extra=1.0) != []
+
+
+def test_report_rows_of_a_body_equal_those_of_a_stack_of_one():
+    scalar = plane._report(0.5, 0.7, 1e-9)
+    column = plane._report(np.array([0.5]), np.array([0.7]), np.array([1e-9]))
+    assert _bit_equal(cli._report_rows(scalar), cli._report_rows(column))
+    assert type(cli._report_rows(scalar)[0]["passed"]) is bool
+
+
 def _bit_equal(a, b):
     """Equal values of equal types; floats compared by their bits."""
     if type(a) is not type(b):

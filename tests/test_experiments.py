@@ -74,6 +74,26 @@ def test_matched_cylinder_radius_below_subnormal_volumes():
     assert ex.counterexample_gap(1e-110) == pytest.approx((2.0 * math.pi) ** 1.5, rel=1e-15)
 
 
+def test_capped_matched_radius_below_subnormal_volumes(tmp_path):
+    # The capped volume s^2 W is subnormal from s = 1e-154 on and 0 below about 1e-162; its ball's radius is not.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for r, T in ((1e-4, 40.0), (1e-110, 40.0), (1e-200, 40.0), (1e-110, 1e-160)):
+            s = ex.matched_cylinder_radius(r)
+            S, half = mpmath.mpf(s), mpmath.mpf(T)
+            caps = mpmath.quad(lambda y: mpmath.npdf(half + y) * -mpmath.expm1(-(S**2 - y**2) / 2), [0, S])
+            volume = -mpmath.expm1(-(S**2) / 2) * mpmath.erf(half / mpmath.sqrt(2)) + 2 * caps
+            # The ball's radius from log P(3/2, rho^2 / 2) = log volume, in t = log rho.
+            ratio = lambda t: mpmath.log(mpmath.gammainc(1.5, 0, mpmath.exp(2 * t) / 2, regularized=True) / volume)
+            guess = mpmath.log(mpmath.cbrt(1.5 * mpmath.sqrt(2 * mpmath.pi) * volume))
+            oracle = mpmath.exp(mpmath.findroot(ratio, guess))
+            radius = ex.capped_matched_radius(ex.CylinderSpec(s=s, half_height=T))
+            assert radius == pytest.approx(float(oracle), rel=1e-15, abs=0.0), (r, T)
+    # With short caps T s underflows as well, and the cap energy's factor (1 - exp(-T s)) / (T s) takes its limit.
+    for flags in (["--r", "1e-110"], ["--r", "1e-200"], ["--r", "1e-200", "--cap-height", "1e-150"]):
+        assert cli.main(["counterexample", *flags, "--output", str(tmp_path / "tiny")]) == 0, flags
+
+
 def test_counterexample_gap_values():
     assert ex.counterexample_gap(0.1) == pytest.approx(GAP_AT_01, abs=1e-10)
     assert ex.counterexample_gap(0.5) > 0.0

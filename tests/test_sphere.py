@@ -376,6 +376,26 @@ def test_stacked_hessians_equal_single_hessians(n):
         assert np.array_equal(bd.BodyStack(n, 1.0, row, quad=q).hess_nodes, H), k
 
 
+@pytest.mark.parametrize("rule, L, bound", [("default", 6, 5e-15), ("poled", 6, 5e-15), ("64", 31, 4e-14)])
+def test_frame_tables_match_the_ambient_route(rule, L, bound):
+    # Fn holds e_a . Gn, and frame_hessian the entries e_a^T Hess u e_b of sphere.hessian.  Over 20 fields
+    # (3 at L = 31) the gaps stay below 3.7e-16 of max |Gn|, and 1.4e-15 (8.3e-15 at L = 31) of max |Hess u|.
+    q = build_quadrature(3, 64) if rule == "64" else sphere.default_quadrature(3, L)
+    if rule == "poled":
+        poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+        q = sphere.SphereQuadrature(
+            n=3, degree=q.degree, nodes=np.vstack([q.nodes, poles]), weights=np.append(q.weights, [0.0, 0.0])
+        )
+    b, E = sphere._basis(3, L, q), sphere._polar_frame(q.nodes)
+    ambient = np.stack([np.einsum("mi,kmi->km", e, b.Gn) for e in E], axis=1)
+    assert np.max(np.abs(b.Fn - ambient)) <= 1e-15 * np.max(np.abs(b.Gn))
+    u = random_field(3, L, seed=4)
+    H = sphere.hessian(u, q)
+    oracle = [np.einsum("mi,mij,mj->m", E[i], H, E[j]) for i, j in ((0, 0), (0, 1), (1, 1))]
+    frame = b.frame_hessian(np.tensordot(u.coeffs, b.Fn, axes=1))
+    assert np.max(np.abs(frame - oracle)) <= bound * np.max(np.abs(H))
+
+
 @pytest.mark.parametrize("n", range(3, 9))
 @pytest.mark.parametrize("L", [1, 2, 5, 9, 16, 31])
 def test_hessian_trace_is_laplace_beltrami(n, L):
