@@ -7,12 +7,12 @@ arrays are each row's products with the rule's basis tables.  A
 :class:`RadialGraph` is the stack of one, and each function below takes either.
 Mean curvature and the second fundamental form read the covariant Hessian of
 ``h``, with its gradient and Laplacian, at the nodes, or for one body at any unit
-points.  On S^2 the node gradient and Hessian are formed in the basis's frame
-``(e_theta, e_phi)`` only: the gradient from the frame gradient table ``Fn``, the
-Hessian entries ``H_tt, H_tp, H_pp`` from the frame gradients of the projected
-components of ``grad h``.  For n >= 4 they are ambient arrays, and convexity is that
-of the meridian section, whose cosine coefficients are a fixed linear map of the
-field's coefficients.
+points, in the basis's tangent frame only: the gradient ``(g_1, g_2)`` from the
+frame gradient table ``Fn``, the Hessian entries ``H_11, H_12, H_22`` from the
+basis's ``frame_hessian``.  The frame is ``(e_theta, e_phi)`` on S^2, and for
+n >= 4 ``a / |a|``, ``a = e_1 - t x``, with any tangent vector across it.  For
+n >= 4 convexity is that of the meridian section, whose cosine coefficients are a
+fixed linear map of the field's coefficients.
 Surface integrals use the area element ``h^(n-2) sqrt(h^2 + |grad h|^2)`` and the
 quadrature carried by the body.  Gaussian volumes integrate ``t^(n-1) exp(-t^2/2)``
 radially in closed form, through the regularised incomplete gamma functions of
@@ -92,56 +92,36 @@ class BodyStack:
             raise ValueError("boundary radius must stay positive on the meridian section")
 
     @cached_property
-    def _grad_u(self) -> np.ndarray:
-        """The fields' tangential gradients at the nodes, before the radii scale them."""
-        return _row_products(self.coeffs, self._tables.Gn)
-
-    @cached_property
-    def grad_nodes(self) -> np.ndarray:
-        return self.radii[..., None, None] * self._grad_u
-
-    @cached_property
     def lap_nodes(self) -> np.ndarray:
-        lap = -sphere._eigenvalues(self.n, self.degree) * self.coeffs
-        return self.radii[..., None] * _row_products(lap, self._tables.V)
+        return self.radii[..., None] * _row_products(self._lap_coeffs, self._tables.V)
 
-    @cached_property
-    def hess_nodes(self) -> np.ndarray:
-        """Covariant Hessians of ``h`` at the nodes, shape (..., nodes, n, n); S^2 projects ``_grad_u``."""
-        b, X = self._tables, self.quad.nodes
-        rows = zip(self.coeffs.reshape(-1, self.coeffs.shape[-1]), self._grad_u.reshape(-1, *X.shape))
-        hess = b.covariant(np.stack([b.hessian_parts(c, X, g) for c, g in rows]), X)
-        hess *= self.radii.reshape(-1, 1, 1, 1)
-        return hess.reshape(self.h_nodes.shape + hess.shape[-2:])
+    @property
+    def _lap_coeffs(self) -> np.ndarray:
+        return -sphere._eigenvalues(self.n, self.degree) * self.coeffs
 
     @cached_property
     def _frame_grad(self) -> np.ndarray:
-        """On S^2, ``grad h`` at the nodes along ``(e_theta, e_phi)``: rows ``g_t, g_p``, shape (..., 2, nodes)."""
+        """``grad h`` at the nodes along the basis's frame: rows ``g_1, g_2``, shape (..., 2, nodes)."""
         return self.radii[..., None, None] * _row_products(self.coeffs, self._tables.Fn)
 
     @cached_property
     def _frame_hess(self) -> np.ndarray:
-        """On S^2, ``Hess h`` at the nodes in the frame: rows ``H_tt, H_tp, H_pp``, shape (..., 3, nodes).
+        """``Hess h`` at the nodes in the frame: rows ``H_11, H_12, H_22``, shape (..., 3, nodes).
 
         One ``frame_hessian`` call per body, so that a stack's row is the body's own."""
-        grads = self._frame_grad.reshape(-1, 2, self.quad.size)
-        hess = np.array([self._tables.frame_hessian(grad) for grad in grads])
+        rows = zip(self.radii.reshape(-1), self.coeffs.reshape(-1, self.coeffs.shape[-1]),
+                   self._frame_grad.reshape(-1, 2, self.quad.size))
+        hess = np.array([self._tables.frame_hessian(r * c, self.quad.nodes, grad) for r, c, grad in rows])
         return hess.reshape(self._frame_grad.shape[:-2] + hess.shape[-2:])
 
     @cached_property
     def sq_grad_nodes(self) -> np.ndarray:
-        if self.n == 3:
-            g_t, g_p = np.moveaxis(self._frame_grad, -2, 0)
-            return g_t * g_t + g_p * g_p
-        return np.einsum("...i,...i->...", self.grad_nodes, self.grad_nodes)
+        return np.sum(self._frame_grad**2, axis=-2)
 
     @cached_property
     def hessian_form_nodes(self) -> np.ndarray:
         """Hess h(grad h, grad h) at the nodes."""
-        if self.n == 3:
-            (g_t, g_p), (tt, tp, pp) = np.moveaxis(self._frame_grad, -2, 0), np.moveaxis(self._frame_hess, -2, 0)
-            return g_t * g_t * tt + 2.0 * g_t * g_p * tp + g_p * g_p * pp
-        return np.einsum("...i,...ij,...j->...", self.grad_nodes, self.hess_nodes, self.grad_nodes)
+        return sphere._frame_form(self._frame_grad, self._frame_hess)
 
     @cached_property
     def _curvature(self):
@@ -252,22 +232,22 @@ def _per_body(values: np.ndarray):
 def mean_curvature(body: BodyStack, points=None):
     """Mean curvature (sum of principal curvatures) at every node, or at unit ``points`` of one body.
 
-    The node values are the body's cached, read-only array.  ``points`` of shape (m, n) gives m
-    values, a single (n,) vector one float; a 2-D stack with ``points`` raises ``ValueError``.
+    The node values are the body's cached, read-only array; at ``points`` the node formulas read
+    the body's own tables there.  ``points`` of shape (m, n) gives m values, a single (n,) vector
+    one float; a 2-D stack with ``points``, or points not unit vectors of R^n, raise ``ValueError``.
     """
     if points is None:
         return body._curvature[0]
     if body.coeffs.ndim != 1:
         raise ValueError("mean curvature at points needs one body, not a stack")
-    n, r = body.n, float(body.radii)
-    u = sphere.HarmonicField(n=n, degree=body.degree, coeffs=body.coeffs)
-    h = r * (1.0 + sphere.synthesize(u, body.quad, points))
-    grad = r * sphere.field_gradient(u, body.quad, points)
-    sq = np.einsum("...i,...i->...", grad, grad)
-    lap = r * sphere.synthesize(sphere.laplace_beltrami(u), body.quad, points)
-    hess = r**3 * sphere.hessian_form(u, body.quad, points)
-    H, _ = curvature_terms(n, h, sq, lap, hess)
-    return float(H) if np.ndim(H) == 0 else H
+    X, single = sphere._points(points, body.n)
+    b, r = body._tables, body.radii
+    V = b.values_at(X)
+    grad = r * _row_products(body.coeffs, b.frame_gradients_at(X))
+    hess = b.frame_hessian(r * body.coeffs, X, body._frame_grad)
+    h, lap = r * (1.0 + _row_products(body.coeffs, V)), r * _row_products(body._lap_coeffs, V)
+    H, _ = curvature_terms(body.n, h, np.sum(grad**2, axis=-2), lap, sphere._frame_form(grad, hess))
+    return float(H[0]) if single else H
 
 
 # The benchmark traces the node evaluation under this name.
@@ -389,22 +369,16 @@ def second_fundamental_min(body: BodyStack):
     it is ``r^2`` for the ball of radius r.  Any rule serves, on S^2 one with nodes
     at the poles too.  Positive semidefiniteness at a node certifies convexity there.
 
-    On S^2 the form is ``h^2 I + K`` in the frame ``(e_theta, e_phi)``, and the
-    smaller eigenvalue of each 2 x 2 ``K`` has a closed form.  For n >= 4 the
-    normal ``x`` is an eigenvector of the full form, as ``grad h`` and ``Hess h``
-    are tangent; ``c x x^T``, with ``c`` the form's Frobenius norm, which bounds
-    its spectral norm, lifts it above the tangent eigenvalues.
+    The form is ``h^2 I + K`` in the basis's frame, and the smaller eigenvalue of
+    each 2 x 2 ``K`` has a closed form.  On S^2 the frame spans the tangent plane.
+    A zonal frame is ``a / |a|`` and any vector across it, and every further tangent
+    direction repeats the second one's entries, so in every dimension the 2 x 2
+    form has the smallest eigenvalue of the full one.
     """
     h = body.h_nodes
-    if body.n == 3:
-        (g_t, g_p), (tt, tp, pp) = np.moveaxis(body._frame_grad, -2, 0), np.moveaxis(body._frame_hess, -2, 0)
-        a, b, c = 2.0 * g_t * g_t - h * tt, 2.0 * g_t * g_p - h * tp, 2.0 * g_p * g_p - h * pp
-        return _per_body(np.min(h * h + 0.5 * (a + c) - np.hypot(0.5 * (a - c), b), axis=-1))
-    hess, g, X = body.hess_nodes, body.grad_nodes, body.quad.nodes
-    form = (h * h)[..., None, None] * np.eye(body.n) + 2.0 * g[..., :, None] * g[..., None, :]
-    form -= h[..., None, None] * hess
-    form += np.linalg.norm(form, axis=(-2, -1))[..., None, None] * (X[:, :, None] * X[:, None, :])
-    return _per_body(np.min(np.linalg.eigvalsh(form)[..., 0], axis=-1))
+    (g1, g2), (h11, h12, h22) = np.moveaxis(body._frame_grad, -2, 0), np.moveaxis(body._frame_hess, -2, 0)
+    a, b, c = 2.0 * g1 * g1 - h * h11, 2.0 * g1 * g2 - h * h12, 2.0 * g2 * g2 - h * h22
+    return _per_body(np.min(h * h + 0.5 * (a + c) - np.hypot(0.5 * (a - c), b), axis=-1))
 
 
 def _section_spectra(body: BodyStack) -> np.ndarray:

@@ -19,13 +19,16 @@ experiments need; its tables come from the three-term recurrence
 (:func:`special.gegenbauer`).  Gradients are gradients of the degree-0 homogeneous
 extension, hence always tangent.  The S^2 tables come from the normalised
 associated-Legendre recurrence, run also on P_l^m / sin(theta) so that the
-gradient formula stays regular at the poles.  Covariant Hessians differentiate
-the exactly projected gradient on S^2 and have a closed form for zonal fields.
-A zonal basis maps coefficients exactly to the field's cosine series on a meridian (``S``).
+gradient formula stays regular at the poles.  Each basis gives gradients and
+covariant Hessians in an orthonormal tangent frame: ``(e_theta, e_phi)`` on S^2,
+where the Hessian differentiates the exactly projected gradient, and, in closed
+form, ``a / |a|``, ``a = e_1 - t x``, with any tangent vector across it for zonal
+fields.  A zonal basis maps coefficients exactly to its cosine series on a meridian (``S``).
 
 Every evaluation takes ``points=None`` for the quadrature nodes, an (m, n)
 array of unit vectors for m results, or one (n,) unit vector for a single
-result.
+result; any other shape, a non-finite entry or a norm off 1 by more than 1e-12
+raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -238,18 +241,14 @@ def _eigenvalues(n: int, L: int) -> np.ndarray:
 class _Tables:
     """Basis values and tangential gradients on a fixed quadrature.
 
-    Subclasses provide ``values_at(X)``, shape (basis, m), and
-    ``gradients_at(X)``, shape (basis, m, n), for unit points ``X`` of shape
-    (m, n).  The covariant Hessians (m, n, n) of a field come in two steps:
-    ``hessian_parts(coeffs, X, grad=None)``, linear in the coefficients (on
-    S^2 it reads the field's node gradient ``grad`` when given), and
-    ``covariant(parts, X)``, node-wise, which takes any leading axes of
-    stacked fields and may overwrite ``parts``.  On S^2 bodies read neither:
-    the frame gradient table ``Fn``, shape (basis, 2, m), holds each basis
-    gradient along ``(e_theta, e_phi)``, and ``frame_hessian`` gives a field's
-    Hessian entries in that frame from its frame gradient.  Node values are
-    built with the basis; the node-gradient tables, each larger, only on
-    first use.
+    Subclasses provide, for unit points ``X`` of shape (m, n), ``values_at(X)``,
+    shape (basis, m), ``gradients_at(X)``, shape (basis, m, n), and the frame
+    route of every Hessian: ``frame_at(X)``, the frame's named vectors (both on
+    S^2, only ``a / |a|`` for zonal fields), ``frame_gradients_at(X)``, shape
+    (basis, 2, m), and ``frame_hessian(coeffs, X, grad=None)``, a field's entries
+    ``H_11, H_12, H_22``, shape (3, m), at ``X``, the rule's own nodes or not.
+    Node values are built with the basis; the node-gradient tables, each larger,
+    only on first use.
     """
 
     def __init__(self, quad: SphereQuadrature):
@@ -259,6 +258,10 @@ class _Tables:
     @cached_property
     def Gn(self) -> np.ndarray:
         return self.gradients_at(self.quad.nodes)
+
+    @cached_property
+    def Fn(self) -> np.ndarray:
+        return self.frame_gradients_at(self.quad.nodes)
 
     def analyze(self, values):
         return self.V @ (self.quad.weights * values)
@@ -368,13 +371,11 @@ class _FullBasis3D(_Tables):
         return out
 
     @cached_property
-    def Fn(self) -> np.ndarray:
-        return self.frame_gradients_at(self.quad.nodes)
-
-    @cached_property
     def _frame(self) -> np.ndarray:
         """``(e_theta, e_phi)`` at the nodes as rows of components, shape (2, 3, nodes)."""
         return np.ascontiguousarray(np.transpose(_polar_frame(self.quad.nodes), (0, 2, 1)))
+
+    frame_at = staticmethod(_polar_frame)
 
     def gradients_at(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(X)
@@ -392,39 +393,27 @@ class _FullBasis3D(_Tables):
             )
         return _basis(3, L1, q)
 
-    def hessian_parts(self, coeffs: np.ndarray, X: np.ndarray, grad=None) -> np.ndarray:
-        # The gradients of the three projected components of grad u are the rows
-        # of its Jacobian J, shape (m, 3, 3).  A caller may pass grad u at the nodes.
-        q, up = self.quad, self._gradient_basis()
-        if grad is None:
-            grad = np.dot(coeffs, self.Gn.reshape(coeffs.size, -1)).reshape(-1, 3)
-        C = up.V @ (q.weights[:, None] * grad)
-        G = up.Gn if X is q.nodes else up.gradients_at(X)
-        return np.dot(C.T, G.reshape(len(C), -1)).reshape(3, -1, 3).transpose(1, 0, 2)
+    def frame_hessian(self, coeffs: np.ndarray, X: np.ndarray, grad=None) -> np.ndarray:
+        """The covariant Hessian of a field in the frame at ``X``: rows ``H_tt, H_tp, H_pp``, shape (3, m).
 
-    def frame_hessian(self, grad: np.ndarray) -> np.ndarray:
-        """The covariant Hessian of a field in the frame at the nodes: rows ``H_tt, H_tp, H_pp``, shape (3, nodes).
-
-        ``grad`` holds the field's frame gradient at the nodes, shape (2, nodes).  The
-        ambient components of ``grad u`` are projected at degree L + 1 as in
-        :meth:`hessian_parts`, and row i of ``D`` holds the frame gradient of component i,
-        so ``D[i, b] = (J e_b)_i``.  Each ``e_a`` is tangent, so ``e_a^T J e_b`` is the
-        covariant Hessian's entry without a projection.
+        The ambient components of ``grad u``, from its frame gradient at the nodes ``grad``
+        (formed from ``coeffs`` when None), are projected at degree L + 1 on the nodes.  Row
+        i of ``D`` holds the frame gradient at ``X`` of component i, so ``D[i, b] = (J e_b)_i``
+        for the Jacobian ``J`` of the projected ``grad u``.  Each ``e_a`` is tangent, so
+        ``e_a^T J e_b`` is the covariant Hessian's entry without a projection.
         """
-        up, E = self._gradient_basis(), self._frame
-        ambient = grad[0] * E[0] + grad[1] * E[1]
-        C = (self.quad.weights * ambient) @ up.V.T
-        D = np.dot(C, up.Fn.reshape(len(up.Fn), -1)).reshape(3, 2, -1)
+        up, E, nodes = self._gradient_basis(), self._frame, X is self.quad.nodes
+        if grad is None:
+            grad = np.tensordot(coeffs, self.Fn, axes=1)
+        C = (self.quad.weights * (grad[0] * E[0] + grad[1] * E[1])) @ up.V.T
+        if not nodes:
+            E = np.transpose(_polar_frame(X), (0, 2, 1))
+        F = up.Fn if nodes else up.frame_gradients_at(X)
+        D = np.dot(C, F.reshape(len(F), -1)).reshape(3, 2, -1)
         out = np.empty((3, D.shape[-1]))
         out[:2] = np.sum(E[0][:, None] * D, axis=0)
         out[2] = E[1][0] * D[0, 1] + E[1][1] * D[1, 1]  # e_phi has no x_3 component
         return out
-
-    @staticmethod
-    def covariant(J: np.ndarray, X: np.ndarray) -> np.ndarray:
-        # P J P with P = I - x x^T is the covariant Hessian; it is written over J.
-        P = np.eye(3) - X[:, :, None] * X[:, None, :]
-        return np.matmul(P @ J, P, out=J)
 
 
 class _ZonalBasis(_Tables):
@@ -478,18 +467,29 @@ class _ZonalBasis(_Tables):
         a = np.eye(X.shape[1])[0] - X[:, :1] * X
         return self._table(X)[1][:, :, None] * a[None, :, :]
 
-    def hessian_parts(self, coeffs: np.ndarray, X: np.ndarray, grad=None) -> np.ndarray:
-        # g'(t) and g''(t), shape (2, m); the closed form needs no gradient.
-        return coeffs @ self._table(X)[1:]
-
     @staticmethod
-    def covariant(parts: np.ndarray, X: np.ndarray) -> np.ndarray:
-        # Hess g(<x, e_1>) = g''(t) a a^T - t g'(t) P, with a = e_1 - t x and P = I - x x^T.
-        t = X[:, 0]
-        d1, d2 = parts[..., 0, :], parts[..., 1, :]
+    def frame_at(X: np.ndarray):
+        # a / |a|, which is zero at the poles +-e_1, where a = 0 and H_11 = H_22.
         a = np.eye(X.shape[1])[0] - X[:, :1] * X
-        P = np.eye(X.shape[1]) - X[:, :, None] * X[:, None, :]
-        return d2[..., None, None] * a[:, :, None] * a[:, None, :] - (t * d1)[..., None, None] * P
+        norm = np.linalg.norm(a, axis=1, keepdims=True)
+        return (np.divide(a, norm, out=np.zeros_like(a), where=norm > 0.0),)
+
+    def frame_gradients_at(self, X: np.ndarray) -> np.ndarray:
+        # g'(t) a is (g'(t) |a|, 0) in the frame, with |a| = sqrt(1 - t^2).
+        X = np.atleast_2d(X)
+        out = np.zeros((self.L + 1, 2, X.shape[0]))
+        out[:, 0] = self._table(X)[1] * np.sqrt(np.maximum(1.0 - X[:, 0] ** 2, 0.0))
+        return out
+
+    def frame_hessian(self, coeffs: np.ndarray, X: np.ndarray, grad=None) -> np.ndarray:
+        """``g'' a a^T - t g' P`` read in the frame at ``X``: ``H_11 = g''(t) (1 - t^2) - t g'(t)``,
+        ``H_12 = 0`` and ``H_22 = -t g'(t)``, shape (3, m); ``grad`` is not needed."""
+        t = X[:, 0]
+        d1, d2 = coeffs @ self._table(X)[1:]
+        out = np.zeros((3, t.size))
+        out[2] = -t * d1
+        out[0] = d2 * (1.0 - t * t) + out[2]
+        return out
 
 
 def _basis(n: int, L: int, quad: SphereQuadrature):
@@ -508,10 +508,24 @@ def _basis_for(field: HarmonicField, quad: SphereQuadrature | None):
     return _basis(field.n, field.degree, q)
 
 
-def _points(points):
-    """``points`` as an (m, n) array, and whether one (n,) vector was given."""
+def _points(points, n: int):
+    """``points`` as an (m, n) array of unit vectors, and whether one (n,) vector was given;
+    ``ValueError`` for any other shape, a non-finite entry or a norm off 1 by more than 1e-12."""
     X = np.asarray(points, dtype=float)
+    if X.ndim not in (1, 2) or X.shape[-1] != n:
+        raise ValueError(f"points on S^{n - 1} need shape (m, {n}) or ({n},), got {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError("points must be finite")
+    if np.any(np.abs(np.linalg.norm(X, axis=-1) - 1.0) > 1e-12):
+        raise ValueError("points must be unit vectors, to 1e-12")
     return np.atleast_2d(X), X.ndim == 1
+
+
+def _frame_form(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
+    """``Hess u(grad u, grad u) = g_1^2 H_11 + 2 g_1 g_2 H_12 + g_2^2 H_22`` from a frame
+    gradient, shape (..., 2, m), and frame Hessian entries, shape (..., 3, m)."""
+    (g1, g2), (h11, h12, h22) = np.moveaxis(grad, -2, 0), np.moveaxis(hess, -2, 0)
+    return g1 * g1 * h11 + 2.0 * g1 * g2 * h12 + g2 * g2 * h22
 
 
 def synthesize(field: HarmonicField, quad: SphereQuadrature | None = None, points=None):
@@ -522,7 +536,7 @@ def synthesize(field: HarmonicField, quad: SphereQuadrature | None = None, point
     b = _basis_for(field, quad)
     if points is None:
         return field.coeffs @ b.V
-    X, single = _points(points)
+    X, single = _points(points, field.n)
     vals = field.coeffs @ b.values_at(X)
     return float(vals[0]) if single else vals
 
@@ -563,7 +577,7 @@ def field_gradient(field: HarmonicField, quad: SphereQuadrature | None = None, p
     b = _basis_for(field, quad)
     if points is None:
         return np.tensordot(field.coeffs, b.Gn, axes=1)
-    X, single = _points(points)
+    X, single = _points(points, field.n)
     g = np.tensordot(field.coeffs, b.gradients_at(X), axes=1)
     return g[0] if single else g
 
@@ -572,9 +586,12 @@ def hessian(field: HarmonicField, quad: SphereQuadrature | None = None, points=N
     """Covariant Hessian at every node, shape (nodes, n, n), or at unit ``points``.
 
     ``points`` of shape (m, n) gives an (m, n, n) array, a single (n,) vector
-    one (n, n) matrix, symmetric and zero on the point's own direction.  On
-    S^2 the components of grad u are projected at degree L + 1 on the nodes of
-    ``quad`` and differentiated again; for n >= 4 a closed form serves.
+    one (n, n) matrix, symmetric and zero on the point's own direction: the frame
+    entries in ambient coordinates, ``H_22 P + (H_11 - H_22) e_1 e_1^T +
+    H_12 (e_1 e_2^T + e_2 e_1^T)`` with ``P = I - x x^T``.  A zonal frame names
+    only ``e_1 = a / |a|``, across which ``H_12 = 0``.  On S^2 the components of
+    grad u are projected at degree L + 1 on the nodes of ``quad`` and
+    differentiated again; for n >= 4 a closed form serves.
 
     Raises
     ------
@@ -582,26 +599,32 @@ def hessian(field: HarmonicField, quad: SphereQuadrature | None = None, points=N
         On S^2, when ``quad`` has degree below 2L + 2 or L + 1 exceeds 64.
     """
     b = _basis_for(field, quad)
-    # At the nodes X is the rule's own array, which lets cached tables serve.
-    X, single = _points(b.quad.nodes if points is None else points)
-    H = b.covariant(b.hessian_parts(field.coeffs, X), X)
+    X, single = (b.quad.nodes, False) if points is None else _points(points, field.n)
+    h11, h12, h22 = b.frame_hessian(field.coeffs, X)
+    e1, *across = b.frame_at(X)
+    H = h22[:, None, None] * (np.eye(field.n) - X[:, :, None] * X[:, None, :])
+    H += (h11 - h22)[:, None, None] * e1[:, :, None] * e1[:, None, :]
+    for e2 in across:
+        H += h12[:, None, None] * (e1[:, :, None] * e2[:, None, :] + e2[:, :, None] * e1[:, None, :])
     return H[0] if single else H
 
 
 def hessian_form(field: HarmonicField, quad: SphereQuadrature | None = None, points=None):
     """The cubic form Hess u(grad u, grad u) at every node, or at unit ``points``.
 
-    It equals (1/2) <grad |grad u|^2, grad u>.  ``points`` follows
-    :func:`field_gradient`: (m, n) gives m values, (n,) one float.
+    It equals (1/2) <grad |grad u|^2, grad u>, read in the basis's frame.
+    ``points`` follows :func:`field_gradient`: (m, n) gives m values, (n,) one float.
 
     Raises
     ------
     QuadratureError
         As :func:`hessian`.
     """
-    g = field_gradient(field, quad, points)
-    form = np.einsum("...i,...ij,...j->...", g, hessian(field, quad, points), g)
-    return float(form) if form.ndim == 0 else form
+    b = _basis_for(field, quad)
+    X, single = (b.quad.nodes, False) if points is None else _points(points, field.n)
+    F = b.Fn if points is None else b.frame_gradients_at(X)
+    form = _frame_form(np.tensordot(field.coeffs, F, axes=1), b.frame_hessian(field.coeffs, X))
+    return float(form[0]) if single else form
 
 
 # The benchmark traces the node evaluation under this name.

@@ -28,8 +28,11 @@ even bodies have theirs too: one ``normal`` call per even degree.
 Body node values (of a ``body.RadialGraph`` or of each row of a
 ``body.BodyStack``) have the per-field ``sphere`` functions as oracle:
 ``r (1 + synthesize(u))``, ``r field_gradient(u)``,
-``r synthesize(laplace_beltrami(u))`` and ``r hessian(u)``, which
-:func:`per_field_node_values` evaluates.
+``r synthesize(laplace_beltrami(u))``, and ``r`` times the library's former
+ambient n x n Hessian, :func:`ambient_hessian`, all of which
+:func:`per_field_node_values` evaluates; :func:`frame_entries` reads the
+ambient gradient and Hessian in the bases' tangent frame, built afresh by
+:func:`tangent_frame`.
 ``stack``, ``rows`` and ``body_stack`` are no oracles: the first puts curves
 as rows of one ``plane.CurveStack`` for the stacked checks, the second splits
 a stack's report of columns into one report of floats per curve, and the
@@ -524,17 +527,87 @@ def body_stack(graphs):
 
 
 def per_field_node_values(graph):
-    """``h``, ``grad h``, the Laplacian and the covariant Hessian of ``h`` at the body's nodes,
-    from its field through the per-field ``sphere`` functions."""
+    """``h``, the Laplacian of ``h``, and the ambient ``grad h`` (nodes, n) and covariant
+    ``Hess h`` (nodes, n, n) at the body's nodes, from its field through the per-field
+    ``sphere`` functions and :func:`ambient_hessian`."""
     from gausscurv import sphere
 
     r, u, q = graph.radius, graph.perturbation, graph.quad
     return {
         "h_nodes": r * (1.0 + sphere.synthesize(u, q)),
-        "grad_nodes": r * sphere.field_gradient(u, q),
         "lap_nodes": r * sphere.synthesize(sphere.laplace_beltrami(u), q),
-        "hess_nodes": r * sphere.hessian(u, q),
+        "grad": r * sphere.field_gradient(u, q),
+        "hess": r * ambient_hessian(u, q),
     }
+
+
+def ambient_hessian(u, quad, points=None):
+    """Covariant Hessian of ``u`` as (m, n, n) matrices at the nodes or at unit ``points``,
+    by the library's former ambient route.
+
+    On S^2 the three components of the ambient node gradient are projected at
+    degree L + 1, their gradients at the points are the rows of the Jacobian
+    ``J``, and the Hessian is ``P J P`` with ``P = I - x x^T``.  For zonal fields
+    ``g(<x, e_1>)`` it is ``g'' a a^T - t g' P`` with ``a = e_1 - t x``.
+    """
+    from gausscurv import sphere
+
+    b = sphere._basis(u.n, u.degree, quad)
+    X = quad.nodes if points is None else np.atleast_2d(np.asarray(points, dtype=float))
+    P = np.eye(u.n) - X[:, :, None] * X[:, None, :]
+    if u.n == 3:
+        up = b._gradient_basis()
+        C = up.V @ (quad.weights[:, None] * np.tensordot(u.coeffs, b.Gn, axes=1))
+        G = up.Gn if points is None else up.gradients_at(X)
+        J = np.dot(C.T, G.reshape(len(C), -1)).reshape(3, -1, 3).transpose(1, 0, 2)
+        return P @ J @ P
+    d1, d2 = u.coeffs @ b._derivatives(X[:, 0])[1:]
+    a = np.eye(u.n)[0] - X[:, :1] * X
+    return d2[:, None, None] * a[:, :, None] * a[:, None, :] - (X[:, 0] * d1)[:, None, None] * P
+
+
+def tangent_frame(X):
+    """The tangent frame the bases read gradients and Hessians in, at unit points ``X`` (m, n).
+
+    On S^2 it is ``(e_theta, e_phi)`` from the polar angles about x_3, as two (m, 3)
+    arrays.  For n >= 4 it is ``a / |a|`` alone, with ``a = e_1 - t x``; at the poles
+    +-e_1, where ``a = 0``, ``e_2`` stands in.
+    """
+    X = np.atleast_2d(X)
+    n = X.shape[1]
+    if n == 3:
+        t, phi = X[:, 2], np.arctan2(X[:, 1], X[:, 0])
+        s = np.sqrt(np.maximum(1.0 - t * t, 0.0))
+        e_theta = np.column_stack([t * np.cos(phi), t * np.sin(phi), -s])
+        return e_theta, np.column_stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)])
+    a = np.eye(n)[0] - X[:, :1] * X
+    norm = np.linalg.norm(a, axis=1)
+    a[norm == 0.0], norm[norm == 0.0] = np.eye(n)[1], 1.0
+    return (a / norm[:, None],)
+
+
+def frame_entries(X, grad, hess):
+    """An ambient gradient (m, n) and Hessian (m, n, n) at ``X`` read in :func:`tangent_frame`:
+    rows ``g_1, g_2``, shape (2, m), and ``H_11, H_12, H_22``, shape (3, m).
+
+    On S^2 the frame names both vectors.  For n >= 4 it names only ``e_1``: there
+    ``g_2`` and ``H_12`` are the norms of what ``grad`` and ``Hess e_1`` have across
+    ``e_1``, which the library's frame route takes to be zero, and
+    ``H_22 = (tr Hess - H_11) / (n - 2)``.
+    """
+    e1, *named = tangent_frame(X)
+    g1 = np.einsum("mi,mi->m", e1, grad)
+    He1 = np.einsum("mij,mj->mi", hess, e1)
+    h11 = np.einsum("mi,mi->m", e1, He1)
+    if named:
+        e2 = named[0]
+        g2, h12 = np.einsum("mi,mi->m", e2, grad), np.einsum("mi,mij,mj->m", e1, hess, e2)
+        h22 = np.einsum("mi,mij,mj->m", e2, hess, e2)
+    else:
+        g2 = np.linalg.norm(grad - g1[:, None] * e1, axis=1)
+        h12 = np.linalg.norm(He1 - h11[:, None] * e1, axis=1)
+        h22 = (np.trace(hess, axis1=1, axis2=2) - h11) / (X.shape[1] - 2)
+    return np.array([g1, g2]), np.array([h11, h12, h22])
 
 
 # ---------------------------------------------------------------------------
@@ -696,9 +769,10 @@ def loop_tangent_frames(nodes):
 
 def eigvalsh_second_fundamental_min(body):
     """Smallest eigenvalue of ``tau (h^2 I + 2 grad h grad h^T - h Hess h) tau^T`` over the nodes, by ``eigvalsh``."""
-    h, g = body.h_nodes, body.grad_nodes
+    oracle = per_field_node_values(body)
+    h, g = oracle["h_nodes"], oracle["grad"]
     M = (h * h)[:, None, None] * np.eye(body.n) + 2.0 * g[:, :, None] * g[:, None, :]
-    M -= h[:, None, None] * body.hess_nodes
+    M -= h[:, None, None] * oracle["hess"]
     tau = loop_tangent_frames(body.quad.nodes)
     return float(np.min(np.linalg.eigvalsh(tau @ M @ tau.transpose(0, 2, 1))))
 
@@ -714,7 +788,7 @@ def weingarten_second_fundamental_min(body):
 
     quad, X = body.quad, body.quad.nodes
     L2 = min(2 * body.perturbation.degree, sphere.MAX_DEGREE)
-    h, grad_h = body.h_nodes, body.grad_nodes
+    h, grad_h = body.h_nodes, per_field_node_values(body)["grad"]
     psi = [sphere.analyze(X[:, i] * h - grad_h[:, i], 3, L2, quad) for i in range(3)]
     Gpsi = np.stack([sphere.field_gradient(f, quad) for f in psi])
     tau = loop_tangent_frames(X)

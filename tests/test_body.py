@@ -454,9 +454,10 @@ def test_meridian_direction_of_form_is_section_certificate(n):
     theta = np.arctan2(X[:, 1], X[:, 0])
     e = np.zeros_like(X)
     e[:, 0], e[:, 1] = -np.sin(theta), np.cos(theta)
-    h, g = graph.h_nodes, graph.grad_nodes
+    oracle = helpers.per_field_node_values(graph)
+    h, g = graph.h_nodes, oracle["grad"]
     form = h**2 + 2.0 * np.einsum("mi,mi->m", g, e) ** 2
-    form -= h * np.einsum("mi,mij,mj->m", e, graph.hess_nodes, e)
+    form -= h * np.einsum("mi,mij,mj->m", e, oracle["hess"], e)
     certificate = helpers.section_certificate(graph, theta)
     assert np.max(np.abs(form - certificate)) <= 1e-12 * np.max(np.abs(certificate))
 
@@ -477,7 +478,7 @@ def test_s2_checks_read_the_frame_tables_only(monkeypatch):
     rule = sphere.SphereQuadrature(n=3, degree=base.degree, nodes=base.nodes, weights=base.weights)
     stack = bd.BodyStack(3, 3.0, cli._sample_even(1, range(4), 3, 1e-2), quad=rule)
     experiments.calibration_check_many(stack)
-    assert not {"_grad_u", "grad_nodes", "hess_nodes"} & set(vars(stack))
+    assert not any(hasattr(bd.BodyStack, name) for name in ("_grad_u", "grad_nodes", "hess_nodes"))
     monkeypatch.setattr(experiments, "_experiment_quadrature", lambda n, k: rule)
     experiments.measure_second_variation(3, 1.0, 2)
     experiments.threshold_scan(3, 2)
@@ -501,7 +502,7 @@ def test_stacked_node_values_equal_each_bodys_own(n, poled):
     quad = _poled_rule() if poled else None
     drawn = [cli.random_even_body(3, trial, n, 1.0 + trial % 3, 0.1) for trial in range(7)]
     graphs = [RadialGraph(n, g.radius, g.perturbation, quad=quad) for g in drawn]
-    graphs[2].grad_nodes  # one body with a cached gradient, the rest without
+    graphs[2]._frame_grad  # one body with a cached gradient, the rest without
     stack = helpers.body_stack(graphs)
     columns = {
         bd.gaussian_volume: bd.gaussian_volume(stack),
@@ -515,14 +516,19 @@ def test_stacked_node_values_equal_each_bodys_own(n, poled):
     for k, graph in enumerate(graphs):
         assert stack.quad is graph.quad and stack.degree == graph.perturbation.degree
         # The per-field sphere functions are the oracle of the body's arrays and of its row of the stack.
-        for name, oracle in helpers.per_field_node_values(graph).items():
-            assert np.array_equal(getattr(graph, name), oracle), (name, k)
-            assert np.array_equal(getattr(stack, name)[k], oracle), (name, k)
-        assert np.array_equal(stack.sq_grad_nodes[k], graph.sq_grad_nodes), k
-        assert np.array_equal(stack.hessian_form_nodes[k], graph.hessian_form_nodes), k
-        # Against the ambient einsums, which S^2 reads in the frame instead: over 400 bodies the gaps
-        # stay below 1.1e-15 of max |grad h|^2 and 7.9e-15 of max |Hess h(grad h, grad h)|.
-        g, hess = graph.grad_nodes, graph.hess_nodes
+        oracle = helpers.per_field_node_values(graph)
+        for name in ("h_nodes", "lap_nodes"):
+            assert np.array_equal(getattr(graph, name), oracle[name]), (name, k)
+            assert np.array_equal(getattr(stack, name)[k], oracle[name]), (name, k)
+        for name in ("_frame_grad", "_frame_hess", "sq_grad_nodes", "hessian_form_nodes"):
+            assert np.array_equal(getattr(stack, name)[k], getattr(graph, name)), (name, k)
+        # Against the ambient route, read in the frame or through einsums: over 420 bodies per case the
+        # gaps stay below 8.9e-16 of max |grad h|, 1.7e-15 of max |Hess h|, 1.3e-15 of max |grad h|^2
+        # and 1.1e-14 of max |Hess h(grad h, grad h)|.
+        g, hess = oracle["grad"], oracle["hess"]
+        frame_g, frame_h = helpers.frame_entries(graph.quad.nodes, g, hess)
+        assert np.max(np.abs(graph._frame_grad - frame_g)) <= 3e-15 * np.max(np.abs(g)), k
+        assert np.max(np.abs(graph._frame_hess - frame_h)) <= 5e-15 * np.max(np.abs(hess)), k
         sq, form = np.einsum("mi,mi->m", g, g), np.einsum("mi,mij,mj->m", g, hess, g)
         assert np.max(np.abs(graph.sq_grad_nodes - sq)) <= 1e-14 * np.max(sq), k
         assert np.max(np.abs(graph.hessian_form_nodes - form)) <= 5e-14 * np.max(np.abs(form)), k
@@ -538,7 +544,7 @@ def test_radial_graph_is_a_stack_of_one():
     assert isinstance(graph, bd.BodyStack)
     m = graph.quad.size
     assert graph.coeffs.shape == graph.perturbation.coeffs.shape and graph.radii.shape == ()
-    shapes = {"h_nodes": (m,), "grad_nodes": (m, 3), "lap_nodes": (m,), "hess_nodes": (m, 3, 3)}
+    shapes = {"h_nodes": (m,), "_frame_grad": (2, m), "lap_nodes": (m,), "_frame_hess": (3, m)}
     shapes.update(sq_grad_nodes=(m,), hessian_form_nodes=(m,))
     for name, shape in shapes.items():
         assert getattr(graph, name).shape == shape, name
@@ -721,11 +727,50 @@ def test_ball_is_the_zero_field(n):
     ball = RadialGraph(n, r)
     assert ball.perturbation.degree == 0
     assert np.all(ball.h_nodes == r)
-    for nodes in (ball.grad_nodes, ball.lap_nodes, ball.hess_nodes):
+    oracle = helpers.per_field_node_values(ball)
+    for nodes in (ball._frame_grad, ball.lap_nodes, ball._frame_hess, oracle["grad"], oracle["hess"]):
         assert not np.any(nodes)
     np.testing.assert_allclose(bd.mean_curvature(ball), (n - 1) / r, rtol=1e-15)
     np.testing.assert_allclose(bd.mean_curvature(ball, ball.quad.nodes[:5]), (n - 1) / r, rtol=1e-15)
     assert bd.is_convex(ball)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_off_node_route_equals_the_per_field_route(n):
+    # The body's own tables read at points against synthesize, field_gradient, laplace_beltrami and the
+    # former ambient Hessian.  Over 30 bodies at 50 random points plus +-e_i the gaps stay below 2.8e-16
+    # of max |H| and 6.1e-15 of max |Hess u(grad u, grad u)|.
+    for trial in range(10):
+        graph = cli.random_even_body(23, trial, n, 1.0 + trial % 3, (1e-2, 0.1, 0.3)[trial % 3])
+        r, u, q = graph.radius, graph.perturbation, graph.quad
+        X = np.random.default_rng(trial).normal(size=(50, n))
+        X = np.vstack([X / np.linalg.norm(X, axis=1)[:, None], np.eye(n), -np.eye(n)])
+        g = sphere.field_gradient(u, q, X)
+        form = np.einsum("mi,mij,mj->m", g, helpers.ambient_hessian(u, q, X), g)
+        h, lap = r * (1.0 + sphere.synthesize(u, q, X)), r * sphere.synthesize(sphere.laplace_beltrami(u), q, X)
+        H, _ = bd.curvature_terms(n, h, r * r * np.einsum("mi,mi->m", g, g), lap, r**3 * form)
+        assert np.max(np.abs(bd.mean_curvature(graph, X) - H)) <= 1e-15 * np.max(np.abs(H)), trial
+        assert np.max(np.abs(sphere.hessian_form(u, q, X) - form)) <= 2e-14 * np.max(np.abs(form)), trial
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [sphere.synthesize, sphere.field_gradient, sphere.hessian, sphere.hessian_form, bd.mean_curvature],
+    ids=lambda f: f.__name__,
+)
+def test_point_evaluations_reject_points_off_the_sphere(evaluate):
+    for n in (3, 4):
+        field = HarmonicField(n=n, degree=6, coeffs=helpers.random_even_coeffs(np.random.default_rng(n), n, 0.1))
+        subject = RadialGraph(n, 1.0, field) if evaluate is bd.mean_curvature else field
+        p = np.eye(n)[-1]
+        evaluate(subject, points=p), evaluate(subject, points=np.vstack([p, -p]))
+        nan = p.copy()
+        nan[0] = np.nan
+        # Off the sphere, a row of a batch off it, too few or too many components, zero, NaN, inf, 3-D.
+        for X in (2.0 * p, np.vstack([p, 2.0 * p]), np.eye(n - 1)[0], np.eye(n + 1)[0], np.zeros(n), nan,
+                  np.full(n, np.inf), p[None, None, :]):
+            with pytest.raises(ValueError, match="points"):
+                evaluate(subject, points=X)
 
 
 @pytest.mark.parametrize("n", [3, 5, 8])

@@ -368,31 +368,49 @@ def test_stacked_hessians_equal_single_hessians(n):
     rows = np.stack([random_field(n, 6, seed=s).coeffs for s in range(5)])
     # Fields of mean 4 + mean(u), so that h = 1 + u is a body's radius.
     rows[:, 0] += 4.0 * math.sqrt(sphere_area(n))
-    stacked = bd.BodyStack(n, 1.0, rows, quad=q).hess_nodes
+    stacked = bd.BodyStack(n, 1.0, rows, quad=q)._frame_hess
     for k, row in enumerate(rows):
-        H = sphere.hessian(HarmonicField(n=n, degree=6, coeffs=row), q)
+        H = sphere._basis(n, 6, q).frame_hessian(row, q.nodes)
         assert np.array_equal(stacked[k], H), k
-        assert np.array_equal(bd.BodyStack(n, 1.0, rows[k : k + 1], quad=q).hess_nodes[0], H), k
-        assert np.array_equal(bd.BodyStack(n, 1.0, row, quad=q).hess_nodes, H), k
+        assert np.array_equal(bd.BodyStack(n, 1.0, rows[k : k + 1], quad=q)._frame_hess[0], H), k
+        assert np.array_equal(bd.BodyStack(n, 1.0, row, quad=q)._frame_hess, H), k
 
 
-@pytest.mark.parametrize("rule, L, bound", [("default", 6, 5e-15), ("poled", 6, 5e-15), ("64", 31, 4e-14)])
-def test_frame_tables_match_the_ambient_route(rule, L, bound):
-    # Fn holds e_a . Gn, and frame_hessian the entries e_a^T Hess u e_b of sphere.hessian.  Over 20 fields
-    # (3 at L = 31) the gaps stay below 3.7e-16 of max |Gn|, and 1.4e-15 (8.3e-15 at L = 31) of max |Hess u|.
-    q = build_quadrature(3, 64) if rule == "64" else sphere.default_quadrature(3, L)
+@pytest.mark.parametrize(
+    "rule, n, L, bound",
+    [
+        pytest.param("default", 3, 6, 5e-15, id="default-6-5e-15"),
+        pytest.param("poled", 3, 6, 5e-15, id="poled-6-5e-15"),
+        pytest.param("64", 3, 31, 4e-14, id="64-31-4e-14"),
+        pytest.param("default", 4, 6, 5e-15, id="default-n4"),
+        pytest.param("default", 6, 6, 5e-15, id="default-n6"),
+        pytest.param("points", 3, 6, 5e-15, id="points-n3"),
+        pytest.param("points", 4, 6, 5e-15, id="points-n4"),
+    ],
+)
+def test_frame_tables_match_the_ambient_route(rule, n, L, bound):
+    # Fn holds e_a . Gn, and frame_hessian the entries e_a^T Hess u e_b of the former ambient route
+    # (helpers.ambient_hessian), at the nodes or at points; a zonal frame names e_1 = a / |a| only.
+    # Over 20 fields (3 at L = 31) the gaps stay below 6.5e-16 of max |Gn|, and 1.4e-15 (8.3e-15 at
+    # L = 31) of max |Hess u|; the zonal cases below 9.1e-16.
+    q = build_quadrature(3, 64) if rule == "64" else sphere.default_quadrature(n, L)
     if rule == "poled":
         poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
         q = sphere.SphereQuadrature(
             n=3, degree=q.degree, nodes=np.vstack([q.nodes, poles]), weights=np.append(q.weights, [0.0, 0.0])
         )
-    b, E = sphere._basis(3, L, q), sphere._polar_frame(q.nodes)
-    ambient = np.stack([np.einsum("mi,kmi->km", e, b.Gn) for e in E], axis=1)
-    assert np.max(np.abs(b.Fn - ambient)) <= 1e-15 * np.max(np.abs(b.Gn))
-    u = random_field(3, L, seed=4)
-    H = sphere.hessian(u, q)
-    oracle = [np.einsum("mi,mij,mj->m", E[i], H, E[j]) for i, j in ((0, 0), (0, 1), (1, 1))]
-    frame = b.frame_hessian(np.tensordot(u.coeffs, b.Fn, axes=1))
+    b = sphere._basis(n, L, q)
+    X = np.vstack([random_unit_points(n, 50, seed=n), np.eye(n), -np.eye(n)]) if rule == "points" else None
+    at = q.nodes if X is None else X
+    E, G = helpers.tangent_frame(at), b.gradients_at(at)
+    F = b.Fn if X is None else b.frame_gradients_at(X)
+    ambient = np.stack([np.einsum("mi,kmi->km", e, G) for e in E], axis=1)
+    assert np.max(np.abs(F[:, : len(E)] - ambient)) <= 1e-15 * np.max(np.abs(G))
+    assert not np.any(F[:, len(E) :])
+    u = random_field(n, L, seed=4)
+    H = helpers.ambient_hessian(u, q, X)
+    _, oracle = helpers.frame_entries(at, np.zeros(at.shape), H)
+    frame = b.frame_hessian(u.coeffs, at)
     assert np.max(np.abs(frame - oracle)) <= bound * np.max(np.abs(H))
 
 
