@@ -214,7 +214,10 @@ def _mode_field(n: int, k: int, amplitude: float) -> sphere.HarmonicField:
 
 
 def _experiment_quadrature(n: int, k: int):
-    return sphere.default_quadrature(n, max(k, 8))
+    rule = sphere.default_quadrature(n, max(k, 8))
+    if rule.degree < 2 * k:  # mode k's products have degree 2k: from k = 34 on, above 64, they would alias
+        raise QuadratureError(f"mode {k} needs a rule of degree {2 * k}, got {rule.degree}")
+    return rule
 
 
 class _Jet:
@@ -277,16 +280,14 @@ def _quadratic_term(n: int, r: float, u: sphere.HarmonicField, quad_rule) -> flo
     ``G''/G' = (n-1)/h - h`` at ``h = r``.  The jets of ``h``, ``|grad h|^2``
     and the Laplacian of ``h`` enter :func:`body.curvature_terms`;
     ``Hess h(grad h, grad h)`` is O(eps^3) and drops out.
+    ``|grad u|^2`` is read as ``-u Lap u``: its jet has only an eps^2 coefficient, which the density scales
+    by a factor of the zeroth coefficients (``r``, 0, 0), the same at every node, so only its quadrature
+    sum counts; on a rule exact to degree 2k, integration by parts on the sphere makes that sum ``-u Lap u``'s.
     """
     mean = quad_rule.weights / np.sum(quad_rule.weights)
     vals = sphere.synthesize(u, quad_rule)
-    if n == 3:
-        g_t, g_p = np.tensordot(u.coeffs, sphere._basis(n, u.degree, quad_rule).Fn, axes=1)
-        sq_grad = g_t * g_t + g_p * g_p
-    else:
-        grad = sphere.field_gradient(u, quad_rule)
-        sq_grad = np.einsum("mi,mi->m", grad, grad)
     lap = sphere.synthesize(sphere.laplace_beltrami(u), quad_rule)
+    sq_grad = -vals * lap
     s1 = -float(mean @ vals)
     s2 = -0.5 * ((n - 1) / r - r) * r * float(mean @ (s1 + vals) ** 2) + s1 * s1  # s1^2 = -s1 mean(u)
     zero = np.zeros_like(vals)
@@ -302,7 +303,7 @@ def measure_second_variation(n: int, r: float, k: int, epsilon: float = 1e-3) ->
     ``measured_coefficient`` is the exact eps^2 coefficient of the energy of
     ``r (1 + eps y_k)`` dilated to the ball's Gaussian volume; ``raw_gaps``
     holds the one finite gap at ``epsilon``, with the body matched by
-    :func:`body.volume_match`.
+    :func:`body.volume_match`.  Modes above 32 raise ``QuadratureError``: the rules would alias.
     """
     if k < 2 or k % 2:
         raise ValueError("mode must be even and at least 2")
@@ -367,8 +368,8 @@ def threshold_scan(n: int, k: int) -> float:
     Raises
     ------
     QuadratureError
-        If the bracket does not straddle a sign change, or the root search
-        does not converge.
+        If k > 32 (the rule would alias), the bracket does not change sign,
+        or the root search does not converge.
     """
     if k < 2 or k % 2:
         raise ValueError("mode must be even and at least 2")

@@ -16,14 +16,14 @@ real L2-normalised spherical harmonics up to a degree cap; for other
 dimensions it is the zonal (axisymmetric in x_1) Gegenbauer family, which
 realises every Laplace-Beltrami eigenvalue and is all the higher-dimensional
 experiments need; its tables come from the three-term recurrence
-(:func:`special.gegenbauer`).  Gradients are gradients of the degree-0 homogeneous
-extension, hence always tangent.  The S^2 tables come from the normalised
+(:func:`special.gegenbauer`).  The S^2 tables come from the normalised
 associated-Legendre recurrence, run also on P_l^m / sin(theta) so that the
 gradient formula stays regular at the poles.  Each basis gives gradients and
-covariant Hessians in an orthonormal tangent frame: ``(e_theta, e_phi)`` on S^2,
-where the Hessian differentiates the exactly projected gradient, and, in closed
-form, ``a / |a|``, ``a = e_1 - t x``, with any tangent vector across it for zonal
-fields.  A zonal basis maps coefficients exactly to its cosine series on a meridian (``S``).
+covariant Hessians in an orthonormal tangent frame only: ``(e_theta, e_phi)`` on
+S^2, where the Hessian differentiates the exactly projected gradient, and, in
+closed form, ``a / |a|``, ``a = e_1 - t x``, with any tangent vector across it for
+zonal fields; ambient gradients, always tangent, compose the frame.  A zonal basis
+maps coefficients exactly to its cosine series on a meridian (``S``).
 
 Every evaluation takes ``points=None`` for the quadrature nodes, an (m, n)
 array of unit vectors for m results, or one (n,) unit vector for a single
@@ -201,8 +201,8 @@ class HarmonicField:
     def single_mode(cls, n: int, k: int, amplitude: float, degree: int | None = None) -> "HarmonicField":
         """Pure eigenmode of order ``k``: the zonal harmonic for every n."""
         L = degree if degree is not None else max(k, 2)
-        if k > L:
-            raise ValueError(f"mode {k} exceeds basis degree {L}")
+        if not 0 <= k <= L:
+            raise ValueError(f"mode {k} is not in 0..{L}, the basis degrees")
         c = np.zeros(basis_size(n, L))
         c[k * k if n == 3 else k] = amplitude
         return cls(n=n, degree=L, coeffs=c)
@@ -239,25 +239,20 @@ def _eigenvalues(n: int, L: int) -> np.ndarray:
 
 
 class _Tables:
-    """Basis values and tangential gradients on a fixed quadrature.
+    """Basis values and frame gradients on a fixed quadrature.
 
-    Subclasses provide, for unit points ``X`` of shape (m, n), ``values_at(X)``,
-    shape (basis, m), ``gradients_at(X)``, shape (basis, m, n), and the frame
-    route of every Hessian: ``frame_at(X)``, the frame's named vectors (both on
-    S^2, only ``a / |a|`` for zonal fields), ``frame_gradients_at(X)``, shape
-    (basis, 2, m), and ``frame_hessian(coeffs, X, grad=None)``, a field's entries
-    ``H_11, H_12, H_22``, shape (3, m), at ``X``, the rule's own nodes or not.
-    Node values are built with the basis; the node-gradient tables, each larger,
-    only on first use.
+    Subclasses provide, for unit points ``X`` of shape (m, n), the rule's own nodes
+    or not, ``values_at(X)``, shape (basis, m), and the frame route of every gradient
+    and Hessian: ``frame_at(X)``, the frame's named vectors (both on S^2, only
+    ``a / |a|`` for zonal fields), ``frame_gradients_at(X)``, the components along
+    them, shape (basis, 2, m), and ``frame_hessian(coeffs, X, grad=None)``, a field's
+    entries ``H_11, H_12, H_22``, shape (3, m).  Node values are built with the
+    basis; the node frame gradients ``Fn``, twice as large, only on first use.
     """
 
     def __init__(self, quad: SphereQuadrature):
         self.quad = quad
         self.V = self.values_at(quad.nodes)
-
-    @cached_property
-    def Gn(self) -> np.ndarray:
-        return self.gradients_at(self.quad.nodes)
 
     @cached_property
     def Fn(self) -> np.ndarray:
@@ -377,12 +372,6 @@ class _FullBasis3D(_Tables):
 
     frame_at = staticmethod(_polar_frame)
 
-    def gradients_at(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(X)
-        F = self.Fn if X is self.quad.nodes else self.frame_gradients_at(X)
-        e_theta, e_phi = _polar_frame(X)
-        return F[:, 0, :, None] * e_theta + F[:, 1, :, None] * e_phi
-
     def _gradient_basis(self) -> _FullBasis3D:
         # Each component of grad u is a spherical polynomial of degree L + 1, so
         # its projection at that degree is exact on a rule of degree 2L + 2.
@@ -460,12 +449,6 @@ class _ZonalBasis(_Tables):
 
     def values_at(self, X: np.ndarray) -> np.ndarray:
         return self._table(np.atleast_2d(X))[0]
-
-    def gradients_at(self, X: np.ndarray) -> np.ndarray:
-        # grad g(<x, e_1>) = g'(t) a, with a = e_1 - t x.
-        X = np.atleast_2d(X)
-        a = np.eye(X.shape[1])[0] - X[:, :1] * X
-        return self._table(X)[1][:, :, None] * a[None, :, :]
 
     @staticmethod
     def frame_at(X: np.ndarray):
@@ -570,16 +553,17 @@ def field_gradient(field: HarmonicField, quad: SphereQuadrature | None = None, p
     """Tangential gradient at every quadrature node, shape (nodes, n), or at unit ``points``.
 
     ``points`` of shape (m, n) gives an (m, n) array, a single (n,) vector one
-    gradient of shape (n,).  The result is the ambient gradient of the
-    degree-0 homogeneous extension, so it is orthogonal to its point.  On
-    S^2 the same pole-regular formula holds everywhere, poles included.
+    gradient of shape (n,).  The frame components ``g_1, g_2`` (the field's
+    row of ``Fn`` at the nodes) times the frame vectors: ``g_1 e_theta + g_2 e_phi``
+    on S^2, pole-regular, and ``g'(t) |a| (a / |a|) = g'(t) a`` for zonal fields,
+    so it is orthogonal to its point.
     """
     b = _basis_for(field, quad)
-    if points is None:
-        return np.tensordot(field.coeffs, b.Gn, axes=1)
-    X, single = _points(points, field.n)
-    g = np.tensordot(field.coeffs, b.gradients_at(X), axes=1)
-    return g[0] if single else g
+    X, single = (b.quad.nodes, False) if points is None else _points(points, field.n)
+    F = b.Fn if points is None else b.frame_gradients_at(X)
+    g = np.tensordot(field.coeffs, F, axes=1)
+    grad = sum(g_a[:, None] * e_a for g_a, e_a in zip(g, b.frame_at(X)))
+    return grad[0] if single else grad
 
 
 def hessian(field: HarmonicField, quad: SphereQuadrature | None = None, points=None) -> np.ndarray:

@@ -30,7 +30,9 @@ Body node values (of a ``body.RadialGraph`` or of each row of a
 ``r (1 + synthesize(u))``, ``r field_gradient(u)``,
 ``r synthesize(laplace_beltrami(u))``, and ``r`` times the library's former
 ambient n x n Hessian, :func:`ambient_hessian`, all of which
-:func:`per_field_node_values` evaluates; :func:`frame_entries` reads the
+:func:`per_field_node_values` evaluates.  The Hessian reads the former
+ambient basis gradients, :func:`ambient_gradients`, which are also the
+oracle of the bases' frame gradient tables; :func:`frame_entries` reads the
 ambient gradient and Hessian in the bases' tangent frame, built afresh by
 :func:`tangent_frame`.
 ``stack``, ``rows`` and ``body_stack`` are no oracles: the first puts curves
@@ -541,6 +543,23 @@ def per_field_node_values(graph):
     }
 
 
+def ambient_gradients(basis, X):
+    """Every basis function's ambient gradient at unit points ``X`` (m, n), shape (basis, m, n),
+    by the library's former route: the gradient of the degree-0 homogeneous extension.
+
+    On S^2 it is the pole-regular ``dP/dtheta e_theta + (m P / sin theta) e_phi`` assembled
+    from the basis's frame gradient table; for zonal fields ``g(<x, e_1>)`` it is
+    ``g'(t) a`` with ``a = e_1 - t x``.
+    """
+    X = np.atleast_2d(X)
+    if X.shape[1] == 3:
+        F = basis.Fn if X is basis.quad.nodes else basis.frame_gradients_at(X)
+        e_theta, e_phi = tangent_frame(X)
+        return F[:, 0, :, None] * e_theta + F[:, 1, :, None] * e_phi
+    a = np.eye(X.shape[1])[0] - X[:, :1] * X
+    return basis._derivatives(X[:, 0])[1][:, :, None] * a[None, :, :]
+
+
 def ambient_hessian(u, quad, points=None):
     """Covariant Hessian of ``u`` as (m, n, n) matrices at the nodes or at unit ``points``,
     by the library's former ambient route.
@@ -557,8 +576,8 @@ def ambient_hessian(u, quad, points=None):
     P = np.eye(u.n) - X[:, :, None] * X[:, None, :]
     if u.n == 3:
         up = b._gradient_basis()
-        C = up.V @ (quad.weights[:, None] * np.tensordot(u.coeffs, b.Gn, axes=1))
-        G = up.Gn if points is None else up.gradients_at(X)
+        C = up.V @ (quad.weights[:, None] * np.tensordot(u.coeffs, ambient_gradients(b, quad.nodes), axes=1))
+        G = ambient_gradients(up, X)
         J = np.dot(C.T, G.reshape(len(C), -1)).reshape(3, -1, 3).transpose(1, 0, 2)
         return P @ J @ P
     d1, d2 = u.coeffs @ b._derivatives(X[:, 0])[1:]

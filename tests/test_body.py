@@ -483,7 +483,15 @@ def test_s2_checks_read_the_frame_tables_only(monkeypatch):
     experiments.measure_second_variation(3, 1.0, 2)
     experiments.threshold_scan(3, 2)
     assert {6, 7, 8, 9} <= set(rule._bases)
-    assert not any("Gn" in vars(basis) for basis in rule._bases.values())
+    for cls in (sphere._FullBasis3D, sphere._ZonalBasis):
+        assert not any(hasattr(cls, name) for name in ("Gn", "gradients_at")), cls
+    # The threshold scan reads values only: |grad u|^2 enters as -u Lap u.
+    for n in (3, 4):
+        base = sphere.default_quadrature(n, 8)
+        fresh = sphere.SphereQuadrature(n=n, degree=base.degree, nodes=base.nodes, weights=base.weights)
+        monkeypatch.setattr(experiments, "_experiment_quadrature", lambda n_, k: fresh)
+        experiments.threshold_scan(n, 2)
+        assert fresh._bases and not any("Fn" in vars(basis) for basis in fresh._bases.values()), n
 
 
 def _poled_rule():

@@ -251,8 +251,8 @@ def test_second_variation_matches_prediction(n, k):
     for r in (0.3, 1.0, 2.0):
         rep = ex.measure_second_variation(n, r, k, 1e-3)
         exact = ex.quadratic_coefficient(n, r, k)
-        assert rep.measured_coefficient == pytest.approx(exact, rel=1e-11, abs=0.0), r
-        assert rep.relative_error < 1e-11
+        assert rep.measured_coefficient == pytest.approx(exact, rel=1e-13, abs=0.0), r
+        assert rep.relative_error < 1e-13
         if n <= 4 and k <= 4:
             # Richardson extrapolation of finite-eps matched energies, independent of the jet.
             oracle = helpers.richardson_coefficient(n, r, k)
@@ -272,6 +272,16 @@ def test_threshold_scan_matches_algebraic_root(n):
     # High modes too, where finite differences in eps drown the coefficient in rounding noise.
     for k in (8, 14, 16):
         assert ex.threshold_scan(n, k) == pytest.approx(ex.algebraic_threshold(n, k), abs=1e-10), k
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_modes_above_32_raise_instead_of_aliasing(n):
+    # The rules stop at degree 64, so k = 32 is the last mode whose products they sum exactly.
+    assert ex.threshold_scan(n, 32) == pytest.approx(ex.algebraic_threshold(n, 32), abs=1e-10)
+    with pytest.raises(QuadratureError, match="mode 34 needs a rule of degree 68"):
+        ex.threshold_scan(n, 34)
+    with pytest.raises(QuadratureError, match="mode 34 needs a rule of degree 68"):
+        ex.measure_second_variation(n, 1.0, 34)
 
 
 @pytest.mark.parametrize("n", range(3, 9))

@@ -174,7 +174,8 @@ def test_recurrence_tables_match_lpmv_oracle(L, degree):
     cols = slice(None, None, max(1, q.size // 300))
     V, G = helpers.lpmv_harmonic_tables(L, q.nodes[cols])
     assert np.max(np.abs(basis.V[:, cols] - V)) <= 1e-12 * max(1.0, np.max(np.abs(V)))
-    assert np.max(np.abs(basis.Gn[:, cols] - G)) <= 1e-12 * max(1.0, np.max(np.abs(G)))
+    ambient = helpers.ambient_gradients(basis, q.nodes[cols])
+    assert np.max(np.abs(ambient - G)) <= 1e-12 * max(1.0, np.max(np.abs(G)))
 
 
 @pytest.mark.parametrize("L", [40, 64])
@@ -221,6 +222,13 @@ def test_field_rejects_unsupported_dimension(n):
     # At n = 2 the zonal basis would normalise at lambda = 0 and synthesize NaN.
     with pytest.raises(ValueError, match="dimension"):
         HarmonicField(n=n, degree=2, coeffs=[1.0, 0.5, 0.2])
+
+
+@pytest.mark.parametrize("n, k, degree", [(4, -1, None), (3, -2, None), (3, -1, 4), (5, 7, 6)])
+def test_single_mode_rejects_modes_outside_the_basis(n, k, degree):
+    # A negative k would index from the end and fill another mode's slot.
+    with pytest.raises(ValueError, match=f"mode {k} is not in 0"):
+        HarmonicField.single_mode(n, k, 1.0, degree=degree)
 
 
 def test_parity_detection():
@@ -389,10 +397,11 @@ def test_stacked_hessians_equal_single_hessians(n):
     ],
 )
 def test_frame_tables_match_the_ambient_route(rule, n, L, bound):
-    # Fn holds e_a . Gn, and frame_hessian the entries e_a^T Hess u e_b of the former ambient route
-    # (helpers.ambient_hessian), at the nodes or at points; a zonal frame names e_1 = a / |a| only.
-    # Over 20 fields (3 at L = 31) the gaps stay below 6.5e-16 of max |Gn|, and 1.4e-15 (8.3e-15 at
-    # L = 31) of max |Hess u|; the zonal cases below 9.1e-16.
+    # Fn holds e_a . G for the former ambient gradients G (helpers.ambient_gradients), and frame_hessian
+    # the entries e_a^T Hess u e_b of the former ambient route (helpers.ambient_hessian), at the nodes or
+    # at points; a zonal frame names e_1 = a / |a| only.  Over 20 fields (3 at L = 31) the gaps stay
+    # below 6.5e-16 of max |G|, and 1.4e-15 (8.3e-15 at L = 31) of max |Hess u|; the zonal cases below
+    # 9.1e-16.
     q = build_quadrature(3, 64) if rule == "64" else sphere.default_quadrature(n, L)
     if rule == "poled":
         poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
@@ -402,7 +411,7 @@ def test_frame_tables_match_the_ambient_route(rule, n, L, bound):
     b = sphere._basis(n, L, q)
     X = np.vstack([random_unit_points(n, 50, seed=n), np.eye(n), -np.eye(n)]) if rule == "points" else None
     at = q.nodes if X is None else X
-    E, G = helpers.tangent_frame(at), b.gradients_at(at)
+    E, G = helpers.tangent_frame(at), helpers.ambient_gradients(b, at)
     F = b.Fn if X is None else b.frame_gradients_at(X)
     ambient = np.stack([np.einsum("mi,kmi->km", e, G) for e in E], axis=1)
     assert np.max(np.abs(F[:, : len(E)] - ambient)) <= 1e-15 * np.max(np.abs(G))
