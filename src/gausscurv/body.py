@@ -22,6 +22,7 @@ radially in closed form, through the regularised incomplete gamma functions of
 from __future__ import annotations
 
 import math
+import sys
 from functools import cached_property
 
 import numpy as np
@@ -60,10 +61,11 @@ class BodyStack:
 
     ``coeffs`` of shape ``(rows, basis)`` hold one field ``u`` per body, and
     ``radii`` broadcast to one radius per row; 1-D ``coeffs`` give one body
-    whose node arrays have no row axis.  Node arrays are one ``np.dot`` per row
-    with the rule's basis tables, so a body's values are the same in every
-    stack; those beyond ``h`` fill lazily, and nothing observable changes, so
-    stacks are safe to share.  Raises ``ValueError`` unless each ``h`` is
+    whose node arrays have no row axis.  Each node array is one batched call
+    per stack, ``np.matmul`` over the row axis, whose rows are per-row slices
+    with a lone body's shapes, so a body's values are the same in every stack;
+    those beyond ``h`` fill lazily, and nothing observable changes, so stacks
+    are safe to share.  Raises ``ValueError`` unless each ``h`` is
     positive at every node and, for n >= 4, on the meridian section at every
     planar grid node.
     """
@@ -85,7 +87,7 @@ class BodyStack:
         self.radii, self.coeffs = radii, coeffs
         self.quad = quad if quad is not None else sphere.default_quadrature(n, max(self.degree, 4))
         self._tables = sphere._basis(self.n, self.degree, self.quad)
-        self.h_nodes = radii[..., None] * (1.0 + _row_products(coeffs, self._tables.V))
+        self.h_nodes = radii[..., None] * (1.0 + sphere._row_products(coeffs, self._tables.V))
         if not self.h_nodes.min() > 0.0:
             raise ValueError("boundary radius must stay positive at every node")
         if n >= 4 and not plane._on_grid(_section_spectra(self), plane.DEFAULT_GRID).min() > 0.0:
@@ -93,7 +95,7 @@ class BodyStack:
 
     @cached_property
     def lap_nodes(self) -> np.ndarray:
-        return self.radii[..., None] * _row_products(self._lap_coeffs, self._tables.V)
+        return self.radii[..., None] * sphere._row_products(self._lap_coeffs, self._tables.V)
 
     @property
     def _lap_coeffs(self) -> np.ndarray:
@@ -102,17 +104,15 @@ class BodyStack:
     @cached_property
     def _frame_grad(self) -> np.ndarray:
         """``grad h`` at the nodes along the basis's frame: rows ``g_1, g_2``, shape (..., 2, nodes)."""
-        return self.radii[..., None, None] * _row_products(self.coeffs, self._tables.Fn)
+        return self.radii[..., None, None] * sphere._row_products(self.coeffs, self._tables.Fn)
 
     @cached_property
     def _frame_hess(self) -> np.ndarray:
         """``Hess h`` at the nodes in the frame: rows ``H_11, H_12, H_22``, shape (..., 3, nodes).
 
-        One ``frame_hessian`` call per body, so that a stack's row is the body's own."""
-        rows = zip(self.radii.reshape(-1), self.coeffs.reshape(-1, self.coeffs.shape[-1]),
-                   self._frame_grad.reshape(-1, 2, self.quad.size))
-        hess = np.array([self._tables.frame_hessian(r * c, self.quad.nodes, grad) for r, c, grad in rows])
-        return hess.reshape(self._frame_grad.shape[:-2] + hess.shape[-2:])
+        One ``frame_hessian`` call for the whole stack, whose products are per-row slices, so that
+        a stack's row is the body's own."""
+        return self._tables.frame_hessian(self.radii[..., None] * self.coeffs, self.quad.nodes, self._frame_grad)
 
     @cached_property
     def sq_grad_nodes(self) -> np.ndarray:
@@ -130,14 +130,6 @@ class BodyStack:
         for values in terms:
             values.setflags(write=False)
         return terms
-
-
-def _row_products(coeffs, table) -> np.ndarray:
-    """``coeffs`` dotted with ``table`` over its first axis: one ``np.dot`` for one row, and one per row of a stack."""
-    flat = table.reshape(len(table), -1)
-    if coeffs.ndim == 1:
-        return np.dot(coeffs, flat).reshape(table.shape[1:])
-    return np.stack([np.dot(row, flat) for row in coeffs]).reshape(len(coeffs), *table.shape[1:])
 
 
 class RadialGraph(BodyStack):
@@ -216,12 +208,11 @@ def curvature_terms(n, h, sq, lap, hess, xp=np):
 
 
 def _integrals(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Quadrature sums along the last axis, one dot product per body.
+    """Quadrature sums along the last axis: ``np.matmul`` over the row axes, one dot product per body.
 
     Each body's sum is then the same whatever stack it sits in.
     """
-    rows = values.reshape(-1, values.shape[-1])
-    return np.array([np.dot(weights, row) for row in rows]).reshape(values.shape[:-1])
+    return (values[..., None, :] @ weights[:, None])[..., 0, 0]
 
 
 def _per_body(values: np.ndarray):
@@ -243,9 +234,9 @@ def mean_curvature(body: BodyStack, points=None):
     X, single = sphere._points(points, body.n)
     b, r = body._tables, body.radii
     V = b.values_at(X)
-    grad = r * _row_products(body.coeffs, b.frame_gradients_at(X))
+    grad = r * sphere._row_products(body.coeffs, b.frame_gradients_at(X))
     hess = b.frame_hessian(r * body.coeffs, X, body._frame_grad)
-    h, lap = r * (1.0 + _row_products(body.coeffs, V)), r * _row_products(body._lap_coeffs, V)
+    h, lap = r * (1.0 + sphere._row_products(body.coeffs, V)), r * sphere._row_products(body._lap_coeffs, V)
     H, _ = curvature_terms(body.n, h, np.sum(grad**2, axis=-2), lap, sphere._frame_form(grad, hess))
     return float(H[0]) if single else H
 
@@ -269,6 +260,14 @@ def flux_energy(body: BodyStack):
     """Same integral with the radial flux factor <x, nu>/|x| = h / slant."""
     integrand = mean_curvature(body) * np.exp(-0.5 * body.h_nodes**2) * body.h_nodes ** (body.n - 1)
     return _per_body(_integrals(body.quad.weights, integrand))
+
+
+def _volume_outside(n: int, weights: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Gaussian measure outside the bodies with node radii ``h``, one sum per body: quadrature of
+    ``int_h^inf t^(n-1) exp(-t^2/2) dt = 2^(n/2-1) Gamma(n/2) Q(n/2, h^2/2)``.  It keeps the
+    digits that one minus a volume next to 1 loses."""
+    outer = 2.0 ** (n / 2.0 - 1.0) * math.gamma(n / 2.0)
+    return _integrals(weights, outer * gammaincc(n / 2.0, 0.5 * h**2)) / (2.0 * math.pi) ** (n / 2.0)
 
 
 def inverse_square_flux(body: BodyStack):
@@ -336,10 +335,9 @@ def volume_match(body: RadialGraph, target: float) -> RadialGraph:
         # Near 1 the volume cannot resolve the target; its complement, the
         # volume outside, can.  1 - target is exact here.
         tol = 1e-13 * (1.0 - target)
-        outer = 2.0 ** (n / 2.0 - 1.0) * math.gamma(n / 2.0)
 
         def residual(s):
-            return (1.0 - target) - float(np.dot(w, outer * gammaincc(n / 2.0, 0.5 * (s * h) ** 2))) / norm
+            return (1.0 - target) - float(_volume_outside(n, w, s * h))
 
     def dvol(s):
         return float(np.dot(w, h * (s * h) ** (n - 1) * np.exp(-0.5 * (s * h) ** 2))) / norm
@@ -426,11 +424,22 @@ def ball_energy(n: int, r: float) -> float:
     return (n - 1) * r ** (n - 2) * math.exp(-0.5 * r * r) * sphere.sphere_area(n)
 
 
-def ball_match_radius(n: int, target: float) -> float:
-    """Radius of the centred ball with Gaussian volume ``target``: the chi_n quantile."""
-    if not 0.0 < target < 1.0:
-        raise ValueError("target Gaussian volume must lie in (0, 1)")
-    return math.sqrt(2.0 * gammaincinv(n / 2.0, target))
+def ball_match_radius(n: int, target: float, outside: float | None = None) -> float:
+    """Radius of the centred ball with Gaussian volume ``target``: the chi_n quantile.
+
+    Above 1/2 the ball's volume outside matches ``outside``, which is ``1 - target`` unless given.
+    A body's own outside volume (its quadrature of ``Q``, as :func:`volume_match` reads it) keeps
+    the digits that ``1 - target`` rounds away next to 1, where ``target`` may round to 1 or above.
+    ``ValueError`` unless ``target > 0`` and, above 1/2, the volume outside lies between the least
+    normal float and 1/2.
+    """
+    q = 1.0 - target if outside is None else outside
+    if not (0.0 < target and (target <= 0.5 or sys.float_info.min <= q <= 0.5)):
+        raise ValueError(
+            f"target Gaussian volume must lie in (0, 1) and leave a normal float outside, "
+            f"got {target!r} with {q!r} outside"
+        )
+    return math.sqrt(2.0 * gammaincinv(n / 2.0, target, q))
 
 
 def save_body(body: RadialGraph, path) -> None:

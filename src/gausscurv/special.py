@@ -6,7 +6,9 @@ Below ``x = a``, ``P = x^a e^-x / Gamma(a + 1) 1F1(1; a + 1; x)`` (DLMF 8.7.1), 
 summed to a fixed number of terms for each ``a``, so a value is the same in any array.  From
 ``x = a`` on, ``Q`` is a finite sum (DLMF §8.4): ``e^-x sum_(k < m/2) x^k / k!`` for even m,
 ``erfc(sqrt x) + e^-x sum_(k=1..(m-1)/2) x^(k - 1/2) / Gamma(k + 1/2)`` for odd m.  Each is
-at most about 0.7 where taken, so one minus it keeps full relative accuracy.
+at most about 0.7 where taken, so one minus it keeps full relative accuracy.  The arrays take
+``erfc`` from numpy, as ``e^-x`` times Cody's rational approximations to ``e^(y^2) erfc(y)``
+(W. J. Cody, Math. Comp. 23, 1969); the scalar inverse takes ``math.erfc``.
 """
 
 from __future__ import annotations
@@ -52,6 +54,50 @@ def kummer_sum(a: float, x):
     return _partial_sum(a, np.asarray(x, dtype=float))[()]
 
 
+# W. J. Cody's rational Chebyshev approximations to erfc (Math. Comp. 23, 1969, 631-637), taken
+# without their factor exp(-y^2): on [0.5, 4] e^(y^2) erfc(y) = P(y) / Q(y), above 4
+# (1/sqrt(pi) - z R(z) / S(z)) / y with z = 1 / y^2.  Each table holds the numerator (row 0) and
+# the denominator (row 1) for :func:`_cody_ratio`, leading coefficient first.
+_ERFC_NEAR = np.array([
+    [2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e0, 6.61191906371416295e1,
+     2.98635138197400131e2, 8.81952221241769090e2, 1.71204761263407058e3, 2.05107837782607147e3,
+     1.23033935479799725e3],
+    [1.0, 1.57449261107098347e1, 1.17693950891312499e2, 5.37181101862009858e2, 1.62138957456669019e3,
+     3.29079923573345963e3, 4.36261909014324716e3, 3.43936767414372164e3, 1.23033935480374942e3],
+])
+_ERFC_FAR = np.array([
+    [1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1, 1.25781726111229246e-1,
+     1.60837851487422766e-2, 6.58749161529837803e-4],
+    [1.0, 2.56852019228982242e0, 1.87295284992346725e0, 5.27905102951428412e-1, 6.05183413124413191e-2,
+     2.33520497626869185e-3],
+])
+_FRAC_1_SQRT_PI = 0.5641895835477563
+
+
+def _cody_ratio(t: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Cody's nested rational form ``((c_0 t + c_1) t + ... ) t + c_last``, numerator over
+    denominator, for the (2, k) table ``coeffs``: both rows in one array, so each step is one
+    numpy call for the pair."""
+    acc = coeffs[:, :1] * t
+    for column in coeffs.T[1:-1, :, None]:
+        acc += column
+        acc *= t
+    acc += coeffs[:, -1:]
+    return acc[0] / acc[1]
+
+
+def _erfcx(y: np.ndarray) -> np.ndarray:
+    """The scaled complementary error function ``e^(y^2) erfc(y)`` elementwise for 1-D ``y >= 0.5``:
+    about 1e-16 relative, and no underflow, for the caller to scale by an exact ``e^-x``."""
+    out = _cody_ratio(y, _ERFC_NEAR)
+    far = y > 4.0
+    if far.any():
+        y_far = y[far]
+        z = 1.0 / (y_far * y_far)
+        out[far] = (_FRAC_1_SQRT_PI - z * _cody_ratio(z, _ERFC_FAR)) / y_far
+    return out
+
+
 def _regularized(a: float, x, upper: bool):
     """``Q(a, x)`` if ``upper``, else ``P(a, x)``, for ``a = m/2``."""
     if a <= 0.0 or 2.0 * a != int(2.0 * a):
@@ -65,9 +111,15 @@ def _regularized(a: float, x, upper: bool):
         out[below] = 1.0 - p if upper else p
     if not below.all():
         hi, j = np.minimum(x[~below], 1e4), int(a)  # Q underflows there; keeps inf * 0 out
-        q = hi ** (a - j) * np.exp(-hi) / math.gamma(a - j + 1.0) * _partial_sum(a - j, hi, j) if j else 0.0
-        if a != j:
-            q = q + np.fromiter(map(math.erfc, np.sqrt(hi).tolist()), float, hi.size)
+        # Q = e^-x (finite sum + e^x erfc(sqrt x)), with e^-x in two halves: past x = 708 one
+        # factor e^-x is subnormal and short of digits, and erfc(sqrt x) would carry the rounding
+        # of sqrt x amplified 2x times.
+        scaled = _partial_sum(a - j, hi, j) if j else 0.0
+        if a != j:  # odd m: the sum's x^(1/2) / Gamma(3/2), and e^x erfc(sqrt x)
+            root = np.sqrt(hi)
+            scaled = root / math.gamma(a - j + 1.0) * scaled + _erfcx(root)
+        half = np.exp(-0.5 * hi)
+        q = half * scaled * half
         out[~below] = q if upper else 1.0 - q
     return out[()]
 
@@ -82,14 +134,18 @@ def gammaincc(a: float, x):
     return _regularized(a, x, upper=True)
 
 
-def gammaincinv(a: float, p: float) -> float:
-    """``x`` with ``P(a, x) = p`` for ``a = m/2`` and ``0 < p < 1``: Halley's method in
-    ``u = log x`` on ``F = log(P / p)``, or on ``log(Q / (1 - p))`` above 1/2, where
+def gammaincinv(a: float, p: float, q: float | None = None) -> float:
+    """``x`` with ``P(a, x) = p`` and ``Q(a, x) = q`` for ``a = m/2``, where ``q`` is ``1 - p``
+    unless given: a complement of its own resolves the roots that ``1 - p`` rounds away next to 1.
+    Halley's method in ``u = log x`` on ``F = log(P / p)``, or on ``log(Q / q)`` above 1/2, where
     ``F'' = F' (a - x - F')``, with steps of at most a factor e.  It starts from the root of
-    ``x^a / Gamma(a + 1)``, or above 1/2 of ``Q``'s leading term but not below ``a``."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"the probability must lie in (0, 1), got {p}")
-    j, q = int(a), 1.0 - p
+    ``x^a / Gamma(a + 1)``, or above 1/2 of ``Q``'s leading term but not below ``a``.
+    ``ValueError`` unless ``p > 0`` and, above 1/2, ``q`` lies between the least normal float and
+    1/2: a subnormal ``q`` keeps too few digits to converge."""
+    q = 1.0 - p if q is None else q
+    if not (0.0 < p and (p <= 0.5 or sys.float_info.min <= q <= 0.5)):
+        raise ValueError(f"the probability and its complement must lie in (0, 1), got {p!r} and {q!r}")
+    j = int(a)
     if p <= 0.5:
         x = (p * math.gamma(a + 1.0)) ** (1.0 / a)
     else:
@@ -98,23 +154,24 @@ def gammaincinv(a: float, p: float) -> float:
     if x < sys.float_info.min:  # a subnormal root: P = x^a / Gamma(a + 1) to double precision
         return x
     for _ in range(100):
+        half = math.exp(-0.5 * x)  # e^-x as half^2, as in _regularized
         if x < a:
             lower = x**a * math.exp(-x) / math.gamma(a + 1.0) * float(kummer_sum(a, x))
             upper = 1.0 - lower
         else:
-            term, upper = x ** (a - j) * math.exp(-x) / math.gamma(a - j + 1.0), 0.0
+            term, upper = x ** (a - j) * half / math.gamma(a - j + 1.0), 0.0
             for k in range(1, j + 1):
                 upper, term = upper + term, term * x / (a - j + k)
-            upper += math.erfc(math.sqrt(x)) if a != j else 0.0
+            upper = upper * half + (math.erfc(math.sqrt(x)) if a != j else 0.0)
             lower = 1.0 - upper
-        slope = x**a * math.exp(-x) / math.gamma(a)  # x dP/dx
+        slope = x**a * half / math.gamma(a) * half  # x dP/dx
         value, slope = (math.log(lower / p), slope / lower) if p <= 0.5 else (math.log(upper / q), -slope / upper)
         step = value / slope
         step = max(-1.0, min(1.0, step / max(0.5, 1.0 - 0.5 * step * (a - x - slope))))
         x *= math.exp(-step)
         if abs(step) < 1e-6:
             return x
-    raise QuadratureError(f"the incomplete gamma inverse did not converge for a = {a}, p = {p!r}")
+    raise QuadratureError(f"the incomplete gamma inverse did not converge for a = {a}, p = {p!r}, q = {q!r}")
 
 
 def gegenbauer(L: int, lam, t: np.ndarray) -> np.ndarray:

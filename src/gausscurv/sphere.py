@@ -245,9 +245,10 @@ class _Tables:
     or not, ``values_at(X)``, shape (basis, m), and the frame route of every gradient
     and Hessian: ``frame_at(X)``, the frame's named vectors (both on S^2, only
     ``a / |a|`` for zonal fields), ``frame_gradients_at(X)``, the components along
-    them, shape (basis, 2, m), and ``frame_hessian(coeffs, X, grad=None)``, a field's
-    entries ``H_11, H_12, H_22``, shape (3, m).  Node values are built with the
-    basis; the node frame gradients ``Fn``, twice as large, only on first use.
+    them, shape (basis, 2, m), and ``frame_hessian(coeffs, X, grad=None)``, the entries
+    ``H_11, H_12, H_22`` of a field, shape (3, m), or of a stack of fields, (..., 3, m).
+    Node values are built with the basis; the node frame gradients ``Fn``, twice as
+    large, only on first use.
     """
 
     def __init__(self, quad: SphereQuadrature):
@@ -383,25 +384,28 @@ class _FullBasis3D(_Tables):
         return _basis(3, L1, q)
 
     def frame_hessian(self, coeffs: np.ndarray, X: np.ndarray, grad=None) -> np.ndarray:
-        """The covariant Hessian of a field in the frame at ``X``: rows ``H_tt, H_tp, H_pp``, shape (3, m).
+        """The covariant Hessian of fields in the frame at ``X``: rows ``H_tt, H_tp, H_pp``, shape (..., 3, m).
 
-        The ambient components of ``grad u``, from its frame gradient at the nodes ``grad``
-        (formed from ``coeffs`` when None), are projected at degree L + 1 on the nodes.  Row
-        i of ``D`` holds the frame gradient at ``X`` of component i, so ``D[i, b] = (J e_b)_i``
-        for the Jacobian ``J`` of the projected ``grad u``.  Each ``e_a`` is tangent, so
-        ``e_a^T J e_b`` is the covariant Hessian's entry without a projection.
+        ``coeffs`` holds one field of shape (basis,) or a stack of them, (..., basis).  The ambient
+        components of ``grad u``, from its frame gradient at the nodes ``grad``, shape (..., 2, nodes)
+        (formed from ``coeffs`` when None), are projected at degree L + 1 on the nodes.  Row i of
+        ``D`` holds the frame gradient at ``X`` of component i, so ``D[i, b] = (J e_b)_i`` for the
+        Jacobian ``J`` of the projected ``grad u``.  Each ``e_a`` is tangent, so ``e_a^T J e_b`` is
+        the covariant Hessian's entry without a projection.  Both products are ``np.matmul`` over
+        the leading axes, one BLAS call per field with a lone field's shapes, so a stack's row is
+        the field's own.
         """
         up, E, nodes = self._gradient_basis(), self._frame, X is self.quad.nodes
         if grad is None:
-            grad = np.tensordot(coeffs, self.Fn, axes=1)
-        C = (self.quad.weights * (grad[0] * E[0] + grad[1] * E[1])) @ up.V.T
+            grad = _row_products(coeffs, self.Fn)
+        C = (self.quad.weights * (grad[..., :1, :] * E[0] + grad[..., 1:, :] * E[1])) @ up.V.T
         if not nodes:
             E = np.transpose(_polar_frame(X), (0, 2, 1))
         F = up.Fn if nodes else up.frame_gradients_at(X)
-        D = np.dot(C, F.reshape(len(F), -1)).reshape(3, 2, -1)
-        out = np.empty((3, D.shape[-1]))
-        out[:2] = np.sum(E[0][:, None] * D, axis=0)
-        out[2] = E[1][0] * D[0, 1] + E[1][1] * D[1, 1]  # e_phi has no x_3 component
+        D = np.matmul(C, F.reshape(len(F), -1)).reshape(C.shape[:-1] + F.shape[1:])
+        out = np.empty(D.shape[:-3] + (3, D.shape[-1]))
+        out[..., :2, :] = np.sum(E[0][:, None] * D, axis=-3)
+        out[..., 2, :] = E[1][0] * D[..., 0, 1, :] + E[1][1] * D[..., 1, 1, :]  # e_phi has no x_3 component
         return out
 
 
@@ -466,12 +470,13 @@ class _ZonalBasis(_Tables):
 
     def frame_hessian(self, coeffs: np.ndarray, X: np.ndarray, grad=None) -> np.ndarray:
         """``g'' a a^T - t g' P`` read in the frame at ``X``: ``H_11 = g''(t) (1 - t^2) - t g'(t)``,
-        ``H_12 = 0`` and ``H_22 = -t g'(t)``, shape (3, m); ``grad`` is not needed."""
+        ``H_12 = 0`` and ``H_22 = -t g'(t)``, shape (..., 3, m) for ``coeffs`` of shape (..., basis);
+        ``grad`` is not needed.  ``g'`` and ``g''`` are one ``np.matmul`` slice per field and order."""
         t = X[:, 0]
-        d1, d2 = coeffs @ self._table(X)[1:]
-        out = np.zeros((3, t.size))
-        out[2] = -t * d1
-        out[0] = d2 * (1.0 - t * t) + out[2]
+        d = np.matmul(coeffs[..., None, None, :], self._table(X)[1:])[..., 0, :]
+        out = np.zeros(d.shape[:-2] + (3, t.size))
+        out[..., 2, :] = -t * d[..., 0, :]
+        out[..., 0, :] = d[..., 1, :] * (1.0 - t * t) + out[..., 2, :]
         return out
 
 
@@ -502,6 +507,16 @@ def _points(points, n: int):
     if np.any(np.abs(np.linalg.norm(X, axis=-1) - 1.0) > 1e-12):
         raise ValueError("points must be unit vectors, to 1e-12")
     return np.atleast_2d(X), X.ndim == 1
+
+
+def _row_products(coeffs, table) -> np.ndarray:
+    """``coeffs`` dotted with ``table`` over its first axis, for one row of shape (basis,) or a stack
+    (..., basis): ``np.matmul`` over the leading axes, one BLAS call per row with a lone row's shapes.
+
+    So a row's values are the same in any stack; one 2-D product over all rows would block differently
+    and move entries by rounding."""
+    flat = table.reshape(len(table), -1)
+    return np.matmul(coeffs[..., None, :], flat)[..., 0, :].reshape(coeffs.shape[:-1] + table.shape[1:])
 
 
 def _frame_form(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:

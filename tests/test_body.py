@@ -545,6 +545,30 @@ def test_stacked_node_values_equal_each_bodys_own(n, poled):
             assert column[k] == quantity(graph), (quantity.__name__, k)
 
 
+@pytest.mark.parametrize("n, poled", [(3, False), (4, False), (6, False), (3, True)], ids=["3", "4", "6", "poled"])
+def test_stack_rows_equal_one_row_bodies_at_every_size(n, poled):
+    # Each stack quantity is one batched call whose rows are per-row matmul slices, so no stack size
+    # moves a row's bits: every row equals the body built from that row alone.
+    quad = _poled_rule() if poled else None
+    rows, radii = cli._sample_even(29, range(300), n, 0.1), 1.0 + np.arange(300) % 3
+    arrays = ("h_nodes", "lap_nodes", "_frame_grad", "_frame_hess")
+    columns = (
+        bd.gaussian_volume, bd.curvature_energy_nd, bd.flux_energy, bd.inverse_square_flux,
+        bd.inverse_square_flux_bulk, bd.inscribed_radius, bd.second_fundamental_min, bd.is_convex,
+        bd.mean_curvature, lambda body: bd._volume_outside(body.n, body.quad.weights, body.h_nodes),
+    )
+
+    def values(body):
+        return [getattr(body, name) for name in arrays] + [column(body) for column in columns]
+
+    alone = [values(bd.BodyStack(n, r, row, quad=quad)) for r, row in zip(radii, rows)]
+    for size in (1, 2, 7, 32, 33, 300):
+        stacked = values(bd.BodyStack(n, radii[:size], rows[:size], quad=quad))
+        for k in range(size):
+            for i, (row, own) in enumerate(zip(stacked, alone[k])):
+                assert np.array_equal(row[k], own), (size, k, i)
+
+
 def test_radial_graph_is_a_stack_of_one():
     graphs = [cli.random_even_body(5, trial, 3, 2.0, 0.1) for trial in range(3)]
     stack = helpers.body_stack(graphs)

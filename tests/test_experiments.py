@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -406,3 +407,50 @@ def test_calibration_rejects_nonconvex():
     rough = RadialGraph(3, 1.0, HarmonicField.single_mode(3, 4, 0.5))
     with pytest.raises(ConvexityError):
         ex.calibration_check(rough, M=10.0)
+
+
+def _outside_radius(n, outside, mpmath):
+    """The radius whose ball leaves the Gaussian volume ``outside`` outside, by a 50-digit inversion of ``Q``."""
+    mpmath.mp.dps = 50
+    a, q = mpmath.mpf(n) / 2, mpmath.mpf(outside)
+    x = mpmath.findroot(lambda x: mpmath.log(mpmath.gammainc(a, x, mpmath.inf, regularized=True) / q), -mpmath.log(q))
+    return float(mpmath.sqrt(2 * x))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8])
+def test_calibration_matches_balls_next_to_volume_one(n):
+    # Volumes within 2^-10 of 1 (here down to 1 to double precision) match the ball from the body's own
+    # volume outside, so the radius is the body's, not the rounding of 1 - volume.
+    mpmath = pytest.importorskip("mpmath")
+    for r in (6.0, 9.0, 20.0, 37.0):
+        stack = bd.BodyStack(n, r, cli._sample_even(3, range(4), n, 1e-2))
+        outside = bd._volume_outside(n, stack.quad.weights, stack.h_nodes)
+        results = ex.calibration_check_many(stack)
+        for res, q in zip(results, outside.tolist()):
+            assert res.volume > ex._OUTSIDE_ABOVE and res.matched_radius == pytest.approx(r, rel=2e-2)
+            assert res.matched_radius == pytest.approx(_outside_radius(n, q, mpmath), rel=1e-14, abs=0.0), (r, q)
+        ball = ex.calibration_check(RadialGraph(n, r), M=1.0)
+        assert ball.matched_radius == pytest.approx(r, rel=1e-14, abs=0.0), r
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8])
+def test_calibration_raises_value_error_where_no_volume_is_outside(n):
+    # From r = 38.5 on the volume outside is subnormal or 0 in every dimension here: no ball matches it,
+    # and this is a bad radius (ValueError) before any convexity check, even where the certificate overflows.
+    for r in (38.5, 40.0, 1e3, 1e300):
+        stack = bd.BodyStack(n, r, cli._sample_even(3, range(2), n, 1e-2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # h^2 overflows at r = 1e300
+            with pytest.raises(ValueError, match="target Gaussian volume must lie in"):
+                ex.calibration_check_many(stack)
+
+
+def test_calibration_cli_exits_3_where_no_volume_is_outside(tmp_path, capsys):
+    for n, r in ((5, "40"), (3, "1e300")):
+        argv = ["calibration", "--n", str(n), "--r", r, "--trials", "2", "--output", str(tmp_path / "c")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert cli.main(argv) == 3, (n, r)
+        assert "trial 0 (seed 42): target Gaussian volume must lie in (0, 1)" in capsys.readouterr().err
+    argv = ["calibration", "--n", "3", "--r", "9", "--trials", "2", "--output", str(tmp_path / "c9")]
+    assert cli.main(argv) == 0

@@ -1,6 +1,7 @@
 """Accuracy of the package's special functions against mpmath and scipy."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -33,6 +34,46 @@ def test_incomplete_gamma_matches_mpmath():
             if exact > 1e-300:  # below, the value is subnormal or 0
                 worst = max(worst, _relative(value, exact))
     assert worst <= 3e-14
+
+
+def test_scaled_erfc_matches_mpmath():
+    # Cody's rational approximations to e^(y^2) erfc(y), over the y = sqrt(x) >= 2^-1/2 that Q reads.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    rng = np.random.default_rng(29)
+    ends = [4.0, math.nextafter(4.0, 5.0)]  # the switch between Cody's two ranges
+    y = np.concatenate([np.linspace(2**-0.5, 100.0, 2001), rng.uniform(2**-0.5, 30.0, 2000), ends])
+    for point, value in zip(y.tolist(), special._erfcx(y).tolist()):
+        exact = mpmath.erfc(point) * mpmath.exp(mpmath.mpf(point) ** 2)
+        assert _relative(value, exact) <= 1e-15, point
+
+
+@pytest.mark.parametrize("m", range(1, 17, 2))
+def test_upper_incomplete_gamma_at_odd_m_matches_mpmath(m):
+    # Q(m/2, x) = e^-x (finite sum + e^x erfc(sqrt x)): 1e-15 relative where Q is a normal float, within
+    # one subnormal ulp (or 1e-15 relative) below that, and 0 once Q is below half the least subnormal.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    rng = np.random.default_rng(m)
+    x = np.concatenate([np.linspace(m / 2, 800.0, 801), rng.uniform(690.0, 760.0, 800)])
+    ulp = mpmath.mpf(2) ** -1074
+    for point, value in zip(x.tolist(), special.gammaincc(m / 2, x).tolist()):
+        exact = mpmath.gammainc(mpmath.mpf(m) / 2, point, mpmath.inf, regularized=True)
+        if exact >= sys.float_info.min:
+            assert _relative(value, exact) <= 1e-15, point
+        elif exact >= ulp / 2:
+            assert abs(value - exact) <= max(ulp, 1e-15 * exact), point
+        else:
+            assert value == 0.0, point
+
+
+def test_upper_incomplete_gamma_at_odd_m_agrees_with_scipy():
+    # Up to x = 745, where Q(1/2, x) underflows; scipy flushes subnormal values to 0.
+    x = np.concatenate([np.linspace(0.0, 745.0, 3001), np.geomspace(0.5, 745.0, 500)])
+    for m in range(1, 17, 2):
+        expected = sc.gammaincc(m / 2, x)
+        normal = expected >= sys.float_info.min
+        np.testing.assert_allclose(special.gammaincc(m / 2, x)[normal], expected[normal], rtol=2e-13, atol=0.0)
 
 
 def test_kummer_sum_matches_mpmath():
@@ -99,6 +140,22 @@ def test_incomplete_gamma_inverse_round_trip():
     for p in (0.0, 1.0, -0.1, math.nan):
         with pytest.raises(ValueError):
             special.gammaincinv(2.0, p)
+
+
+def test_incomplete_gamma_inverse_takes_its_complement():
+    # A complement of its own inverts Q where p rounds to 1, or above, down to the least normal float,
+    # where a single factor e^-x would be subnormal; a subnormal complement is refused.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    for a in [m / 2 for m in range(1, 17)]:
+        for q in (2.3e-308, 1e-305, 1e-300, 1e-100, 1e-20, 1e-3, 0.4):
+            x = special.gammaincinv(a, 1.0 - q, q)
+            exact = mpmath.findroot(lambda t: mpmath.log(mpmath.gammainc(a, t, mpmath.inf, regularized=True) / q), x)
+            assert _relative(x, exact) <= 1e-15, (a, q)
+            assert special.gammaincinv(a, 1.0, q) == x == special.gammaincinv(a, math.nextafter(1.0, 2.0), q)
+    for q in (0.0, 1e-310, 0.6, math.nan):
+        with pytest.raises(ValueError):
+            special.gammaincinv(2.0, 1.0, q)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5, 2.0, 2.5])

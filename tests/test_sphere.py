@@ -423,6 +423,43 @@ def test_frame_tables_match_the_ambient_route(rule, n, L, bound):
     assert np.max(np.abs(frame - oracle)) <= bound * np.max(np.abs(H))
 
 
+def test_s2_frame_gradients_match_central_differences():
+    # An oracle apart from the frame tables: central differences of values_at along geodesics in
+    # e_theta and e_phi, for every (l, m) with l <= 8, at random points and 1e-3 from each pole.
+    b = sphere._basis(3, 8, sphere.default_quadrature(3, 8))
+    phi = np.linspace(0.0, 2.0 * np.pi, 7, endpoint=False)
+    ring = np.column_stack([math.sin(1e-3) * np.cos(phi), math.sin(1e-3) * np.sin(phi), np.full(7, math.cos(1e-3))])
+    X = np.vstack([random_unit_points(3, 40, seed=29), ring, ring * [1.0, 1.0, -1.0]])
+    # Richardson's combination of steps h and 2h; near the poles values_at rounds sin(theta) from t, and
+    # smaller steps amplify that.  Max |F| is 7.0; the gaps stay below 1e-9.
+    F = b.frame_gradients_at(X)
+
+    def difference(e, h):
+        ahead, behind = (math.cos(h) * X + sign * math.sin(h) * e for sign in (1.0, -1.0))
+        return (b.values_at(ahead) - b.values_at(behind)) / (2.0 * h)
+
+    for a, e in enumerate(helpers.tangent_frame(X)):
+        extrapolated = (4.0 * difference(e, 1e-4) - difference(e, 2e-4)) / 3.0
+        assert np.max(np.abs(F[:, a] - extrapolated)) <= 2e-8, a
+
+
+def test_s2_frame_gradients_at_the_poles():
+    # At the poles phi = 0 fixes the frame: e_theta = (t, 0, 0), e_phi = (0, 1, 0).  Rows with m = 0 or
+    # m = 2 have no gradient there; m = 1 rows have sqrt((2l + 1) l (l + 1) / (8 pi)) times
+    # (-1, 0) and (0, -1) at the north pole, (-1)^l (-1, 0) and (-1)^l (0, 1) at the south pole.
+    L = 8
+    b = sphere._basis(3, L, sphere.default_quadrature(3, L))
+    F = b.frame_gradients_at(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
+    for l in range(L + 1):
+        zero = [l * l] + ([l * l + 3, l * l + 4] if l >= 2 else [])
+        assert not np.any(F[zero]), l
+        if l >= 1:
+            c = math.sqrt((2 * l + 1) * l * (l + 1) / (8.0 * math.pi))
+            cos_row, sin_row = F[l * l + 1], F[l * l + 2]
+            np.testing.assert_allclose(cos_row, [[-c, -c * (-1) ** l], [0.0, 0.0]], rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(sin_row, [[0.0, 0.0], [-c, c * (-1) ** l]], rtol=1e-14, atol=0.0)
+
+
 @pytest.mark.parametrize("n", range(3, 9))
 @pytest.mark.parametrize("L", [1, 2, 5, 9, 16, 31])
 def test_hessian_trace_is_laplace_beltrami(n, L):
