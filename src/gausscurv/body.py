@@ -267,7 +267,9 @@ def _volume_outside(n: int, weights: np.ndarray, h: np.ndarray) -> np.ndarray:
     ``int_h^inf t^(n-1) exp(-t^2/2) dt = 2^(n/2-1) Gamma(n/2) Q(n/2, h^2/2)``.  It keeps the
     digits that one minus a volume next to 1 loses."""
     outer = 2.0 ** (n / 2.0 - 1.0) * math.gamma(n / 2.0)
-    return _integrals(weights, outer * gammaincc(n / 2.0, 0.5 * h**2)) / (2.0 * math.pi) ** (n / 2.0)
+    with np.errstate(over="ignore"):  # h^2 / 2 = inf still gives Q = 0 exactly
+        x = 0.5 * h**2
+    return _integrals(weights, outer * gammaincc(n / 2.0, x)) / (2.0 * math.pi) ** (n / 2.0)
 
 
 def inverse_square_flux(body: BodyStack):

@@ -169,7 +169,9 @@ def gaussian_radial_integral(n: int, h):
     small ``h`` where an erf-plus-recurrence form cancels.
     """
     h = np.asarray(h, dtype=float)
-    return 2.0 ** (n / 2.0 - 1.0) * math.gamma(n / 2.0) * gammainc(n / 2.0, 0.5 * h * h)
+    with np.errstate(over="ignore"):  # h^2 / 2 = inf still gives P = 1 exactly
+        x = 0.5 * h * h
+    return 2.0 ** (n / 2.0 - 1.0) * math.gamma(n / 2.0) * gammainc(n / 2.0, x)
 
 
 def _moment(power: int, r: float) -> float:

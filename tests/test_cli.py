@@ -6,6 +6,8 @@ import math
 import os
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -498,6 +500,191 @@ def test_value_error_in_a_trial_names_its_trial(tmp_path, capsys):
     argv = ["calibration", "--trials", "2", "--r", "1e3", "--output", str(tmp_path / "c")]
     assert cli.main(argv) == 3
     assert "trial 0 (seed 42): target Gaussian volume must lie in (0, 1)" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# batches split into parts on forked workers
+
+
+@pytest.fixture
+def parts(monkeypatch):
+    """Set the number of CPUs a batch sees (a part may hold a single chunk), record the workers
+    forked, and check after the test that none of them is left."""
+    forked = []
+    real_fork_part = cli._fork_part
+
+    def fork_part(*args):
+        pid, pipe = real_fork_part(*args)
+        forked.append(pid)
+        return pid, pipe
+
+    def use(count):
+        monkeypatch.setattr(cli, "_cpu_count", lambda: count)
+        forked.clear()
+
+    monkeypatch.setattr(cli, "_PART_CHUNKS", 1)
+    monkeypatch.setattr(cli, "_fork_part", fork_part)
+    use.forked = forked
+    yield use
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _report_text(tmp_path, argv):
+    """Exit status and JSON text of a run, without its wall time."""
+    rc = cli.main(argv + ["--output", str(tmp_path / "r")])
+    text = (tmp_path / "r.json").read_text()
+    return rc, "\n".join(line for line in text.splitlines() if '"wall_time_s"' not in line)
+
+
+BATCHES = [
+    ["verify2d", "--weight", "all", "--amplitude", "0.3", "--seed", "7"],
+    ["bounds2d", "--weight", "all", "--amplitude", "0.3", "--seed", "5"],
+    ["calibration", "--seed", "2"],
+]
+
+
+@pytest.mark.parametrize("trials", [1, 33, 300, 1000])
+@pytest.mark.parametrize("argv", BATCHES, ids=lambda argv: argv[0])
+def test_reports_do_not_depend_on_the_cpu_count(tmp_path, parts, argv, trials):
+    argv = argv + ["--trials", str(trials)]
+    parts(1)
+    serial = _report_text(tmp_path, argv)
+    assert parts.forked == []
+    for count in (2, 3, 5):
+        parts(count)
+        assert _report_text(tmp_path, argv) == serial, count
+        chunks = -(-trials // cli._CHUNK)
+        assert len(parts.forked) == min(count, chunks) - 1 and None not in parts.forked
+
+
+def test_parts_are_whole_chunks_and_need_enough_of_them(monkeypatch):
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 8)
+    starts = []
+    monkeypatch.setattr(cli, "_fork_part", lambda fn, start, stop, workers: starts.append((start, stop)) or (None, None))
+    assert cli._map_chunks(lambda trials: list(trials), 1000) == list(range(1000))
+    # 32 chunks of 32 trials (the last of 8), at least 4 to a part: 8 parts, the parent's first.
+    assert starts == [(128 * i, min(128 * (i + 1), 1000)) for i in range(1, 8)]
+    starts.clear()
+    assert cli._map_chunks(lambda trials: list(trials), 127) == list(range(127))
+    assert starts == []
+
+
+def test_cpu_count_is_one_where_affinity_is_unknown(monkeypatch):
+    assert cli._cpu_count() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._cpu_count() == 1
+
+
+@pytest.mark.parametrize("count", [2, 3, 5])
+@pytest.mark.parametrize("n", [3, 4])
+def test_failing_trial_in_a_worker_part_is_named_by_the_parent(tmp_path, capsys, monkeypatch, parts, n, count):
+    # As test_calibration_radius_gate_names_the_first_failing_trial: trials 37 and 50 fail, in the
+    # second part at every count, and the parent reruns that part from its first chunk.
+    parts(count)
+    dent = np.zeros(sphere.basis_size(n, 6))
+    dent[0] = -2.0 * math.sqrt(sphere.sphere_area(n))
+    _replacing_rows(monkeypatch, {37: dent, 50: dent})
+    calls = []
+    real_map_trials = cli._map_trials
+    monkeypatch.setattr(cli, "_map_trials", lambda *args: calls.append(args[1:]) or real_map_trials(*args))
+    argv = ["calibration", "--n", str(n), "--r", "4", "--trials", "64", "--seed", "8", "--output", str(tmp_path / "c")]
+    assert cli.main(argv) == 3
+    assert "trial 37 (seed 8): boundary radius must stay positive at every node" in capsys.readouterr().err
+    assert calls == [(64, 8, 32)] and len(parts.forked) == 1
+
+
+@pytest.mark.parametrize("count", [2, 5])
+def test_numerical_failure_in_a_worker_part_is_named_by_the_parent(tmp_path, capsys, monkeypatch, parts, count):
+    parts(count)
+    _replacing_rows(monkeypatch, {40: sphere.HarmonicField.single_mode(3, 4, 0.5, degree=6).coeffs})
+    argv = ["calibration", "--trials", "100", "--seed", "8", "--output", str(tmp_path / "c")]
+    assert cli.main(argv) == 4
+    assert "trial 40 (seed 8): calibration inequalities need a convex body" in capsys.readouterr().err
+    assert len(parts.forked) == min(count, 4) - 1
+
+
+def _in_workers(monkeypatch, action):
+    """Make the planar sampler call ``action()`` in a forked worker on the chunk of trial 150."""
+    parent = os.getpid()
+    real = cli._sample_polar
+
+    def sample(seed, amplitude, trials, *args):
+        if 150 in trials and os.getpid() != parent:
+            action()
+        return real(seed, amplitude, trials, *args)
+
+    monkeypatch.setattr(cli, "_sample_polar", sample)
+
+
+def _worker_writes_garbage(fn, start, stop, fd):
+    with os.fdopen(fd, "wb") as fh:
+        fh.write(b"\x80\x05not a pickle")
+
+
+def _no_fork():
+    raise OSError("no process to spare")
+
+
+# 300 trials in 3 parts: trials 0..95 in the parent, 96..191 and 192..299 in two workers.
+FAULTS = {
+    "exit": lambda monkeypatch: _in_workers(monkeypatch, lambda: os._exit(1)),
+    "error": lambda monkeypatch: _in_workers(monkeypatch, lambda: 1 / 0),
+    "garbage": lambda monkeypatch: monkeypatch.setattr(cli, "_work", _worker_writes_garbage),
+    "no-fork": lambda monkeypatch: monkeypatch.setattr(os, "fork", _no_fork),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_worker_faults_leave_the_serial_report(tmp_path, capsys, monkeypatch, parts, fault):
+    argv = ["bounds2d", "--weight", "all", "--amplitude", "0.3", "--trials", "300", "--seed", "5"]
+    parts(1)
+    serial = _report_text(tmp_path, argv)
+    capsys.readouterr()
+    parts(3)
+    FAULTS[fault](monkeypatch)
+    assert _report_text(tmp_path, argv) == serial
+    assert capsys.readouterr().err == ""
+    assert len(parts.forked) == 2
+
+
+def test_a_warning_in_a_worker_part_is_the_parents(tmp_path, monkeypatch, parts):
+    # The chunk of trial 150 warns in every process: a worker stops there, and the parent warns once.
+    real = cli._sample_polar
+
+    def sample(seed, amplitude, trials, *args):
+        if 150 in trials:
+            warnings.warn("synthetic warning", UserWarning)
+        return real(seed, amplitude, trials, *args)
+
+    monkeypatch.setattr(cli, "_sample_polar", sample)
+    argv = ["verify2d", "--weight", "all", "--trials", "300", "--seed", "5"]
+    runs = []
+    for count in (1, 3):
+        parts(count)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            runs.append((_report_text(tmp_path, argv), [(str(w.message), w.category, w.lineno) for w in caught]))
+    assert runs[0] == runs[1] and len(runs[0][1]) == 1
+
+
+def test_workers_are_killed_when_the_parent_part_raises(tmp_path, monkeypatch, parts):
+    parent = os.getpid()
+    real = cli._sample_polar
+
+    def sample(seed, amplitude, trials, *args):
+        if os.getpid() != parent:
+            time.sleep(60)  # workers still busy when the parent gives up
+        elif 0 in trials:
+            raise KeyboardInterrupt
+        return real(seed, amplitude, trials, *args)
+
+    monkeypatch.setattr(cli, "_sample_polar", sample)
+    parts(3)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["verify2d", "--trials", "300", "--output", str(tmp_path / "v")])
+    assert time.perf_counter() - start < 30 and len(parts.forked) == 2
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
