@@ -141,17 +141,29 @@ class RunConfig:
 
 @dataclass
 class RunReport:
+    """A run's configuration, its entries as the report's JSON lines, its summary and wall time.
+
+    ``lines`` holds each entry as written, one :func:`_encode` line; ``entries``
+    decodes them on each access (``json.loads`` gives back every float bit for
+    bit).  The command line writes the lines and never decodes them.
+    """
+
     config: dict
-    entries: list
+    lines: list
     summary: dict
     wall_time_s: float = 0.0
+
+    @property
+    def entries(self) -> list:
+        return [json.loads(line) for line in self.lines]
 
     @property
     def all_passed(self) -> bool:
         return self.summary.get("passed") == self.summary.get("total")
 
     def to_dict(self) -> dict:
-        return dict(vars(self))
+        return {"config": self.config, "entries": self.entries, "summary": self.summary,
+                "wall_time_s": self.wall_time_s}
 
 
 def _trial_streams(seed: int, trials):
@@ -238,6 +250,15 @@ def _report_rows(rep: plane.InequalityReport) -> list[dict]:
         return [{name: getattr(rep, name) for name in _REPORT_FIELDS}]
     columns = [np.atleast_1d(getattr(rep, name)).tolist() for name in _REPORT_FIELDS]
     return [dict(zip(_REPORT_FIELDS, row)) for row in zip(*columns)]
+
+
+def _encode(entry: dict, margin: float | None = None) -> tuple:
+    """An entry as the report holds it: ``(its JSON line, its passed flag, its worst margin)``.
+
+    The line is one ``json.dumps`` call with sorted keys, which runs the C encoder; this is the
+    only place an entry becomes text.  ``margin`` is None where the command has no margins.
+    """
+    return json.dumps(entry, sort_keys=True), entry["passed"], margin
 
 
 def _map_trials(fn, count: int, seed: int | None = None, start: int = 0):
@@ -331,14 +352,16 @@ def _fork_part(fn, start: int, stop: int, workers: list):
 def _map_chunks(fn, count: int, seed: int | None = None):
     """Run ``fn(trials)`` on consecutive ranges of ``_CHUNK`` trials; return the results in index order.
 
-    ``fn`` returns one result per trial of its range.  The chunks are split
-    into contiguous parts of at least ``_PART_CHUNKS`` chunks, one part per
-    CPU at most.  The parent forks a worker for every part but the first,
-    runs the first itself (:func:`_run_range`), and then reads the workers'
-    results in order.  Where a worker stopped early (a chunk raised or
-    warned), died, or left an unreadable pipe, the parent runs the rest of
-    its part itself.  So the results, errors, warnings and
-    :func:`_map_trials` calls are a serial run's, whatever the CPU count.
+    ``fn`` returns one result per trial of its range, an :func:`_encode` tuple
+    in every batch command, so each entry is encoded in the process that ran
+    its chunk and a worker pickles finished lines.  The chunks are split into
+    contiguous parts of at least ``_PART_CHUNKS`` chunks, one part per CPU at
+    most.  The parent forks a worker for every part but the first, runs the
+    first itself (:func:`_run_range`), and then reads the workers' results in
+    order.  Where a worker stopped early (a chunk raised or warned), died, or
+    left an unreadable pipe, the parent runs the rest of its part itself.  So
+    the results, errors, warnings and :func:`_map_trials` calls are a serial
+    run's, whatever the CPU count.
     Every worker is killed and reaped before this returns or raises.
     """
     chunks = -(-count // _CHUNK)
@@ -376,7 +399,8 @@ def _run_planar_batch(config: RunConfig, generator, check):
     A chunk of trials is drawn by :func:`_sample_polar` (``generator`` is
     ``_CONVEX`` or ``_STAR``) and every weight checks that one stack.
     ``check(stack, wp)`` returns the weight's report entry for each curve
-    and the margin columns that must clear ``-slack``.
+    and the margin columns that must clear ``-slack``.  A chunk encodes its
+    entries (:func:`_encode`) with each trial's smallest margin.
     """
     pairs = _weights_for(config)
 
@@ -392,11 +416,9 @@ def _run_planar_batch(config: RunConfig, generator, check):
         margins = np.array(margins)
         for entry, ok in zip(entries, np.all(margins >= -config.slack, axis=0).tolist()):
             entry["passed"] = ok
-        return list(zip(entries, np.min(margins, axis=0).tolist()))
+        return [_encode(entry, margin) for entry, margin in zip(entries, np.min(margins, axis=0).tolist())]
 
-    results = _map_chunks(chunk, config.trials, config.seed)
-    worst = min(margin for _, margin in results)
-    return [entry for entry, _ in results], {"worst_margin": worst}, None
+    return _map_chunks(chunk, config.trials, config.seed), {}, None
 
 
 def _run_verify2d(config: RunConfig):
@@ -445,7 +467,7 @@ def _run_stability2d(config: RunConfig):
                 "passed": bounded,
             }
         )
-    return entries, {"max_relative_error": max(e["tail_spread"] for e in entries)}, None
+    return [_encode(e) for e in entries], {"max_relative_error": max(e["tail_spread"] for e in entries)}, None
 
 
 def _run_counterexample(config: RunConfig):
@@ -484,7 +506,7 @@ def _run_counterexample(config: RunConfig):
                 "relative_error": abs(gap - 1.0),
             }
         )
-    return entries, {"worst_margin": min(e["gap"] - 1.0 for e in entries)}, rows
+    return [_encode(e, e["gap"] - 1.0) for e in entries], {}, rows
 
 
 def _run_second_variation(config: RunConfig):
@@ -512,7 +534,7 @@ def _run_second_variation(config: RunConfig):
             "relative_error": rep.relative_error,
         }
     ]
-    return entries, {"max_relative_error": rep.relative_error}, rows
+    return [_encode(e) for e in entries], {"max_relative_error": rep.relative_error}, rows
 
 
 def _run_threshold_scan(config: RunConfig):
@@ -539,7 +561,7 @@ def _run_threshold_scan(config: RunConfig):
             "relative_error": err / max(algebraic, 1e-300),
         }
     ]
-    return entries, {"max_relative_error": err}, rows
+    return [_encode(e) for e in entries], {"max_relative_error": err}, rows
 
 
 def _sample_even(seed: int, trials, n: int, amplitude: float, degree: int = 6) -> np.ndarray:
@@ -571,13 +593,13 @@ def _run_calibration(config: RunConfig):
     r = config.r if config.r is not None else 3.0
     amp = min(config.epsilon * 10.0, 1e-2)
 
-    def entry(trial: int, res: ex.CalibrationResult) -> dict:
+    def encoded(trial: int, res: ex.CalibrationResult) -> tuple:
         ok = (
             res.hypothesis_ok
             and res.ineq1.margin >= -config.slack
             and res.ineq3.margin >= -config.slack
         )
-        return {
+        entry = {
             "trial": trial,
             "hypothesis_ok": res.hypothesis_ok,
             "gate_curvature": res.gate_curvature,
@@ -589,15 +611,14 @@ def _run_calibration(config: RunConfig):
             "ineq3": _report_rows(res.ineq3)[0],
             "passed": ok,
         }
+        return _encode(entry, min(res.ineq1.margin, res.ineq3.margin))
 
     def chunk(trials: range) -> list:
         # Each body's curvature bound M is its largest mean curvature over the nodes.
         stack = bd.BodyStack(config.n, r, _sample_even(config.seed, trials, config.n, amp))
-        return [entry(trial, res) for trial, res in zip(trials, ex.calibration_check_many(stack))]
+        return [encoded(trial, res) for trial, res in zip(trials, ex.calibration_check_many(stack))]
 
-    entries = _map_chunks(chunk, config.trials, config.seed)
-    margins = [e[k]["margin"] for e in entries for k in ("ineq1", "ineq3")]
-    return entries, {"worst_margin": min(margins)}, None
+    return _map_chunks(chunk, config.trials, config.seed), {}, None
 
 
 def _run_moments(config: RunConfig):
@@ -620,7 +641,7 @@ def _run_moments(config: RunConfig):
                     "passed": held,
                 }
             )
-    return entries, {"worst_margin": -max(max(e["residual_b"], e["residual_c"]) for e in entries)}, None
+    return [_encode(e, -max(e["residual_b"], e["residual_c"])) for e in entries], {}, None
 
 
 _RUNNERS = {
@@ -635,31 +656,30 @@ _RUNNERS = {
 }
 
 
-def _write_report(fh, report: dict) -> None:
-    """Write ``report`` as JSON: one line per top-level key, one line per entry.
+def _write_report(fh, report: RunReport) -> None:
+    """Write ``report`` as JSON: one line per top-level key, in sorted order, and one line per entry.
 
-    Every value is one ``json.dumps`` call with sorted keys, which runs the C
-    encoder (``json.dump`` to a file and any ``indent`` run the pure-Python
-    one); entries are written one at a time, so the text of the whole report
-    is never held at once.  ``wall_time_s`` thus sits on its own line.
+    The entries are the report's own lines, encoded where their trials ran
+    (:func:`_encode`), and are written one at a time between an
+    ``"entries": [`` line and a ``],`` line.  Every other value is one
+    ``json.dumps`` call with sorted keys, which runs the C encoder
+    (``json.dump`` to a file and any ``indent`` run the pure-Python one), so
+    ``wall_time_s`` sits on its own line.
     """
-    fh.write("{")
-    for i, key in enumerate(sorted(report)):
-        fh.write(("\n" if i == 0 else ",\n") + json.dumps(key) + ": ")
-        if key == "entries" and report[key]:
-            for j, entry in enumerate(report[key]):
-                fh.write(("[\n" if j == 0 else ",\n") + json.dumps(entry, sort_keys=True))
-            fh.write("\n]")
-        else:
-            fh.write(json.dumps(report[key], sort_keys=True))
-    fh.write("\n}\n")
+    fh.write('{\n"config": ' + json.dumps(report.config, sort_keys=True) + ',\n"entries": [')
+    for j, line in enumerate(report.lines):
+        fh.write(("\n" if j == 0 else ",\n") + line)
+    fh.write('\n],\n"summary": ' + json.dumps(report.summary, sort_keys=True))
+    fh.write(',\n"wall_time_s": ' + json.dumps(report.wall_time_s) + "\n}\n")
 
 
 def run(config: RunConfig) -> RunReport:
     """Execute one command, write the JSON (and CSV) outputs, return the report.
 
-    A runner returns ``(entries, extra_summary, rows)``; the pass count
-    comes from the entries, and a CSV is written exactly when there are rows.
+    A runner returns ``(results, extra_summary, rows)``, with one
+    :func:`_encode` tuple per entry in ``results``; the pass count and the
+    worst margin come from those tuples, and a CSV is written exactly when
+    there are rows.
     """
     config.validate()
     # The objects alive now, the package's and numpy's among them, outlive the run.  Frozen, they
@@ -667,22 +687,22 @@ def run(config: RunConfig) -> RunReport:
     gc.freeze()
     try:
         start = time.perf_counter()
-        entries, extra, rows = _RUNNERS[config.command](config)
+        results, extra, rows = _RUNNERS[config.command](config)
         summary = {
-            "passed": sum(e["passed"] for e in entries),
-            "total": len(entries),
-            "worst_margin": None,
+            "passed": sum(passed for _, passed, _ in results),
+            "total": len(results),
+            "worst_margin": min((margin for _, _, margin in results if margin is not None), default=None),
             "max_relative_error": None,
             **extra,
         }
         report = RunReport(
             config=config.to_dict(),
-            entries=entries,
+            lines=[line for line, _, _ in results],
             summary=summary,
             wall_time_s=time.perf_counter() - start,
         )
         with open(config.output + ".json", "w") as fh:
-            _write_report(fh, report.to_dict())
+            _write_report(fh, report)
         if rows:
             with open(config.output + ".csv", "w", newline="") as fh:
                 writer = csv.DictWriter(fh, fieldnames=["r", "predicted", "measured", "relative_error"])

@@ -306,8 +306,9 @@ def _legendre_slabs(L: int, t: np.ndarray, s: np.ndarray):
 
 
 def _polar_angles(X: np.ndarray):
-    t = np.clip(X[:, 2], -1.0, 1.0)
-    return t, np.sqrt(np.maximum(1.0 - t * t, 0.0)), np.arctan2(X[:, 1], X[:, 0])
+    """``(cos theta, sin theta, phi)`` at unit points of S^2; sin theta is ``hypot(x_1, x_2)``,
+    which keeps its digits near the poles, where ``sqrt(1 - t^2)`` cancels."""
+    return np.clip(X[:, 2], -1.0, 1.0), np.hypot(X[:, 0], X[:, 1]), np.arctan2(X[:, 1], X[:, 0])
 
 
 def _polar_frame(X: np.ndarray):
@@ -462,10 +463,11 @@ class _ZonalBasis(_Tables):
         return (np.divide(a, norm, out=np.zeros_like(a), where=norm > 0.0),)
 
     def frame_gradients_at(self, X: np.ndarray) -> np.ndarray:
-        # g'(t) a is (g'(t) |a|, 0) in the frame, with |a| = sqrt(1 - t^2).
+        # g'(t) a is (g'(t) |a|, 0) in the frame, with |a| = sin theta = |(x_2, ..., x_n)|, which
+        # keeps its digits near the poles, where sqrt(1 - t^2) cancels.
         X = np.atleast_2d(X)
         out = np.zeros((self.L + 1, 2, X.shape[0]))
-        out[:, 0] = self._table(X)[1] * np.sqrt(np.maximum(1.0 - X[:, 0] ** 2, 0.0))
+        out[:, 0] = self._table(X)[1] * np.linalg.norm(X[:, 1:], axis=1)
         return out
 
     def frame_hessian(self, coeffs: np.ndarray, X: np.ndarray, grad=None) -> np.ndarray:

@@ -353,9 +353,9 @@ def test_report_layout(tmp_path, argv):
 
 
 def test_exit_status_on_failing_check(tmp_path, monkeypatch):
-    # Force a failure by shrinking the slack far below quadrature error.
+    # A runner whose one entry fails.
     monkeypatch.setattr(
-        cli, "_RUNNERS", dict(cli._RUNNERS, verify2d=lambda cfg: ([{"passed": False}], {"worst_margin": -1.0}, None)),
+        cli, "_RUNNERS", dict(cli._RUNNERS, verify2d=lambda cfg: ([cli._encode({"passed": False}, -1.0)], {}, None)),
     )
     rc = cli.main(["verify2d", "--trials", "1", "--output", str(tmp_path / "f")])
     assert rc == 1
@@ -556,6 +556,26 @@ def test_reports_do_not_depend_on_the_cpu_count(tmp_path, parts, argv, trials):
         assert _report_text(tmp_path, argv) == serial, count
         chunks = -(-trials // cli._CHUNK)
         assert len(parts.forked) == min(count, chunks) - 1 and None not in parts.forked
+
+
+@pytest.mark.parametrize("argv", [BATCHES[0], BATCHES[2]], ids=lambda argv: argv[0])
+def test_the_parent_encodes_only_its_own_part(tmp_path, monkeypatch, parts, argv):
+    # 300 trials in 3 parts: the parent encodes trials 0..95; the workers' calls land in their own copies.
+    calls = []
+    real_encode = cli._encode
+    monkeypatch.setattr(cli, "_encode", lambda *args: calls.append(args) or real_encode(*args))
+    monkeypatch.setattr(cli.RunReport, "entries", property(lambda report: pytest.fail("the report was decoded")))
+    parts(3)
+    assert cli.main(argv + ["--trials", "300", "--output", str(tmp_path / "r")]) == 0
+    assert len(calls) == 96 and len(parts.forked) == 2
+
+
+@pytest.mark.parametrize("argv", BATCHES, ids=lambda argv: argv[0])
+def test_entries_of_a_forked_batch_are_those_of_its_report(tmp_path, parts, argv):
+    parts(3)
+    report = cli.run(cli.parse_config(argv + ["--trials", "300", "--output", str(tmp_path / "r")]))
+    assert len(parts.forked) == 2
+    assert _bit_equal(report.entries, json.loads((tmp_path / "r.json").read_text())["entries"])
 
 
 def test_parts_are_whole_chunks_and_need_enough_of_them(monkeypatch):

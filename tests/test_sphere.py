@@ -430,8 +430,7 @@ def test_s2_frame_gradients_match_central_differences():
     phi = np.linspace(0.0, 2.0 * np.pi, 7, endpoint=False)
     ring = np.column_stack([math.sin(1e-3) * np.cos(phi), math.sin(1e-3) * np.sin(phi), np.full(7, math.cos(1e-3))])
     X = np.vstack([random_unit_points(3, 40, seed=29), ring, ring * [1.0, 1.0, -1.0]])
-    # Richardson's combination of steps h and 2h; near the poles values_at rounds sin(theta) from t, and
-    # smaller steps amplify that.  Max |F| is 7.0; the gaps stay below 1e-9.
+    # Richardson's combination of steps h and 2h.  Max |F| is 7.0; the gaps stay below 1e-9.
     F = b.frame_gradients_at(X)
 
     def difference(e, h):
@@ -458,6 +457,59 @@ def test_s2_frame_gradients_at_the_poles():
             cos_row, sin_row = F[l * l + 1], F[l * l + 2]
             np.testing.assert_allclose(cos_row, [[-c, -c * (-1) ** l], [0.0, 0.0]], rtol=1e-14, atol=0.0)
             np.testing.assert_allclose(sin_row, [[0.0, 0.0], [-c, c * (-1) ** l]], rtol=1e-14, atol=0.0)
+
+
+NEAR_POLE = [1e-9, 1e-7, 1e-5, 1e-3]
+
+
+def _assert_closed_forms(table, expected):
+    """Each ``expected[row]`` (value or frame components) matches ``table[row]`` to 1e-14 relative; zeros exactly."""
+    for row, want in expected.items():
+        want = np.asarray(want, dtype=float)
+        got = table[row].reshape(want.shape)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), (row, got, want)
+
+
+@pytest.mark.parametrize("pole", [1.0, -1.0], ids=["north", "south"])
+@pytest.mark.parametrize("delta", NEAR_POLE)
+def test_s2_values_and_frame_gradients_near_the_poles_match_closed_forms(delta, pole):
+    # At polar angle delta from a pole (t = pole cos(delta), sin(theta) = sin(delta)) and phi = 0.3,
+    # the m = 0, 1, 2 rows of degrees 1 and 2: Y_1^0 ~ x_3, Y_1^1 ~ x_1, x_2, Y_2^0 ~ 3 x_3^2 - 1,
+    # Y_2^1 ~ x_1 x_3, x_2 x_3 and Y_2^2 ~ x_1^2 - x_2^2, 2 x_1 x_2, with the frame gradient
+    # (d/dtheta, d/dphi / sin(theta)).  Rounding sin(theta) from t would lose digits from 1e-3 on.
+    b = sphere._basis(3, 2, sphere.default_quadrature(3, 2))
+    s, t, phi = math.sin(delta), pole * math.cos(delta), 0.3
+    cos1, sin1, cos2, sin2 = math.cos(phi), math.sin(phi), math.cos(2 * phi), math.sin(2 * phi)
+    X = np.array([[s * cos1, s * sin1, t]])
+    c1, c21, c22 = (math.sqrt(k / (4.0 * math.pi)) for k in (3.0, 15.0, 15.0 / 4.0))
+    c20 = math.sqrt(5.0 / (16.0 * math.pi))
+    rows = {
+        1: (c1 * t, (-c1 * s, 0.0)),
+        2: (-c1 * s * cos1, (-c1 * t * cos1, c1 * sin1)),
+        3: (-c1 * s * sin1, (-c1 * t * sin1, -c1 * cos1)),
+        4: (c20 * (3.0 * t * t - 1.0), (-6.0 * c20 * t * s, 0.0)),
+        5: (-c21 * s * t * cos1, (-c21 * (t * t - s * s) * cos1, c21 * t * sin1)),
+        6: (-c21 * s * t * sin1, (-c21 * (t * t - s * s) * sin1, -c21 * t * cos1)),
+        7: (c22 * s * s * cos2, (2.0 * c22 * s * t * cos2, -2.0 * c22 * s * sin2)),
+        8: (c22 * s * s * sin2, (2.0 * c22 * s * t * sin2, 2.0 * c22 * s * cos2)),
+    }
+    _assert_closed_forms(b.values_at(X), {row: [value] for row, (value, _) in rows.items()})
+    _assert_closed_forms(b.frame_gradients_at(X), {row: grad for row, (_, grad) in rows.items()})
+
+
+@pytest.mark.parametrize("pole", [1.0, -1.0], ids=["north", "south"])
+@pytest.mark.parametrize("delta", NEAR_POLE)
+def test_zonal_values_and_frame_gradients_near_the_poles_match_closed_forms(delta, pole):
+    # On S^3 the normalised zonal rows are U_k(t) / (pi sqrt 2), Chebyshev polynomials of the second
+    # kind: U_1 = 2t and U_2 = 4t^2 - 1.  The frame gradient is (g'(t) sin(theta), 0), and
+    # sin(theta) = |X[:, 1:]| keeps its digits where sqrt(1 - t^2) would not.
+    b = sphere._basis(4, 2, sphere.default_quadrature(4, 2))
+    s, t = math.sin(delta), pole * math.cos(delta)
+    X = np.array([[t, *(s * np.array([2.0, 3.0, 6.0]) / 7.0)]])
+    c = 1.0 / (math.pi * math.sqrt(2.0))
+    rows = {1: (2.0 * c * t, 2.0 * c), 2: (c * (4.0 * t * t - 1.0), 8.0 * c * t)}
+    _assert_closed_forms(b.values_at(X), {row: [value] for row, (value, _) in rows.items()})
+    _assert_closed_forms(b.frame_gradients_at(X), {row: [[slope * s], [0.0]] for row, (_, slope) in rows.items()})
 
 
 @pytest.mark.parametrize("n", range(3, 9))
