@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 from . import plane, sphere
 from .errors import QuadratureError
-from .special import gammainc, gammaincc, gammaincinv
+from .special import _regularized, gammainc, gammaincinv
 from .weights import gaussian_radial_integral
 
 __all__ = [
@@ -247,8 +247,7 @@ mean_curvature_at_nodes = mean_curvature
 
 def gaussian_volume(body: BodyStack):
     """Gaussian measure of each body: spherical quadrature of the closed-form radial integral."""
-    vals = gaussian_radial_integral(body.n, body.h_nodes)
-    return _per_body(_integrals(body.quad.weights, vals) / (2.0 * math.pi) ** (body.n / 2.0))
+    return _per_body(_volumes(body.n, body.quad.weights, body.h_nodes)[0])
 
 
 def curvature_energy_nd(body: BodyStack):
@@ -262,14 +261,16 @@ def flux_energy(body: BodyStack):
     return _per_body(_integrals(body.quad.weights, integrand))
 
 
-def _volume_outside(n: int, weights: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Gaussian measure outside the bodies with node radii ``h``, one sum per body: quadrature of
-    ``int_h^inf t^(n-1) exp(-t^2/2) dt = 2^(n/2-1) Gamma(n/2) Q(n/2, h^2/2)``.  It keeps the
-    digits that one minus a volume next to 1 loses."""
-    outer = 2.0 ** (n / 2.0 - 1.0) * math.gamma(n / 2.0)
-    with np.errstate(over="ignore"):  # h^2 / 2 = inf still gives Q = 0 exactly
-        x = 0.5 * h**2
-    return _integrals(weights, outer * gammaincc(n / 2.0, x)) / (2.0 * math.pi) ** (n / 2.0)
+def _volumes(n: int, weights: np.ndarray, h: np.ndarray):
+    """Gaussian measures inside and outside the bodies with node radii ``h``, one sum each per body,
+    from one incomplete-gamma pass: quadratures of ``int_0^h t^(n-1) exp(-t^2/2) dt`` and
+    ``int_h^inf``, which are ``2^(n/2-1) Gamma(n/2)`` times ``P(n/2, h^2/2)`` and ``Q(n/2, h^2/2)``.
+    The volume outside keeps the digits that one minus a volume next to 1 loses."""
+    outer, norm = 2.0 ** (n / 2.0 - 1.0) * math.gamma(n / 2.0), (2.0 * math.pi) ** (n / 2.0)
+    with np.errstate(over="ignore"):  # h^2 / 2 = inf still gives P = 1 and Q = 0 exactly
+        x = 0.5 * h * h
+    p, q = _regularized(n / 2.0, x)
+    return _integrals(weights, outer * p) / norm, _integrals(weights, outer * q) / norm
 
 
 def inverse_square_flux(body: BodyStack):
@@ -339,7 +340,7 @@ def volume_match(body: RadialGraph, target: float) -> RadialGraph:
         tol = 1e-13 * (1.0 - target)
 
         def residual(s):
-            return (1.0 - target) - float(_volume_outside(n, w, s * h))
+            return (1.0 - target) - float(_volumes(n, w, s * h)[1])
 
     def dvol(s):
         return float(np.dot(w, h * (s * h) ** (n - 1) * np.exp(-0.5 * (s * h) ** 2))) / norm
@@ -418,7 +419,9 @@ def is_convex(body: BodyStack):
 
 def ball_gaussian_volume(n: int, r) -> float:
     """Gaussian measure of the centred ball of radius ``r``: the chi_n CDF ``P(n/2, r^2/2)``."""
-    return gammainc(n / 2.0, 0.5 * np.square(r))
+    with np.errstate(over="ignore"):  # r^2 / 2 = inf still gives P = 1 exactly
+        x = 0.5 * np.square(r)
+    return gammainc(n / 2.0, x)
 
 
 def ball_energy(n: int, r: float) -> float:
@@ -429,14 +432,15 @@ def ball_energy(n: int, r: float) -> float:
 def ball_match_radius(n: int, target: float, outside: float | None = None) -> float:
     """Radius of the centred ball with Gaussian volume ``target``: the chi_n quantile.
 
-    Above 1/2 the ball's volume outside matches ``outside``, which is ``1 - target`` unless given.
-    A body's own outside volume (its quadrature of ``Q``, as :func:`volume_match` reads it) keeps
-    the digits that ``1 - target`` rounds away next to 1, where ``target`` may round to 1 or above.
-    ``ValueError`` unless ``target > 0`` and, above 1/2, the volume outside lies between the least
-    normal float and 1/2.
+    The ball's volume outside matches ``outside``, which is ``1 - target`` unless given, whenever
+    that is below 1/2; otherwise its volume matches ``target``: the side rule of
+    :func:`special.gammaincinv`.  A body's own outside volume (from the pass that gives its volume,
+    as :func:`volume_match` reads it) keeps the digits that ``1 - target`` rounds away above 1/2,
+    where ``target`` may round to 1 or above.  ``ValueError`` unless ``target > 0`` and, on the
+    outside, the volume outside is at least the least normal float, or, on the inside, ``target < 1``.
     """
     q = 1.0 - target if outside is None else outside
-    if not (0.0 < target and (target <= 0.5 or sys.float_info.min <= q <= 0.5)):
+    if not (0.0 < target and (sys.float_info.min <= q if q < 0.5 else target < 1.0)):
         raise ValueError(
             f"target Gaussian volume must lie in (0, 1) and leave a normal float outside, "
             f"got {target!r} with {q!r} outside"

@@ -733,7 +733,7 @@ def _argv_from_file(path: str) -> list:
     argv = []
     command = None
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for raw in fh:
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -745,7 +745,7 @@ def _argv_from_file(path: str) -> list:
                     command = value
                 else:
                     argv.extend([f"--{key.replace('_', '-')}", value])
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}")
     if command is None:
         raise ConfigError("config file must set 'command'")

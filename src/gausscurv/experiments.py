@@ -403,12 +403,6 @@ class CalibrationResult:
     gate_inscribed_used: bool
 
 
-# Volumes above which a matched ball reads the body's volume outside rather than 1 - volume.  Below
-# it the two radii agree to about 1e-14 relative; at n = 4, r = 4 (volume 0.997) the ball energy
-# still moves by 1.2e-13 relative, beyond the reports' 1e-13 contract, so the switch sits higher.
-_OUTSIDE_ABOVE = 1.0 - 2.0**-10
-
-
 def calibration_check(graph: bd.RadialGraph, M: float) -> CalibrationResult:
     """Check the flux-calibration inequalities for a convex body.
 
@@ -446,14 +440,10 @@ def calibration_check_many(stack: bd.BodyStack, bounds=None) -> list[Calibration
         When any body's convexity certificate fails.
     """
     n = stack.n
-    volumes = np.atleast_1d(bd.gaussian_volume(stack)).tolist()
-    # Next to 1, 1 - volume keeps few of the volume's digits, so there the ball matches the body's
-    # own volume outside.  Before the convexity gate: a body whose outside volume underflows
-    # matches no ball, convex or not.
-    outside = [None] * len(volumes)
-    if max(volumes) > _OUTSIDE_ABOVE:
-        complement = np.atleast_1d(bd._volume_outside(n, stack.quad.weights, stack.h_nodes)).tolist()
-        outside = [q if vol > _OUTSIDE_ABOVE else None for vol, q in zip(volumes, complement)]
+    volumes, outside = (np.atleast_1d(v).tolist() for v in bd._volumes(n, stack.quad.weights, stack.h_nodes))
+    # Above 1/2, 1 - volume loses the volume's last digits, so there the ball matches the body's own
+    # volume outside.  Before the convexity gate: a body whose outside volume underflows matches no
+    # ball, convex or not.
     matched = [bd.ball_match_radius(n, vol, q) for vol, q in zip(volumes, outside)]
     if not np.all(bd.is_convex(stack)):
         raise ConvexityError("calibration inequalities need a convex body")

@@ -484,7 +484,7 @@ def _matched_disks(f_rho: np.ndarray, wp: WeightPair):
     ``2 pi f(0) - area = int f(rho) dtheta``.  That integral is summed
     directly: it needs no radius, and no subtraction cancels where
     ``f(rho)`` is small beside ``f(0)``.  The domain is that of
-    :func:`_matched_radii`.
+    :func:`matched_radius`.
     """
     f0 = _f_at(wp, 0.0)
     area, area_err = _centred_area(f0, f_rho)
@@ -492,39 +492,28 @@ def _matched_disks(f_rho: np.ndarray, wp: WeightPair):
     return 2.0 * np.pi * np.mean(f_rho, axis=-1), area_err
 
 
-def _matched_radii(area: np.ndarray, wp: WeightPair) -> np.ndarray:
-    """Radii of the centred disks with the weighted areas in the 1-D array ``area``.
-
-    The Gaussian pair inverts in closed form, one element at a time so that
-    a radius does not depend on the batch it is in.  Otherwise the monotone
-    ``f(r) = f(0) - area / (2 pi)`` is bisected on ``[0, _R_MAX]``, all
-    areas at once, until each midpoint equals an endpoint; the upper
-    endpoint, the first float where ``f`` reaches the level, is returned.
-    """
-    level = _matched_levels(area, wp, _f_at(wp, 0.0))
-    if wp.is_gaussian:
-        return np.array([math.sqrt(-2.0 * math.log(a)) for a in level])
-    # The bit patterns of non-negative floats are ordered as the floats are, so
-    # bisecting them reaches adjacent floats in at most 63 halvings, keeping
-    # f(lo) > level >= f(hi); a finished pair keeps its midpoint lo.
-    lo = np.zeros(level.shape, dtype=np.int64)
-    hi = np.full(level.shape, np.float64(_R_MAX).view(np.int64))
-    while np.any(hi - lo > 1):
-        mid = lo + (hi - lo) // 2  # lo + hi would overflow
-        right = wp.f(mid.view(np.float64)) > level
-        lo = np.where(right, mid, lo)
-        hi = np.where(right, hi, mid)
-    return hi.view(np.float64)
-
-
 def matched_radius(area: float, wp: WeightPair) -> float:
     """Radius of the centred disk with the given weighted area.
 
-    The Gaussian pair inverts in closed form; otherwise the monotone
-    ``f(r) = f(0) - area / (2 pi)`` is bisected on ``[0, 1e3]`` down to
-    adjacent floats.
+    The Gaussian pair inverts in closed form.  Otherwise the monotone
+    ``f(r) = f(0) - area / (2 pi)`` is bisected on ``[0, _R_MAX]`` until the
+    midpoint equals an endpoint; the upper endpoint, the first float where
+    ``f`` reaches the level, is returned.
     """
-    return float(_matched_radii(np.array([area], dtype=float), wp)[0])
+    level = float(_matched_levels(np.array([area], dtype=float), wp, _f_at(wp, 0.0))[0])
+    if wp.is_gaussian:
+        return math.sqrt(-2.0 * math.log(level))
+    # The bit patterns of non-negative floats are ordered as the floats are, so
+    # bisecting them reaches adjacent floats in at most 63 halvings, keeping
+    # f(lo) > level >= f(hi).
+    lo, hi = 0, int(np.float64(_R_MAX).view(np.int64))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if wp.f(np.array([mid]).view(np.float64))[0] > level:
+            lo = mid
+        else:
+            hi = mid
+    return float(np.int64(hi).view(np.float64))
 
 
 def _energy(rho, drho, ddrho, f_radii):

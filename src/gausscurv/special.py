@@ -1,12 +1,15 @@
 """Special functions in numpy and ``math``: the regularised incomplete gamma functions
-``P(a, x)``, ``Q(a, x)`` and the inverse of ``P`` at ``a = m/2`` (the chi_m law of Gaussian
-balls), Gauss-Jacobi rules and Gegenbauer polynomials.
+``P(a, x)``, ``Q(a, x)`` and their inverse at ``a = m/2`` (the chi_m law of Gaussian balls),
+Gauss-Jacobi rules and Gegenbauer polynomials.
 
-Below ``x = a``, ``P = x^a e^-x / Gamma(a + 1) 1F1(1; a + 1; x)`` (DLMF 8.7.1), its series
-summed to a fixed number of terms for each ``a``, so a value is the same in any array.  From
-``x = a`` on, ``Q`` is a finite sum (DLMF §8.4): ``e^-x sum_(k < m/2) x^k / k!`` for even m,
+One pass gives ``P`` and ``Q`` together.  Below ``x = a``,
+``P = x^a e^-x / Gamma(a + 1) 1F1(1; a + 1; x)`` (DLMF 8.7.1), its series summed to a fixed
+number of terms for each ``a``, so a value is the same in any array.  From ``x = a`` on, ``Q``
+is a finite sum (DLMF §8.4): ``e^-x sum_(k < m/2) x^k / k!`` for even m,
 ``erfc(sqrt x) + e^-x sum_(k=1..(m-1)/2) x^(k - 1/2) / Gamma(k + 1/2)`` for odd m.  Each is
-at most about 0.7 where taken, so one minus it keeps full relative accuracy.  The arrays take
+at most about 0.7 where taken, so one minus it, the other function, keeps full relative
+accuracy.  The inverse reads ``Q`` exactly when the complement it is given is below 1/2, so
+a caller that holds a volume's own complement picks the side by that alone.  The arrays take
 ``erfc`` from numpy, as ``e^-x`` times Cody's rational approximations to ``e^(y^2) erfc(y)``
 (W. J. Cody, Math. Comp. 23, 1969); the scalar inverse takes ``math.erfc``.
 """
@@ -98,19 +101,21 @@ def _erfcx(y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _regularized(a: float, x, upper: bool):
-    """``Q(a, x)`` if ``upper``, else ``P(a, x)``, for ``a = m/2``."""
+def _regularized(a: float, x):
+    """``(P(a, x), Q(a, x))`` for ``a = m/2`` in one pass: ``P`` summed below ``x = a`` and ``Q``
+    from there on, and the other one minus it."""
     if a <= 0.0 or 2.0 * a != int(2.0 * a):
         raise ValueError(f"the incomplete gamma functions take a = m/2 for m >= 1, got {a}")
     x = np.asarray(x, dtype=float)
     below = x < a
-    out = np.empty_like(x)
+    p, q = np.empty_like(x), np.empty_like(x)
     if below.any():
         lo = x[below]
-        p = lo**a * np.exp(-lo) / math.gamma(a + 1.0) * _partial_sum(a, lo)
-        out[below] = 1.0 - p if upper else p
+        p_lo = lo**a * np.exp(-lo) / math.gamma(a + 1.0) * _partial_sum(a, lo)
+        p[below], q[below] = p_lo, 1.0 - p_lo
     if not below.all():
-        hi, j = np.minimum(x[~below], 1e4), int(a)  # Q underflows there; keeps inf * 0 out
+        above = ~below
+        hi, j = np.minimum(x[above], 1e4), int(a)  # Q underflows there; keeps inf * 0 out
         # Q = e^-x (finite sum + e^x erfc(sqrt x)), with e^-x in two halves: past x = 708 one
         # factor e^-x is subnormal and short of digits, and erfc(sqrt x) would carry the rounding
         # of sqrt x amplified 2x times.
@@ -119,38 +124,40 @@ def _regularized(a: float, x, upper: bool):
             root = np.sqrt(hi)
             scaled = root / math.gamma(a - j + 1.0) * scaled + _erfcx(root)
         half = np.exp(-0.5 * hi)
-        q = half * scaled * half
-        out[~below] = q if upper else 1.0 - q
-    return out[()]
+        q_hi = half * scaled * half
+        p[above], q[above] = 1.0 - q_hi, q_hi
+    return p[()], q[()]
 
 
 def gammainc(a: float, x):
     """Regularised lower incomplete gamma function ``P(a, x)`` for ``a = m/2``, elementwise."""
-    return _regularized(a, x, upper=False)
+    return _regularized(a, x)[0]
 
 
 def gammaincc(a: float, x):
     """Regularised upper incomplete gamma function ``Q(a, x)`` for ``a = m/2``, elementwise."""
-    return _regularized(a, x, upper=True)
+    return _regularized(a, x)[1]
 
 
 def gammaincinv(a: float, p: float, q: float | None = None) -> float:
     """``x`` with ``P(a, x) = p`` and ``Q(a, x) = q`` for ``a = m/2``, where ``q`` is ``1 - p``
     unless given: a complement of its own resolves the roots that ``1 - p`` rounds away next to 1.
-    Halley's method in ``u = log x`` on ``F = log(P / p)``, or on ``log(Q / q)`` above 1/2, where
-    ``F'' = F' (a - x - F')``, with steps of at most a factor e.  It starts from the root of
-    ``x^a / Gamma(a + 1)``, or above 1/2 of ``Q``'s leading term but not below ``a``.
-    ``ValueError`` unless ``p > 0`` and, above 1/2, ``q`` lies between the least normal float and
-    1/2: a subnormal ``q`` keeps too few digits to converge."""
+    One rule picks the side: Halley's method in ``u = log x`` on ``F = log(Q / q)`` when ``q`` is
+    below 1/2, else on ``log(P / p)``, where ``F'' = F' (a - x - F')``, with steps of at most a
+    factor e.  It starts from the root of ``x^a / Gamma(a + 1)``, or on the Q side of ``Q``'s
+    leading term but not below ``a``.  ``ValueError`` unless ``p > 0`` and, on the Q side, ``q``
+    is at least the least normal float (a subnormal ``q`` keeps too few digits to converge), or,
+    on the P side, ``p < 1``."""
     q = 1.0 - p if q is None else q
-    if not (0.0 < p and (p <= 0.5 or sys.float_info.min <= q <= 0.5)):
+    q_side = q < 0.5
+    if not (0.0 < p and (sys.float_info.min <= q if q_side else p < 1.0)):
         raise ValueError(f"the probability and its complement must lie in (0, 1), got {p!r} and {q!r}")
     j = int(a)
-    if p <= 0.5:
-        x = (p * math.gamma(a + 1.0)) ** (1.0 / a)
-    else:
+    if q_side:
         x = -math.log(q * math.gamma(a))
         x = max(a, x + (a - 1.0) * math.log(max(x, a)))
+    else:
+        x = (p * math.gamma(a + 1.0)) ** (1.0 / a)
     if x < sys.float_info.min:  # a subnormal root: P = x^a / Gamma(a + 1) to double precision
         return x
     for _ in range(100):
@@ -165,7 +172,7 @@ def gammaincinv(a: float, p: float, q: float | None = None) -> float:
             upper = upper * half + (math.erfc(math.sqrt(x)) if a != j else 0.0)
             lower = 1.0 - upper
         slope = x**a * half / math.gamma(a) * half  # x dP/dx
-        value, slope = (math.log(lower / p), slope / lower) if p <= 0.5 else (math.log(upper / q), -slope / upper)
+        value, slope = (math.log(upper / q), -slope / upper) if q_side else (math.log(lower / p), slope / lower)
         step = value / slope
         step = max(-1.0, min(1.0, step / max(0.5, 1.0 - 0.5 * step * (a - x - slope))))
         x *= math.exp(-step)

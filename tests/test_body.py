@@ -171,6 +171,16 @@ def test_ball_match_radius_inverts_ball_volume(n):
 
 
 @pytest.mark.parametrize("n", range(2, 9))
+def test_ball_match_radius_reads_the_side_from_the_volume_outside(n):
+    # A volume and a volume outside that both round above 1/2: the outside is not below 1/2, so the
+    # ball matches the volume itself, next to the chi_n median.
+    just_above = 0.5 + 2.0**-52
+    median = bd.ball_match_radius(n, 0.5)
+    assert bd.ball_match_radius(n, just_above, just_above) == pytest.approx(median, rel=1e-15, abs=0.0)
+    assert bd.ball_match_radius(n, just_above, just_above) == bd.ball_match_radius(n, just_above, 0.5)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
 def test_ball_closed_forms_match_oracles(n):
     for v in np.geomspace(1e-5, 0.999, 30):
         r = bd.ball_match_radius(n, v)
@@ -555,7 +565,7 @@ def test_stack_rows_equal_one_row_bodies_at_every_size(n, poled):
     columns = (
         bd.gaussian_volume, bd.curvature_energy_nd, bd.flux_energy, bd.inverse_square_flux,
         bd.inverse_square_flux_bulk, bd.inscribed_radius, bd.second_fundamental_min, bd.is_convex,
-        bd.mean_curvature, lambda body: bd._volume_outside(body.n, body.quad.weights, body.h_nodes),
+        bd.mean_curvature, lambda body: bd._volumes(body.n, body.quad.weights, body.h_nodes)[1],
     )
 
     def values(body):

@@ -75,6 +75,17 @@ def test_config_file_requires_command(tmp_path):
         cli.parse_config(["--config", str(path)])
 
 
+def test_config_file_that_is_not_text_is_a_configuration_error(tmp_path, capsys):
+    path = tmp_path / "binary.cfg"
+    path.write_bytes(b"\xff\xfe\x00command = moments\n")
+    with pytest.raises(ConfigError, match="cannot read config file"):
+        cli.parse_config(["--config", str(path)])
+    assert cli.main(["--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("gausscurv: configuration error: cannot read config file: ")
+    assert len(err.strip().splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # random shape generators
 
@@ -824,6 +835,15 @@ def test_flags_outside_library_domain_are_configuration_errors(tmp_path, capsys,
     assert cli.main(argv + ["--output", str(tmp_path / "x")]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"gausscurv: configuration error: {argv[0]}: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_counterexample_at_an_overflowing_radius_is_one_error_line(tmp_path, capsys):
+    # r^2 overflows in the ball's volume, which is then exactly 1: no cylinder matches it, and no
+    # RuntimeWarning comes before the error.
+    assert cli.main(["counterexample", "--r", "1e300", "--output", str(tmp_path / "ce")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("gausscurv: configuration error: counterexample: ")
     assert len(err.strip().splitlines()) == 1
 
 

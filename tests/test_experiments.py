@@ -418,16 +418,20 @@ def _outside_radius(n, outside, mpmath):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 8])
 def test_calibration_matches_balls_next_to_volume_one(n):
-    # Volumes within 2^-10 of 1 (here down to 1 to double precision) match the ball from the body's own
-    # volume outside, so the radius is the body's, not the rounding of 1 - volume.
+    # Volumes above 1/2 (here up to 1 to double precision) match the ball from the body's own volume
+    # outside, so the radius is the body's, not the rounding of 1 - volume.
     mpmath = pytest.importorskip("mpmath")
-    for r in (6.0, 9.0, 20.0, 37.0):
+    for r in (2.0, 3.0, 4.0, 6.0, 9.0, 20.0, 37.0):
         stack = bd.BodyStack(n, r, cli._sample_even(3, range(4), n, 1e-2))
-        outside = bd._volume_outside(n, stack.quad.weights, stack.h_nodes)
+        outside = bd._volumes(n, stack.quad.weights, stack.h_nodes)[1]
         results = ex.calibration_check_many(stack)
         for res, q in zip(results, outside.tolist()):
-            assert res.volume > ex._OUTSIDE_ABOVE and res.matched_radius == pytest.approx(r, rel=2e-2)
-            assert res.matched_radius == pytest.approx(_outside_radius(n, q, mpmath), rel=1e-14, abs=0.0), (r, q)
+            # These near balls lie above 1/2 exactly where the ball of radius r does: r beyond the chi_n median.
+            assert (res.volume > 0.5) == (r > bd.ball_match_radius(n, 0.5)), (r, res.volume)
+            if res.volume <= 0.5:
+                continue
+            assert res.matched_radius == pytest.approx(r, rel=2e-2)
+            assert res.matched_radius == pytest.approx(_outside_radius(n, q, mpmath), rel=1e-15, abs=0.0), (r, q)
         ball = ex.calibration_check(RadialGraph(n, r), M=1.0)
         assert ball.matched_radius == pytest.approx(r, rel=1e-14, abs=0.0), r
 

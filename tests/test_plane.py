@@ -244,7 +244,7 @@ def _trial_areas(wp):
 def test_bisected_radii_match_brentq_oracle(name):
     wp = cli.weight_preset(name)
     areas = _trial_areas(wp)
-    radii = plane._matched_radii(areas, wp)
+    radii = np.array([plane.matched_radius(area, wp) for area in areas])
     oracle = np.array([helpers.brentq_matched_radius(a, wp) for a in areas])
     assert np.max(np.abs(radii - oracle) / np.spacing(oracle)) <= 4.0
 
@@ -258,7 +258,7 @@ def test_bisected_radii_match_closed_form_inverses(name):
     }[name]
     wp = cli.weight_preset(name)
     areas = _trial_areas(wp)
-    radii = plane._matched_radii(areas, wp)
+    radii = np.array([plane.matched_radius(area, wp) for area in areas])
     # The level exactly as the library forms it; its inverse to 30 digits.
     levels = plane._f_at(wp, 0.0) - areas / (2.0 * np.pi)
     with mpmath.workdps(30):
