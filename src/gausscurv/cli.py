@@ -15,6 +15,7 @@ import gc
 import json
 import locale  # noqa: F401  argparse's gettext loads it on the first parse; load it with the package
 import math
+import operator
 import os
 import pickle
 import sys
@@ -143,9 +144,9 @@ class RunConfig:
 class RunReport:
     """A run's configuration, its entries as the report's JSON lines, its summary and wall time.
 
-    ``lines`` holds each entry as written, one :func:`_encode` line; ``entries``
-    decodes them on each access (``json.loads`` gives back every float bit for
-    bit).  The command line writes the lines and never decodes them.
+    ``lines`` holds each entry as written, one :func:`_encode_columns` line;
+    ``entries`` decodes them on each access (``json.loads`` gives back every
+    float bit for bit).  The command line writes the lines and never decodes them.
     """
 
     config: dict
@@ -166,12 +167,30 @@ class RunReport:
                 "wall_time_s": self.wall_time_s}
 
 
+def _stream_word(value) -> int:
+    """``value`` as a word of a Philox key: an integer in [0, 2^64), and not a bool."""
+    try:
+        word = operator.index(value)
+    except TypeError:
+        word = -1
+    if isinstance(value, bool) or not 0 <= word < 2**64:
+        raise ValueError(f"seeds and trials must be integers in [0, 2^64), got {value!r}")
+    return word
+
+
 def _trial_streams(seed: int, trials):
     """One Philox, a generator on it, and the state of each trial's own stream, keyed by ``(seed, trial)``,
-    before its first draw: setting ``bits.state`` re-keys the Philox without a SeedSequence build."""
+    before its first draw: setting ``bits.state`` re-keys the Philox without a SeedSequence build.
+
+    Raises ``ValueError`` for a seed or a trial that is not an integer in [0, 2^64).
+    """
+    seed = _stream_word(seed)
     bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     fresh = bits.state
-    states = [{**fresh, "state": {**fresh["state"], "key": np.array([seed, t], dtype=np.uint64)}} for t in trials]
+    states = [
+        {**fresh, "state": {**fresh["state"], "key": np.array([seed, _stream_word(t)], dtype=np.uint64)}}
+        for t in trials
+    ]
     return bits, np.random.Generator(bits), states
 
 
@@ -228,8 +247,10 @@ def generate_convex_polar(seed: int, amplitude: float, trial: int = 0) -> plane.
     ------
     GausscurvError
         After 1000 consecutive rejections.
+    ValueError
+        For a seed or a trial that is not an integer in [0, 2^64).
     """
-    return plane.PolarCurve.from_row(_sample_polar(seed, amplitude, range(trial, trial + 1), *_CONVEX), 0)
+    return plane.PolarCurve.from_row(_sample_polar(seed, amplitude, (trial,), *_CONVEX), 0)
 
 
 def generate_star_polar(seed: int, amplitude: float, trial: int = 0) -> plane.PolarCurve:
@@ -238,27 +259,74 @@ def generate_star_polar(seed: int, amplitude: float, trial: int = 0) -> plane.Po
     Coefficients decay like 1/k^2, slowly enough that higher amplitudes
     routinely produce non-convex boundaries; only the origin's clearance is enforced.
     """
-    return plane.PolarCurve.from_row(_sample_polar(seed, amplitude, range(trial, trial + 1), *_STAR), 0)
+    return plane.PolarCurve.from_row(_sample_polar(seed, amplitude, (trial,), *_STAR), 0)
 
 
 _REPORT_FIELDS = ("lhs", "rhs", "margin", "quad_error", "passed")
 
 
-def _report_rows(rep: plane.InequalityReport) -> list[dict]:
-    """The JSON entries of a report, one per row: one for a body's report, one per curve for a stack's."""
-    if isinstance(rep.lhs, float):
-        return [{name: getattr(rep, name) for name in _REPORT_FIELDS}]
-    columns = [np.atleast_1d(getattr(rep, name)).tolist() for name in _REPORT_FIELDS]
-    return [dict(zip(_REPORT_FIELDS, row)) for row in zip(*columns)]
+def _report_columns(rep: plane.InequalityReport) -> dict:
+    """A report's JSON columns, each field's values as Python scalars: one row for a body's report,
+    one per curve for a stack's."""
+    return {name: np.atleast_1d(getattr(rep, name)).tolist() for name in _REPORT_FIELDS}
 
 
-def _encode(entry: dict, margin: float | None = None) -> tuple:
-    """An entry as the report holds it: ``(its JSON line, its passed flag, its worst margin)``.
+def _template(columns: dict, leaves: list) -> str:
+    """``columns`` as JSON text with sorted keys and a ``%s`` for each leaf; the leaves go to ``leaves``."""
+    items = []
+    for key in sorted(columns):
+        value = columns[key]
+        text = json.dumps(key).replace("%", "%%") + ": "
+        if isinstance(value, dict):
+            items.append(text + _template(value, leaves))
+        else:
+            leaves.append(value)
+            items.append(text + "%s")
+    return "{" + ", ".join(items) + "}"
 
-    The line is one ``json.dumps`` call with sorted keys, which runs the C encoder; this is the
-    only place an entry becomes text.  ``margin`` is None where the command has no margins.
+
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _leaf_texts(column: list) -> list:
+    """Each value of a leaf column as ``json.dumps`` writes it.
+
+    A column of floats only is written by ``float.__repr__``, with ``NaN``, ``Infinity`` and
+    ``-Infinity`` for the non-finite ones; one of bools only or of ints only by their own texts.
+    Any other column, mixed ones among them, takes one ``json.dumps`` call per value.
     """
-    return json.dumps(entry, sort_keys=True), entry["passed"], margin
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        texts = list(map(float.__repr__, column))
+        # A sum that is not finite holds a NaN or an infinity, or overflowed: then look at each text.
+        return texts if math.isfinite(sum(column)) else [_NONFINITE.get(text, text) for text in texts]
+    if kinds == {bool}:
+        return ["true" if value else "false" for value in column]
+    if kinds == {int}:
+        return list(map(int.__repr__, column))
+    return [json.dumps(value, sort_keys=True) for value in column]
+
+
+def _encode_columns(columns: dict, margins=None) -> list:
+    """Entries as the report holds them, one ``(JSON line, passed flag, worst margin)`` per row.
+
+    ``columns`` nests dicts with string keys, and each leaf is a list with one
+    value per row; ``columns["passed"]`` holds the passed flags.  One line
+    template with sorted keys is built per call, and each row's leaf texts
+    (:func:`_leaf_texts`) fill it, so a line is byte for byte what
+    ``json.dumps(row, sort_keys=True)`` writes for the row as a nested dict.
+    This is the only place an entry becomes text.  ``margins`` holds each
+    row's worst margin, or is None where the command has no margins.
+    """
+    leaves = []
+    template = _template(columns, leaves)
+    lines = [template % row for row in zip(*map(_leaf_texts, leaves))]
+    return list(zip(lines, columns["passed"], margins if margins is not None else [None] * len(lines)))
+
+
+def _columns_of(entries: list) -> dict:
+    """The columns of flat entries built one at a time, for :func:`_encode_columns`."""
+    return {key: [entry[key] for entry in entries] for key in entries[0]}
 
 
 def _map_trials(fn, count: int, seed: int | None = None, start: int = 0):
@@ -352,9 +420,9 @@ def _fork_part(fn, start: int, stop: int, workers: list):
 def _map_chunks(fn, count: int, seed: int | None = None):
     """Run ``fn(trials)`` on consecutive ranges of ``_CHUNK`` trials; return the results in index order.
 
-    ``fn`` returns one result per trial of its range, an :func:`_encode` tuple
-    in every batch command, so each entry is encoded in the process that ran
-    its chunk and a worker pickles finished lines.  The chunks are split into
+    ``fn`` returns one result per trial of its range, an :func:`_encode_columns`
+    tuple in every batch command, so each entry is encoded in the process that
+    ran its chunk and a worker pickles finished lines.  The chunks are split into
     contiguous parts of at least ``_PART_CHUNKS`` chunks, one part per CPU at
     most.  The parent forks a worker for every part but the first, runs the
     first itself (:func:`_run_range`), and then reads the workers' results in
@@ -398,25 +466,23 @@ def _run_planar_batch(config: RunConfig, generator, check):
 
     A chunk of trials is drawn by :func:`_sample_polar` (``generator`` is
     ``_CONVEX`` or ``_STAR``) and every weight checks that one stack.
-    ``check(stack, wp)`` returns the weight's report entry for each curve
-    and the margin columns that must clear ``-slack``.  A chunk encodes its
-    entries (:func:`_encode`) with each trial's smallest margin.
+    ``check(stack, wp)`` returns the weight's report columns, one row per
+    curve, and the margin columns that must clear ``-slack``.  A chunk
+    encodes its entries from those columns (:func:`_encode_columns`) with
+    each trial's smallest margin.
     """
     pairs = _weights_for(config)
 
     def chunk(trials: range) -> list:
         stack = _sample_polar(config.seed, config.amplitude, trials, *generator)
-        entries = [{"trial": trial, "weights": {}} for trial in trials]
-        margins = []
+        weights, margins = {}, []
         for name, wp in pairs:
-            values, columns = check(stack, wp)
-            for entry, value in zip(entries, values):
-                entry["weights"][name] = value
+            weights[name], columns = check(stack, wp)
             margins.extend(columns)
         margins = np.array(margins)
-        for entry, ok in zip(entries, np.all(margins >= -config.slack, axis=0).tolist()):
-            entry["passed"] = ok
-        return [_encode(entry, margin) for entry, margin in zip(entries, np.min(margins, axis=0).tolist())]
+        passed = np.all(margins >= -config.slack, axis=0).tolist()
+        columns = {"trial": list(trials), "weights": weights, "passed": passed}
+        return _encode_columns(columns, np.min(margins, axis=0).tolist())
 
     return _map_chunks(chunk, config.trials, config.seed), {}, None
 
@@ -424,8 +490,8 @@ def _run_planar_batch(config: RunConfig, generator, check):
 def _run_verify2d(config: RunConfig):
     def check(stack, wp):
         two = plane.verify_two_sided(stack, wp)
-        rows = zip(_report_rows(two.lower), _report_rows(two.upper))
-        return [{"lower": lower, "upper": upper} for lower, upper in rows], (two.lower.margin, two.upper.margin)
+        columns = {"lower": _report_columns(two.lower), "upper": _report_columns(two.upper)}
+        return columns, (two.lower.margin, two.upper.margin)
 
     return _run_planar_batch(config, _CONVEX, check)
 
@@ -433,7 +499,7 @@ def _run_verify2d(config: RunConfig):
 def _run_bounds2d(config: RunConfig):
     def check(stack, wp):
         rep = plane.boundary_inverse_weight(stack, wp)
-        return _report_rows(rep), (rep.margin,)
+        return _report_columns(rep), (rep.margin,)
 
     return _run_planar_batch(config, _STAR, check)
 
@@ -467,7 +533,8 @@ def _run_stability2d(config: RunConfig):
                 "passed": bounded,
             }
         )
-    return [_encode(e) for e in entries], {"max_relative_error": max(e["tail_spread"] for e in entries)}, None
+    summary = {"max_relative_error": max(e["tail_spread"] for e in entries)}
+    return _encode_columns(_columns_of(entries)), summary, None
 
 
 def _run_counterexample(config: RunConfig):
@@ -506,7 +573,7 @@ def _run_counterexample(config: RunConfig):
                 "relative_error": abs(gap - 1.0),
             }
         )
-    return [_encode(e, e["gap"] - 1.0) for e in entries], {}, rows
+    return _encode_columns(_columns_of(entries), [e["gap"] - 1.0 for e in entries]), {}, rows
 
 
 def _run_second_variation(config: RunConfig):
@@ -534,7 +601,7 @@ def _run_second_variation(config: RunConfig):
             "relative_error": rep.relative_error,
         }
     ]
-    return [_encode(e) for e in entries], {"max_relative_error": rep.relative_error}, rows
+    return _encode_columns(_columns_of(entries)), {"max_relative_error": rep.relative_error}, rows
 
 
 def _run_threshold_scan(config: RunConfig):
@@ -561,7 +628,7 @@ def _run_threshold_scan(config: RunConfig):
             "relative_error": err / max(algebraic, 1e-300),
         }
     ]
-    return [_encode(e) for e in entries], {"max_relative_error": err}, rows
+    return _encode_columns(_columns_of(entries)), {"max_relative_error": err}, rows
 
 
 def _sample_even(seed: int, trials, n: int, amplitude: float, degree: int = 6) -> np.ndarray:
@@ -584,39 +651,36 @@ def _sample_even(seed: int, trials, n: int, amplitude: float, degree: int = 6) -
 
 def random_even_body(seed: int, trial: int, n: int, radius: float, amplitude: float, degree: int = 6) -> bd.RadialGraph:
     """Seeded even (origin-symmetric) perturbation of the ball of given radius, drawn as a chunk of
-    one by :func:`_sample_even`; raises ``ValueError`` as :class:`body.RadialGraph` does."""
-    coeffs = _sample_even(seed, range(trial, trial + 1), n, amplitude, degree)[0]
+    one by :func:`_sample_even`; raises ``ValueError`` as :class:`body.RadialGraph` does, and for a seed
+    or a trial that is not an integer in [0, 2^64)."""
+    coeffs = _sample_even(seed, (trial,), n, amplitude, degree)[0]
     return bd.RadialGraph(n, radius, sphere.HarmonicField(n=n, degree=degree, coeffs=coeffs))
+
+
+# The fields of a calibration result that its entry holds as they are.
+_CALIBRATION_FIELDS = (
+    "hypothesis_ok", "gate_curvature", "gate_inscribed_stated", "gate_inscribed_used", "volume", "matched_radius"
+)
 
 
 def _run_calibration(config: RunConfig):
     r = config.r if config.r is not None else 3.0
     amp = min(config.epsilon * 10.0, 1e-2)
 
-    def encoded(trial: int, res: ex.CalibrationResult) -> tuple:
-        ok = (
-            res.hypothesis_ok
-            and res.ineq1.margin >= -config.slack
-            and res.ineq3.margin >= -config.slack
-        )
-        entry = {
-            "trial": trial,
-            "hypothesis_ok": res.hypothesis_ok,
-            "gate_curvature": res.gate_curvature,
-            "gate_inscribed_stated": res.gate_inscribed_stated,
-            "gate_inscribed_used": res.gate_inscribed_used,
-            "volume": res.volume,
-            "matched_radius": res.matched_radius,
-            "ineq1": _report_rows(res.ineq1)[0],
-            "ineq3": _report_rows(res.ineq3)[0],
-            "passed": ok,
-        }
-        return _encode(entry, min(res.ineq1.margin, res.ineq3.margin))
-
     def chunk(trials: range) -> list:
         # Each body's curvature bound M is its largest mean curvature over the nodes.
         stack = bd.BodyStack(config.n, r, _sample_even(config.seed, trials, config.n, amp))
-        return [encoded(trial, res) for trial, res in zip(trials, ex.calibration_check_many(stack))]
+        results = ex.calibration_check_many(stack)
+        columns = {name: [getattr(res, name) for res in results] for name in _CALIBRATION_FIELDS}
+        for name in ("ineq1", "ineq3"):
+            reports = [getattr(res, name) for res in results]
+            columns[name] = {field: [getattr(rep, field) for rep in reports] for field in _REPORT_FIELDS}
+        columns["trial"] = list(trials)
+        margins = columns["ineq1"]["margin"], columns["ineq3"]["margin"]
+        columns["passed"] = [
+            ok and m1 >= -config.slack and m3 >= -config.slack for ok, m1, m3 in zip(columns["hypothesis_ok"], *margins)
+        ]
+        return _encode_columns(columns, list(map(min, *margins)))
 
     return _map_chunks(chunk, config.trials, config.seed), {}, None
 
@@ -641,7 +705,8 @@ def _run_moments(config: RunConfig):
                     "passed": held,
                 }
             )
-    return [_encode(e, -max(e["residual_b"], e["residual_c"])) for e in entries], {}, None
+    margins = [-max(e["residual_b"], e["residual_c"]) for e in entries]
+    return _encode_columns(_columns_of(entries), margins), {}, None
 
 
 _RUNNERS = {
@@ -660,7 +725,7 @@ def _write_report(fh, report: RunReport) -> None:
     """Write ``report`` as JSON: one line per top-level key, in sorted order, and one line per entry.
 
     The entries are the report's own lines, encoded where their trials ran
-    (:func:`_encode`), and are written one at a time between an
+    (:func:`_encode_columns`), and are written one at a time between an
     ``"entries": [`` line and a ``],`` line.  Every other value is one
     ``json.dumps`` call with sorted keys, which runs the C encoder
     (``json.dump`` to a file and any ``indent`` run the pure-Python one), so
@@ -677,8 +742,8 @@ def run(config: RunConfig) -> RunReport:
     """Execute one command, write the JSON (and CSV) outputs, return the report.
 
     A runner returns ``(results, extra_summary, rows)``, with one
-    :func:`_encode` tuple per entry in ``results``; the pass count and the
-    worst margin come from those tuples, and a CSV is written exactly when
+    :func:`_encode_columns` tuple per entry in ``results``; the pass count and
+    the worst margin come from those tuples, and a CSV is written exactly when
     there are rows.
     """
     config.validate()

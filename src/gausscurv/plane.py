@@ -260,11 +260,6 @@ class PolarCurve(CurveStack):
             rho = self.rho_at(theta)
         return np.column_stack([rho * np.cos(theta), rho * np.sin(theta)])
 
-    @property
-    def convexity_certificate(self) -> np.ndarray:
-        """Curvature numerator ``rho^2 + 2 rho'^2 - rho rho''`` on the grid."""
-        return _certificate(self.rho, self.drho, self.ddrho)
-
     def is_convex(self) -> bool:
         """The cached :attr:`convex` gate: the certificate clears its floor at every grid node."""
         return bool(self.convex)

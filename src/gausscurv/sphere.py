@@ -207,13 +207,6 @@ class HarmonicField:
         c[k * k if n == 3 else k] = amplitude
         return cls(n=n, degree=L, coeffs=c)
 
-    def norm_l2(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-    def grad_norm_l2(self) -> float:
-        lam = _eigenvalues(self.n, self.degree)
-        return float(math.sqrt(np.sum(lam * self.coeffs**2)))
-
     def mean(self) -> float:
         """Average of the field over the sphere."""
         return float(self.coeffs[0]) / math.sqrt(sphere_area(self.n))

@@ -40,8 +40,11 @@ as rows of one ``plane.CurveStack`` for the stacked checks, the second splits
 a stack's report of columns into one report of floats per curve, and the
 third puts bodies as rows of one ``body.BodyStack``.  Nor is ``reports_match``: it
 holds a CLI report against a committed golden one under the tolerance contract.
+Nor are ``convexity_certificate``, ``norm_l2`` and ``grad_norm_l2``, which read
+a curve's grid or a field's coefficients as the library's former methods did.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -70,6 +73,13 @@ def rows(report):
         return [plane.TwoSided(*pair) for pair in zip(rows(report.lower), rows(report.upper))]
     columns = [np.asarray(c).tolist() for c in (report.lhs, report.rhs, report.quad_error)]
     return [plane.InequalityReport(*row) for row in zip(*columns)]
+
+
+def convexity_certificate(curve):
+    """Curvature numerator ``rho^2 + 2 rho'^2 - rho rho''`` on the curve's grid."""
+    from gausscurv import plane
+
+    return plane._certificate(curve.rho, curve.drho, curve.ddrho)
 
 
 def trial_rng(seed, trial):
@@ -361,6 +371,19 @@ def hausdorff_pairs():
 
 # ---------------------------------------------------------------------------
 # sphere oracles: finite differences on the 0-homogeneous extension
+
+
+def norm_l2(u):
+    """The L2 norm of a ``sphere.HarmonicField`` over the sphere: the norm of its orthonormal coefficients."""
+    return float(np.linalg.norm(u.coeffs))
+
+
+def grad_norm_l2(u):
+    """The L2 norm of a field's gradient: ``sqrt(sum lambda_k c_k^2)`` over the Laplacian eigenvalues."""
+    from gausscurv import sphere
+
+    lam = sphere._eigenvalues(u.n, u.degree)
+    return float(math.sqrt(np.sum(lam * u.coeffs**2)))
 
 
 def _extension(field_eval, x):

@@ -131,6 +131,31 @@ def test_star_generator_allows_nonconvex():
     assert found_nonconvex
 
 
+# The three public generators, each giving the coefficients it drew.
+_GENERATORS = [
+    lambda seed, trial: cli.generate_convex_polar(seed, 0.1, trial).sin_coeffs,
+    lambda seed, trial: cli.generate_star_polar(seed, 0.1, trial).sin_coeffs,
+    lambda seed, trial: cli.random_even_body(seed, trial, 3, 3.0, 0.01).coeffs,
+]
+
+
+@pytest.mark.parametrize("generate", _GENERATORS, ids=["convex", "star", "even-body"])
+@pytest.mark.parametrize("bad", [1.5, True, -1, -3, 2**64, "1", None])
+def test_generators_take_only_integer_seeds_and_trials_of_64_bits(generate, bad):
+    # A float or bool seed used to draw seed 1's stream, and a negative or 65-bit key raised OverflowError.
+    with pytest.raises(ValueError, match=r"integers in \[0, 2\^64\)"):
+        generate(bad, 0)
+    with pytest.raises(ValueError, match=r"integers in \[0, 2\^64\)"):
+        generate(1, bad)
+
+
+@pytest.mark.parametrize("generate", _GENERATORS, ids=["convex", "star", "even-body"])
+def test_generators_take_every_integer_key_of_64_bits(generate):
+    top = 2**64 - 1
+    assert np.all(np.isfinite(generate(top, top)))
+    np.testing.assert_array_equal(generate(np.uint64(top), np.int64(3)), generate(top, 3))
+
+
 def _redraws(seed, amplitude, trial, decay, curve):
     """How many candidates the oracle's stream rejects before it reaches ``curve``'s coefficients."""
     rng = helpers.trial_rng(seed, trial)
@@ -299,8 +324,16 @@ def test_report_matches_golden(tmp_path, name):
             argv += ["--" + key.replace("_", "-"), str(value)]
     summary = golden["summary"]
     assert cli.main(argv) == (0 if summary["passed"] == summary["total"] else 1)
-    problems = helpers.reports_match(golden, json.loads((tmp_path / f"{name}.json").read_text()))
+    text = (tmp_path / f"{name}.json").read_text()
+    problems = helpers.reports_match(golden, json.loads(text))
     assert not problems, problems[:5]
+    # Each entry line is the C encoder's text of its own entry.
+    lines = text.splitlines()
+    entries = lines[lines.index('"entries": [') + 1 : lines.index("],")]
+    assert len(entries) == summary["total"]
+    for line in entries:
+        line = line.removesuffix(",")
+        assert line == json.dumps(json.loads(line), sort_keys=True)
 
 
 def test_reports_match_holds_its_bounds():
@@ -323,11 +356,82 @@ def test_reports_match_holds_its_bounds():
     assert moved(extra=1.0) != []
 
 
-def test_report_rows_of_a_body_equal_those_of_a_stack_of_one():
+def test_a_body_report_and_a_stack_of_one_give_the_same_line():
     scalar = plane._report(0.5, 0.7, 1e-9)
     column = plane._report(np.array([0.5]), np.array([0.7]), np.array([1e-9]))
-    assert _bit_equal(cli._report_rows(scalar), cli._report_rows(column))
-    assert type(cli._report_rows(scalar)[0]["passed"]) is bool
+    (body,) = cli._encode_columns(cli._report_columns(scalar))
+    assert body == cli._encode_columns(cli._report_columns(column))[0]
+    assert type(body[1]) is bool
+
+
+# Leaf values with every text the C encoder writes: signed zeros, the smallest subnormal, values near
+# the largest float (their sum overflows), reprs of 17 digits, non-finite floats, bools, None, ints
+# past 64 bits, strings with quotes, escapes, format characters and non-ASCII text, and lists (one
+# holding a dict whose keys are out of order).
+_LEAVES = [
+    -0.0, 0.0, 5e-324, -5e-324, 1e300, 1.7976931348623157e308, -1.7976931348623157e308, 0.1 + 0.2,
+    1.0 / 3.0, 2.0**0.5, 1e-7, 1e16, 123456789.12345679,
+    math.nan, math.inf, -math.inf, True, False, None, 0, -7, 2**80, -(2**63),
+    'say "hi"', "naïve ∑ \\ \n\t %s %(x)s {0} {", "", "\x00\u2028",
+    [1.5, None, "x"], [], [True, [2**70, -0.0]], [{"z": 1.5, "a": [None]}],
+]
+# Keys in the same vein: quotes, format characters, non-ASCII text and the empty key.
+_KEYS = ["lhs", "rhs", 'a"b', "%s", "%%", "{0}", "{", "é", "∑", "", "trial", "z%d", "\\"]
+
+
+def _random_columns(rng, rows: int, depth: int = 0) -> dict:
+    """Nested columns of ``rows`` rows: each leaf all floats drawn over the whole exponent range, all
+    drawn from :data:`_LEAVES`, or all of one kind of Python scalar."""
+    columns = {}
+    for key in rng.choice(_KEYS, size=rng.integers(1, 5), replace=False).tolist():
+        if depth < 2 and rng.random() < 0.3:
+            columns[key] = _random_columns(rng, rows, depth + 1)
+            continue
+        kind = rng.integers(5)
+        if kind == 0:
+            bits = rng.integers(0, 2**64, size=rows, dtype=np.uint64)
+            column = bits.view(np.float64).tolist()
+        elif kind == 1:
+            column = (rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, size=rows)).tolist()
+        elif kind == 2:
+            column = rng.integers(2, size=rows).astype(bool).tolist()
+        elif kind == 3:
+            digits, shifts = rng.integers(-9, 9, size=rows).tolist(), rng.integers(0, 90, size=rows).tolist()
+            column = [digit * 2**shift for digit, shift in zip(digits, shifts)]
+        else:
+            column = [_LEAVES[i] for i in rng.integers(len(_LEAVES), size=rows)]
+        columns[key] = column
+    return columns
+
+
+def _row(columns: dict, i: int) -> dict:
+    return {key: _row(value, i) if isinstance(value, dict) else value[i] for key, value in columns.items()}
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_encoded_columns_are_the_c_encoders_lines(seed):
+    # Oracle: json.dumps of each row as a nested dict, with sorted keys.
+    rng = np.random.default_rng(seed)
+    rows = int(rng.integers(1, 8))
+    columns = _random_columns(rng, rows)
+    columns["passed"] = rng.integers(2, size=rows).astype(bool).tolist()
+    margins = rng.standard_normal(rows).tolist() if seed % 2 else None
+    encoded = cli._encode_columns(columns, margins)
+    oracle = [json.dumps(_row(columns, i), sort_keys=True) for i in range(rows)]
+    assert [line for line, _, _ in encoded] == oracle
+    assert [passed for _, passed, _ in encoded] == columns["passed"]
+    assert [margin for _, _, margin in encoded] == (margins or [None] * rows)
+
+
+def test_encoded_columns_write_every_special_leaf():
+    # Each special leaf in a one-row column of its own; then all of them, all the floats, and bools
+    # mixed with ints, as one column each.
+    columns = {f"k{i}": [leaf] for i, leaf in enumerate(_LEAVES)}
+    ((line, _, _),) = cli._encode_columns({**columns, "passed": [True]})
+    assert line == json.dumps({**_row(columns, 0), "passed": True}, sort_keys=True)
+    for column in (_LEAVES, [leaf for leaf in _LEAVES if type(leaf) is float], [True, 0, False, 2**80, -1]):
+        lines = [line for line, _, _ in cli._encode_columns({"v": column, "passed": [True] * len(column)})]
+        assert lines == [json.dumps({"passed": True, "v": leaf}, sort_keys=True) for leaf in column]
 
 
 def _bit_equal(a, b):
@@ -366,7 +470,9 @@ def test_report_layout(tmp_path, argv):
 def test_exit_status_on_failing_check(tmp_path, monkeypatch):
     # A runner whose one entry fails.
     monkeypatch.setattr(
-        cli, "_RUNNERS", dict(cli._RUNNERS, verify2d=lambda cfg: ([cli._encode({"passed": False}, -1.0)], {}, None)),
+        cli,
+        "_RUNNERS",
+        dict(cli._RUNNERS, verify2d=lambda cfg: (cli._encode_columns({"passed": [False]}, [-1.0]), {}, None)),
     )
     rc = cli.main(["verify2d", "--trials", "1", "--output", str(tmp_path / "f")])
     assert rc == 1
@@ -571,14 +677,21 @@ def test_reports_do_not_depend_on_the_cpu_count(tmp_path, parts, argv, trials):
 
 @pytest.mark.parametrize("argv", [BATCHES[0], BATCHES[2]], ids=lambda argv: argv[0])
 def test_the_parent_encodes_only_its_own_part(tmp_path, monkeypatch, parts, argv):
-    # 300 trials in 3 parts: the parent encodes trials 0..95; the workers' calls land in their own copies.
-    calls = []
-    real_encode = cli._encode
-    monkeypatch.setattr(cli, "_encode", lambda *args: calls.append(args) or real_encode(*args))
+    # 300 trials in 3 parts: the parent encodes the rows of trials 0..95; the workers' rows land in
+    # their own copies.
+    rows = []
+    real_encode = cli._encode_columns
+
+    def encode(*args):
+        encoded = real_encode(*args)
+        rows.extend(encoded)
+        return encoded
+
+    monkeypatch.setattr(cli, "_encode_columns", encode)
     monkeypatch.setattr(cli.RunReport, "entries", property(lambda report: pytest.fail("the report was decoded")))
     parts(3)
     assert cli.main(argv + ["--trials", "300", "--output", str(tmp_path / "r")]) == 0
-    assert len(calls) == 96 and len(parts.forked) == 2
+    assert len(rows) == 96 and len(parts.forked) == 2
 
 
 @pytest.mark.parametrize("argv", BATCHES, ids=lambda argv: argv[0])

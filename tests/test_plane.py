@@ -358,7 +358,8 @@ def test_energy_against_arclength_oracle():
 def test_gauss_bonnet_grid_invariant():
     for trial in range(50):
         curve = cli.generate_convex_polar(31, 0.1, trial)
-        turning = 2 * np.pi * np.mean(curve.convexity_certificate / (curve.rho**2 + curve.drho**2))
+        certificate = helpers.convexity_certificate(curve)
+        turning = 2 * np.pi * np.mean(certificate / (curve.rho**2 + curve.drho**2))
         assert turning == pytest.approx(2 * np.pi, abs=1e-8)
 
 
@@ -611,7 +612,7 @@ def test_convexity_gate_sees_every_grid_node():
     curve = _rotated(candidate, 0.75 * 2.0 * np.pi / candidate.grid_size)
     step = curve.rule_step
     floor = -plane._CONVEX_RTOL * curve.max_radius**2
-    low = np.flatnonzero(curve.convexity_certificate < floor)
+    low = np.flatnonzero(helpers.convexity_certificate(curve) < floor)
     assert step == 4 and low.tolist() == [677, 678, 679]
     assert plane._convex(curve.rho[::step], curve.drho[::step], curve.ddrho[::step])
     assert not curve.is_convex()
