@@ -215,9 +215,13 @@ def _integrals(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
     return (values[..., None, :] @ weights[:, None])[..., 0, 0]
 
 
-def _per_body(values: np.ndarray):
-    """One value per body: a Python float or bool for a :class:`RadialGraph`, a stack's column as it is."""
-    return values.item() if values.ndim == 0 else values
+def _per_body(values):
+    """One value per body: a Python float or bool for a :class:`RadialGraph`, a read-only column for a stack."""
+    values = np.asarray(values)
+    if values.ndim == 0:
+        return values.item()
+    values.setflags(write=False)
+    return values
 
 
 def mean_curvature(body: BodyStack, points=None):

@@ -21,7 +21,7 @@ import pickle
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 import numpy.random  # noqa: F401  numpy loads it lazily; load it with the package, not inside a run
@@ -69,6 +69,8 @@ def weight_preset(name: str):
 WEIGHT_PRESETS = ("gaussian", "inverse-quadratic", "exponential")
 # stability2d holds two curves' grids per h at once, about 360 MB of peak RSS at this bound.
 H_MAX = 4096
+# counterexample evaluates every point in turn, about 16 s at this bound on 2-CPU x86_64.
+POINTS_MAX = 100_000
 
 
 @dataclass
@@ -123,8 +125,8 @@ class RunConfig:
             raise ConfigError("cap height must be positive")
         if not 0 < self.r_min < self.r_max:
             raise ConfigError("need 0 < r-min < r-max")
-        if self.points < 1:
-            raise ConfigError("points must be at least 1")
+        if not 1 <= self.points <= POINTS_MAX:
+            raise ConfigError(f"points must be in 1..{POINTS_MAX}: counterexample evaluates every point in turn")
         if not 2 <= self.h_min < self.h_max:
             raise ConfigError("need 2 <= h-min < h-max: the h = 1 bump r(1 + cos 2 theta) touches the origin")
         if self.h_max > H_MAX:
@@ -579,20 +581,9 @@ def _run_counterexample(config: RunConfig):
 def _run_second_variation(config: RunConfig):
     r = config.r if config.r is not None else 1.0
     rep = ex.measure_second_variation(config.n, r, config.k, config.epsilon)
-    entries = [
-        {
-            "n": rep.n,
-            "r": rep.r,
-            "k": rep.k,
-            "epsilon": rep.epsilon,
-            "measured_gap": rep.measured_gap,
-            "predicted_quadratic": rep.predicted_quadratic,
-            "relative_error": rep.relative_error,
-            "measured_coefficient": rep.measured_coefficient,
-            "raw_gaps": list(rep.raw_gaps),
-            "passed": rep.relative_error <= 0.05,
-        }
-    ]
+    # The entry is the report's fields, raw_gaps written as a JSON list, and the verdict.
+    columns = {name: [value] for name, value in asdict(rep).items()}
+    columns["passed"] = [rep.relative_error <= 0.05]
     rows = [
         {
             "r": rep.r,
@@ -601,7 +592,7 @@ def _run_second_variation(config: RunConfig):
             "relative_error": rep.relative_error,
         }
     ]
-    return _encode_columns(_columns_of(entries)), {"max_relative_error": rep.relative_error}, rows
+    return _encode_columns(columns), {"max_relative_error": rep.relative_error}, rows
 
 
 def _run_threshold_scan(config: RunConfig):
@@ -664,23 +655,18 @@ _CALIBRATION_FIELDS = (
 
 
 def _run_calibration(config: RunConfig):
+    """Each chunk's bodies are one :class:`body.BodyStack`, whose :func:`experiments.calibration_check`
+    columns (each body's bound M its largest mean curvature over the nodes) the chunk encodes as they are."""
     r = config.r if config.r is not None else 3.0
     amp = min(config.epsilon * 10.0, 1e-2)
 
     def chunk(trials: range) -> list:
-        # Each body's curvature bound M is its largest mean curvature over the nodes.
-        stack = bd.BodyStack(config.n, r, _sample_even(config.seed, trials, config.n, amp))
-        results = ex.calibration_check_many(stack)
-        columns = {name: [getattr(res, name) for res in results] for name in _CALIBRATION_FIELDS}
-        for name in ("ineq1", "ineq3"):
-            reports = [getattr(res, name) for res in results]
-            columns[name] = {field: [getattr(rep, field) for rep in reports] for field in _REPORT_FIELDS}
-        columns["trial"] = list(trials)
-        margins = columns["ineq1"]["margin"], columns["ineq3"]["margin"]
-        columns["passed"] = [
-            ok and m1 >= -config.slack and m3 >= -config.slack for ok, m1, m3 in zip(columns["hypothesis_ok"], *margins)
-        ]
-        return _encode_columns(columns, list(map(min, *margins)))
+        res = ex.calibration_check(bd.BodyStack(config.n, r, _sample_even(config.seed, trials, config.n, amp)))
+        columns = {name: getattr(res, name).tolist() for name in _CALIBRATION_FIELDS}
+        columns.update(trial=list(trials), ineq1=_report_columns(res.ineq1), ineq3=_report_columns(res.ineq3))
+        margins = np.array([res.ineq1.margin, res.ineq3.margin])
+        columns["passed"] = (res.hypothesis_ok & np.all(margins >= -config.slack, axis=0)).tolist()
+        return _encode_columns(columns, np.min(margins, axis=0).tolist())
 
     return _map_chunks(chunk, config.trials, config.seed), {}, None
 

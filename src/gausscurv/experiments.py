@@ -20,7 +20,7 @@ import numpy as np
 from . import body as bd
 from . import sphere
 from .errors import ConvexityError, QuadratureError
-from .plane import InequalityReport, _report
+from .plane import InequalityReport, _equal_columns, _report
 from .special import gauss_jacobi, kummer_sum
 from .weights import psi
 
@@ -41,7 +41,6 @@ __all__ = [
     "measure_second_variation",
     "threshold_scan",
     "calibration_check",
-    "calibration_check_many",
 ]
 
 EPSILON_FLOOR = 4e-4
@@ -389,47 +388,38 @@ def threshold_scan(n: int, k: int) -> float:
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    """Hypothesis gates and the two calibration inequalities for one body."""
+    """Hypothesis gates and the two calibration inequalities, with the checked body's row shape:
+    Python floats and bools for a :class:`body.RadialGraph`, and read-only columns, one element per
+    body, for a 2-D :class:`body.BodyStack`.  Equality is column by column, as for reports."""
 
-    hypothesis_ok: bool
+    hypothesis_ok: bool | np.ndarray
     ineq1: InequalityReport
     ineq3: InequalityReport
-    matched_radius: float
-    volume: float
-    curvature_bound: float
-    inscribed_radius: float
-    gate_curvature: bool
-    gate_inscribed_stated: bool
-    gate_inscribed_used: bool
+    matched_radius: float | np.ndarray
+    volume: float | np.ndarray
+    curvature_bound: float | np.ndarray
+    inscribed_radius: float | np.ndarray
+    gate_curvature: bool | np.ndarray
+    gate_inscribed_stated: bool | np.ndarray
+    gate_inscribed_used: bool | np.ndarray
+
+    __eq__ = _equal_columns
 
 
-def calibration_check(graph: bd.RadialGraph, M: float) -> CalibrationResult:
-    """Check the flux-calibration inequalities for a convex body.
+def calibration_check(body: bd.BodyStack, M=None) -> CalibrationResult:
+    """Check the flux-calibration inequalities for a convex body, or for every body of a stack at once.
 
+    ``M`` is the curvature bound: a float for a graph, one per row for a
+    stack, or None for each body's largest mean curvature over the nodes.
     ``hypothesis_ok`` is the volume gate ``gamma(E) >= max(psi(2M),
     psi(sqrt(n-2)))``.  Three inscribed-radius gates are reported separately
     because they differ subtly: ``r_E >= 2M``, ``r_E >= sqrt(2(n-2))`` and
     ``r_E >= 2 sqrt(n-2)``.  Both inequalities are evaluated regardless of
-    the gates so that exploratory runs can see how far they degrade.  Both
-    compare with :func:`body.ball_energy`, since on a ball ``h / slant = 1``.
-    The graph is a stack of one, checked by :func:`calibration_check_many`.
-
-    Raises
-    ------
-    ValueError
-        When the body's Gaussian volume outside is 0 to double precision.
-    ConvexityError
-        When the body's convexity certificate fails.
-    """
-    return calibration_check_many(graph, M)[0]
-
-
-def calibration_check_many(stack: bd.BodyStack, bounds=None) -> list[CalibrationResult]:
-    """:func:`calibration_check` for each body of a :class:`body.BodyStack`: one result per row, one for a graph.
-
-    Every check runs once on the stack's node arrays, and each result is
-    bit-identical to the body's own.  ``bounds`` holds each body's curvature
-    bound ``M``; None takes each body's largest mean curvature over the nodes.
+    the gates so that exploratory runs can see how far they degrade, each as
+    one report of columns.  Both compare with :func:`body.ball_energy`, since
+    on a ball ``h / slant = 1``; it, the matched radius and ``psi`` are
+    scalar functions, taken row by row.  A stack's row is its body's own
+    result to the last bit.
 
     Raises
     ------
@@ -439,36 +429,33 @@ def calibration_check_many(stack: bd.BodyStack, bounds=None) -> list[Calibration
     ConvexityError
         When any body's convexity certificate fails.
     """
-    n = stack.n
-    volumes, outside = (np.atleast_1d(v).tolist() for v in bd._volumes(n, stack.quad.weights, stack.h_nodes))
+    n, shape = body.n, body.h_nodes.shape[:-1]
+
+    def by_row(fn, *columns):
+        """``fn`` of each row's Python floats, in the body's row shape."""
+        return np.reshape([fn(*row) for row in zip(*(np.atleast_1d(c).tolist() for c in columns))], shape)
+
+    volumes, outside = bd._volumes(n, body.quad.weights, body.h_nodes)
     # Above 1/2, 1 - volume loses the volume's last digits, so there the ball matches the body's own
     # volume outside.  Before the convexity gate: a body whose outside volume underflows matches no
     # ball, convex or not.
-    matched = [bd.ball_match_radius(n, vol, q) for vol, q in zip(volumes, outside)]
-    if not np.all(bd.is_convex(stack)):
+    matched = by_row(lambda vol, q: bd.ball_match_radius(n, vol, q), volumes, outside)
+    if not np.all(bd.is_convex(body)):
         raise ConvexityError("calibration inequalities need a convex body")
-    if bounds is None:
-        bounds = np.max(bd.mean_curvature(stack), axis=-1)
-    quantities = (bd.inscribed_radius, bd.curvature_energy_nd, bd.flux_energy)
-    columns = np.column_stack([bounds, volumes, matched, *(quantity(stack) for quantity in quantities)])
-    return [_calibration_result(n, *map(float, values)) for values in columns]
-
-
-def _calibration_result(
-    n: int, M: float, vol: float, r: float, r_in: float, energy: float, flux: float
-) -> CalibrationResult:
-    gate_volume = vol >= max(psi(2.0 * M), psi(math.sqrt(n - 2)))
-    ball_energy = bd.ball_energy(n, r)
-    quad_slack = 1e-9 * (1.0 + abs(ball_energy))
+    M = np.max(bd.mean_curvature(body), axis=-1) if M is None else np.reshape(np.array(M, float), shape)
+    floor = psi(math.sqrt(n - 2))
+    ball = by_row(lambda r: bd.ball_energy(n, r), matched)
+    slack = 1e-9 * (1.0 + np.abs(ball))
+    r_in = bd.inscribed_radius(body)
     return CalibrationResult(
-        hypothesis_ok=bool(gate_volume),
-        ineq1=_report(energy, ball_energy, quad_slack),
-        ineq3=_report(flux, ball_energy, quad_slack),
-        matched_radius=r,
-        volume=vol,
-        curvature_bound=M,
+        hypothesis_ok=bd._per_body(volumes >= by_row(lambda m: max(psi(2.0 * m), floor), M)),
+        ineq1=_report(bd.curvature_energy_nd(body), ball, slack),
+        ineq3=_report(bd.flux_energy(body), ball, slack),
+        matched_radius=bd._per_body(matched),
+        volume=bd._per_body(volumes),
+        curvature_bound=bd._per_body(M),
         inscribed_radius=r_in,
-        gate_curvature=bool(r_in >= 2.0 * M),
-        gate_inscribed_stated=bool(r_in >= math.sqrt(2.0 * (n - 2))),
-        gate_inscribed_used=bool(r_in >= 2.0 * math.sqrt(n - 2)),
+        gate_curvature=bd._per_body(r_in >= 2.0 * M),
+        gate_inscribed_stated=bd._per_body(r_in >= math.sqrt(2.0 * (n - 2))),
+        gate_inscribed_used=bd._per_body(r_in >= 2.0 * math.sqrt(n - 2)),
     )

@@ -98,6 +98,15 @@ AREA_RTOL = 1e-10
 _CONVEX_RTOL = 1e-10
 
 
+def _equal_columns(report, other):
+    """``report == other`` for two reports of one type: every field equal, column by column, and a
+    nested report by its own ``==``."""
+    if not isinstance(other, type(report)):
+        return NotImplemented
+    pairs = ((getattr(report, f.name), getattr(other, f.name)) for f in fields(report))
+    return all(a == b if isinstance(a, InequalityReport) else np.array_equal(a, b) for a, b in pairs)
+
+
 @dataclass(frozen=True)
 class InequalityReport:
     """Verified inequality instances: ``lhs <= rhs`` up to quadrature slack.
@@ -112,10 +121,7 @@ class InequalityReport:
     rhs: float | np.ndarray
     quad_error: float | np.ndarray
 
-    def __eq__(self, other):
-        if not isinstance(other, InequalityReport):
-            return NotImplemented
-        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+    __eq__ = _equal_columns
 
     @property
     def margin(self):

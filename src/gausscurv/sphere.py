@@ -169,7 +169,6 @@ class HarmonicField:
     n: int
     degree: int
     coeffs: np.ndarray
-    parity: str = field(default="")
 
     def __post_init__(self):
         if not 3 <= self.n <= MAX_DIMENSION:
@@ -185,8 +184,12 @@ class HarmonicField:
         c = c.copy()
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
-        if not self.parity:
-            object.__setattr__(self, "parity", _detect_parity(self.degrees, c))
+
+    @property
+    def parity(self) -> str:
+        """``"even"`` or ``"odd"`` where the other degrees' coefficients are all within 1e-14 of 0
+        relative to the largest (or 1), else ``"none"``."""
+        return _detect_parity(self.degrees, self.coeffs)
 
     @property
     def degrees(self) -> np.ndarray:
@@ -554,9 +557,7 @@ def analyze(values, n: int, degree: int, quad: SphereQuadrature) -> HarmonicFiel
 def laplace_beltrami(field: HarmonicField) -> HarmonicField:
     """Apply the Laplace-Beltrami operator: coefficient k maps to -k(k+n-2)."""
     lam = _eigenvalues(field.n, field.degree)
-    return HarmonicField(
-        n=field.n, degree=field.degree, coeffs=-lam * field.coeffs, parity=field.parity
-    )
+    return HarmonicField(n=field.n, degree=field.degree, coeffs=-lam * field.coeffs)
 
 
 def field_gradient(field: HarmonicField, quad: SphereQuadrature | None = None, points=None) -> np.ndarray:

@@ -44,6 +44,7 @@ Nor are ``convexity_certificate``, ``norm_l2`` and ``grad_norm_l2``, which read
 a curve's grid or a field's coefficients as the library's former methods did.
 """
 
+import dataclasses
 import math
 from functools import lru_cache
 
@@ -66,11 +67,15 @@ def stack(curves):
 
 
 def rows(report):
-    """A stacked check's report of columns as one report of Python floats per curve."""
-    from gausscurv import plane
+    """A stacked check's report of columns as one report of Python floats and bools per curve or body."""
+    from gausscurv import experiments, plane
 
     if isinstance(report, plane.TwoSided):
         return [plane.TwoSided(*pair) for pair in zip(rows(report.lower), rows(report.upper))]
+    if isinstance(report, experiments.CalibrationResult):
+        columns = [getattr(report, f.name) for f in dataclasses.fields(report)]
+        columns = [rows(c) if isinstance(c, plane.InequalityReport) else np.asarray(c).tolist() for c in columns]
+        return [experiments.CalibrationResult(*row) for row in zip(*columns)]
     columns = [np.asarray(c).tolist() for c in (report.lhs, report.rhs, report.quad_error)]
     return [plane.InequalityReport(*row) for row in zip(*columns)]
 

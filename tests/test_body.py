@@ -487,7 +487,7 @@ def test_s2_checks_read_the_frame_tables_only(monkeypatch):
     base = sphere.default_quadrature(3, 8)
     rule = sphere.SphereQuadrature(n=3, degree=base.degree, nodes=base.nodes, weights=base.weights)
     stack = bd.BodyStack(3, 3.0, cli._sample_even(1, range(4), 3, 1e-2), quad=rule)
-    experiments.calibration_check_many(stack)
+    experiments.calibration_check(stack)
     assert not any(hasattr(bd.BodyStack, name) for name in ("_grad_u", "grad_nodes", "hess_nodes"))
     monkeypatch.setattr(experiments, "_experiment_quadrature", lambda n, k: rule)
     experiments.measure_second_variation(3, 1.0, 2)

@@ -907,6 +907,28 @@ def test_stability_h_max_bound_is_configuration_error(tmp_path, capsys):
     assert not (tmp_path / "st.json").exists()
 
 
+def test_counterexample_points_bound_is_configuration_error(tmp_path, capsys, monkeypatch):
+    # Each point is evaluated in turn.  A run at the bound takes about 16 s, so there the runner records
+    # the points it was handed; one point more never reaches it.
+    handed = []
+
+    def record(config):
+        handed.append(config.points)
+        return cli._encode_columns({"passed": [True]}, [0.0]), {}, None
+
+    monkeypatch.setattr(cli, "_RUNNERS", dict(cli._RUNNERS, counterexample=record))
+    out = tmp_path / "ce"
+    assert cli.main(["counterexample", "--points", str(cli.POINTS_MAX), "--output", str(out)]) == 0
+    assert handed == [cli.POINTS_MAX] and (tmp_path / "ce.json").exists()
+    capsys.readouterr()
+    out = tmp_path / "ce-over"
+    assert cli.main(["counterexample", "--points", str(cli.POINTS_MAX + 1), "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"gausscurv: configuration error: points must be in 1..{cli.POINTS_MAX}")
+    assert len(err.strip().splitlines()) == 1
+    assert handed == [cli.POINTS_MAX] and not (tmp_path / "ce-over.json").exists()
+
+
 def test_stability_underflowing_weight_is_numerical_failure(tmp_path, capsys):
     assert cli.main(["stability2d", "--r", "50", "--output", str(tmp_path / "st")]) == 4
     assert "Traceback" not in capsys.readouterr().err

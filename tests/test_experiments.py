@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -385,21 +386,40 @@ def test_calibration_ball_side_matches_quadrature_ball(n):
 @pytest.mark.parametrize("n", [3, 4, 6])
 def test_stacked_calibration_equals_single_checks(n):
     graphs = [cli.random_even_body(17, trial, n, 3.0, 1e-2) for trial in range(50)]
-    stacked = ex.calibration_check_many(helpers.body_stack(graphs))
+    stacked = helpers.rows(ex.calibration_check(helpers.body_stack(graphs)))
+    assert len(stacked) == len(graphs)
     for graph, res in zip(graphs, stacked):
         M = float(np.max(bd.mean_curvature(graph)))
         assert res == ex.calibration_check(graph, M)
         assert res.curvature_bound == M
     bounds = [0.5 + 0.01 * k for k in range(50)]
-    for graph, M, res in zip(graphs, bounds, ex.calibration_check_many(helpers.body_stack(graphs), bounds)):
+    stacked = helpers.rows(ex.calibration_check(helpers.body_stack(graphs), bounds))
+    assert len(stacked) == len(graphs)
+    for graph, M, res in zip(graphs, bounds, stacked):
         assert res == ex.calibration_check(graph, M)
+
+
+def test_calibration_result_has_the_body_row_shape():
+    # One body gives Python floats and bools; a stack gives read-only columns, its reports' among them.
+    graphs = [cli.random_even_body(17, trial, 3, 3.0, 1e-2) for trial in range(3)]
+    one, stacked = ex.calibration_check(graphs[0]), ex.calibration_check(helpers.body_stack(graphs))
+
+    def leaves(res):
+        for f in dataclasses.fields(res):
+            value = getattr(res, f.name)
+            yield from leaves(value) if dataclasses.is_dataclass(value) else [value]
+
+    assert [type(value) for value in leaves(one)] == [bool] + [float] * 10 + [bool] * 3
+    assert type(one.ineq1.passed) is bool and stacked.hypothesis_ok.dtype == bool
+    for column in leaves(stacked):
+        assert column.shape == (3,) and not column.flags.writeable
 
 
 def test_stacked_calibration_rejects_one_nonconvex_body():
     graphs = [cli.random_even_body(17, trial, 3, 3.0, 1e-2) for trial in range(5)]
     graphs[3] = RadialGraph(3, 3.0, HarmonicField.single_mode(3, 4, 0.5, degree=6))
     with pytest.raises(ConvexityError):
-        ex.calibration_check_many(helpers.body_stack(graphs))
+        ex.calibration_check(helpers.body_stack(graphs))
 
 
 def test_calibration_rejects_nonconvex():
@@ -424,7 +444,8 @@ def test_calibration_matches_balls_next_to_volume_one(n):
     for r in (2.0, 3.0, 4.0, 6.0, 9.0, 20.0, 37.0):
         stack = bd.BodyStack(n, r, cli._sample_even(3, range(4), n, 1e-2))
         outside = bd._volumes(n, stack.quad.weights, stack.h_nodes)[1]
-        results = ex.calibration_check_many(stack)
+        results = helpers.rows(ex.calibration_check(stack))
+        assert len(results) == 4
         for res, q in zip(results, outside.tolist()):
             # These near balls lie above 1/2 exactly where the ball of radius r does: r beyond the chi_n median.
             assert (res.volume > 0.5) == (r > bd.ball_match_radius(n, 0.5)), (r, res.volume)
@@ -443,7 +464,7 @@ def test_calibration_raises_value_error_where_no_volume_is_outside(n):
     for r in (38.5, 40.0, 1e3, 1e300):
         stack = bd.BodyStack(n, r, cli._sample_even(3, range(2), n, 1e-2))
         with pytest.raises(ValueError, match="target Gaussian volume must lie in"):
-            ex.calibration_check_many(stack)
+            ex.calibration_check(stack)
 
 
 def test_calibration_cli_exits_3_where_no_volume_is_outside(tmp_path, capsys):
