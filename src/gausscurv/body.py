@@ -9,7 +9,7 @@ Mean curvature and the second fundamental form read the covariant Hessian of
 ``h``, with its gradient and Laplacian, at the nodes, or for one body at any unit
 points, in the basis's tangent frame only: the gradient ``(g_1, g_2)`` from the
 frame gradient table ``Fn``, the Hessian entries ``H_11, H_12, H_22`` from the
-basis's ``frame_hessian``.  The frame is ``(e_theta, e_phi)`` on S^2, and for
+frame Hessian table ``Hn``.  The frame is ``(e_theta, e_phi)`` on S^2, and for
 n >= 4 ``a / |a|``, ``a = e_1 - t x``, with any tangent vector across it.  For
 n >= 4 convexity is that of the meridian section, whose cosine coefficients are a
 fixed linear map of the field's coefficients.
@@ -110,9 +110,9 @@ class BodyStack:
     def _frame_hess(self) -> np.ndarray:
         """``Hess h`` at the nodes in the frame: rows ``H_11, H_12, H_22``, shape (..., 3, nodes).
 
-        One ``frame_hessian`` call for the whole stack, whose products are per-row slices, so that
-        a stack's row is the body's own."""
-        return self._tables.frame_hessian(self.radii[..., None] * self.coeffs, self.quad.nodes, self._frame_grad)
+        One product with the frame Hessian table ``Hn`` for the whole stack, whose rows are per-row
+        slices, so that a stack's row is the body's own."""
+        return self._tables.frame_hessian(self.radii[..., None] * self.coeffs, self.quad.nodes)
 
     @cached_property
     def sq_grad_nodes(self) -> np.ndarray:
@@ -239,7 +239,7 @@ def mean_curvature(body: BodyStack, points=None):
     b, r = body._tables, body.radii
     V = b.values_at(X)
     grad = r * sphere._row_products(body.coeffs, b.frame_gradients_at(X))
-    hess = b.frame_hessian(r * body.coeffs, X, body._frame_grad)
+    hess = b.frame_hessian(r * body.coeffs, X)
     h, lap = r * (1.0 + sphere._row_products(body.coeffs, V)), r * sphere._row_products(body._lap_coeffs, V)
     H, _ = curvature_terms(body.n, h, np.sum(grad**2, axis=-2), lap, sphere._frame_form(grad, hess))
     return float(H[0]) if single else H

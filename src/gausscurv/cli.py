@@ -522,7 +522,9 @@ def _run_stability2d(config: RunConfig):
         ratios = plane.stability_ratio(family, wp, r)
         tail = ratios[len(ratios) // 2 :]
         if min(tail) <= 0.0:
-            raise GausscurvError(f"{name} energy gaps vanish at r = {r:g}: the weight underflows")
+            energy = plane.disk_energy(wp, r)
+            cause = f"they are lost in rounding the disk energy {energy!r}" if energy else "the weight underflows"
+            raise GausscurvError(f"{name} energy gaps vanish at r = {r:g}: {cause}")
         bounded = max(tail) <= 10.0 * min(tail) and all(math.isfinite(x) for x in ratios)
         entries.append(
             {
@@ -548,8 +550,8 @@ def _run_counterexample(config: RunConfig):
     entries = []
     rows = []
     for r in r_values:
-        gap = ex.counterexample_gap(r)
         s = ex.matched_cylinder_radius(r)
+        gap = ex.cylinder_energy(s) - bd.ball_energy(3, r)  # ex.counterexample_gap(r), with s computed once
         spec = ex.CylinderSpec(s=s, half_height=config.cap_height)
         capped = ex.capped_cylinder(spec)
         r_prime = ex.capped_matched_radius(spec)

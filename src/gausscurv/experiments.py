@@ -12,6 +12,7 @@ jets carry the perturbation through :func:`body.curvature_terms`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -80,12 +81,16 @@ def matched_cylinder_radius(r: float) -> float:
 
     Below r = 1e-5, ``v = r^3 c < 3e-16`` with ``c = e^-x 1F1(1; 5/2; x) / (3/2 sqrt(2 pi))``, x = r^2 / 2
     (DLMF 8.7.1), so ``s = r^(3/2) sqrt(2 c (1 + v / 2))``: ``v``, subnormal below r = 1e-103, only corrects 1.
+    Below r = 9.8e-206 ``s`` leaves the normal floats, and ``ValueError`` names the ball radius.
     """
     if r <= 0:
         raise ValueError("ball radius must be positive")
     if r < 1e-5:
         c = _ball_volume_factor(r)
-        return r * math.sqrt(r) * math.sqrt(2.0 * c * (1.0 + 0.5 * c * r**3))
+        s = r * math.sqrt(r) * math.sqrt(2.0 * c * (1.0 + 0.5 * c * r**3))
+        if s < sys.float_info.min:
+            raise ValueError(f"ball radius {r!r} gives a cylinder radius {s!r} below the least normal float")
+        return s
     vol = bd.ball_gaussian_volume(3, r)
     if vol >= 1.0:
         # The matching volume saturates double precision near one.

@@ -17,12 +17,12 @@ dimensions it is the zonal (axisymmetric in x_1) Gegenbauer family, which
 realises every Laplace-Beltrami eigenvalue and is all the higher-dimensional
 experiments need; its tables come from the three-term recurrence
 (:func:`special.gegenbauer`).  The S^2 tables come from the normalised
-associated-Legendre recurrence, run also on P_l^m / sin(theta) so that the
-gradient formula stays regular at the poles.  Each basis gives gradients and
-covariant Hessians in an orthonormal tangent frame only: ``(e_theta, e_phi)`` on
-S^2, where the Hessian differentiates the exactly projected gradient, and, in
-closed form, ``a / |a|``, ``a = e_1 - t x``, with any tangent vector across it for
-zonal fields; ambient gradients, always tangent, compose the frame.  A zonal basis
+associated-Legendre recurrence, run also on P_l^m / sin(theta) and
+P_l^m / sin(theta)^2 so that the gradient and Hessian formulas stay regular at
+the poles.  Each basis tables gradients and covariant Hessians in closed form,
+in an orthonormal tangent frame only: ``(e_theta, e_phi)`` on S^2, and
+``a / |a|``, ``a = e_1 - t x``, with any tangent vector across it for zonal
+fields; ambient gradients, always tangent, compose the frame.  A zonal basis
 maps coefficients exactly to its cosine series on a meridian (``S``).
 
 Every evaluation takes ``points=None`` for the quadrature nodes, an (m, n)
@@ -235,16 +235,15 @@ def _eigenvalues(n: int, L: int) -> np.ndarray:
 
 
 class _Tables:
-    """Basis values and frame gradients on a fixed quadrature.
+    """Basis values, frame gradients and frame Hessians on a fixed quadrature.
 
     Subclasses provide, for unit points ``X`` of shape (m, n), the rule's own nodes
     or not, ``values_at(X)``, shape (basis, m), and the frame route of every gradient
     and Hessian: ``frame_at(X)``, the frame's named vectors (both on S^2, only
     ``a / |a|`` for zonal fields), ``frame_gradients_at(X)``, the components along
-    them, shape (basis, 2, m), and ``frame_hessian(coeffs, X, grad=None)``, the entries
-    ``H_11, H_12, H_22`` of a field, shape (3, m), or of a stack of fields, (..., 3, m).
-    Node values are built with the basis; the node frame gradients ``Fn``, twice as
-    large, only on first use.
+    them, shape (basis, 2, m), and ``frame_hessians_at(X)``, the entries
+    ``H_11, H_12, H_22``, shape (basis, 3, m).  Node values are built with the basis;
+    the node frame gradients ``Fn`` and Hessians ``Hn`` only on first use.
     """
 
     def __init__(self, quad: SphereQuadrature):
@@ -255,50 +254,90 @@ class _Tables:
     def Fn(self) -> np.ndarray:
         return self.frame_gradients_at(self.quad.nodes)
 
+    @cached_property
+    def Hn(self) -> np.ndarray:
+        return self.frame_hessians_at(self.quad.nodes)
+
+    def frame_hessian(self, coeffs: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """Frame Hessian entries of a field ``coeffs``, shape (3, m), or of a stack (..., basis), (..., 3, m)."""
+        return _row_products(coeffs, self.Hn if X is self.quad.nodes else self.frame_hessians_at(X))
+
     def analyze(self, values):
         return self.V @ (self.quad.weights * values)
+
+
+def _upward(L: int, t: np.ndarray, seed: np.ndarray, m: int) -> np.ndarray:
+    """Rows l = m..L (none for m > L) of the normalised associated-Legendre three-term recurrence in l
+    from row m, ``seed``: linear in the rows, so it also runs on P_l^m / sin(theta)^k."""
+    out = np.empty((max(L + 1 - m, 0), t.size))
+    out[:1] = seed
+    if L > m:
+        out[1] = math.sqrt(2 * m + 3) * t * seed
+    for l in range(m + 2, L + 1):
+        a = math.sqrt((4 * l * l - 1) / (l * l - m * m))
+        b = math.sqrt(((l - 1) ** 2 - m * m) / (4 * (l - 1) ** 2 - 1))
+        out[l - m] = a * (t * out[l - m - 1] - b * out[l - m - 2])
+    return out
 
 
 def _legendre_slabs(L: int, t: np.ndarray, s: np.ndarray):
     """Yield ``(m, P, dP, mQ)`` for m = 0..L, each of shape (L + 1 - m, points).
 
-    Row ``l - m`` holds the L2-normalised associated Legendre function
-    P_l^m(t) (with the Condon-Shortley phase), its
-    derivative in the polar angle, and m P_l^m / sin(theta) (None for m = 0).
+    Row ``l - m`` holds the L2-normalised associated Legendre function P_l^m(t) (with the
+    Condon-Shortley phase), its derivative in the polar angle, and m P_l^m / sin(theta).
     For m >= 1 the recurrence runs on Q_l^m = P_l^m / sin(theta), which obeys
     the same three-term recurrence in l and is finite at the poles, so
     dP_l^m/dtheta = l t Q_l^m - sqrt((2l+1)(l-m)(l+m)/(2l-1)) Q_(l-1)^m and
-    m Q_l^m need no division by sin(theta).  For m = 0,
-    dP_l^0/dtheta = sqrt(l(l+1)) P_l^1.
+    m Q_l^m need no division by sin(theta).  For m = 0, dP_l^0/dtheta = sqrt(l(l+1)) P_l^1.
+    The Hessian terms run in a pass of their own, :func:`_legendre_hessian_slabs`.
     """
-
-    def upward(seed, m):
-        out = np.empty((L + 1 - m, t.size))
-        out[0] = seed
-        if L > m:
-            out[1] = math.sqrt(2 * m + 3) * t * seed
-        for l in range(m + 2, L + 1):
-            a = math.sqrt((4 * l * l - 1) / (l * l - m * m))
-            b = math.sqrt(((l - 1) ** 2 - m * m) / (4 * (l - 1) ** 2 - 1))
-            out[l - m] = a * (t * out[l - m - 1] - b * out[l - m - 2])
-        return out
-
-    P0 = upward(np.full(t.size, 1.0 / math.sqrt(4.0 * math.pi)), 0)
+    P0 = _upward(L, t, np.full(t.size, 1.0 / math.sqrt(4.0 * math.pi)), 0)
     q_mm = np.full(t.size, -math.sqrt(3.0 / (8.0 * math.pi)))
-    Q = upward(q_mm, 1) if L >= 1 else np.empty((0, t.size))
+    Q = _upward(L, t, q_mm, 1)
     ell = np.arange(L + 1)
     dP0 = np.zeros_like(P0)
     dP0[1:] = np.sqrt(ell[1:] * (ell[1:] + 1.0))[:, None] * (s * Q)
-    yield 0, P0, dP0, None
+    yield 0, P0, dP0, np.zeros_like(P0)
     for m in range(1, L + 1):
         if m > 1:
             q_mm = -math.sqrt((2 * m + 1) / (2.0 * m)) * s * q_mm
-            Q = upward(q_mm, m)
+            Q = _upward(L, t, q_mm, m)
         l = ell[m:, None]
         c = np.sqrt((2 * l + 1) * (l - m) * (l + m) / (2 * l - 1.0))
         dP = l * t * Q
         dP[1:] -= c[1:] * Q[:-1]
         yield m, s * Q, dP, m * Q
+
+
+def _legendre_hessian_slabs(L: int, t: np.ndarray, s: np.ndarray):
+    """Yield ``(m, T, dQ, B)`` for m = 0..L, rows ``l - m`` as in :func:`_legendre_slabs`, none divided by sin(theta).
+
+    A row ``c(phi) P_l^m`` has ``H_tt = c T``, ``H_tp = c' dQ`` and ``H_pp = c B``, where dQ is the polar derivative
+    of Q = P / sin(theta) and B is t dQ + (t^2 - m^2) R with R = Q / sin(theta) for m >= 2, t dQ - P for m = 1 and
+    t sqrt(l(l+1)) Q_l^1 for m = 0; T = -l(l+1) P - B, as the trace is the Laplacian.  R obeys the recurrence from
+    R_mm = -sqrt((2m+1)/(2m)) Q_(m-1,m-1), so dQ = (l - 1) t R_l - sqrt((2l+1)(l-m)(l+m)/(2l-1)) R_(l-1) for m >= 2,
+    and dQ = sqrt((l-1)(l+2)) sin(theta) R_l^2 for m = 1.
+    """
+    lam = np.arange(L + 1.0) * np.arange(1.0, L + 2.0)
+    q = np.full(t.size, -math.sqrt(3.0 / (8.0 * math.pi)))
+    Q, R = _upward(L, t, q, 1), _upward(L, t, -math.sqrt(1.25) * q, 2)
+    P, B = _upward(L, t, np.full(t.size, 1.0 / math.sqrt(4.0 * math.pi)), 0), np.zeros((L + 1, t.size))
+    B[1:] = np.sqrt(lam[1:])[:, None] * (t * Q)
+    yield 0, -lam[:, None] * P - B, np.zeros_like(P), B
+    for m in range(1, L + 1):
+        l = np.arange(m, L + 1.0)[:, None]
+        if m == 1:
+            P, dQ = s * Q, np.zeros_like(Q)
+            dQ[1:] = np.sqrt((l[1:] - 1.0) * (l[1:] + 2.0)) * (s * R)
+            B = t * dQ - P
+        else:
+            if m > 2:
+                R = _upward(L, t, -math.sqrt((2 * m + 1) / (2.0 * m)) * (s * R[0]), m)
+            c = np.sqrt((2 * l + 1) * (l - m) * (l + m) / (2 * l - 1.0))
+            P, dQ = s * s * R, (l - 1.0) * t * R
+            dQ[1:] -= c[1:] * R[:-1]
+            B = t * dQ + (t * t - m * m) * R
+        yield m, -lam[m:, None] * P - B, dQ, B
 
 
 def _polar_angles(X: np.ndarray):
@@ -334,75 +373,43 @@ class _FullBasis3D(_Tables):
         l = np.arange(m, self.L + 1)
         return l * l if m == 0 else (l * l + 2 * m - 1, l * l + 2 * m)
 
+    def _azimuthal(self, m: int, phi: np.ndarray):
+        """``(rows, c, c' / m)`` for the row sets of order m and their azimuthal factor c: sqrt(2) cos(m phi)
+        and sqrt(2) sin(m phi), or 1 (and 0) for the zonal rows."""
+        if m == 0:
+            return [(self._rows(0), 1.0, 0.0)]
+        c, sn = math.sqrt(2.0) * np.cos(m * phi), math.sqrt(2.0) * np.sin(m * phi)
+        return zip(self._rows(m), (c, sn), (-sn, c))
+
     def values_at(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(X)
         t, s, phi = _polar_angles(X)
         out = np.empty(((self.L + 1) ** 2, X.shape[0]))
         for m, P, _, _ in _legendre_slabs(self.L, t, s):
-            if m == 0:
-                out[self._rows(0)] = P
-                continue
-            cos_rows, sin_rows = self._rows(m)
-            out[cos_rows] = math.sqrt(2.0) * P * np.cos(m * phi)
-            out[sin_rows] = math.sqrt(2.0) * P * np.sin(m * phi)
+            for rows, f in zip(np.atleast_2d(self._rows(m)), (np.cos(m * phi), np.sin(m * phi))):
+                out[rows] = (math.sqrt(2.0) if m else 1.0) * P * f
         return out
 
     def frame_gradients_at(self, X: np.ndarray) -> np.ndarray:
         """The basis gradients' components along ``(e_theta, e_phi)``, shape (basis, 2, m)."""
         X = np.atleast_2d(X)
         t, s, phi = _polar_angles(X)
-        out = np.zeros(((self.L + 1) ** 2, 2, X.shape[0]))
+        out = np.empty(((self.L + 1) ** 2, 2, X.shape[0]))
         for m, _, dP, mQ in _legendre_slabs(self.L, t, s):
-            if m == 0:
-                out[self._rows(0), 0] = dP
-                continue
-            cos_rows, sin_rows = self._rows(m)
-            c = math.sqrt(2.0) * np.cos(m * phi)
-            sn = math.sqrt(2.0) * np.sin(m * phi)
-            out[cos_rows, 0], out[cos_rows, 1] = dP * c, -(mQ * sn)
-            out[sin_rows, 0], out[sin_rows, 1] = dP * sn, mQ * c
+            for rows, c, dc in self._azimuthal(m, phi):
+                out[rows, 0], out[rows, 1] = dP * c, mQ * dc
         return out
-
-    @cached_property
-    def _frame(self) -> np.ndarray:
-        """``(e_theta, e_phi)`` at the nodes as rows of components, shape (2, 3, nodes)."""
-        return np.ascontiguousarray(np.transpose(_polar_frame(self.quad.nodes), (0, 2, 1)))
 
     frame_at = staticmethod(_polar_frame)
 
-    def _gradient_basis(self) -> _FullBasis3D:
-        # Each component of grad u is a spherical polynomial of degree L + 1, so
-        # its projection at that degree is exact on a rule of degree 2L + 2.
-        q, L1 = self.quad, self.L + 1
-        if L1 > MAX_DEGREE or q.degree < 2 * L1:
-            raise QuadratureError(
-                f"the Hessian of a degree-{self.L} field needs a rule of degree {2 * L1}, got {q.degree}"
-            )
-        return _basis(3, L1, q)
-
-    def frame_hessian(self, coeffs: np.ndarray, X: np.ndarray, grad=None) -> np.ndarray:
-        """The covariant Hessian of fields in the frame at ``X``: rows ``H_tt, H_tp, H_pp``, shape (..., 3, m).
-
-        ``coeffs`` holds one field of shape (basis,) or a stack of them, (..., basis).  The ambient
-        components of ``grad u``, from its frame gradient at the nodes ``grad``, shape (..., 2, nodes)
-        (formed from ``coeffs`` when None), are projected at degree L + 1 on the nodes.  Row i of
-        ``D`` holds the frame gradient at ``X`` of component i, so ``D[i, b] = (J e_b)_i`` for the
-        Jacobian ``J`` of the projected ``grad u``.  Each ``e_a`` is tangent, so ``e_a^T J e_b`` is
-        the covariant Hessian's entry without a projection.  Both products are ``np.matmul`` over
-        the leading axes, one BLAS call per field with a lone field's shapes, so a stack's row is
-        the field's own.
-        """
-        up, E, nodes = self._gradient_basis(), self._frame, X is self.quad.nodes
-        if grad is None:
-            grad = _row_products(coeffs, self.Fn)
-        C = (self.quad.weights * (grad[..., :1, :] * E[0] + grad[..., 1:, :] * E[1])) @ up.V.T
-        if not nodes:
-            E = np.transpose(_polar_frame(X), (0, 2, 1))
-        F = up.Fn if nodes else up.frame_gradients_at(X)
-        D = np.matmul(C, F.reshape(len(F), -1)).reshape(C.shape[:-1] + F.shape[1:])
-        out = np.empty(D.shape[:-3] + (3, D.shape[-1]))
-        out[..., :2, :] = np.sum(E[0][:, None] * D, axis=-3)
-        out[..., 2, :] = E[1][0] * D[..., 0, 1, :] + E[1][1] * D[..., 1, 1, :]  # e_phi has no x_3 component
+    def frame_hessians_at(self, X: np.ndarray) -> np.ndarray:
+        """The basis Hessians' entries ``H_tt, H_tp, H_pp`` in ``(e_theta, e_phi)``, shape (basis, 3, m)."""
+        X = np.atleast_2d(X)
+        t, s, phi = _polar_angles(X)
+        out = np.empty(((self.L + 1) ** 2, 3, X.shape[0]))
+        for m, T, dQ, B in _legendre_hessian_slabs(self.L, t, s):
+            for rows, c, dc in self._azimuthal(m, phi):
+                out[rows, 0], out[rows, 1], out[rows, 2] = T * c, m * dQ * dc, B * c
         return out
 
 
@@ -466,16 +473,13 @@ class _ZonalBasis(_Tables):
         out[:, 0] = self._table(X)[1] * np.linalg.norm(X[:, 1:], axis=1)
         return out
 
-    def frame_hessian(self, coeffs: np.ndarray, X: np.ndarray, grad=None) -> np.ndarray:
-        """``g'' a a^T - t g' P`` read in the frame at ``X``: ``H_11 = g''(t) (1 - t^2) - t g'(t)``,
-        ``H_12 = 0`` and ``H_22 = -t g'(t)``, shape (..., 3, m) for ``coeffs`` of shape (..., basis);
-        ``grad`` is not needed.  ``g'`` and ``g''`` are one ``np.matmul`` slice per field and order."""
-        t = X[:, 0]
-        d = np.matmul(coeffs[..., None, None, :], self._table(X)[1:])[..., 0, :]
-        out = np.zeros(d.shape[:-2] + (3, t.size))
-        out[..., 2, :] = -t * d[..., 0, :]
-        out[..., 0, :] = d[..., 1, :] * (1.0 - t * t) + out[..., 2, :]
-        return out
+    def frame_hessians_at(self, X: np.ndarray) -> np.ndarray:
+        """``g'' a a^T - t g' P`` read in the frame: ``H_11 = g''(t) (1 - t^2) - t g'(t)``, ``H_12 = 0``
+        and ``H_22 = -t g'(t)``, shape (basis, 3, m)."""
+        X = np.atleast_2d(X)
+        t, (d1, d2) = X[:, 0], self._table(X)[1:]
+        h22 = -t * d1
+        return np.stack([d2 * (1.0 - t * t) + h22, np.zeros_like(h22), h22], axis=1)
 
 
 def _basis(n: int, L: int, quad: SphereQuadrature):
@@ -584,14 +588,8 @@ def hessian(field: HarmonicField, quad: SphereQuadrature | None = None, points=N
     one (n, n) matrix, symmetric and zero on the point's own direction: the frame
     entries in ambient coordinates, ``H_22 P + (H_11 - H_22) e_1 e_1^T +
     H_12 (e_1 e_2^T + e_2 e_1^T)`` with ``P = I - x x^T``.  A zonal frame names
-    only ``e_1 = a / |a|``, across which ``H_12 = 0``.  On S^2 the components of
-    grad u are projected at degree L + 1 on the nodes of ``quad`` and
-    differentiated again; for n >= 4 a closed form serves.
-
-    Raises
-    ------
-    QuadratureError
-        On S^2, when ``quad`` has degree below 2L + 2 or L + 1 exceeds 64.
+    only ``e_1 = a / |a|``, across which ``H_12 = 0``.  The entries are the basis's
+    frame Hessian table, closed forms for every degree on any rule.
     """
     b = _basis_for(field, quad)
     X, single = (b.quad.nodes, False) if points is None else _points(points, field.n)
@@ -609,11 +607,6 @@ def hessian_form(field: HarmonicField, quad: SphereQuadrature | None = None, poi
 
     It equals (1/2) <grad |grad u|^2, grad u>, read in the basis's frame.
     ``points`` follows :func:`field_gradient`: (m, n) gives m values, (n,) one float.
-
-    Raises
-    ------
-    QuadratureError
-        As :func:`hessian`.
     """
     b = _basis_for(field, quad)
     X, single = (b.quad.nodes, False) if points is None else _points(points, field.n)

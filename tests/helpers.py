@@ -9,7 +9,8 @@ adaptive quadrature along rays, or from 1D integrals over circles.  Second
 derivatives on the sphere also have the library's former evaluation paths
 as oracles: the projection of |grad u|^2, the Weingarten assembly of the
 second fundamental form, and the meridian section of an axisymmetric body
-sampled at the planar grid's angles.
+sampled at the planar grid's angles.  The S^2 frame Hessian tables also have a
+30-digit oracle, :func:`mp_frame_hessians`, from mpmath's spherical harmonics.
 Planar matched radii have the former scalar root finder as oracle; ball
 volumes and matched radii have the sphere-area form and a bracketed
 root finder as oracles for the chi_n distribution function and quantile;
@@ -603,7 +604,8 @@ def ambient_hessian(u, quad, points=None):
     X = quad.nodes if points is None else np.atleast_2d(np.asarray(points, dtype=float))
     P = np.eye(u.n) - X[:, :, None] * X[:, None, :]
     if u.n == 3:
-        up = b._gradient_basis()
+        assert u.degree < sphere.MAX_DEGREE and quad.degree >= 2 * u.degree + 2, "the projection would alias"
+        up = sphere._basis(3, u.degree + 1, quad)
         C = up.V @ (quad.weights[:, None] * np.tensordot(u.coeffs, ambient_gradients(b, quad.nodes), axes=1))
         G = ambient_gradients(up, X)
         J = np.dot(C.T, G.reshape(len(C), -1)).reshape(3, -1, 3).transpose(1, 0, 2)
@@ -611,6 +613,45 @@ def ambient_hessian(u, quad, points=None):
     d1, d2 = u.coeffs @ b._derivatives(X[:, 0])[1:]
     a = np.eye(u.n)[0] - X[:, :1] * X
     return d2[:, None, None] * a[:, :, None] * a[:, None, :] - (X[:, 0] * d1)[:, None, None] * P
+
+
+def mp_frame_hessians(L, X, dps=30):
+    """Every real harmonic's covariant Hessian up to degree ``L`` at unit points ``X`` of S^2 (m, 3),
+    read in ``(e_theta, e_phi)``: rows ``H_tt, H_tp, H_pp``, shape ((L + 1)^2, 3, m), rows in the
+    library's order, from ``dps``-digit arithmetic.
+
+    ``mpmath.diffs`` differentiates ``g = mpmath.spherharm(l, m, theta, 0)``, which carries the
+    Condon-Shortley phase as ``values_at`` does, twice in theta; the azimuthal factor ``c``
+    (sqrt(2) cos(m phi), sqrt(2) sin(m phi) or 1) is exact.  Then ``H_tt = c g''``,
+    ``H_tp = c' (g' / s - t g / s^2)`` and ``H_pp = c (t g' / s - m^2 g / s^2)``, with
+    theta = atan2(hypot(x_1, x_2), x_3) (``arccos`` loses 1e-12 near the poles) and
+    phi = atan2(x_2, x_1).  At a pole theta is 1e-25 from it, with phi = 0, the library's frame
+    there, and 30 more digits absorb the division by sin(theta)^2.  About 1.5 ms per harmonic
+    degree and order and per point, so keep calls to a few dozen points.
+    """
+    import mpmath
+
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    out = np.empty(((L + 1) ** 2, 3, len(X)))
+    for j, (x1, x2, x3) in enumerate(X):
+        pole = x1 == 0.0 and x2 == 0.0
+        with mpmath.workdps(dps + 30 * pole):
+            if pole:
+                theta, phi = (mpmath.mpf("1e-25") if x3 > 0 else mpmath.pi - mpmath.mpf("1e-25")), mpmath.mpf(0)
+            else:
+                theta, phi = mpmath.mpf(math.atan2(math.hypot(x1, x2), x3)), mpmath.mpf(math.atan2(x2, x1))
+            t, s = mpmath.cos(theta), mpmath.sin(theta)
+            for l in range(L + 1):
+                for m in range(l + 1):
+                    g, d1, d2 = mpmath.diffs(lambda th: mpmath.spherharm(l, m, th, 0).real, theta, 2)
+                    H = (d2, d1 / s - t * g / s**2, t * d1 / s - m * m * g / s**2)
+                    if m == 0:
+                        out[l * l, :, j] = [H[0], 0.0, H[2]]
+                        continue
+                    cos, sin = mpmath.sqrt(2) * mpmath.cos(m * phi), mpmath.sqrt(2) * mpmath.sin(m * phi)
+                    out[l * l + 2 * m - 1, :, j] = [cos * H[0], -m * sin * H[1], cos * H[2]]
+                    out[l * l + 2 * m, :, j] = [sin * H[0], m * cos * H[1], sin * H[2]]
+    return out
 
 
 def tangent_frame(X):

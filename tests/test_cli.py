@@ -934,6 +934,20 @@ def test_stability_underflowing_weight_is_numerical_failure(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "r, cause",
+    [
+        ("40", "the weight underflows"),
+        # f(1e-7) = 1 - 5e-15: the gaps, at most 9.8e-15 and two of them 0, are the rounding of 2 pi f(r).
+        ("1e-7", "they are lost in rounding the disk energy 6.283185307179555"),
+    ],
+)
+def test_stability_failure_names_its_cause(tmp_path, capsys, r, cause):
+    assert cli.main(["stability2d", "--r", r, "--output", str(tmp_path / "st")]) == 4
+    err = capsys.readouterr().err
+    assert err == f"gausscurv: numerical failure: ellipse energy gaps vanish at r = {float(r):g}: {cause}\n"
+
+
 def test_second_variation_command(tmp_path):
     cfg = cli.parse_config(
         ["second-variation", "--n", "3", "--r", "1", "--k", "2", "--output", str(tmp_path / "sv")]
@@ -971,6 +985,14 @@ def test_flags_outside_library_domain_are_configuration_errors(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith(f"gausscurv: configuration error: {argv[0]}: ")
     assert len(err.strip().splitlines()) == 1
+
+
+def test_counterexample_below_a_normal_cylinder_radius_is_one_error_line(tmp_path, capsys):
+    # The matched cylinder radius would be 0.0: the error names the ball radius, not the cross-section.
+    assert cli.main(["counterexample", "--r", "1e-300", "--output", str(tmp_path / "ce")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("gausscurv: configuration error: counterexample: ball radius 1e-300 ")
+    assert len(err.strip().splitlines()) == 1 and not (tmp_path / "ce.json").exists()
 
 
 def test_counterexample_at_an_overflowing_radius_is_one_error_line(tmp_path, capsys):

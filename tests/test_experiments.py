@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -73,6 +74,15 @@ def test_matched_cylinder_radius_below_subnormal_volumes():
             oracle = mpmath.sqrt(-2 * mpmath.log1p(-mpmath.gammainc(1.5, 0, x, regularized=True)))
             assert ex.matched_cylinder_radius(r) == pytest.approx(float(oracle), rel=1e-15, abs=0.0), r
     assert ex.counterexample_gap(1e-110) == pytest.approx((2.0 * math.pi) ** 1.5, rel=1e-15)
+
+
+@pytest.mark.parametrize("r", [9.7e-206, 1e-215, 1e-216, 1e-300])
+def test_matched_cylinder_radius_below_the_normal_floats_names_the_ball_radius(r):
+    # s = r^(3/2) sqrt(2 c) leaves the normal floats below r = 9.8e-206: at 1e-215 it would be 2e-323,
+    # with a few bits, and from 1e-216 on 0.  The last normal one keeps every digit.
+    with pytest.raises(ValueError, match=f"ball radius {r!r} "):
+        ex.matched_cylinder_radius(r)
+    assert ex.matched_cylinder_radius(9.9e-206) >= sys.float_info.min
 
 
 def test_capped_matched_radius_below_subnormal_volumes(tmp_path):

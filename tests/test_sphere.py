@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 import helpers
 from gausscurv import body as bd
 from gausscurv import sphere
-from gausscurv.errors import QuadratureError
 from gausscurv.sphere import HarmonicField, build_quadrature, sphere_area
 
 
@@ -557,7 +556,6 @@ def test_hessian_fd_oracle_at_nodes_and_poles(n):
 @pytest.mark.parametrize("k", [2, 17, 31])
 def test_hessian_of_zonal_s2_harmonic_matches_legendre_closed_form(k):
     # u = N P_k(x_3): Hess u = g'' a a^T - t g' P with t = x_3, a = e_3 - t x.
-    # Degree 31 is the highest whose Hessian the default degree-64 rule resolves.
     from numpy.polynomial.legendre import Legendre
 
     u = HarmonicField.single_mode(3, k, 1.0, degree=k)
@@ -573,14 +571,36 @@ def test_hessian_of_zonal_s2_harmonic_matches_legendre_closed_form(k):
     assert np.max(np.abs(H - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-def test_hessian_rejects_degree_beyond_tables():
-    # The gradient components of a degree-64 field have degree 65, above the
-    # cap, even on a rule that claims enough degree (few nodes keep it cheap).
+def test_hessian_of_a_degree_64_field_matches_the_mpmath_oracle():
+    # The former projection raised here: the gradient components of a degree-64 field have degree 65,
+    # above the cap.  The frame Hessian tables have no cap.  At one node of the rule (the oracle takes
+    # about 4 s over its 2145 degrees and orders; few nodes keep the tables cheap) the ambient Hessian
+    # read in the frame is within 1.1e-15 of the 30-digit oracle's largest entry.
     base = build_quadrature(3, 2)
     rule = sphere.SphereQuadrature(n=3, degree=2 * sphere.MAX_DEGREE + 2, nodes=base.nodes, weights=base.weights)
     u = random_field(3, sphere.MAX_DEGREE, seed=2)
-    with pytest.raises(QuadratureError, match="degree"):
-        sphere.hessian(u, rule)
+    X = rule.nodes[:1]
+    _, frame = helpers.frame_entries(X, np.zeros(X.shape), sphere.hessian(u, rule)[:1])
+    exact = np.tensordot(u.coeffs, helpers.mp_frame_hessians(sphere.MAX_DEGREE, X), axes=1)
+    assert np.max(np.abs(frame - exact)) <= 5e-15 * np.max(np.abs(exact))
+
+
+def test_s2_frame_hessian_tables_match_the_mpmath_oracle():
+    # Every row of the degree-6 and degree-8 tables against the 30-digit oracle at random points, at
+    # nodes, at 1e-9, 1e-6 and 1e-3 from each pole (phi = 0.7) and at both poles, where phi = 0 fixes
+    # the frame.  The gaps are 1.5e-15 (L = 6) and 3.0e-15 (L = 8) of the largest entry.
+    q = sphere.default_quadrature(3, 8)
+    nodes = [0, 100, 300, 500]
+    theta = np.array([1e-9, 1e-6, 1e-3, math.pi - 1e-9, math.pi - 1e-6, math.pi - 1e-3])
+    near = np.column_stack([np.sin(theta) * math.cos(0.7), np.sin(theta) * math.sin(0.7), np.cos(theta)])
+    X = np.vstack([random_unit_points(3, 4, seed=41), q.nodes[nodes], near, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
+    exact = helpers.mp_frame_hessians(8, X)
+    for L in (6, 8):
+        b = sphere._basis(3, L, q)
+        want = exact[: len(b.V)]
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(b.frame_hessians_at(X) - want)) <= 5e-15 * scale, L
+        assert np.max(np.abs(b.Hn[:, :, nodes] - want[:, :, 4:8])) <= 5e-15 * scale, L
 
 
 # ---------------------------------------------------------------------------
@@ -612,13 +632,18 @@ def test_hessian_form_fd_oracle(n):
         assert vals[idx] == pytest.approx(helpers.fd_hessian_form(u_eval, x), abs=1e-6)
 
 
-def test_hessian_form_rejects_insufficient_headroom():
-    # The Hessian of a degree-10 field projects its degree-11 gradient
-    # components, which needs a rule of degree 22; a degree-12 rule must raise.
+def test_hessian_form_on_a_tight_rule_matches_the_mpmath_oracle():
+    # The former projection needed a rule of degree 22 for the degree-11 gradient components of a
+    # degree-10 field and raised on this degree-12 rule; the tables need no headroom.  At one node per
+    # polar ring the form is within 5.4e-16 of the largest value of g_1^2 H_11 + 2 g_1 g_2 H_12 +
+    # g_2^2 H_22, from the frame gradient table and the 30-digit oracle's Hessian.
     u = random_field(3, 10, seed=4, amplitude=5.0)
     q = build_quadrature(3, 12)
-    with pytest.raises(QuadratureError):
-        sphere.hessian_form(u, q)
+    rings = np.arange(0, q.size, q.degree + 1)
+    g1, g2 = np.tensordot(u.coeffs, sphere._basis(3, 10, q).Fn[:, :, rings], axes=1)
+    h11, h12, h22 = np.tensordot(u.coeffs, helpers.mp_frame_hessians(10, q.nodes[rings]), axes=1)
+    exact = g1 * g1 * h11 + 2.0 * g1 * g2 * h12 + g2 * g2 * h22
+    assert np.max(np.abs(sphere.hessian_form(u, q)[rings] - exact)) <= 5e-15 * np.max(np.abs(exact))
 
 
 @pytest.mark.parametrize("n", range(3, 9))
